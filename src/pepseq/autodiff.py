@@ -9,10 +9,11 @@ them; leaves created with ``requires_grad=True`` end up holding ``.grad``
 arrays of the same shape as their values.
 
 Only the primitives needed by the sequencing model live here: elementwise
-arithmetic with broadcasting, 2-D matmul, a handful of fused numerically
-stable ops (log-softmax, softmax, layer norm, log-add-exp), shape surgery
-(slicing, concat, reshape, gather), GELU, and ``stop_gradient``. Multi-head
-attention is composed from these instead of being a fused kernel.
+arithmetic with broadcasting, matmul over equal leading batch axes, a
+handful of fused numerically stable ops (log-softmax, softmax, layer norm,
+log-add-exp), shape surgery (slicing, concat, reshape, axis transpose,
+gather), GELU, and ``stop_gradient``. Multi-head attention is composed from
+these instead of being a fused kernel.
 """
 
 from __future__ import annotations
@@ -262,27 +263,29 @@ def logaddexp(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+    """a @ b over the last two axes; leading (batch) axes must be equal."""
+    if a.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1:] != b.shape[-2:-1]:
+        raise DimensionError(f"matmul shapes do not match: {a.shape} @ {b.shape}")
     out_vals = a.values @ b.values
 
     def bwd(g: np.ndarray) -> None:
-        _accum(a, g @ b.values.T)
-        _accum(b, a.values.T @ g)
+        _accum(a, g @ np.swapaxes(b.values, -1, -2))
+        _accum(b, np.swapaxes(a.values, -1, -2) @ g)
 
     return _node(out_vals, (a, b), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-D tensor, got shape {a.shape}")
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute the axes as ``numpy.transpose``; by default reverse them."""
+    axes = tuple(reversed(range(a.ndim))) if axes is None else tuple(axes)
+    if sorted(axes) != list(range(a.ndim)):
+        raise DimensionError(f"transpose axes {axes} are not a permutation of {a.ndim} axes")
+    inverse = tuple(np.argsort(axes))
 
     def bwd(g: np.ndarray) -> None:
-        _accum(a, g.T)
+        _accum(a, g.transpose(inverse))
 
-    return _node(a.values.T, (a,), bwd)
+    return _node(a.values.transpose(axes), (a,), bwd)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -455,24 +458,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Single-head attention: softmax(q k^T / sqrt(d) + mask bias) v.
+    """Attention softmax(q k^T / sqrt(d) + mask bias) v over the last two axes.
 
-    ``mask`` is a boolean [Tq, Tk] array, True where attention is allowed.
-    A row with no allowed position is a hard error.
+    Operands are [..., L, d] with equal leading axes, e.g. one per head;
+    the two matmuls reject any other shapes. ``mask`` is a boolean
+    [Tq, Tk] array, True where attention is allowed, shared by every
+    leading index. A row with no allowed position is a hard error.
     """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise DimensionError("attention operands must be 2-D")
-    if q.shape[1] != k.shape[1]:
-        raise DimensionError(f"q/k width mismatch: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise DimensionError(f"k/v length mismatch: {k.shape} vs {v.shape}")
-    scale = 1.0 / np.sqrt(q.shape[1])
-    scores = mul(matmul(q, transpose(k)), constant(scale))
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    lead = tuple(range(k.ndim - 2))
+    scores = mul(matmul(q, transpose(k, lead + (k.ndim - 1, k.ndim - 2))), constant(scale))
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (q.shape[0], k.shape[0]):
+        if mask.shape != scores.shape[-2:]:
             raise DimensionError(
-                f"mask shape {mask.shape} does not match scores {(q.shape[0], k.shape[0])}"
+                f"mask shape {mask.shape} does not match scores {scores.shape[-2:]}"
             )
         if not mask.any(axis=1).all():
             raise NumericError("attention mask leaves a query row with no allowed position")

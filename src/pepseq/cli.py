@@ -29,7 +29,7 @@ from .autodiff import NumericError
 from .decoding import beam_search_at, greedy_at_decode, nat_pmc_decode
 from .metrics import corpus_eval, precision_coverage
 from .mgf import MGFParseError, parse_mgf, write_mgf
-from .network import Model, ModelConfig
+from .network import MAX_CHARGE, Model, ModelConfig
 from .optim import OptimizerState
 from .params import CheckpointError, load_checkpoint, save_checkpoint
 from .spectra import (
@@ -68,7 +68,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "at_layers": "2",
         "nat_layers": "2",
         "t_max": "24",
-        "paired_encoding": "false",
     },
     "training": {
         "seed": "",
@@ -166,7 +165,7 @@ class RunConfig:
                     raise UsageError(f"{source}: unknown key {section}.{option}")
 
     def _get(self, kind, section: str, option: str):
-        getter = {int: self._cp.getint, float: self._cp.getfloat, bool: self._cp.getboolean, str: self._cp.get}[kind]
+        getter = {int: self._cp.getint, float: self._cp.getfloat, str: self._cp.get}[kind]
         try:
             return getter(section, option)
         except ValueError as e:
@@ -179,9 +178,6 @@ class RunConfig:
 
     def getfloat(self, section, option):
         return self._get(float, section, option)
-
-    def getbool(self, section, option):
-        return self._get(bool, section, option)
 
     def get(self, section, option):
         return self._get(str, section, option)
@@ -196,7 +192,6 @@ class RunConfig:
                 at_layers=self.getint("model", "at_layers"),
                 nat_layers=self.getint("model", "nat_layers"),
                 t_max=self.getint("model", "t_max"),
-                paired_encoding=self.getbool("model", "paired_encoding"),
             )
         except ValueError as e:
             raise UsageError(f"bad model config: {e}") from e
@@ -219,12 +214,29 @@ def _require_path(cfg: RunConfig, option: str, what: str) -> Path:
     return Path(text)
 
 
-def _read_corpus(path: Path, table: AminoAcidTable, require_truth: bool) -> list[Spectrum]:
+def _read_corpus(
+    path: Path, table: AminoAcidTable, require_truth: bool, t_max: int | None = None
+) -> list[Spectrum]:
+    """Parse an MGF corpus and reject spectra the model cannot take.
+
+    With ``t_max`` set (training), a target must fit the NAT frame axis.
+    """
     if not path.is_file():
         raise DataError(f"spectra file not found: {path}")
     spectra = parse_mgf(path.read_text(), table=table)
     if not spectra:
         raise DataError(f"no spectra in {path}")
+    for s in spectra:
+        if s.charge > MAX_CHARGE:
+            raise DataError(
+                f"{path}: spectrum {s.spectrum_id!r} has charge {s.charge}; "
+                f"the model supports 1..{MAX_CHARGE}"
+            )
+        if t_max is not None and s.truth is not None and len(s.truth) > t_max - 2:
+            raise DataError(
+                f"{path}: spectrum {s.spectrum_id!r} has a {len(s.truth)}-residue target; "
+                f"training supports at most t_max - 2 = {t_max - 2}"
+            )
     if require_truth:
         missing = [s.spectrum_id for s in spectra if s.truth is None]
         if missing:
@@ -261,7 +273,10 @@ def _load_model(path: Path, table: AminoAcidTable) -> tuple[Model, dict]:
         raise DataError(
             f"checkpoint {path} was trained with a different residue vocabulary"
         )
-    return Model.from_checkpoint_blob(store, blob), blob
+    try:
+        return Model.from_checkpoint_blob(store, blob), blob
+    except ValueError as e:
+        raise DataError(f"checkpoint {path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +341,10 @@ def _write_metrics_row(writer, row: dict) -> None:
 
 def cmd_train(cfg: RunConfig, out: Path) -> int:
     table = AminoAcidTable()
-    corpus = _read_corpus(_require_path(cfg, "corpus", "training spectra"), table, require_truth=True)
+    corpus = _read_corpus(
+        _require_path(cfg, "corpus", "training spectra"), table, require_truth=True,
+        t_max=cfg.model_config().t_max,
+    )
     total = cfg.getint("training", "stage1_steps")
     batch_size = cfg.getint("training", "batch_size")
     every = cfg.getint("training", "checkpoint_every")

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .network import Model, prefix_suffix_masses
 from .spectra import WATER, AminoAcidTable, Peptide, Spectrum
 
@@ -53,12 +54,6 @@ def ctc_collapse(path: Sequence[int], blank_id: int) -> list[int]:
     return out
 
 
-def _log_softmax_np(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=-1, keepdims=True)
-    s = x - m
-    return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
-
-
 # ---------------------------------------------------------------------------
 # autoregressive decoding
 
@@ -77,8 +72,8 @@ def _next_logps(model: Model, spectrum: Spectrum, ids: list[int],
     table = model.table
     tokens = [table.bos_id] + ids
     masses = prefix_suffix_masses(ids, spectrum.neutral_mass, table)
-    logits = model.at_forward(tokens, masses, enc, nat_latents).values[-1]
-    logps = _log_softmax_np(logits).copy()
+    logits = model.at_forward(tokens, masses, enc, nat_latents)[-1]
+    logps = ad.log_softmax(logits).values
     # Structural tokens are never valid emissions.
     logps[table.bos_id] = -np.inf
     logps[table.pad_id] = -np.inf
@@ -92,32 +87,12 @@ def _decode_context(model: Model, spectrum: Spectrum):
 
 
 def greedy_at_decode(model: Model, spectrum: Spectrum, max_len: int) -> DecodeResult:
-    """Argmax decoding, one full forward per emitted token (no state cache)."""
-    if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, got {max_len}")
-    table = model.table
-    enc, nat_latents = _decode_context(model, spectrum)
-    ids: list[int] = []
-    logps: list[float] = []
-    finished = False
-    while True:
-        step_logps = _next_logps(model, spectrum, ids, enc, nat_latents)
-        choice = int(np.argmax(step_logps))
-        logps.append(float(step_logps[choice]))
-        if choice == table.eos_id:
-            finished = True
-            break
-        ids.append(choice)
-        if len(ids) == max_len:
-            break
-    total = float(sum(logps)) if finished else float(sum(logps[: len(ids)]))
-    n_emitted = len(ids) + (1 if finished else 0)
-    return DecodeResult(
-        peptide=table.peptide_from_ids(ids),
-        confidence=total / n_emitted,
-        total_logp=total,
-        finished=finished,
-    )
+    """Argmax decoding: beam search of width 1, one full forward per token.
+
+    On an exact tie between ending (EOS) and emitting a residue, ending wins,
+    as in the beam's ranking.
+    """
+    return beam_search_at(model, spectrum, 1, max_len)[0]
 
 
 @dataclass(frozen=True)
@@ -135,7 +110,7 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
 
     Finished (and length-capped) hypotheses stay in the pool and compete
     with growing ones. Results come back ranked by mean per-token
-    log-probability. Width 1 reproduces greedy decoding bit for bit.
+    log-probability. Width 1 is greedy decoding.
     """
     if width < 1:
         raise ValueError(f"beam width must be at least 1, got {width}")
@@ -421,8 +396,7 @@ def nat_pmc_decode(
     log-probability averaged over frames.
     """
     enc = model.encode_spectrum(spectrum)
-    logits = model.nat_forward(enc).logits.values
-    log_probs = _log_softmax_np(logits)
+    log_probs = ad.log_softmax(model.nat_forward(enc).logits).values
     cfg = PMCConfig(
         target_mass=spectrum.neutral_mass - WATER,
         tolerance=tolerance,

@@ -58,7 +58,6 @@ class ModelConfig:
     mz_v_max: float = 10000.0
     intensity_v_min: float = 1e-4
     intensity_v_max: float = 1.0
-    paired_encoding: bool = False
 
     def __post_init__(self):
         if self.d <= 0 or self.d % 2:
@@ -70,19 +69,20 @@ class ModelConfig:
 
     @property
     def mz_encoder(self) -> FloatEncoderConfig:
-        return FloatEncoderConfig(self.d, self.mz_v_min, self.mz_v_max, self.paired_encoding)
+        return FloatEncoderConfig(self.d, self.mz_v_min, self.mz_v_max)
 
     @property
     def intensity_encoder(self) -> FloatEncoderConfig:
-        return FloatEncoderConfig(
-            self.d, self.intensity_v_min, self.intensity_v_max, self.paired_encoding
-        )
+        return FloatEncoderConfig(self.d, self.intensity_v_min, self.intensity_v_max)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        d = dict(d)
+        if d.pop("paired_encoding", False):  # removed switch; older checkpoints store false
+            raise ValueError("paired sinusoidal encodings are no longer supported")
         return cls(**d)
 
 
@@ -205,17 +205,13 @@ class Model:
         q = ad.linear(x, self._p(partition, f"{prefix}.wq"), self._p(partition, f"{prefix}.bq"))
         k = ad.linear(context, self._p(partition, f"{prefix}.wk"), self._p(partition, f"{prefix}.bk"))
         v = ad.linear(context, self._p(partition, f"{prefix}.wv"), self._p(partition, f"{prefix}.bv"))
-        dh = self.cfg.d // self.cfg.heads
-        heads = [
-            ad.scaled_dot_attention(
-                q[:, h * dh : (h + 1) * dh],
-                k[:, h * dh : (h + 1) * dh],
-                v[:, h * dh : (h + 1) * dh],
-                mask,
-            )
-            for h in range(self.cfg.heads)
-        ]
-        merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
+        h = self.cfg.heads
+
+        def split(t: Tensor) -> Tensor:  # [L, d] -> [heads, L, d / heads]
+            return ad.transpose(ad.reshape(t, (t.shape[0], h, -1)), (1, 0, 2))
+
+        out = ad.scaled_dot_attention(split(q), split(k), split(v), mask)
+        merged = ad.reshape(ad.transpose(out, (1, 0, 2)), (x.shape[0], self.cfg.d))
         return ad.linear(merged, self._p(partition, f"{prefix}.wo"), self._p(partition, f"{prefix}.bo"))
 
     def _ln(self, partition: str, prefix: str, x: Tensor) -> Tensor:
@@ -240,11 +236,7 @@ class Model:
                 f"the supported range 1..{MAX_CHARGE}"
             )
         mz_cfg = self.cfg.mz_encoder
-        int_cfg = self.cfg.intensity_encoder
-        max_i = spectrum.max_intensity
-        peak_rows = np.stack(
-            [embed_peak(p, mz_cfg, int_cfg, max_i) for p in spectrum.peaks]
-        )
+        peak_rows = embed_peak(spectrum.peaks, mz_cfg, self.cfg.intensity_encoder, spectrum.max_intensity)
         mass_row = ad.constant(encode_float(spectrum.neutral_mass, mz_cfg))
         charge_row = ad.gather(self._p("enc", "charge_emb"), [spectrum.charge - 1])
         return ad.add(charge_row, mass_row), peak_rows
@@ -311,9 +303,7 @@ class Model:
             raise ValueError(f"token id outside AT vocabulary of size {vocab}")
 
         mz_cfg = self.cfg.mz_encoder
-        mass_rows = np.stack(
-            [encode_float(pm, mz_cfg) + encode_float(sm, mz_cfg) for pm, sm in masses]
-        )
+        mass_rows = encode_float(masses[:, 0], mz_cfg) + encode_float(masses[:, 1], mz_cfg)
         x = ad.add(ad.gather(self._p("at", "tok_emb"), tokens), ad.constant(mass_rows))
 
         if nat_latents is None:

@@ -23,6 +23,7 @@ Round trips are bit-exact because payloads are raw float64 bytes.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from typing import Iterator
 
@@ -161,8 +162,19 @@ def save_checkpoint(path: str, store: ParameterStore, config_blob: dict) -> None
     chunks.append(struct.pack("<I", len(encoded_blob)))
     chunks.append(encoded_blob)
 
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    # Write beside the target and rename over it, so a failed or killed
+    # write leaves the previous checkpoint intact.
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(b"".join(chunks))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

@@ -240,9 +240,7 @@ class FloatEncoderConfig:
 
     Component j in [0, d): the phase is v / (C * (v_min / 2π) ** (2j/d))
     with C = v_max / v_min; the first d/2 components take sin of the phase,
-    the rest take cos. With ``paired=True`` the cos half reuses the sin
-    half's frequency ladder (j - d/2 in the exponent) instead of continuing
-    it, giving classic sin/cos pairs at shared wavelengths.
+    the rest take cos.
 
     Values outside [v_min, v_max] are allowed; the bounds only set the
     wavelength range.
@@ -251,7 +249,6 @@ class FloatEncoderConfig:
     d: int
     v_min: float
     v_max: float
-    paired: bool = False
 
     def __post_init__(self):
         if self.d <= 0 or self.d % 2 != 0:
@@ -266,31 +263,33 @@ class FloatEncoderConfig:
         return self.v_max / self.v_min
 
 
-def encode_float(v: float, cfg: FloatEncoderConfig) -> np.ndarray:
+def encode_float(v: float | np.ndarray, cfg: FloatEncoderConfig) -> np.ndarray:
+    """Encode a value, or an array of values of shape [...], as [..., d]."""
     j = np.arange(cfg.d, dtype=np.float64)
-    exponent_index = np.where(j < cfg.d / 2, j, j - cfg.d / 2) if cfg.paired else j
-    denom = cfg.wavelength_ratio * (cfg.v_min / (2.0 * math.pi)) ** (
-        2.0 * exponent_index / cfg.d
-    )
-    phase = v / denom
+    denom = cfg.wavelength_ratio * (cfg.v_min / (2.0 * math.pi)) ** (2.0 * j / cfg.d)
+    phase = np.asarray(v, dtype=np.float64)[..., None] / denom
     return np.where(j < cfg.d / 2, np.sin(phase), np.cos(phase))
 
 
 def embed_peak(
-    peak: Peak,
+    peak: Peak | Sequence[Peak],
     mz_cfg: FloatEncoderConfig,
     intensity_cfg: FloatEncoderConfig,
     max_intensity: float,
 ) -> np.ndarray:
-    """Sum of the m/z encoding and the max-normalized intensity encoding."""
+    """Sum of the m/z encoding and the max-normalized intensity encoding.
+
+    Takes one peak ([d] out) or a sequence of k peaks ([k, d] out).
+    """
     if max_intensity <= 0:
         raise ValueError("cannot normalize intensities: spectrum maximum is not positive")
     if mz_cfg.d != intensity_cfg.d:
         raise ValueError(
             f"m/z and intensity encoders must share width, got {mz_cfg.d} and {intensity_cfg.d}"
         )
-    return encode_float(peak.mz, mz_cfg) + encode_float(
-        peak.intensity / max_intensity, intensity_cfg
+    mz_intensity = np.asarray(peak, dtype=np.float64)
+    return encode_float(mz_intensity[..., 0], mz_cfg) + encode_float(
+        mz_intensity[..., 1] / max_intensity, intensity_cfg
     )
 
 

@@ -37,6 +37,18 @@ class TestForwardValues:
             ad.matmul(a, b)
         with pytest.raises(ad.DimensionError):
             ad.matmul(a, ad.parameter(np.zeros(4)))
+        with pytest.raises(ad.DimensionError):  # leading axes never broadcast
+            ad.matmul(ad.parameter(np.zeros((2, 3, 4))), ad.parameter(np.zeros((1, 4, 5))))
+
+    def test_batched_matmul_and_transpose_match_numpy(self):
+        rng = make_rng(8)
+        a = ad.parameter(rng.normal(size=(2, 3, 5)))
+        b = ad.parameter(rng.normal(size=(2, 5, 4)))
+        assert_allclose((a @ b).values, a.values @ b.values)
+        assert ad.transpose(a, (1, 0, 2)).shape == (3, 2, 5)
+        assert ad.transpose(a).shape == (5, 3, 2)
+        with pytest.raises(ad.DimensionError):
+            ad.transpose(a, (0, 1))
 
     def test_log_softmax_rows_normalize(self):
         rng = make_rng(3)
@@ -141,6 +153,32 @@ class TestGradients:
         w = ad.constant(rng.normal(size=(3, 4)))
         self.check(
             lambda: ad.sum_all(ad.scaled_dot_attention(q, k, v, mask) * w),
+            [q, k, v],
+            tol=1e-5,
+        )
+
+    def test_batched_matmul_grad(self):
+        rng = make_rng(16)
+        a = ad.parameter(rng.normal(size=(3, 2, 4)))
+        b = ad.parameter(rng.normal(size=(3, 4, 5)))
+        w = ad.constant(rng.normal(size=(3, 2, 5)))
+        self.check(lambda: ad.sum_all(ad.matmul(a, b) * w), [a, b])
+
+    def test_transpose_axes_grad(self):
+        rng = make_rng(17)
+        a = ad.parameter(rng.normal(size=(2, 3, 4)))
+        w = ad.constant(rng.normal(size=(4, 2, 3)))
+        self.check(lambda: ad.sum_all(ad.transpose(a, (2, 0, 1)) * w), [a])
+
+    def test_head_batched_attention_grad_with_causal_mask(self):
+        rng = make_rng(18)
+        q = ad.parameter(rng.normal(size=(2, 4, 3)))
+        k = ad.parameter(rng.normal(size=(2, 4, 3)))
+        v = ad.parameter(rng.normal(size=(2, 4, 3)))
+        causal = np.tril(np.ones((4, 4), dtype=bool))
+        w = ad.constant(rng.normal(size=(2, 4, 3)))
+        self.check(
+            lambda: ad.sum_all(ad.scaled_dot_attention(q, k, v, causal) * w),
             [q, k, v],
             tol=1e-5,
         )

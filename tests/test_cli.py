@@ -9,10 +9,10 @@ import pytest
 
 from pepseq.autodiff import NumericError
 from pepseq.cli import main
-from pepseq.mgf import parse_mgf
+from pepseq.mgf import parse_mgf, write_mgf
 from pepseq.network import Model, ModelConfig
 from pepseq.params import save_checkpoint
-from pepseq.spectra import AminoAcidTable
+from pepseq.spectra import AminoAcidTable, Peptide, simulate_spectrum
 
 TINY = [
     "--set", "model.d=16",
@@ -190,6 +190,18 @@ class TestTrain:
         )
         assert code == 3
 
+    def test_target_longer_than_t_max_is_data_error(self, tmp_path, capsys):
+        # TINY sets t_max=10, so 9 residues exceed t_max - 2.
+        long = simulate_spectrum(Peptide.from_string("GASPVTLNK"), seed=1, spectrum_id="long9")
+        corpus = tmp_path / "long.mgf"
+        corpus.write_text(write_mgf([long]))
+        code = run(
+            "train", "--seed", "1", "--out", str(tmp_path / "t"),
+            "--corpus", str(corpus), *TINY,
+        )
+        assert code == 2
+        assert "long9" in capsys.readouterr().err
+
 
 class TestFinetune:
     def test_manifest_asserts_frozen_partitions(self, pipeline):
@@ -274,6 +286,33 @@ class TestDecode:
         model = Model.build(cfg, other, seed=0)
         bad = tmp_path / "bad.bin"
         save_checkpoint(str(bad), model.store, model.metadata())
+        code = run(
+            "decode", "--seed", "5", "--out", str(tmp_path / "out"),
+            "--mgf", str(pipeline / "sim" / "spectra.mgf"),
+            "--checkpoint", str(bad), *TINY,
+        )
+        assert code == 2
+
+    def test_charge_outside_model_range_is_data_error(self, pipeline, tmp_path, capsys):
+        spectrum = simulate_spectrum(Peptide.from_string("GASP"), seed=2, spectrum_id="s000")
+        high = parse_mgf(write_mgf([spectrum]).replace(f"CHARGE={spectrum.charge}+", "CHARGE=11+"))
+        mgf = tmp_path / "charge11.mgf"
+        mgf.write_text(write_mgf(high))
+        code = run(
+            "decode", "--seed", "5", "--out", str(tmp_path / "out"),
+            "--mgf", str(mgf),
+            "--checkpoint", str(pipeline / "ft" / "checkpoint.bin"), *TINY,
+        )
+        assert code == 2
+        assert "s000" in capsys.readouterr().err
+
+    def test_paired_encoding_checkpoint_is_data_error(self, pipeline, tmp_path):
+        cfg = ModelConfig(d=16, hidden=32, enc_layers=1, at_layers=1, nat_layers=1, t_max=10)
+        model = Model.build(cfg, AminoAcidTable(), seed=0)
+        blob = model.metadata()
+        blob["model"]["paired_encoding"] = True
+        bad = tmp_path / "paired.bin"
+        save_checkpoint(str(bad), model.store, blob)
         code = run(
             "decode", "--seed", "5", "--out", str(tmp_path / "out"),
             "--mgf", str(pipeline / "sim" / "spectra.mgf"),

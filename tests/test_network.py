@@ -88,6 +88,34 @@ class TestEncoder:
         assert not np.allclose(a[0], b[0])
 
 
+class TestMultiHeadAttention:
+    def test_one_call_over_heads_equals_per_head_slices(self):
+        model = Model.build(tiny_config(heads=4), AminoAcidTable(), seed=1)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(6, 16))
+        context = rng.normal(size=(9, 16))
+        causal = np.tril(np.ones((6, 6), dtype=bool))
+        p = {n: model.store.get("at", f"layer0.cross.{n}").values
+             for n in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")}
+
+        def reference(x, ctx, mask):
+            q, k, v = x @ p["wq"] + p["bq"], ctx @ p["wk"] + p["bk"], ctx @ p["wv"] + p["bv"]
+            heads = []
+            for h in range(4):
+                cols = slice(4 * h, 4 * (h + 1))
+                scores = q[:, cols] @ k[:, cols].T / 2.0
+                if mask is not None:
+                    scores = np.where(mask, scores, -np.inf)
+                w = np.exp(scores - scores.max(axis=1, keepdims=True))
+                heads.append((w / w.sum(axis=1, keepdims=True)) @ v[:, cols])
+            return np.concatenate(heads, axis=1) @ p["wo"] + p["bo"]
+
+        got = model._mha("at", "layer0.cross", ad.constant(x), ad.constant(context), None)
+        assert_allclose(got.values, reference(x, context, None), rtol=0, atol=1e-12)
+        got = model._mha("at", "layer0.cross", ad.constant(x), ad.constant(x), causal)
+        assert_allclose(got.values, reference(x, x, causal), rtol=0, atol=1e-12)
+
+
 class TestATDecoder:
     def tokens_and_masses(self, model, spectrum, residues):
         table = model.table
@@ -214,6 +242,14 @@ class TestParameterStore:
         assert not t.requires_grad
 
 
+class TestConfig:
+    def test_stored_paired_encoding_flag(self):
+        stored = dict(tiny_config().to_dict(), paired_encoding=False)
+        assert ModelConfig.from_dict(stored) == tiny_config()
+        with pytest.raises(ValueError, match="paired"):
+            ModelConfig.from_dict(dict(stored, paired_encoding=True))
+
+
 class TestCheckpoint:
     def build_store(self):
         rng = np.random.default_rng(0)
@@ -238,6 +274,20 @@ class TestCheckpoint:
             assert np.array_equal(t1.values, t2.values)
         assert loaded.is_frozen("nat") and not loaded.is_frozen("enc")
         assert meta["model"] == tiny_config().to_dict()
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(str(p), self.build_store(), {"generation": 1})
+        before = p.read_bytes()
+
+        def disk_full(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("pepseq.params.os.fsync", disk_full)
+        with pytest.raises(OSError):
+            save_checkpoint(str(p), self.build_store(), {"generation": 2})
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["x.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.ckpt"

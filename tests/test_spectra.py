@@ -125,17 +125,13 @@ class TestFloatEncoder:
             assert np.all(np.abs(out) <= 1.0)
             assert np.array_equal(out, encode_float(float(v), cfg))
 
-    def test_paired_variant_duplicates_frequency_ladder(self):
-        cfg = FloatEncoderConfig(d=4, v_min=1.0, v_max=100.0, paired=True)
-        v = 7.3
-        out = encode_float(v, cfg)
-        plain = FloatEncoderConfig(d=4, v_min=1.0, v_max=100.0)
-        ref = encode_float(v, plain)
-        # sin half identical; cos half reuses exponents 0 and 1.
-        assert_allclose(out[:2], ref[:2])
-        denom0 = 100.0 * (1.0 / (2 * math.pi)) ** 0
-        denom1 = 100.0 * (1.0 / (2 * math.pi)) ** (2 / 4)
-        assert_allclose(out[2:], [math.cos(v / denom0), math.cos(v / denom1)])
+    def test_array_input_equals_stacked_scalar_calls(self):
+        cfg = FloatEncoderConfig(d=64, v_min=0.001, v_max=10000.0)
+        values = np.random.default_rng(1).uniform(0.0, 3000.0, size=(7, 2))
+        out = encode_float(values, cfg)
+        assert out.shape == (7, 2, 64)
+        want = np.stack([np.stack([encode_float(float(v), cfg) for v in row]) for row in values])
+        assert np.array_equal(out, want)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -152,6 +148,16 @@ class TestFloatEncoder:
             embed_peak(Peak(100.0, 1.0), cfg, icfg, 0.0)
         out = embed_peak(Peak(100.0, 0.5), cfg, icfg, 2.0)
         assert_allclose(out, encode_float(100.0, cfg) + encode_float(0.25, icfg))
+
+    def test_embed_peak_over_a_spectrum_equals_stacked_per_peak_calls(self):
+        cfg = FloatEncoderConfig(d=64, v_min=0.001, v_max=10000.0)
+        icfg = FloatEncoderConfig(d=64, v_min=1e-4, v_max=1.0)
+        noise = NoiseConfig(mz_sigma=0.01, n_noise_peaks=5, intensity_range=(0.1, 1.0))
+        s = simulate_spectrum(Peptide.from_string("PEPTIDEK"), seed=3, noise=noise)
+        out = embed_peak(s.peaks, cfg, icfg, s.max_intensity)
+        want = np.stack([embed_peak(p, cfg, icfg, s.max_intensity) for p in s.peaks])
+        assert out.shape == (len(s.peaks), 64)
+        assert np.array_equal(out, want)
 
 
 class TestFragments:
