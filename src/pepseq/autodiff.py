@@ -153,8 +153,17 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
+        # A copy: ``g`` may be a view of another node's gradient.
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
+
+
+def _grad_buffer(t: Tensor) -> np.ndarray:
+    """``t.grad``, zero-filled on first use, for ops that scatter into it."""
+    if t.grad is None:
         t.grad = np.zeros_like(t.values)
-    t.grad += g
+    return t.grad
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -301,11 +310,8 @@ def _slice(a: Tensor, key) -> Tensor:
     out_vals = a.values[key]
 
     def bwd(g: np.ndarray) -> None:
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.values)
-        a.grad[key] += g
+        if a.requires_grad:
+            _grad_buffer(a)[key] += g
 
     return _node(out_vals, (a,), bwd)
 
@@ -331,15 +337,8 @@ def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
     out_vals = np.take(a.values, idx, axis=axis)
 
     def bwd(g: np.ndarray) -> None:
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.values)
-        if axis == 0:
-            np.add.at(a.grad, idx, g)
-        else:
-            moved = np.moveaxis(a.grad, axis, 0)
-            np.add.at(moved, idx, np.moveaxis(g, axis, 0))
+        if a.requires_grad:
+            np.add.at(np.moveaxis(_grad_buffer(a), axis, 0), idx, np.moveaxis(g, axis, 0))
 
     return _node(out_vals, (a,), bwd)
 
@@ -357,11 +356,8 @@ def take_per_row(a: Tensor, indices) -> Tensor:
     out_vals = a.values[rows, idx]
 
     def bwd(g: np.ndarray) -> None:
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.values)
-        np.add.at(a.grad, (rows, idx), g)
+        if a.requires_grad:
+            np.add.at(_grad_buffer(a), (rows, idx), g)
 
     return _node(out_vals, (a,), bwd)
 

@@ -326,17 +326,18 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+METRICS_COLUMNS = ("step", "stage", "at_loss", "nat_loss", "lambda", "lr")
+
+
 def _metrics_writer(path: Path):
     fh = path.open("w", newline="")
     writer = csv.writer(fh)
-    writer.writerow(["step", "stage", "at_loss", "nat_loss", "lambda", "lr"])
+    writer.writerow(METRICS_COLUMNS)
     return fh, writer
 
 
 def _write_metrics_row(writer, row: dict) -> None:
-    writer.writerow(
-        [row["step"], row["stage"], row["at_loss"], row["nat_loss"], row["lambda"], row["lr"]]
-    )
+    writer.writerow([row[c] for c in METRICS_COLUMNS])
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> int:
@@ -427,7 +428,7 @@ def cmd_finetune(cfg: RunConfig, out: Path) -> int:
             "frozen_partitions_unchanged": True,
             "outputs": {"checkpoint": "checkpoint.bin", "metrics": "metrics.csv"},
         })
-        (out / "metrics.csv").write_text("step,stage,at_loss,nat_loss,lambda,lr\n")
+        (out / "metrics.csv").write_text(",".join(METRICS_COLUMNS) + "\n")
         print("0 fine-tune epochs requested; checkpoint passed through")
         return EXIT_OK
 

@@ -1,10 +1,11 @@
 """Reading and writing the MGF subset used by the toolkit.
 
 Each block is BEGIN IONS / header lines / peak lines / END IONS. Headers we
-understand: TITLE (spectrum id), PEPMASS (precursor m/z), CHARGE (``<int>+``)
-and the optional SEQ (ground-truth peptide). Unknown KEY=VALUE headers are
-ignored with a warning. Peak lines are exactly two floats separated by one
-space. All parse errors carry a 1-based line number.
+understand: TITLE (spectrum id), PEPMASS (precursor m/z; a trailing
+intensity is ignored), CHARGE (``<int>+``) and the optional SEQ (ground-truth
+peptide). Unknown KEY=VALUE headers are ignored with a warning. Peak lines
+are exactly two floats separated by one space. All parse errors carry a
+1-based line number.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def parse_mgf(text: str | bytes, table: AminoAcidTable | None = None) -> list[Sp
                 title = value
             elif key == "PEPMASS":
                 try:
-                    pepmass = float(value)
-                except ValueError:
+                    pepmass = float(value.split()[0])
+                except (ValueError, IndexError):
                     raise MGFParseError(f"unparseable PEPMASS {value!r}", lineno) from None
             elif key == "CHARGE":
                 m = _CHARGE_RE.match(value)

@@ -160,31 +160,25 @@ class Model:
             ffn("enc", f"layer{i}.ffn")
         ln("enc", "final_ln")
 
+        def decoder(partition: str, layers: int, vocab: int) -> None:
+            for i in range(layers):
+                ln(partition, f"layer{i}.ln1")
+                attn_block(partition, f"layer{i}.self")
+                ln(partition, f"layer{i}.ln2")
+                attn_block(partition, f"layer{i}.cross")
+                ln(partition, f"layer{i}.ln3")
+                ffn(partition, f"layer{i}.ffn")
+            ln(partition, "final_ln")
+            store.add(partition, "out.w", _init(rng, d, vocab))
+            store.add(partition, "out.b", np.zeros(vocab))
+
         store.add("at", "tok_emb", _init(rng, table.at_vocab_size, d))
-        for i in range(cfg.at_layers):
-            ln("at", f"layer{i}.ln1")
-            attn_block("at", f"layer{i}.self")
-            ln("at", f"layer{i}.ln2")
-            attn_block("at", f"layer{i}.cross")
-            ln("at", f"layer{i}.ln3")
-            ffn("at", f"layer{i}.ffn")
-        ln("at", "final_ln")
-        store.add("at", "out.w", _init(rng, d, table.at_vocab_size))
-        store.add("at", "out.b", np.zeros(table.at_vocab_size))
+        decoder("at", cfg.at_layers, table.at_vocab_size)
         store.add("at", "seg_nat", _init(rng, d))
         store.add("at", "seg_enc", _init(rng, d))
 
         store.add("nat", "pos_emb", _init(rng, cfg.t_max, d))
-        for i in range(cfg.nat_layers):
-            ln("nat", f"layer{i}.ln1")
-            attn_block("nat", f"layer{i}.self")
-            ln("nat", f"layer{i}.ln2")
-            attn_block("nat", f"layer{i}.cross")
-            ln("nat", f"layer{i}.ln3")
-            ffn("nat", f"layer{i}.ffn")
-        ln("nat", "final_ln")
-        store.add("nat", "out.w", _init(rng, d, table.nat_vocab_size))
-        store.add("nat", "out.b", np.zeros(table.nat_vocab_size))
+        decoder("nat", cfg.nat_layers, table.nat_vocab_size)
 
         return cls(cfg, table, store)
 
@@ -220,6 +214,19 @@ class Model:
     def _ffn(self, partition: str, prefix: str, x: Tensor) -> Tensor:
         h = ad.gelu(ad.linear(x, self._p(partition, f"{prefix}.w1"), self._p(partition, f"{prefix}.b1")))
         return ad.linear(h, self._p(partition, f"{prefix}.w2"), self._p(partition, f"{prefix}.b2"))
+
+    def _decoder(
+        self, partition: str, layers: int, x: Tensor, context: Tensor, mask: np.ndarray | None
+    ) -> Tensor:
+        """Pre-norm decoder stack: self-attention under ``mask``, cross-attention
+        to ``context``, feed-forward; then the final norm."""
+        for i in range(layers):
+            normed = self._ln(partition, f"layer{i}.ln1", x)
+            x = ad.add(x, self._mha(partition, f"layer{i}.self", normed, normed, mask))
+            normed = self._ln(partition, f"layer{i}.ln2", x)
+            x = ad.add(x, self._mha(partition, f"layer{i}.cross", normed, context, None))
+            x = ad.add(x, self._ffn(partition, f"layer{i}.ffn", self._ln(partition, f"layer{i}.ln3", x)))
+        return self._ln(partition, "final_ln", x)
 
     # ------------------------------------------------------------------
     # encoder
@@ -259,16 +266,7 @@ class Model:
     # NAT decoder
 
     def nat_forward(self, enc_features: Tensor) -> NATFeatures:
-        x = self._p("nat", "pos_emb")
-        for i in range(self.cfg.nat_layers):
-            normed = self._ln("nat", f"layer{i}.ln1", x)
-            x = ad.add(x, self._mha("nat", f"layer{i}.self", normed, normed, None))
-            x = ad.add(
-                x,
-                self._mha("nat", f"layer{i}.cross", self._ln("nat", f"layer{i}.ln2", x), enc_features, None),
-            )
-            x = ad.add(x, self._ffn("nat", f"layer{i}.ffn", self._ln("nat", f"layer{i}.ln3", x)))
-        latents = self._ln("nat", "final_ln", x)
+        latents = self._decoder("nat", self.cfg.nat_layers, self._p("nat", "pos_emb"), enc_features, None)
         logits = ad.linear(latents, self._p("nat", "out.w"), self._p("nat", "out.b"))
         return NATFeatures(latents, logits)
 
@@ -319,15 +317,7 @@ class Model:
             )
 
         causal = np.tril(np.ones((len(tokens), len(tokens)), dtype=bool))
-        for i in range(self.cfg.at_layers):
-            normed = self._ln("at", f"layer{i}.ln1", x)
-            x = ad.add(x, self._mha("at", f"layer{i}.self", normed, normed, causal))
-            x = ad.add(
-                x,
-                self._mha("at", f"layer{i}.cross", self._ln("at", f"layer{i}.ln2", x), context, None),
-            )
-            x = ad.add(x, self._ffn("at", f"layer{i}.ffn", self._ln("at", f"layer{i}.ln3", x)))
-        x = self._ln("at", "final_ln", x)
+        x = self._decoder("at", self.cfg.at_layers, x, context, causal)
         return ad.linear(x, self._p("at", "out.w"), self._p("at", "out.b"))
 
     # ------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Stage 1 trains everything jointly: the AT decoder with a summed
 cross-entropy over next tokens (plain encoder cross-attention context) and
-the NAT decoder with a CTC loss computed by the blank-augmented forward
-algorithm, mixed by an importance weight that anneals linearly from the NAT
-side to the AT side over the scheduled run.
+the NAT decoder with a CTC loss, mixed by an importance weight that anneals
+linearly from the NAT side to the AT side over the scheduled run. The CTC
+log-likelihood is one graph node: its blank-augmented forward recursion runs
+in numpy, and its gradient comes from the forward and backward variables
+(α·β).
 
 Stage 2 freezes the encoder and NAT partitions, switches the AT decoder to
 the augmented cross-attention context (NAT latents, gradient-blocked, next
@@ -76,12 +78,30 @@ def ctc_required_frames(target_ids: Sequence[int]) -> int:
     return len(target_ids) + reps
 
 
+def _ctc_alpha(emit: np.ndarray, aug: np.ndarray, blank_id: int) -> np.ndarray:
+    """Log-domain forward variables α[t, s] over the [T, 2U+1] emissions
+    ``emit[t, s] = log P_t(aug[s])``; α_t(s) includes frame t's emission."""
+    T, U2 = emit.shape
+    # The skip (s-2) transition is legal into residue positions whose
+    # predecessor residue differs.
+    skip_ok = np.full(U2, -np.inf)
+    skip_ok[2:][(aug[2:] != blank_id) & (aug[2:] != aug[:-2])] = 0.0
+    alpha = np.empty((T, U2))
+    alpha[0] = emit[0] + np.concatenate(([0.0, 0.0], np.full(U2 - 2, -np.inf)))
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        step1 = np.concatenate(([-np.inf], prev[:-1]))
+        step2 = np.concatenate(([-np.inf, -np.inf], prev[:-2])) + skip_ok
+        alpha[t] = np.logaddexp(np.logaddexp(prev, step1), step2) + emit[t]
+    return alpha
+
+
 def ctc_forward(log_probs: Tensor, target_ids: Sequence[int], blank_id: int) -> Tensor:
     """Log-probability that the frame distribution emits a path collapsing
-    to ``target_ids``.
+    to ``target_ids``, as one graph node.
 
     Standard blank-augmented forward recursion over A' = [ε, a_1, ε, ...,
-    a_U, ε] (length 2U+1), run in the log domain:
+    a_U, ε] (length 2U+1), run in numpy in the log domain:
 
         α_1 = (log P_1(ε), log P_1(a_1), -inf, ...)
         α_t(s) = logsum of α_{t-1}(s), α_{t-1}(s-1), and α_{t-1}(s-2) --
@@ -89,8 +109,11 @@ def ctc_forward(log_probs: Tensor, target_ids: Sequence[int], blank_id: int) -> 
                  A'_{s-2} -- plus log P_t(A'_s)
         result = logaddexp(α_T(2U+1), α_T(2U))
 
-    Frames are vectorized: each timestep is a few tensor ops over the whole
-    augmented axis, so gradients flow to every frame's logits.
+    The gradient comes from α·β (Graves et al., ICML 2006): β is the same
+    recursion run on the reversed frames and reversed A', and
+    ∂ log p / ∂ log P_t(k) sums the state posteriors
+    exp(α_t(s) + β_t(s) - log P_t(A'_s) - log p) over the states s with
+    A'_s = k.
     """
     target_ids = list(target_ids)
     if not target_ids:
@@ -99,33 +122,20 @@ def ctc_forward(log_probs: Tensor, target_ids: Sequence[int], blank_id: int) -> 
     if any(not 0 <= a < vocab for a in target_ids) or any(a == blank_id for a in target_ids):
         raise ValueError("CTC target ids must be residues inside the vocabulary")
 
-    aug = [blank_id]
-    for a in target_ids:
-        aug.extend((a, blank_id))
-    aug_ids = np.array(aug)
-    U2 = len(aug)  # 2U + 1
+    aug = np.full(2 * len(target_ids) + 1, blank_id)
+    aug[1::2] = target_ids
+    emit = log_probs.values[:, aug]
+    alpha = _ctc_alpha(emit, aug, blank_id)
+    log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
 
-    # Positions where the skip (s-2) transition is legal: residue positions
-    # whose predecessor residue differs.
-    skip_ok = np.full(U2, -np.inf)
-    for s in range(2, U2):
-        if aug[s] != blank_id and aug[s] != aug[s - 2]:
-            skip_ok[s] = 0.0
-    skip_mask = ad.constant(skip_ok)
-    neg_inf_1 = ad.constant([-np.inf])
-    neg_inf_2 = ad.constant([-np.inf, -np.inf])
-    init_mask = ad.constant(np.concatenate(([0.0, 0.0], np.full(U2 - 2, -np.inf))))
+    def bwd(g: np.ndarray) -> None:
+        beta = _ctc_alpha(emit[::-1, ::-1], aug[::-1], blank_id)[::-1, ::-1]
+        joint = alpha + beta
+        with np.errstate(invalid="ignore"):
+            post = np.where(np.isneginf(joint), 0.0, np.exp(joint - emit - log_p))
+        np.add.at(ad._grad_buffer(log_probs), (np.arange(T)[:, None], aug), g * post)
 
-    alpha = ad.add(ad.gather(log_probs[0], aug_ids), init_mask)
-    for t in range(1, T):
-        stay = alpha
-        step1 = ad.concat([neg_inf_1, alpha[:-1]], axis=0)
-        step2 = ad.add(ad.concat([neg_inf_2, alpha[:-2]], axis=0), skip_mask)
-        emit = ad.gather(log_probs[t], aug_ids)
-        alpha = ad.add(ad.logaddexp(ad.logaddexp(stay, step1), step2), emit)
-
-    tail = ad.logaddexp(alpha[U2 - 1 : U2], alpha[U2 - 2 : U2 - 1])
-    return ad.reshape(tail, ())
+    return ad._node(np.asarray(log_p), (log_probs,), bwd)
 
 
 def ctc_loss(

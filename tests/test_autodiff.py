@@ -303,6 +303,16 @@ class TestGraphSemantics:
         ad.backward(ad.sum_all(c * x))
         assert c.grad is None
 
+    def test_leaf_grad_owns_its_memory(self):
+        # reshape hands its input a view of its own gradient; the leaf must
+        # store a copy, or a later write to either would change the other.
+        rng = make_rng(30)
+        x = ad.parameter(rng.normal(size=(2, 6)))
+        y = ad.reshape(x, (3, 4))
+        ad.backward(ad.sum_all(y * ad.constant(rng.normal(size=(3, 4)))))
+        assert_allclose(x.grad, y.grad.reshape(2, 6))
+        assert not np.shares_memory(x.grad, y.grad)
+
 
 class TestAttentionMasking:
     def test_masked_positions_get_zero_weight(self):

@@ -125,6 +125,23 @@ class TestCTCLoss:
             )
             assert err < 1e-4, f"trial {trial}: fd error {err}"
 
+    @pytest.mark.parametrize("target", [[1, 1], [0, 1, 0]])
+    @pytest.mark.parametrize("extra_frames", [0, 1, 2])
+    def test_gradient_is_the_enumerated_path_posterior(self, target, extra_frames):
+        # d log p / d log P_t(k) = sum over collapsing paths of
+        # p(path) [path_t = k] / p, with the log-probabilities as free leaves.
+        T, V, blank = ctc_required_frames(target) + extra_frames, 3, 2
+        lp = random_log_probs(np.random.default_rng(10 + extra_frames), T, V)
+        leaf = ad.parameter(lp.copy())
+        out = ctc_forward(leaf, target, blank)
+        ad.backward(out)
+        want = np.zeros((T, V))
+        for path in itertools.product(range(V), repeat=T):
+            if collapse(path, blank) == target:
+                weight = np.exp(lp[np.arange(T), path].sum() - out.values)
+                want[np.arange(T), path] += weight
+        assert_allclose(leaf.grad, want, rtol=0, atol=1e-9)
+
     def test_gradient_covers_every_frame(self):
         rng = np.random.default_rng(6)
         logits = ad.parameter(rng.normal(size=(5, 3)))

@@ -71,6 +71,10 @@ class TestParseErrors:
         assert len(s.peaks) == 2
         assert str(s.truth) == "GA"
 
+    def test_pepmass_trailing_intensity_ignored(self):
+        (s,) = parse_mgf(GOOD.replace("PEPMASS=400.123456", "PEPMASS=400.123456 1000"))
+        assert s.precursor_mz == 400.123456
+
     @pytest.mark.parametrize(
         "mutation, expect_line",
         [
@@ -81,6 +85,8 @@ class TestParseErrors:
             (("58.028736 1.000000", "58.028736"), 6),
             (("58.028736 1.000000", "58.028736  1.0"), 6),
             (("58.028736 1.000000", "58.028736 xyz"), 6),
+            (("PEPMASS=400.123456", "PEPMASS=abc 1000"), 3),
+            (("PEPMASS=400.123456", "PEPMASS="), 3),
         ],
     )
     def test_malformed_lines_report_line_number(self, mutation, expect_line):

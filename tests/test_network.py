@@ -2,6 +2,8 @@
 causality of the AT decoder, the NAT decoder's token-free signature, the
 augmented cross-attention context, and checkpoint round trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -331,6 +333,16 @@ class TestCheckpoint:
         p.write_bytes(payload)
         with pytest.raises(UnknownPartitionError):
             load_checkpoint(str(p))
+
+    def test_default_build_matches_committed_fixture(self):
+        # The benchmark's untrained checkpoint was written by this build; any
+        # change to parameter names, their order or the RNG draw order shows.
+        fixture = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "untrained.ckpt"
+        store, _ = load_checkpoint(str(fixture))
+        built = Model.build(ModelConfig(), AminoAcidTable(), 0).store
+        assert [k for k, _ in built.items()] == [k for k, _ in store.items()]
+        for (key, a), (_, b) in zip(built.items(), store.items()):
+            assert a.shape == b.shape and a.values.tobytes() == b.values.tobytes(), key
 
     def test_model_roundtrip_through_checkpoint(self, tmp_path, model, spectrum):
         path = tmp_path / "m.ckpt"
