@@ -9,7 +9,8 @@ them; leaves created with ``requires_grad=True`` end up holding ``.grad``
 arrays of the same shape as their values.
 
 Only the primitives needed by the sequencing model live here: elementwise
-arithmetic with broadcasting, matmul over equal leading batch axes, a
+arithmetic with broadcasting, matmul over equal leading batch axes (or a
+2-D right operand shared by every leading index of the left), a
 handful of fused numerically stable ops (log-softmax, softmax, layer norm,
 log-add-exp), shape surgery (slicing, concat, reshape, axis transpose,
 gather), GELU, and ``stop_gradient``. Multi-head attention is composed from
@@ -272,14 +273,16 @@ def logaddexp(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b over the last two axes; leading (batch) axes must be equal."""
-    if a.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1:] != b.shape[-2:-1]:
+    """a @ b over the last two axes; leading (batch) axes must be equal, or a
+    2-D ``b`` is shared by every leading index of ``a`` (numpy then
+    multiplies one slice at a time)."""
+    if a.ndim < 2 or b.shape[:-2] not in (a.shape[:-2], ()) or a.shape[-1:] != b.shape[-2:-1]:
         raise DimensionError(f"matmul shapes do not match: {a.shape} @ {b.shape}")
     out_vals = a.values @ b.values
 
     def bwd(g: np.ndarray) -> None:
         _accum(a, g @ np.swapaxes(b.values, -1, -2))
-        _accum(b, np.swapaxes(a.values, -1, -2) @ g)
+        _accum(b, _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape))
 
     return _node(out_vals, (a, b), bwd)
 
@@ -436,7 +439,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for x of shape [..., in]; w is [in, out], b is [out]."""
+    """x @ w + b for x of shape [..., in], at least 2-D; w is [in, out], b is [out]."""
     if w.ndim != 2:
         raise DimensionError(f"linear weight must be 2-D, got shape {w.shape}")
     if x.shape[-1] != w.shape[0]:
@@ -445,12 +448,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
     if b.shape != (w.shape[1],):
         raise DimensionError(f"linear bias shape {b.shape} does not match weight {w.shape}")
-    if x.ndim == 2:
-        return add(matmul(x, w), b)
-    lead = x.shape[:-1]
-    flat = reshape(x, (-1, x.shape[-1]))
-    out = add(matmul(flat, w), b)
-    return reshape(out, lead + (w.shape[1],))
+    return add(matmul(x, w), b)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:

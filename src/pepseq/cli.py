@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import NumericError
-from .decoding import beam_search_at, greedy_at_decode, nat_pmc_decode
+from .decoding import PMCConfig, beam_search_at, greedy_at_decode, nat_pmc_decode
 from .metrics import corpus_eval, precision_coverage
 from .mgf import MGFParseError, parse_mgf, write_mgf
 from .network import MAX_CHARGE, Model, ModelConfig
@@ -411,12 +411,16 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
 
 def cmd_finetune(cfg: RunConfig, out: Path) -> int:
     table = AminoAcidTable()
-    corpus = _read_corpus(_require_path(cfg, "corpus", "training spectra"), table, require_truth=True)
-    ckpt_in = _require_path(cfg, "checkpoint", "stage-1 checkpoint")
     epochs = cfg.getint("training", "finetune_epochs")
     batch_size = cfg.getint("training", "batch_size")
     if epochs < 0 or batch_size < 1:
         raise UsageError("finetune_epochs must be >= 0 and batch_size positive")
+    try:
+        opt = OptimizerState(lr=cfg.getfloat("training", "finetune_lr"))
+    except ValueError as e:
+        raise UsageError(f"bad training.finetune_lr: {e}") from e
+    corpus = _read_corpus(_require_path(cfg, "corpus", "training spectra"), table, require_truth=True)
+    ckpt_in = _require_path(cfg, "checkpoint", "stage-1 checkpoint")
 
     model, blob = _load_model(ckpt_in, table)
     ckpt_out = out / "checkpoint.bin"
@@ -428,7 +432,8 @@ def cmd_finetune(cfg: RunConfig, out: Path) -> int:
             "frozen_partitions_unchanged": True,
             "outputs": {"checkpoint": "checkpoint.bin", "metrics": "metrics.csv"},
         })
-        (out / "metrics.csv").write_text(",".join(METRICS_COLUMNS) + "\n")
+        fh, _ = _metrics_writer(out / "metrics.csv")  # the header alone
+        fh.close()
         print("0 fine-tune epochs requested; checkpoint passed through")
         return EXIT_OK
 
@@ -436,12 +441,7 @@ def cmd_finetune(cfg: RunConfig, out: Path) -> int:
     nat_before = model.store.snapshot("nat")
     model.store.freeze("enc")
     model.store.freeze("nat")
-    state = TrainState(
-        model,
-        OptimizerState(lr=cfg.getfloat("training", "finetune_lr")),
-        AnnealSchedule(1),
-        LRConfig(),
-    )
+    state = TrainState(model, opt, AnnealSchedule(1), LRConfig())
     cache = FeatureCache(model)
     gen = _batches(len(corpus), batch_size, np.random.default_rng([cfg.seed, 2]))
     steps_per_epoch = (len(corpus) + batch_size - 1) // batch_size
@@ -488,12 +488,19 @@ def cmd_decode(cfg: RunConfig, out: Path) -> int:
     if decoder not in DECODERS:
         raise UsageError(f"decoding.decoder must be one of {', '.join(DECODERS)}; got {decoder!r}")
     table = AminoAcidTable()
-    spectra = _read_corpus(_require_path(cfg, "mgf", "spectra to decode"), table, require_truth=False)
-    model, _ = _load_model(_require_path(cfg, "checkpoint", "model checkpoint"), table)
-    max_len = cfg.getint("decoding", "max_len") or model.cfg.t_max - 2
+    max_len = cfg.getint("decoding", "max_len")
     beam_width = cfg.getint("decoding", "beam_width")
     tol = cfg.getfloat("decoding", "pmc_tolerance")
     bin_width = cfg.getfloat("decoding", "pmc_bin")
+    if beam_width < 1 or max_len < 0:
+        raise UsageError("decoding.beam_width must be positive and decoding.max_len >= 0")
+    try:
+        PMCConfig(0.0, tol, bin_width).residue_bins(table)
+    except ValueError as e:
+        raise UsageError(f"bad nat-pmc settings: {e}") from e
+    spectra = _read_corpus(_require_path(cfg, "mgf", "spectra to decode"), table, require_truth=False)
+    model, _ = _load_model(_require_path(cfg, "checkpoint", "model checkpoint"), table)
+    max_len = max_len or model.cfg.t_max - 2
 
     rows = []
     for s in spectra:
@@ -674,12 +681,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        sets = list(args.set)
-        for flag, (section, option) in _FLAG_TO_KEY.items():
-            value = getattr(args, flag, None)
-            if value is not None:
-                sets.append(f"{section}.{option}={value}")
-        cfg = RunConfig.load(args.config, sets, args.seed)
+        flags = [f"{section}.{option}={getattr(args, flag)}" for flag, (section, option)
+                 in _FLAG_TO_KEY.items() if getattr(args, flag, None) is not None]
+        cfg = RunConfig.load(args.config, flags + args.set, args.seed)  # a later --set wins
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)

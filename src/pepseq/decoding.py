@@ -66,17 +66,23 @@ class DecodeResult:
     finished: bool  # False when the length cap cut the hypothesis off
 
 
-def _next_logps(model: Model, spectrum: Spectrum, ids: list[int],
-                enc, nat_latents) -> np.ndarray:
-    """Masked next-token log-probabilities after the residues in ``ids``."""
+def _next_logps(model: Model, spectrum: Spectrum, ids, enc, nat_latents) -> np.ndarray:
+    """Masked next-token log-probabilities after residue prefixes ``ids``.
+
+    One prefix [L] gives [vocab]; n prefixes of equal length [n, L] give
+    [n, vocab] from one AT forward, against the decode context tiled n times.
+    """
     table = model.table
-    tokens = [table.bos_id] + ids
+    ids = np.asarray(ids, dtype=np.intp)
+    lead = ids.shape[:-1]
+    tokens = np.concatenate([np.full(lead + (1,), table.bos_id), ids], axis=-1)
     masses = prefix_suffix_masses(ids, spectrum.neutral_mass, table)
-    logits = model.at_forward(tokens, masses, enc, nat_latents)[-1]
+    context = [None if t is None else ad.constant(np.broadcast_to(t.values, lead + t.shape))
+               for t in (enc, nat_latents)]
+    logits = model.at_forward(tokens, masses, *context)[..., -1, :]
     logps = ad.log_softmax(logits).values
     # Structural tokens are never valid emissions.
-    logps[table.bos_id] = -np.inf
-    logps[table.pad_id] = -np.inf
+    logps[..., [table.bos_id, table.pad_id]] = -np.inf
     return logps
 
 
@@ -87,7 +93,7 @@ def _decode_context(model: Model, spectrum: Spectrum):
 
 
 def greedy_at_decode(model: Model, spectrum: Spectrum, max_len: int) -> DecodeResult:
-    """Argmax decoding: beam search of width 1, one full forward per token.
+    """Argmax decoding: beam search of width 1, one forward per token.
 
     On an exact tie between ending (EOS) and emitting a residue, ending wins,
     as in the beam's ranking.
@@ -122,14 +128,15 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
 
     beams = [_Hyp((), 0.0, False)]
     while any(h.live(max_len) for h in beams):
+        # Every live hypothesis holds the same number of residues, so one
+        # forward scores them all.
+        live = [h for h in beams if h.live(max_len)]
         candidates: list[_Hyp] = [h for h in beams if not h.live(max_len)]
-        for h in beams:
-            if not h.live(max_len):
-                continue
-            logps = _next_logps(model, spectrum, list(h.ids), enc, nat_latents)
-            candidates.append(_Hyp(h.ids, h.total + float(logps[table.eos_id]), True))
+        logps = _next_logps(model, spectrum, [h.ids for h in live], enc, nat_latents)
+        for h, row in zip(live, logps):
+            candidates.append(_Hyp(h.ids, h.total + float(row[table.eos_id]), True))
             for r in residue_ids:
-                candidates.append(_Hyp(h.ids + (r,), h.total + float(logps[r]), False))
+                candidates.append(_Hyp(h.ids + (r,), h.total + float(row[r]), False))
         candidates.sort(key=lambda h: (-h.total, h.ids))
         beams = candidates[:width]
 
@@ -179,6 +186,15 @@ class PMCConfig:
         hi = self.discretize(self.target_mass + self.tolerance)
         return lo, hi
 
+    def residue_bins(self, table: AminoAcidTable) -> np.ndarray:
+        """Each residue's mass in bins; every residue must span at least one."""
+        ubin = np.array([self.discretize(m) for m in table.masses], dtype=np.int64)
+        if np.any(ubin < 1):
+            raise ValueError(
+                f"bin width {self.bin_width} is too coarse: a residue rounds to zero bins"
+            )
+        return ubin
+
 
 @dataclass(frozen=True)
 class PMCResult:
@@ -186,14 +202,6 @@ class PMCResult:
     log_prob: float
     feasible: bool
 
-
-def _residue_bins(table: AminoAcidTable, cfg: PMCConfig) -> np.ndarray:
-    ubin = np.array([cfg.discretize(m) for m in table.masses], dtype=np.int64)
-    if np.any(ubin < 1):
-        raise ValueError(
-            f"bin width {cfg.bin_width} is too coarse: a residue rounds to zero bins"
-        )
-    return ubin
 
 _STAY = np.int8(127)
 
@@ -218,7 +226,7 @@ def pmc_decode(log_probs: np.ndarray, cfg: PMCConfig, table: AminoAcidTable) -> 
         )
     if A > 126:
         raise ValueError("more residue symbols than the int8 back-pointers support")
-    ubin = _residue_bins(table, cfg)
+    ubin = cfg.residue_bins(table)
     lo, hi = cfg.window
     if hi < 0:
         return PMCResult(None, -np.inf, False)
@@ -342,7 +350,7 @@ def pmc_bruteforce_oracle(
         raise ValueError(
             f"oracle bound exceeded: T={T} (max 8), vocab={vocab} (max 5)"
         )
-    ubin = _residue_bins(table, cfg)
+    ubin = cfg.residue_bins(table)
     blank = table.blank_id
     lo, hi = cfg.window
     if hi < 0:

@@ -93,25 +93,20 @@ class NATFeatures(NamedTuple):
     logits: Tensor  # [t_max, nat_vocab]
 
 
-def prefix_suffix_masses(
-    residue_ids: Sequence[int], neutral_mass: float, table: AminoAcidTable
-) -> np.ndarray:
+def prefix_suffix_masses(residue_ids: Sequence[int] | np.ndarray, neutral_mass: float,
+                         table: AminoAcidTable) -> np.ndarray:
     """Per-step (prefix, suffix) masses for the AT input sequence [BOS, a_1..a_n].
 
-    Step t sees the prefix of residues emitted so far (zero at BOS) and the
+    Maps residue ids [..., n] to [..., n+1, 2]. Step t sees the prefix of
+    residues emitted so far (zero at BOS), summed left to right, and the
     suffix budget ``neutral_mass - water - prefix``: what remains to reach
     the precursor. The suffix may go negative for a hypothesis that
     overshoots; the encoding accepts that.
     """
-    masses = table.masses
-    out = np.zeros((len(residue_ids) + 1, 2))
-    prefix = 0.0
-    budget = neutral_mass - WATER
-    out[0] = (0.0, budget)
-    for t, rid in enumerate(residue_ids, start=1):
-        prefix += masses[rid]
-        out[t] = (prefix, budget - prefix)
-    return out
+    ids = np.asarray(residue_ids, dtype=np.intp)
+    steps = np.cumsum(table.masses[ids], axis=-1)
+    prefix = np.concatenate([np.zeros(ids.shape[:-1] + (1,)), steps], axis=-1)
+    return np.stack([prefix, (neutral_mass - WATER) - prefix], axis=-1)
 
 
 def _init(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -200,12 +195,14 @@ class Model:
         k = ad.linear(context, self._p(partition, f"{prefix}.wk"), self._p(partition, f"{prefix}.bk"))
         v = ad.linear(context, self._p(partition, f"{prefix}.wv"), self._p(partition, f"{prefix}.bv"))
         h = self.cfg.heads
+        n = x.ndim - 2
+        swap = tuple(range(n)) + (n + 1, n, n + 2)  # [..., L, heads, d_h] <-> [..., heads, L, d_h]
 
-        def split(t: Tensor) -> Tensor:  # [L, d] -> [heads, L, d / heads]
-            return ad.transpose(ad.reshape(t, (t.shape[0], h, -1)), (1, 0, 2))
+        def split(t: Tensor) -> Tensor:
+            return ad.transpose(ad.reshape(t, t.shape[:-1] + (h, -1)), swap)
 
         out = ad.scaled_dot_attention(split(q), split(k), split(v), mask)
-        merged = ad.reshape(ad.transpose(out, (1, 0, 2)), (x.shape[0], self.cfg.d))
+        merged = ad.reshape(ad.transpose(out, swap), x.shape[:-1] + (self.cfg.d,))
         return ad.linear(merged, self._p(partition, f"{prefix}.wo"), self._p(partition, f"{prefix}.bo"))
 
     def _ln(self, partition: str, prefix: str, x: Tensor) -> Tensor:
@@ -275,33 +272,34 @@ class Model:
 
     def at_forward(
         self,
-        tokens: Sequence[int],
+        tokens: Sequence[int] | np.ndarray,
         masses: np.ndarray,
         enc_features: Tensor,
         nat_latents: Tensor | None = None,
         block_nat_grad: bool = True,
     ) -> Tensor:
-        """Next-token logits [len(tokens), at_vocab] for a [BOS, a_1, ...] input.
+        """Next-token logits [..., L, at_vocab] for [BOS, a_1, ...] inputs [..., L].
 
-        ``masses`` holds one (prefix, suffix) pair per input position; both
-        are embedded with the fixed m/z encoder and summed into the token
-        embedding. With ``nat_latents`` the cross-attention context becomes
-        [NAT latents + seg_nat ; encoder features + seg_enc]; gradient into
-        the NAT latents is blocked unless ``block_nat_grad=False`` (the
-        ablation switch).
+        ``masses`` [..., L, 2] holds one (prefix, suffix) pair per input
+        position; both are embedded with the fixed m/z encoder and summed
+        into the token embedding. The context tensors are [..., S, d] with
+        the same leading axes as ``tokens``. With ``nat_latents`` the
+        cross-attention context becomes [NAT latents + seg_nat ; encoder
+        features + seg_enc]; gradient into the NAT latents is blocked unless
+        ``block_nat_grad=False`` (the ablation switch).
         """
-        tokens = list(tokens)
+        tokens = np.asarray(tokens, dtype=np.intp)
         masses = np.asarray(masses, dtype=np.float64)
-        if masses.shape != (len(tokens), 2):
+        if masses.shape != tokens.shape + (2,):
             raise ValueError(
-                f"masses must be [{len(tokens)}, 2] (prefix, suffix) pairs, got {masses.shape}"
+                f"masses must be {tokens.shape + (2,)} (prefix, suffix) pairs, got {masses.shape}"
             )
         vocab = self.table.at_vocab_size
-        if any(not 0 <= t < vocab for t in tokens):
+        if np.any((tokens < 0) | (tokens >= vocab)):
             raise ValueError(f"token id outside AT vocabulary of size {vocab}")
 
         mz_cfg = self.cfg.mz_encoder
-        mass_rows = encode_float(masses[:, 0], mz_cfg) + encode_float(masses[:, 1], mz_cfg)
+        mass_rows = encode_float(masses[..., 0], mz_cfg) + encode_float(masses[..., 1], mz_cfg)
         x = ad.add(ad.gather(self._p("at", "tok_emb"), tokens), ad.constant(mass_rows))
 
         if nat_latents is None:
@@ -313,10 +311,10 @@ class Model:
                     ad.add(nv, self._p("at", "seg_nat")),
                     ad.add(enc_features, self._p("at", "seg_enc")),
                 ],
-                axis=0,
+                axis=-2,
             )
 
-        causal = np.tril(np.ones((len(tokens), len(tokens)), dtype=bool))
+        causal = np.tril(np.ones((tokens.shape[-1],) * 2, dtype=bool))
         x = self._decoder("at", self.cfg.at_layers, x, context, causal)
         return ad.linear(x, self._p("at", "out.w"), self._p("at", "out.b"))
 

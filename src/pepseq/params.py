@@ -133,9 +133,6 @@ class ParameterStore:
         for t in self._params.values():
             t.grad = None
 
-    def n_parameters(self) -> int:
-        return sum(t.size for t in self._params.values())
-
     def snapshot(self, partition: str | None = None) -> dict[str, np.ndarray]:
         """Copies of current values, for bit-identity assertions in tests."""
         items = self.items() if partition is None else self.partition_items(partition)

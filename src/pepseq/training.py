@@ -168,15 +168,12 @@ class AnnealSchedule:
         if self.total_steps <= 0:
             raise ValueError(f"total_steps must be positive, got {self.total_steps}")
 
-    def weight(self, step: int) -> float:
-        if not 0 <= step <= self.total_steps:
-            raise ValueError(f"step {step} outside [0, {self.total_steps}]")
-        return step / self.total_steps
-
 
 def lambda_at(schedule: AnnealSchedule, step: int) -> float:
     """AT weight at iteration ``step``: exactly step / total."""
-    return schedule.weight(step)
+    if not 0 <= step <= schedule.total_steps:
+        raise ValueError(f"step {step} outside [0, {schedule.total_steps}]")
+    return step / schedule.total_steps
 
 
 def total_loss(at_loss: Tensor, nat_loss: Tensor, lam: float) -> Tensor:
@@ -314,15 +311,12 @@ def finetune_stage2_step(
     batch: Sequence[Spectrum],
     state: TrainState,
     cache: FeatureCache | None = None,
-    block_nat_grad: bool = True,
 ) -> dict:
     """One fine-tuning step over the AT partition only.
 
     Requires the encoder and NAT partitions to be frozen; the AT decoder
     attends over the augmented [NAT ; encoder] context with the NAT latents
-    gradient-blocked. ``block_nat_grad=False`` exists solely for the
-    ablation that demonstrates why the block matters; it still updates only
-    the AT partition because the others are frozen.
+    gradient-blocked.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -339,7 +333,7 @@ def finetune_stage2_step(
         else:
             enc = model.encode_spectrum(s)
             nat_latents = model.nat_forward(enc).latents
-        terms.append(_at_sample_loss(model, s, ids, enc, nat_latents, block_nat_grad))
+        terms.append(_at_sample_loss(model, s, ids, enc, nat_latents))
     loss = ad.mul(_sum_terms(terms), ad.constant(1.0 / len(batch)))
     if not np.isfinite(loss.values):
         raise NumericError(f"non-finite fine-tune loss at step {state.finetune_step}")

@@ -50,6 +50,16 @@ class TestForwardValues:
         with pytest.raises(ad.DimensionError):
             ad.transpose(a, (0, 1))
 
+    def test_matmul_shares_2d_right_operand_over_leading_axes(self):
+        rng = make_rng(9)
+        a = ad.parameter(rng.normal(size=(3, 2, 4)))
+        b = ad.parameter(rng.normal(size=(4, 5)))
+        out = ad.matmul(a, b)
+        assert out.shape == (3, 2, 5)
+        assert np.array_equal(out.values, a.values @ b.values)
+        with pytest.raises(ad.DimensionError):  # a 2-D left operand is not shared
+            ad.matmul(b, ad.parameter(np.zeros((3, 5, 2))))
+
     def test_log_softmax_rows_normalize(self):
         rng = make_rng(3)
         x = ad.parameter(rng.normal(size=(6, 9)) * 10)
@@ -83,6 +93,20 @@ class TestForwardValues:
         y = ad.linear(x, w, b)
         assert y.shape == (2, 3, 5)
         assert_allclose(y.values, x.values @ w.values + b.values)
+
+    def test_linear_3d_equals_per_slice_bit_for_bit(self):
+        rng = make_rng(12)
+        x = ad.parameter(rng.normal(size=(4, 3, 6)))
+        w = ad.parameter(rng.normal(size=(6, 5)))
+        b = ad.parameter(rng.normal(size=5))
+        y = ad.linear(x, w, b).values
+        for i in range(x.shape[0]):
+            assert np.array_equal(y[i], ad.linear(ad.constant(x.values[i]), w, b).values)
+        # A single row per slice too: the per-slice product, not one folded GEMM.
+        x1 = ad.constant(rng.normal(size=(7, 1, 6)))
+        y1 = ad.linear(x1, w, b).values
+        for i in range(x1.shape[0]):
+            assert np.array_equal(y1[i], ad.linear(ad.constant(x1.values[i]), w, b).values)
 
     def test_gather_and_take_per_row(self):
         rng = make_rng(7)
@@ -161,6 +185,13 @@ class TestGradients:
         rng = make_rng(16)
         a = ad.parameter(rng.normal(size=(3, 2, 4)))
         b = ad.parameter(rng.normal(size=(3, 4, 5)))
+        w = ad.constant(rng.normal(size=(3, 2, 5)))
+        self.check(lambda: ad.sum_all(ad.matmul(a, b) * w), [a, b])
+
+    def test_matmul_shared_2d_right_operand_grad(self):
+        rng = make_rng(18)
+        a = ad.parameter(rng.normal(size=(3, 2, 4)))
+        b = ad.parameter(rng.normal(size=(4, 5)))
         w = ad.constant(rng.normal(size=(3, 2, 5)))
         self.check(lambda: ad.sum_all(ad.matmul(a, b) * w), [a, b])
 

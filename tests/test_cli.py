@@ -130,6 +130,14 @@ class TestSimulate:
         assert code == 0
         assert len(parse_mgf((out / "spectra.mgf").read_text())) == 2
 
+    def test_set_wins_over_flag(self, tmp_path):
+        code = run(
+            "simulate", "--seed", "4", "--out", str(tmp_path), *TINY,
+            "--n", "2", "--set", "simulation.n_spectra=3",
+        )
+        assert code == 0
+        assert len(parse_mgf((tmp_path / "spectra.mgf").read_text())) == 3
+
     def test_peptides_longer_than_decoder_grid_rejected(self, tmp_path):
         code = run(
             "simulate", "--seed", "1", "--out", str(tmp_path), *TINY,
@@ -226,6 +234,8 @@ class TestFinetune:
         ).read_bytes()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["frozen_partitions_unchanged"] is True
+        header = (pipeline / "ft" / "metrics.csv").read_bytes().splitlines(keepends=True)[0]
+        assert (out / "metrics.csv").read_bytes() == header
 
     def test_missing_checkpoint_is_data_error(self, pipeline, tmp_path):
         code = run(
@@ -319,6 +329,26 @@ class TestDecode:
             "--checkpoint", str(bad), *TINY,
         )
         assert code == 2
+
+
+@pytest.mark.parametrize("command, args", [
+    ("decode", ["--decoder", "at-beam", "--beam", "0"]),
+    ("decode", ["--set", "decoding.max_len=-1"]),
+    ("decode", ["--decoder", "nat-pmc", "--set", "decoding.pmc_bin=0"]),
+    ("decode", ["--decoder", "nat-pmc", "--set", "decoding.pmc_bin=200"]),  # a residue is 0 bins
+    ("decode", ["--decoder", "nat-pmc", "--tol", "-1"]),
+    ("finetune", ["--set", "training.finetune_lr=-1"]),
+])
+def test_bad_decode_and_finetune_settings_are_usage_errors(pipeline, tmp_path, capsys, command, args):
+    corpus = str(pipeline / "sim" / "spectra.mgf")
+    inputs = {
+        "decode": ["--mgf", corpus, "--checkpoint", str(pipeline / "ft" / "checkpoint.bin")],
+        "finetune": ["--corpus", corpus, "--checkpoint", str(pipeline / "train" / "checkpoint.bin")],
+    }[command]
+    out = tmp_path / "out"
+    assert run(command, "--seed", "5", "--out", str(out), *TINY, *inputs, *args) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # rejected before any work
 
 
 class TestEval:

@@ -142,6 +142,23 @@ def test_greedy_confidence_is_mean_of_step_logps():
 # beam
 
 
+@pytest.mark.parametrize("finetuned", [False, True])
+def test_next_logps_batch_equals_single_prefixes_bit_for_bit(finetuned):
+    model = small_model()
+    model.finetuned = finetuned  # True: the context gains the NAT latents
+    (s,) = spectra_for(TABLE, 1, seed=31)
+    enc, nat = _decode_context(model, s)
+    assert (nat is not None) == finetuned
+    rng = np.random.default_rng(8)
+    for n in range(1, 6):
+        for length in range(7):
+            prefixes = rng.integers(0, TABLE.n_residues, size=(n, length))
+            batch = _next_logps(model, s, prefixes, enc, nat)
+            assert batch.shape == (n, TABLE.at_vocab_size)
+            for row, prefix in zip(batch, prefixes):
+                assert np.array_equal(row, _next_logps(model, s, list(prefix), enc, nat))
+
+
 def test_beam_width_one_is_greedy_bit_identical():
     model = small_model()
     for s in spectra_for(TABLE, 5, seed=7):

@@ -160,6 +160,23 @@ class TestATDecoder:
         assert_allclose(m[1], [57.02146, budget - 57.02146])
         assert_allclose(m[2], [budget, 0.0], atol=1e-9)
 
+    def test_prefix_suffix_masses_batch_equals_rows_bit_for_bit(self, model):
+        table = model.table
+        rng = np.random.default_rng(4)
+        for length in range(7):
+            ids = rng.integers(0, table.n_residues, size=(5, length))
+            batch = prefix_suffix_masses(ids, 812.4, table)
+            assert batch.shape == (5, length + 1, 2)
+            for row, row_ids in zip(batch, ids):
+                assert np.array_equal(row, prefix_suffix_masses(list(row_ids), 812.4, table))
+                prefix, ref = 0.0, [(0.0, 812.4 - WATER)]  # the plain running sum
+                for rid in row_ids:
+                    prefix += table.masses[rid]
+                    ref.append((prefix, 812.4 - WATER - prefix))
+                assert np.array_equal(row, np.array(ref))
+        empty = prefix_suffix_masses([], 812.4, table)
+        assert empty.shape == (1, 2) and empty[0, 0] == 0.0 and empty[0, 1] == 812.4 - WATER
+
     def test_augmented_context_changes_output(self, model, spectrum):
         enc = model.encode_spectrum(spectrum)
         nat = model.nat_forward(enc)
