@@ -9,8 +9,8 @@ them; leaves created with ``requires_grad=True`` end up holding ``.grad``
 arrays of the same shape as their values.
 
 Only the primitives needed by the sequencing model live here: elementwise
-arithmetic with broadcasting, matmul over equal leading batch axes (or a
-2-D right operand shared by every leading index of the left), a
+arithmetic with broadcasting, matmul over leading batch axes (a right
+operand with fewer of them, such as a weight, is shared by the rest), a
 handful of fused numerically stable ops (log-softmax, softmax, layer norm,
 log-add-exp), shape surgery (slicing, concat, reshape, axis transpose,
 gather), GELU, and ``stop_gradient``. Multi-head attention is composed from
@@ -273,10 +273,11 @@ def logaddexp(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b over the last two axes; leading (batch) axes must be equal, or a
-    2-D ``b`` is shared by every leading index of ``a`` (numpy then
-    multiplies one slice at a time)."""
-    if a.ndim < 2 or b.shape[:-2] not in (a.shape[:-2], ()) or a.shape[-1:] != b.shape[-2:-1]:
+    """a @ b over the last two axes. The leading (batch) axes of ``b`` must
+    equal the last leading axes of ``a``, and ``b`` is shared by every index
+    of the others (a 2-D ``b`` by all); numpy multiplies one slice at a time."""
+    lead = a.shape[a.ndim - b.ndim : -2]
+    if a.ndim < 2 or not 2 <= b.ndim <= a.ndim or b.shape[:-2] != lead or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul shapes do not match: {a.shape} @ {b.shape}")
     out_vals = a.values @ b.values
 
@@ -454,10 +455,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Attention softmax(q k^T / sqrt(d) + mask bias) v over the last two axes.
 
-    Operands are [..., L, d] with equal leading axes, e.g. one per head;
-    the two matmuls reject any other shapes. ``mask`` is a boolean
-    [Tq, Tk] array, True where attention is allowed, shared by every
-    leading index. A row with no allowed position is a hard error.
+    Operands are [..., L, d], e.g. one per head. The leading axes of ``k``
+    and ``v`` equal the last ones of ``q``, so one [heads, S, d] context
+    serves queries [n, heads, L, d]; the two matmuls reject other shapes.
+    ``mask`` is a boolean [Tq, Tk] array, True where attention is allowed,
+    shared by every leading index. A row with no allowed position is a
+    hard error.
     """
     scale = 1.0 / np.sqrt(q.shape[-1])
     lead = tuple(range(k.ndim - 2))

@@ -232,6 +232,10 @@ def _read_corpus(
                 f"{path}: spectrum {s.spectrum_id!r} has charge {s.charge}; "
                 f"the model supports 1..{MAX_CHARGE}"
             )
+        if s.max_intensity <= 0:
+            raise DataError(
+                f"{path}: spectrum {s.spectrum_id!r} has no peak with positive intensity"
+            )
         if t_max is not None and s.truth is not None and len(s.truth) > t_max - 2:
             raise DataError(
                 f"{path}: spectrum {s.spectrum_id!r} has a {len(s.truth)}-residue target; "
@@ -298,6 +302,10 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         raise UsageError(f"bad simulation config: {e}") from e
     if n < 1:
         raise UsageError(f"simulation.n_spectra must be positive, got {n}")
+    if not 1 <= min_len <= max_len:
+        raise UsageError(
+            f"simulation lengths need 1 <= min_len <= max_len, got {min_len} and {max_len}"
+        )
     t_max = cfg.getint("model", "t_max")
     if max_len > t_max - 2:
         raise UsageError(
@@ -621,59 +629,43 @@ def _add_shared(sub: argparse.ArgumentParser) -> None:
     )
 
 
+# Each command: (function, help, [(flag, config key it sets, help)]). Flag
+# values are strings here; the config's typed getters check them.
+_COMMANDS = {
+    "simulate": (cmd_simulate, "generate an annotated synthetic corpus", [
+        ("--n", "simulation.n_spectra", "number of spectra"),
+    ]),
+    "train": (cmd_train, "stage-1 joint training from scratch", [
+        ("--corpus", "paths.corpus", "annotated MGF"),
+        ("--resume", "paths.resume", "continue from this checkpoint"),
+    ]),
+    "finetune": (cmd_finetune, "stage-2 fine-tuning of the sequential decoder", [
+        ("--corpus", "paths.corpus", "annotated MGF"),
+        ("--checkpoint", "paths.checkpoint", "stage-1 checkpoint"),
+    ]),
+    "decode": (cmd_decode, "predict peptides for an MGF", [
+        ("--mgf", "paths.mgf", "spectra to decode"),
+        ("--checkpoint", "paths.checkpoint", "model checkpoint"),
+        ("--decoder", "decoding.decoder", ", ".join(DECODERS)),
+        ("--beam", "decoding.beam_width", "beam width"),
+        ("--tol", "decoding.pmc_tolerance", "nat-pmc mass tolerance in Da"),
+    ]),
+    "eval": (cmd_eval, "score predictions against annotated truth", [
+        ("--predictions", "paths.predictions", "decoder output CSV"),
+        ("--truth", "paths.truth", "annotated MGF"),
+    ]),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pepseq", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("simulate", help="generate an annotated synthetic corpus")
-    _add_shared(p)
-    p.add_argument("--n", type=int, help="number of spectra (simulation.n_spectra)")
-
-    p = subs.add_parser("train", help="stage-1 joint training from scratch")
-    _add_shared(p)
-    p.add_argument("--corpus", help="annotated MGF (paths.corpus)")
-    p.add_argument("--resume", help="continue from this checkpoint (paths.resume)")
-
-    p = subs.add_parser("finetune", help="stage-2 fine-tuning of the sequential decoder")
-    _add_shared(p)
-    p.add_argument("--corpus", help="annotated MGF (paths.corpus)")
-    p.add_argument("--checkpoint", help="stage-1 checkpoint (paths.checkpoint)")
-
-    p = subs.add_parser("decode", help="predict peptides for an MGF")
-    _add_shared(p)
-    p.add_argument("--mgf", help="spectra to decode (paths.mgf)")
-    p.add_argument("--checkpoint", help="model checkpoint (paths.checkpoint)")
-    p.add_argument("--decoder", choices=DECODERS, help="decoding.decoder")
-    p.add_argument("--beam", type=int, help="decoding.beam_width")
-    p.add_argument("--tol", type=float, help="decoding.pmc_tolerance")
-
-    p = subs.add_parser("eval", help="score predictions against annotated truth")
-    _add_shared(p)
-    p.add_argument("--predictions", help="decoder output CSV (paths.predictions)")
-    p.add_argument("--truth", help="annotated MGF (paths.truth)")
+    for command, (_, command_help, flags) in _COMMANDS.items():
+        p = subs.add_parser(command, help=command_help)
+        _add_shared(p)
+        for flag, key, flag_help in flags:
+            p.add_argument(flag, dest=key, help=f"{flag_help} ({key})")
     return parser
-
-
-_FLAG_TO_KEY = {
-    "n": ("simulation", "n_spectra"),
-    "corpus": ("paths", "corpus"),
-    "resume": ("paths", "resume"),
-    "checkpoint": ("paths", "checkpoint"),
-    "mgf": ("paths", "mgf"),
-    "decoder": ("decoding", "decoder"),
-    "beam": ("decoding", "beam_width"),
-    "tol": ("decoding", "pmc_tolerance"),
-    "predictions": ("paths", "predictions"),
-    "truth": ("paths", "truth"),
-}
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "train": cmd_train,
-    "finetune": cmd_finetune,
-    "decode": cmd_decode,
-    "eval": cmd_eval,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -681,12 +673,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        flags = [f"{section}.{option}={getattr(args, flag)}" for flag, (section, option)
-                 in _FLAG_TO_KEY.items() if getattr(args, flag, None) is not None]
+        flags = [f"{key}={value}" for key, value in vars(args).items()
+                 if "." in key and value is not None]
         cfg = RunConfig.load(args.config, flags + args.set, args.seed)  # a later --set wins
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out)
+        return _COMMANDS[args.command][0](cfg, out)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

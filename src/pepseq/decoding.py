@@ -70,16 +70,13 @@ def _next_logps(model: Model, spectrum: Spectrum, ids, enc, nat_latents) -> np.n
     """Masked next-token log-probabilities after residue prefixes ``ids``.
 
     One prefix [L] gives [vocab]; n prefixes of equal length [n, L] give
-    [n, vocab] from one AT forward, against the decode context tiled n times.
+    [n, vocab] from one AT forward, all against the one decode context.
     """
     table = model.table
     ids = np.asarray(ids, dtype=np.intp)
-    lead = ids.shape[:-1]
-    tokens = np.concatenate([np.full(lead + (1,), table.bos_id), ids], axis=-1)
+    tokens = np.concatenate([np.full(ids.shape[:-1] + (1,), table.bos_id), ids], axis=-1)
     masses = prefix_suffix_masses(ids, spectrum.neutral_mass, table)
-    context = [None if t is None else ad.constant(np.broadcast_to(t.values, lead + t.shape))
-               for t in (enc, nat_latents)]
-    logits = model.at_forward(tokens, masses, *context)[..., -1, :]
+    logits = model.at_forward(tokens, masses, enc, nat_latents)[..., -1, :]
     logps = ad.log_softmax(logits).values
     # Structural tokens are never valid emissions.
     logps[..., [table.bos_id, table.pad_id]] = -np.inf
@@ -291,31 +288,22 @@ def pmc_decode(log_probs: np.ndarray, cfg: PMCConfig, table: AminoAcidTable) -> 
 
             better = cand > cur
             equal = (cand == cur) & np.isfinite(cand)
-            resolve = np.flatnonzero((better | equal) & pred_ties)
-            for m_pred in resolve:
-                # Choose the lexicographically smallest predecessor peptide.
-                cols = [
-                    p
-                    for p in range(A + 1)
-                    if p != l and logp[m_pred, p] == pv[m_pred]
-                ]
-                best_p = min(
-                    cols, key=lambda p: symbols(materialize(int(m_pred), p, t - 1))
-                )
-                pi[m_pred] = best_p
-
             result[u:, l] = np.where(better, cand, cur)
             col = frm[u:, l]
             col[better] = pi[better].astype(np.int8)
 
-            for m_pred in np.flatnonzero(equal & ~better):
-                m_cell = int(m_pred) + u
-                stay_seq = symbols(materialize(m_cell, l, t - 1))
-                new_seq = symbols(materialize(int(m_pred), int(pi[m_pred]), t - 1)) + (
-                    table.symbols[l],
-                )
-                if new_seq < stay_seq:
-                    frm[m_cell, l] = np.int8(pi[m_pred])
+            # Ties: a gain with several best predecessors, or starting the
+            # residue as good as staying. The lexicographically smallest
+            # peptide wins; on equal peptides staying wins (listed first).
+            for m_pred in np.flatnonzero((better & pred_ties) | equal):
+                m_pred = int(m_pred)
+                options = [(symbols(materialize(m_pred + u, l, t - 1)), _STAY)] if equal[m_pred] else []
+                options += [
+                    (symbols(materialize(m_pred, p, t - 1) + (l,)), p)
+                    for p in range(A + 1)
+                    if p != l and logp[m_pred, p] == pv[m_pred]
+                ]
+                col[m_pred] = min(options, key=lambda o: o[0])[1]
 
         frames.append(frm)
         logp = result

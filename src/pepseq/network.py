@@ -1,6 +1,7 @@
 """The hybrid sequencing network.
 
-Three pieces share one width-``d`` embedding space:
+Three pieces share one width-``d`` embedding space and one pre-norm
+transformer stack (``Model._stack``, without cross-attention in the encoder):
 
 * a spectrum encoder: per-peak sinusoidal embeddings (m/z + normalized
   intensity) plus a precursor row (neutral-mass encoding + learned charge
@@ -147,33 +148,31 @@ class Model:
             store.add(partition, f"{prefix}.w2", _init(rng, hid, d))
             store.add(partition, f"{prefix}.b2", np.zeros(d))
 
-        store.add("enc", "charge_emb", _init(rng, MAX_CHARGE, d))
-        for i in range(cfg.enc_layers):
-            ln("enc", f"layer{i}.ln1")
-            attn_block("enc", f"layer{i}.self")
-            ln("enc", f"layer{i}.ln2")
-            ffn("enc", f"layer{i}.ffn")
-        ln("enc", "final_ln")
-
-        def decoder(partition: str, layers: int, vocab: int) -> None:
+        # A stack with a ``vocab`` is a decoder: cross-attention and a read-out.
+        def stack(partition: str, layers: int, vocab: int | None = None) -> None:
             for i in range(layers):
                 ln(partition, f"layer{i}.ln1")
                 attn_block(partition, f"layer{i}.self")
                 ln(partition, f"layer{i}.ln2")
-                attn_block(partition, f"layer{i}.cross")
-                ln(partition, f"layer{i}.ln3")
+                if vocab is not None:
+                    attn_block(partition, f"layer{i}.cross")
+                    ln(partition, f"layer{i}.ln3")
                 ffn(partition, f"layer{i}.ffn")
             ln(partition, "final_ln")
-            store.add(partition, "out.w", _init(rng, d, vocab))
-            store.add(partition, "out.b", np.zeros(vocab))
+            if vocab is not None:
+                store.add(partition, "out.w", _init(rng, d, vocab))
+                store.add(partition, "out.b", np.zeros(vocab))
+
+        store.add("enc", "charge_emb", _init(rng, MAX_CHARGE, d))
+        stack("enc", cfg.enc_layers)
 
         store.add("at", "tok_emb", _init(rng, table.at_vocab_size, d))
-        decoder("at", cfg.at_layers, table.at_vocab_size)
+        stack("at", cfg.at_layers, table.at_vocab_size)
         store.add("at", "seg_nat", _init(rng, d))
         store.add("at", "seg_enc", _init(rng, d))
 
         store.add("nat", "pos_emb", _init(rng, cfg.t_max, d))
-        decoder("nat", cfg.nat_layers, table.nat_vocab_size)
+        stack("nat", cfg.nat_layers, table.nat_vocab_size)
 
         return cls(cfg, table, store)
 
@@ -195,14 +194,15 @@ class Model:
         k = ad.linear(context, self._p(partition, f"{prefix}.wk"), self._p(partition, f"{prefix}.bk"))
         v = ad.linear(context, self._p(partition, f"{prefix}.wv"), self._p(partition, f"{prefix}.bv"))
         h = self.cfg.heads
-        n = x.ndim - 2
-        swap = tuple(range(n)) + (n + 1, n, n + 2)  # [..., L, heads, d_h] <-> [..., heads, L, d_h]
+
+        def swap(t: Tensor) -> Tensor:  # [..., L, heads, d_h] <-> [..., heads, L, d_h]
+            return ad.transpose(t, tuple(range(t.ndim - 3)) + (t.ndim - 2, t.ndim - 3, t.ndim - 1))
 
         def split(t: Tensor) -> Tensor:
-            return ad.transpose(ad.reshape(t, t.shape[:-1] + (h, -1)), swap)
+            return swap(ad.reshape(t, t.shape[:-1] + (h, -1)))
 
         out = ad.scaled_dot_attention(split(q), split(k), split(v), mask)
-        merged = ad.reshape(ad.transpose(out, swap), x.shape[:-1] + (self.cfg.d,))
+        merged = ad.reshape(swap(out), x.shape[:-1] + (self.cfg.d,))
         return ad.linear(merged, self._p(partition, f"{prefix}.wo"), self._p(partition, f"{prefix}.bo"))
 
     def _ln(self, partition: str, prefix: str, x: Tensor) -> Tensor:
@@ -212,17 +212,21 @@ class Model:
         h = ad.gelu(ad.linear(x, self._p(partition, f"{prefix}.w1"), self._p(partition, f"{prefix}.b1")))
         return ad.linear(h, self._p(partition, f"{prefix}.w2"), self._p(partition, f"{prefix}.b2"))
 
-    def _decoder(
-        self, partition: str, layers: int, x: Tensor, context: Tensor, mask: np.ndarray | None
-    ) -> Tensor:
-        """Pre-norm decoder stack: self-attention under ``mask``, cross-attention
-        to ``context``, feed-forward; then the final norm."""
+    def _stack(self, partition: str, layers: int, x: Tensor, mask: np.ndarray | None,
+               context: Tensor | None = None) -> Tensor:
+        """Pre-norm transformer stack: self-attention under ``mask``, then
+        cross-attention to ``context`` when one is given (the decoders),
+        then feed-forward; then the final norm."""
         for i in range(layers):
             normed = self._ln(partition, f"layer{i}.ln1", x)
             x = ad.add(x, self._mha(partition, f"layer{i}.self", normed, normed, mask))
-            normed = self._ln(partition, f"layer{i}.ln2", x)
-            x = ad.add(x, self._mha(partition, f"layer{i}.cross", normed, context, None))
-            x = ad.add(x, self._ffn(partition, f"layer{i}.ffn", self._ln(partition, f"layer{i}.ln3", x)))
+            ffn_ln = "ln2"
+            if context is not None:
+                normed = self._ln(partition, f"layer{i}.ln2", x)
+                x = ad.add(x, self._mha(partition, f"layer{i}.cross", normed, context, None))
+                ffn_ln = "ln3"
+            normed = self._ln(partition, f"layer{i}.{ffn_ln}", x)
+            x = ad.add(x, self._ffn(partition, f"layer{i}.ffn", normed))
         return self._ln(partition, "final_ln", x)
 
     # ------------------------------------------------------------------
@@ -247,12 +251,7 @@ class Model:
 
     def run_encoder(self, rows: Tensor) -> Tensor:
         """Pre-norm self-attention stack over [k+1, d] rows; no positions."""
-        x = rows
-        for i in range(self.cfg.enc_layers):
-            normed = self._ln("enc", f"layer{i}.ln1", x)
-            x = ad.add(x, self._mha("enc", f"layer{i}.self", normed, normed, None))
-            x = ad.add(x, self._ffn("enc", f"layer{i}.ffn", self._ln("enc", f"layer{i}.ln2", x)))
-        return self._ln("enc", "final_ln", x)
+        return self._stack("enc", self.cfg.enc_layers, rows, None)
 
     def encode_spectrum(self, spectrum: Spectrum) -> Tensor:
         precursor_row, peak_rows = self.spectrum_rows(spectrum)
@@ -263,7 +262,7 @@ class Model:
     # NAT decoder
 
     def nat_forward(self, enc_features: Tensor) -> NATFeatures:
-        latents = self._decoder("nat", self.cfg.nat_layers, self._p("nat", "pos_emb"), enc_features, None)
+        latents = self._stack("nat", self.cfg.nat_layers, self._p("nat", "pos_emb"), None, enc_features)
         logits = ad.linear(latents, self._p("nat", "out.w"), self._p("nat", "out.b"))
         return NATFeatures(latents, logits)
 
@@ -282,11 +281,12 @@ class Model:
 
         ``masses`` [..., L, 2] holds one (prefix, suffix) pair per input
         position; both are embedded with the fixed m/z encoder and summed
-        into the token embedding. The context tensors are [..., S, d] with
-        the same leading axes as ``tokens``. With ``nat_latents`` the
-        cross-attention context becomes [NAT latents + seg_nat ; encoder
-        features + seg_enc]; gradient into the NAT latents is blocked unless
-        ``block_nat_grad=False`` (the ablation switch).
+        into the token embedding. One [S, d] context serves every leading
+        index of ``tokens``, so K and V are projected once for all of them.
+        With ``nat_latents`` the cross-attention context becomes [NAT
+        latents + seg_nat ; encoder features + seg_enc]; gradient into the
+        NAT latents is blocked unless ``block_nat_grad=False`` (the
+        ablation switch).
         """
         tokens = np.asarray(tokens, dtype=np.intp)
         masses = np.asarray(masses, dtype=np.float64)
@@ -315,7 +315,7 @@ class Model:
             )
 
         causal = np.tril(np.ones((tokens.shape[-1],) * 2, dtype=bool))
-        x = self._decoder("at", self.cfg.at_layers, x, context, causal)
+        x = self._stack("at", self.cfg.at_layers, x, causal, context)
         return ad.linear(x, self._p("at", "out.w"), self._p("at", "out.b"))
 
     # ------------------------------------------------------------------

@@ -60,6 +60,17 @@ class TestForwardValues:
         with pytest.raises(ad.DimensionError):  # a 2-D left operand is not shared
             ad.matmul(b, ad.parameter(np.zeros((3, 5, 2))))
 
+    def test_matmul_shares_right_operand_over_extra_leading_axes(self):
+        # [n, heads, L, d] queries against one [heads, d, S] context.
+        rng = make_rng(10)
+        a = ad.parameter(rng.normal(size=(2, 3, 4, 5)))
+        b = ad.parameter(rng.normal(size=(3, 5, 6)))
+        out = ad.matmul(a, b)
+        assert out.shape == (2, 3, 4, 6)
+        assert np.array_equal(out.values, a.values @ b.values)
+        with pytest.raises(ad.DimensionError):  # b's leading axes must be a's last ones
+            ad.matmul(a, ad.parameter(np.zeros((2, 5, 6))))
+
     def test_log_softmax_rows_normalize(self):
         rng = make_rng(3)
         x = ad.parameter(rng.normal(size=(6, 9)) * 10)
@@ -193,6 +204,13 @@ class TestGradients:
         a = ad.parameter(rng.normal(size=(3, 2, 4)))
         b = ad.parameter(rng.normal(size=(4, 5)))
         w = ad.constant(rng.normal(size=(3, 2, 5)))
+        self.check(lambda: ad.sum_all(ad.matmul(a, b) * w), [a, b])
+
+    def test_matmul_shared_3d_right_operand_grad(self):
+        rng = make_rng(19)
+        a = ad.parameter(rng.normal(size=(2, 3, 4, 5)))
+        b = ad.parameter(rng.normal(size=(3, 5, 6)))
+        w = ad.constant(rng.normal(size=(2, 3, 4, 6)))
         self.check(lambda: ad.sum_all(ad.matmul(a, b) * w), [a, b])
 
     def test_transpose_axes_grad(self):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from pepseq.cli import main
 from pepseq.mgf import parse_mgf, write_mgf
 from pepseq.network import Model, ModelConfig
 from pepseq.params import save_checkpoint
-from pepseq.spectra import AminoAcidTable, Peptide, simulate_spectrum
+from pepseq.spectra import AminoAcidTable, Peak, Peptide, simulate_spectrum
 
 TINY = [
     "--set", "model.d=16",
@@ -137,6 +138,16 @@ class TestSimulate:
         )
         assert code == 0
         assert len(parse_mgf((tmp_path / "spectra.mgf").read_text())) == 3
+
+    @pytest.mark.parametrize("min_len, max_len", [(6, 5), (0, 5)])
+    def test_bad_length_range_is_usage_error(self, tmp_path, capsys, min_len, max_len):
+        code = run(
+            "simulate", "--seed", "1", "--out", str(tmp_path), *TINY,
+            "--set", f"simulation.min_len={min_len}", "--set", f"simulation.max_len={max_len}",
+        )
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_peptides_longer_than_decoder_grid_rejected(self, tmp_path):
         code = run(
@@ -349,6 +360,21 @@ def test_bad_decode_and_finetune_settings_are_usage_errors(pipeline, tmp_path, c
     assert run(command, "--seed", "5", "--out", str(out), *TINY, *inputs, *args) == 1
     assert "usage error" in capsys.readouterr().err
     assert list(out.iterdir()) == []  # rejected before any work
+
+
+@pytest.mark.parametrize("command", ["train", "decode"])
+def test_all_zero_intensities_is_data_error(pipeline, tmp_path, capsys, command):
+    spectrum = simulate_spectrum(Peptide.from_string("GASP"), seed=2, spectrum_id="dark")
+    dark = replace(spectrum, peaks=tuple(Peak(p.mz, 0.0) for p in spectrum.peaks))
+    mgf = tmp_path / "dark.mgf"
+    mgf.write_text(write_mgf([dark]))
+    inputs = {
+        "train": ["--corpus", str(mgf)],
+        "decode": ["--mgf", str(mgf), "--checkpoint", str(pipeline / "ft" / "checkpoint.bin")],
+    }[command]
+    code = run(command, "--seed", "5", "--out", str(tmp_path / "out"), *TINY, *inputs)
+    assert code == 2
+    assert "dark" in capsys.readouterr().err
 
 
 class TestEval:

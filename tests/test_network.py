@@ -206,6 +206,21 @@ class TestATDecoder:
             "without blocking, gradients must reach the NAT stack"
         )
 
+    @pytest.mark.parametrize("with_nat", [False, True])
+    def test_shared_context_equals_tiled_context_bit_for_bit(self, model, spectrum, with_nat):
+        # n prefixes against one [S, d] context, as the beam scores them.
+        table = model.table
+        enc = model.encode_spectrum(spectrum)
+        nat = model.nat_forward(enc).latents if with_nat else None
+        ids = np.random.default_rng(6).integers(0, table.n_residues, size=(4, 3))
+        tokens = np.concatenate([np.full((4, 1), table.bos_id), ids], axis=-1)
+        masses = prefix_suffix_masses(ids, spectrum.neutral_mass, table)
+        context = [enc] if nat is None else [enc, nat]
+        tiled = [ad.constant(np.broadcast_to(t.values, (4,) + t.shape)) for t in context]
+        shared = model.at_forward(tokens, masses, *context).values
+        assert shared.shape == (4, 4, table.at_vocab_size)
+        assert np.array_equal(shared, model.at_forward(tokens, masses, *tiled).values)
+
     def test_context_length_is_tmax_plus_k_plus_1(self, model, spectrum):
         # Indirect check: the augmented forward works for any peak count and
         # fails loudly if the two context pieces disagree in width.

@@ -238,3 +238,31 @@ def test_randomized_oracle_equivalence():
     # The draw ranges are tuned so both branches actually occur.
     assert n_infeasible > 10
     assert n_infeasible < 130
+
+
+def test_randomized_oracle_equivalence_with_ties():
+    # Integer logits and residues of a few integer bins make equal path
+    # probabilities at equal masses common, so both tie-breaks (among
+    # predecessors, and between staying and starting a residue) run often.
+    rng = np.random.default_rng(31)
+    n_feasible = 0
+    for _ in range(3000):
+        n_res = int(rng.integers(1, 5))
+        T = int(rng.integers(1, 7))
+        table = AminoAcidTable(entries=tuple(
+            (chr(ord("A") + i), float(rng.integers(1, 4))) for i in range(n_res)
+        ))
+        lp = log_softmax(rng.integers(0, 3, size=(T, n_res + 1)).astype(np.float64))
+        cfg = PMCConfig(
+            target_mass=float(rng.integers(0, 3 * T + 1)),
+            tolerance=float(rng.integers(0, 2)),
+            bin_width=1.0,
+        )
+        got = pmc_decode(lp, cfg, table)
+        ref = pmc_bruteforce_oracle(lp, cfg, table)
+        assert got.feasible == ref.feasible
+        assert got.peptide == ref.peptide
+        if got.feasible:
+            n_feasible += 1
+            assert got.log_prob == pytest.approx(ref.log_prob, abs=1e-9)
+    assert 1000 < n_feasible < 2900
