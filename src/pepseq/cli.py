@@ -18,8 +18,10 @@ import argparse
 import configparser
 import csv
 import hashlib
+import itertools
 import json
 import logging
+import shutil
 import sys
 from pathlib import Path
 
@@ -337,15 +339,47 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 METRICS_COLUMNS = ("step", "stage", "at_loss", "nat_loss", "lambda", "lr")
 
 
-def _metrics_writer(path: Path):
-    fh = path.open("w", newline="")
-    writer = csv.writer(fh)
-    writer.writerow(METRICS_COLUMNS)
-    return fh, writer
+def _resume_point(resume: str, blob: dict, stage: str, total: int) -> tuple[int, dict]:
+    """(next step, saved AdamW state) of a ``stage`` run resumed from the
+    checkpoint ``resume`` whose blob is ``blob``; (0, {}) for a fresh run."""
+    if not resume:
+        return 0, {}
+    if blob.get("finetuned", False) != (stage == "finetune"):
+        kind = "a fine-tuned" if blob.get("finetuned") else "a stage-1"
+        raise DataError(f"{stage} cannot resume from {resume}: it is {kind} checkpoint")
+    start = int(blob.get(stage, {}).get("next_step", 0))
+    if start > total:
+        raise DataError(f"resume checkpoint {resume} is already past step {total} ({start})")
+    return start, blob.get("optimizer", {})
 
 
-def _write_metrics_row(writer, row: dict) -> None:
-    writer.writerow([row[c] for c in METRICS_COLUMNS])
+def _save(out: Path, model: Model, opt: OptimizerState, counters: dict) -> None:
+    optimizer = {"step": opt.step, "m": opt.m, "v": opt.v}
+    save_checkpoint(str(out / "checkpoint.bin"), model.store,
+                    model.metadata({**counters, "optimizer": optimizer}))
+
+
+def _run_stage(out: Path, step, corpus: list[Spectrum], batches, start: int, total: int,
+               every: int, save) -> list[dict]:
+    """The step loop of both training stages; returns the metrics rows.
+
+    Each step draws one batch, so a run resumed at ``start`` skips the
+    ``start`` batches drawn before it and then sees what an unbroken run
+    would. ``save(next_step)`` runs every ``every`` steps and at the end. On
+    a numeric abort the exception propagates (exit code 3) and the last
+    periodic checkpoint, if any, stays on disk untouched.
+    """
+    rows = []
+    with (out / "metrics.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(METRICS_COLUMNS)
+        for i, batch in enumerate(itertools.islice(batches, start, total), start + 1):
+            rows.append(step([corpus[j] for j in batch]))
+            writer.writerow([rows[-1][c] for c in METRICS_COLUMNS])
+            if i % every == 0:
+                save(i)
+    save(total)
+    return rows
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> int:
@@ -359,21 +393,6 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
     every = cfg.getint("training", "checkpoint_every")
     if total < 1 or batch_size < 1 or every < 1:
         raise UsageError("stage1_steps, batch_size, and checkpoint_every must be positive")
-
-    resume_text = cfg.get("paths", "resume")
-    if resume_text:
-        model, blob = _load_model(Path(resume_text), table)
-        if model.cfg != cfg.model_config():
-            raise DataError("resume checkpoint's model shape differs from the config")
-        start_step = int(blob.get("train", {}).get("next_step", 0))
-    else:
-        model = Model.build(cfg.model_config(), table, seed=cfg.seed)
-        start_step = 0
-    if start_step > total:
-        raise DataError(
-            f"resume checkpoint is already past stage1_steps ({start_step} > {total})"
-        )
-
     try:
         lr_cfg = LRConfig(
             base_lr=cfg.getfloat("training", "base_lr"),
@@ -382,38 +401,28 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
         )
     except ValueError as e:
         raise UsageError(f"bad training config: {e}") from e
-    state = TrainState(
-        model,
-        OptimizerState(lr=lr_cfg.base_lr),
-        AnnealSchedule(total),
-        lr_cfg,
-        step=start_step,
+
+    resume = cfg.get("paths", "resume")
+    if resume:
+        model, blob = _load_model(Path(resume), table)
+        if model.cfg != cfg.model_config():
+            raise DataError("resume checkpoint's model shape differs from the config")
+    else:
+        model, blob = Model.build(cfg.model_config(), table, seed=cfg.seed), {}
+    start, optimizer = _resume_point(resume, blob, "train", total)
+    opt = OptimizerState(lr=lr_cfg.base_lr, **optimizer)
+    state = TrainState(model, opt, AnnealSchedule(total), lr_cfg, step=start)
+    _run_stage(
+        out, lambda b: train_stage1_step(model, b, state), corpus,
+        _batches(len(corpus), batch_size, np.random.default_rng([cfg.seed, 1])),
+        start, total, every, lambda n: _save(out, model, opt, {"train": {"next_step": n}}),
     )
-    gen = _batches(len(corpus), batch_size, np.random.default_rng([cfg.seed, 1]))
-    ckpt_path = out / "checkpoint.bin"
-
-    def save(next_step: int) -> None:
-        save_checkpoint(str(ckpt_path), model.store, model.metadata({"train": {"next_step": next_step}}))
-
-    # On a numeric abort the exception propagates (exit code 3) and the
-    # last periodic checkpoint, if any, stays on disk untouched.
-    fh, writer = _metrics_writer(out / "metrics.csv")
-    try:
-        for i in range(start_step, total):
-            batch = [corpus[j] for j in next(gen)]
-            row = train_stage1_step(model, batch, state)
-            _write_metrics_row(writer, row)
-            if (i + 1) % every == 0:
-                save(i + 1)
-    finally:
-        fh.close()
-    save(total)
     _write_manifest(out, "train", cfg, {
-        "steps": total - start_step,
-        "resumed_from_step": start_step,
+        "steps": total - start,
+        "resumed_from_step": start,
         "outputs": {"checkpoint": "checkpoint.bin", "metrics": "metrics.csv"},
     })
-    print(f"trained {total - start_step} steps; checkpoint at {ckpt_path}")
+    print(f"trained {total - start} steps; checkpoint at {out / 'checkpoint.bin'}")
     return EXIT_OK
 
 
@@ -421,68 +430,46 @@ def cmd_finetune(cfg: RunConfig, out: Path) -> int:
     table = AminoAcidTable()
     epochs = cfg.getint("training", "finetune_epochs")
     batch_size = cfg.getint("training", "batch_size")
-    if epochs < 0 or batch_size < 1:
-        raise UsageError("finetune_epochs must be >= 0 and batch_size positive")
-    try:
-        opt = OptimizerState(lr=cfg.getfloat("training", "finetune_lr"))
-    except ValueError as e:
-        raise UsageError(f"bad training.finetune_lr: {e}") from e
+    every = cfg.getint("training", "checkpoint_every")
+    lr = cfg.getfloat("training", "finetune_lr")
+    if epochs < 0 or batch_size < 1 or every < 1 or lr < 0:
+        raise UsageError(
+            "finetune_epochs and finetune_lr must be >= 0, batch_size and checkpoint_every positive"
+        )
     corpus = _read_corpus(_require_path(cfg, "corpus", "training spectra"), table, require_truth=True)
-    ckpt_in = _require_path(cfg, "checkpoint", "stage-1 checkpoint")
-
+    total = epochs * -(-len(corpus) // batch_size)  # whole passes over the corpus
+    resume = cfg.get("paths", "resume")
+    ckpt_in = Path(resume) if resume else _require_path(cfg, "checkpoint", "stage-1 checkpoint")
     model, blob = _load_model(ckpt_in, table)
-    ckpt_out = out / "checkpoint.bin"
-    if epochs == 0:
-        # Nothing to do: pass the checkpoint through byte-identically.
-        save_checkpoint(str(ckpt_out), model.store, blob)
-        _write_manifest(out, "finetune", cfg, {
-            "epochs": 0,
-            "frozen_partitions_unchanged": True,
-            "outputs": {"checkpoint": "checkpoint.bin", "metrics": "metrics.csv"},
-        })
-        fh, _ = _metrics_writer(out / "metrics.csv")  # the header alone
-        fh.close()
-        print("0 fine-tune epochs requested; checkpoint passed through")
-        return EXIT_OK
+    start, optimizer = _resume_point(resume, blob, "finetune", total)
 
-    enc_before = model.store.snapshot("enc")
-    nat_before = model.store.snapshot("nat")
-    model.store.freeze("enc")
-    model.store.freeze("nat")
-    state = TrainState(model, opt, AnnealSchedule(1), LRConfig())
+    frozen = {p: model.store.snapshot(p) for p in ("enc", "nat")}
+    for p in frozen:
+        model.store.freeze(p)
+    opt = OptimizerState(lr=lr, **optimizer)
+    state = TrainState(model, opt, AnnealSchedule(1), LRConfig(), finetune_step=start)
     cache = FeatureCache(model)
-    gen = _batches(len(corpus), batch_size, np.random.default_rng([cfg.seed, 2]))
-    steps_per_epoch = (len(corpus) + batch_size - 1) // batch_size
+    ckpt_out = out / "checkpoint.bin"
 
-    first_loss = last_loss = None
-    fh, writer = _metrics_writer(out / "metrics.csv")
-    try:
-        for _ in range(epochs):
-            for _ in range(steps_per_epoch):
-                batch = [corpus[j] for j in next(gen)]
-                row = finetune_stage2_step(model, batch, state, cache)
-                _write_metrics_row(writer, row)
-                last_loss = row["at_loss"]
-                if first_loss is None:
-                    first_loss = row["at_loss"]
-    finally:
-        fh.close()
+    def save(next_step: int) -> None:
+        if epochs:
+            counters = {"epochs": epochs, "next_step": next_step}
+            _save(out, model, opt, {"train": blob.get("train", {}), "finetune": counters})
+        elif ckpt_in.resolve() != ckpt_out.resolve():
+            shutil.copyfile(ckpt_in, ckpt_out)  # nothing trained: pass the bytes through
 
-    unchanged = all(
-        np.array_equal(enc_before[k], v.values) for k, v in model.store.partition_items("enc")
-    ) and all(
-        np.array_equal(nat_before[k], v.values) for k, v in model.store.partition_items("nat")
+    rows = _run_stage(
+        out, lambda b: finetune_stage2_step(model, b, state, cache), corpus,
+        _batches(len(corpus), batch_size, np.random.default_rng([cfg.seed, 2])),
+        start, total, every, save,
     )
-    save_checkpoint(
-        str(ckpt_out),
-        model.store,
-        model.metadata({"train": blob.get("train", {}), "finetune": {"epochs": epochs}}),
-    )
+    unchanged = all(np.array_equal(frozen[p][k], t.values)
+                    for p in frozen for k, t in model.store.partition_items(p))
     _write_manifest(out, "finetune", cfg, {
         "epochs": epochs,
         "frozen_partitions_unchanged": unchanged,
-        "at_loss_first": first_loss,
-        "at_loss_last": last_loss,
+        "at_loss_first": rows[0]["at_loss"] if rows else None,
+        "at_loss_last": rows[-1]["at_loss"] if rows else None,
         "outputs": {"checkpoint": "checkpoint.bin", "metrics": "metrics.csv"},
     })
     if not unchanged:
@@ -642,6 +629,7 @@ _COMMANDS = {
     "finetune": (cmd_finetune, "stage-2 fine-tuning of the sequential decoder", [
         ("--corpus", "paths.corpus", "annotated MGF"),
         ("--checkpoint", "paths.checkpoint", "stage-1 checkpoint"),
+        ("--resume", "paths.resume", "continue from this fine-tuning checkpoint"),
     ]),
     "decode": (cmd_decode, "predict peptides for an MGF", [
         ("--mgf", "paths.mgf", "spectra to decode"),

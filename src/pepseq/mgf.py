@@ -4,13 +4,14 @@ Each block is BEGIN IONS / header lines / peak lines / END IONS. Headers we
 understand: TITLE (spectrum id), PEPMASS (precursor m/z; a trailing
 intensity is ignored), CHARGE (``<int>+``) and the optional SEQ (ground-truth
 peptide). Unknown KEY=VALUE headers are ignored with a warning. Peak lines
-are exactly two floats separated by one space. All parse errors carry a
-1-based line number.
+are exactly two finite floats separated by one space, and PEPMASS must be
+finite too. All parse errors carry a 1-based line number.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import re
 
 from .spectra import AminoAcidTable, Peak, Peptide, Spectrum, VocabularyError
@@ -104,6 +105,8 @@ def parse_mgf(text: str | bytes, table: AminoAcidTable | None = None) -> list[Sp
                     pepmass = float(value.split()[0])
                 except (ValueError, IndexError):
                     raise MGFParseError(f"unparseable PEPMASS {value!r}", lineno) from None
+                if not math.isfinite(pepmass):
+                    raise MGFParseError(f"PEPMASS must be finite, got {value!r}", lineno)
             elif key == "CHARGE":
                 m = _CHARGE_RE.match(value)
                 if not m:
@@ -135,6 +138,8 @@ def parse_mgf(text: str | bytes, table: AminoAcidTable | None = None) -> list[Sp
             mz, intensity = float(parts[0]), float(parts[1])
         except ValueError:
             raise MGFParseError(f"unparseable peak line {line!r}", lineno) from None
+        if not (math.isfinite(mz) and math.isfinite(intensity)):
+            raise MGFParseError(f"peak values must be finite: {line!r}", lineno)
         peaks.append(Peak(mz, intensity))
 
     if in_block:

@@ -9,13 +9,19 @@ graph both leave them untouched.
 Checkpoint layout (little-endian):
 
     magic   4 bytes  b"NVCK"
-    version u32      currently 1
+    version u32      currently 2
     count   u32      number of arrays
     per array:
         name_len u16, name utf-8 ("partition/name"), rank u8,
         dims u32 * rank, payload float64 row-major
     blob_len u32, blob utf-8 JSON (model config, vocabulary, frozen flags,
     training counters)
+
+Version 2 may add the AdamW state, so that a resumed run continues exactly:
+the moments follow the parameters as arrays "m/partition/name" and
+"v/partition/name", and the blob holds "optimizer": {"step": n}. The blob
+returned by load_checkpoint carries the moments in ``blob["optimizer"]``
+("step", "m", "v"), where save_checkpoint takes them. Version 1 still loads.
 
 Round trips are bit-exact because payloads are raw float64 bytes.
 """
@@ -46,7 +52,7 @@ __all__ = [
 PARTITIONS = ("enc", "at", "nat")
 
 MAGIC = b"NVCK"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -143,14 +149,19 @@ def save_checkpoint(path: str, store: ParameterStore, config_blob: dict) -> None
     """Write the store plus a JSON metadata blob; see module docstring."""
     blob = dict(config_blob)
     blob["frozen"] = store.frozen_flags
+    arrays = [(key, t.values) for key, t in store.items()]
+    if "optimizer" in blob:
+        opt = blob["optimizer"]
+        blob["optimizer"] = {"step": opt["step"]}
+        arrays += [(f"{kind}/{key}", a) for kind in "mv" for key, a in opt[kind].items()]
     encoded_blob = json.dumps(blob, sort_keys=True).encode("utf-8")
 
-    chunks: list[bytes] = [MAGIC, struct.pack("<II", VERSION, len(store._params))]
-    for key, t in store.items():
+    chunks: list[bytes] = [MAGIC, struct.pack("<II", VERSION, len(arrays))]
+    for key, values in arrays:
         name = key.encode("utf-8")
         # note: ascontiguousarray would silently promote 0-d arrays to 1-d;
         # tobytes(order="C") already serializes row-major for any layout.
-        vals = np.asarray(t.values, dtype=np.float64)
+        vals = np.asarray(values, dtype=np.float64)
         chunks.append(struct.pack("<H", len(name)))
         chunks.append(name)
         chunks.append(struct.pack("<B", vals.ndim))
@@ -207,10 +218,11 @@ def load_checkpoint(path: str) -> tuple[ParameterStore, dict]:
     if magic != MAGIC:
         raise BadMagicError(f"not a checkpoint file: magic {magic!r} != {MAGIC!r}")
     (version, count) = r.unpack("<II", "header")
-    if version != VERSION:
-        raise VersionMismatchError(f"checkpoint version {version}, expected {VERSION}")
+    if version not in (1, VERSION):
+        raise VersionMismatchError(f"checkpoint version {version}, expected 1 or {VERSION}")
 
     store = ParameterStore()
+    moments: dict[str, dict[str, np.ndarray]] = {"m": {}, "v": {}}
     for i in range(count):
         (name_len,) = r.unpack("<H", f"array {i} name length")
         key = r.take(name_len, f"array {i} name").decode("utf-8")
@@ -222,12 +234,17 @@ def load_checkpoint(path: str) -> tuple[ParameterStore, dict]:
         n = int(np.prod(shape)) if shape else 1
         payload = r.take(8 * n, f"array {key} payload")
         values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-        store.add(partition, name, values)
+        if partition in moments:
+            moments[partition][name] = values
+        else:
+            store.add(partition, name, values)
 
     (blob_len,) = r.unpack("<I", "metadata length")
     blob = json.loads(r.take(blob_len, "metadata").decode("utf-8"))
     if r.pos != len(data):
         raise CheckpointError(f"{len(data) - r.pos} trailing bytes after metadata")
+    if "optimizer" in blob:
+        blob["optimizer"].update(moments)
 
     for partition, frozen in blob.get("frozen", {}).items():
         if frozen:

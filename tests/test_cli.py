@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pepseq import cli
 from pepseq.autodiff import NumericError
 from pepseq.cli import main
 from pepseq.mgf import parse_mgf, write_mgf
@@ -248,6 +249,17 @@ class TestFinetune:
         header = (pipeline / "ft" / "metrics.csv").read_bytes().splitlines(keepends=True)[0]
         assert (out / "metrics.csv").read_bytes() == header
 
+    def test_zero_epochs_passes_version_1_checkpoint_through(self, pipeline, tmp_path):
+        fixture = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "trained.ckpt"
+        out = tmp_path / "ft0"
+        code = run(
+            "finetune", "--seed", "5", "--out", str(out),
+            "--corpus", str(pipeline / "sim" / "spectra.mgf"),
+            "--checkpoint", str(fixture), *TINY, "--set", "training.finetune_epochs=0",
+        )
+        assert code == 0
+        assert (out / "checkpoint.bin").read_bytes() == fixture.read_bytes()
+
     def test_missing_checkpoint_is_data_error(self, pipeline, tmp_path):
         code = run(
             "finetune", "--seed", "5", "--out", str(tmp_path / "x"),
@@ -255,6 +267,59 @@ class TestFinetune:
             "--checkpoint", str(tmp_path / "absent.bin"), *TINY,
         )
         assert code == 2
+
+
+@pytest.mark.parametrize("command, step_name", [
+    ("train", "train_stage1_step"),  # 12 steps
+    ("finetune", "finetune_stage2_step"),  # 4 epochs x 2 batches = 8 steps
+])
+def test_resumed_run_equals_unbroken_run(pipeline, tmp_path, monkeypatch, command, step_name):
+    args = [
+        "--seed", "5", *TINY, "--corpus", str(pipeline / "sim" / "spectra.mgf"),
+        "--set", "training.finetune_epochs=4",
+        "--set", f"paths.checkpoint={pipeline / 'train' / 'checkpoint.bin'}",
+    ]
+    whole, broken, resumed = tmp_path / "whole", tmp_path / "broken", tmp_path / "resumed"
+    assert run(command, "--out", str(whole), *args) == 0
+
+    real_step, calls = getattr(cli, step_name), []
+
+    def crash_at_step_seven(*step_args):
+        calls.append(step_args)
+        if len(calls) == 7:
+            raise NumericError("synthetic blow-up")
+        return real_step(*step_args)
+
+    with monkeypatch.context() as m:
+        m.setattr(f"pepseq.cli.{step_name}", crash_at_step_seven)
+        assert run(command, "--out", str(broken), *args) == 3
+    # checkpoint_every=6 left the step-6 checkpoint behind.
+    assert run(command, "--out", str(resumed), *args, "--resume", str(broken / "checkpoint.bin")) == 0
+
+    assert (resumed / "checkpoint.bin").read_bytes() == (whole / "checkpoint.bin").read_bytes()
+    rows = read_csv(resumed / "metrics.csv")
+    assert rows[0]["step"] == "7"
+    assert rows == read_csv(whole / "metrics.csv")[6:]
+
+
+@pytest.mark.parametrize("command, resume", [
+    ("train", "ft"),  # a fine-tuned checkpoint cannot resume stage 1
+    ("finetune", "train"),  # nor a stage-1 checkpoint stage 2
+    ("train", "absent"),
+    ("finetune", "absent"),
+])
+def test_resume_from_wrong_stage_or_missing_file_is_data_error(
+    pipeline, tmp_path, capsys, command, resume
+):
+    path = pipeline / resume / "checkpoint.bin"
+    code = run(
+        command, "--seed", "5", "--out", str(tmp_path / "out"), *TINY,
+        "--corpus", str(pipeline / "sim" / "spectra.mgf"),
+        "--set", f"paths.checkpoint={pipeline / 'train' / 'checkpoint.bin'}",
+        "--resume", str(path), "--set", "training.stage1_steps=15",
+    )
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
 
 
 class TestDecode:
@@ -327,6 +392,21 @@ class TestDecode:
         assert code == 2
         assert "s000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("peak", ["100.0 nan", "100.0 inf", "nan 1.0"])
+    def test_non_finite_peak_is_data_error(self, pipeline, tmp_path, capsys, peak):
+        mgf = tmp_path / "bad.mgf"
+        mgf.write_text(
+            "BEGIN IONS\nTITLE=odd\nPEPMASS=400.0\nCHARGE=2+\n200.0 1.0\n"
+            f"{peak}\nEND IONS\n"
+        )
+        code = run(
+            "decode", "--seed", "5", "--out", str(tmp_path / "out"),
+            "--mgf", str(mgf),
+            "--checkpoint", str(pipeline / "ft" / "checkpoint.bin"), *TINY,
+        )
+        assert code == 2
+        assert "line 6" in capsys.readouterr().err
+
     def test_paired_encoding_checkpoint_is_data_error(self, pipeline, tmp_path):
         cfg = ModelConfig(d=16, hidden=32, enc_layers=1, at_layers=1, nat_layers=1, t_max=10)
         model = Model.build(cfg, AminoAcidTable(), seed=0)
@@ -349,6 +429,7 @@ class TestDecode:
     ("decode", ["--decoder", "nat-pmc", "--set", "decoding.pmc_bin=200"]),  # a residue is 0 bins
     ("decode", ["--decoder", "nat-pmc", "--tol", "-1"]),
     ("finetune", ["--set", "training.finetune_lr=-1"]),
+    ("finetune", ["--set", "training.checkpoint_every=0"]),
 ])
 def test_bad_decode_and_finetune_settings_are_usage_errors(pipeline, tmp_path, capsys, command, args):
     corpus = str(pipeline / "sim" / "spectra.mgf")

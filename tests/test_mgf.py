@@ -97,6 +97,22 @@ class TestParseErrors:
         assert err.value.line == expect_line
         assert f"line {expect_line}" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "before, after, expect_line",
+        [
+            ("PEPMASS=400.123456", "PEPMASS=nan", 3),
+            ("PEPMASS=400.123456", "PEPMASS=inf 1000", 3),
+            ("58.028736 1.000000", "nan 1.000000", 6),
+            ("58.028736 1.000000", "-inf 1.000000", 6),
+            ("58.028736 1.000000", "58.028736 nan", 6),
+            ("58.028736 1.000000", "58.028736 inf", 6),
+        ],
+    )
+    def test_non_finite_values_report_line_number(self, before, after, expect_line):
+        with pytest.raises(MGFParseError, match="finite") as err:
+            parse_mgf(GOOD.replace(before, after))
+        assert err.value.line == expect_line
+
     def test_missing_required_headers_named(self):
         bad = GOOD.replace("PEPMASS=400.123456\n", "")
         with pytest.raises(MGFParseError) as err:

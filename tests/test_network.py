@@ -366,6 +366,31 @@ class TestCheckpoint:
         with pytest.raises(UnknownPartitionError):
             load_checkpoint(str(p))
 
+    def test_optimizer_state_roundtrips_bit_for_bit(self, tmp_path):
+        store = self.build_store()
+        rng = np.random.default_rng(1)
+        keys = ["enc/w", "at/emb"]
+        m = {k: rng.normal(size=store.get(*k.split("/")).shape) for k in keys}
+        v = {k: rng.random(size=store.get(*k.split("/")).shape) for k in keys}
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(str(p1), store, {"optimizer": {"step": 7, "m": m, "v": v}})
+        loaded, meta = load_checkpoint(str(p1))
+        save_checkpoint(str(p2), loaded, meta)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert [k for k, _ in loaded.items()] == [k for k, _ in store.items()]
+        opt = meta["optimizer"]
+        assert opt["step"] == 7 and list(opt["m"]) == keys and list(opt["v"]) == keys
+        for k in keys:
+            assert opt["m"][k].tobytes() == m[k].tobytes()
+            assert opt["v"][k].tobytes() == v[k].tobytes()
+
+    def test_version_1_fixture_loads_without_optimizer_state(self):
+        fixture = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "untrained.ckpt"
+        assert fixture.read_bytes()[4:8] == (1).to_bytes(4, "little")
+        store, blob = load_checkpoint(str(fixture))
+        assert "optimizer" not in blob
+        assert len(list(store.items())) > 0
+
     def test_default_build_matches_committed_fixture(self):
         # The benchmark's untrained checkpoint was written by this build; any
         # change to parameter names, their order or the RNG draw order shows.
