@@ -339,14 +339,35 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 METRICS_COLUMNS = ("step", "stage", "at_loss", "nat_loss", "lambda", "lr")
 
 
-def _resume_point(resume: str, blob: dict, stage: str, total: int) -> tuple[int, dict]:
+def _stage_settings(cfg: RunConfig, stage: str, corpus: Path) -> dict:
+    """The settings that shape a stage's batch stream and learning rate; a
+    resumed run must match them. A longer run is allowed."""
+    settings = {"seed": cfg.seed, "batch_size": cfg.getint("training", "batch_size")}
+    if stage == "train":
+        settings["base_lr"] = cfg.getfloat("training", "base_lr")
+        settings["warmup_steps"] = cfg.getint("training", "warmup_steps")
+    else:
+        settings["finetune_lr"] = cfg.getfloat("training", "finetune_lr")
+    settings["corpus_sha256"] = hashlib.sha256(corpus.read_bytes()).hexdigest()
+    return settings
+
+
+def _resume_point(resume: str, blob: dict, stage: str, total: int,
+                  settings: dict) -> tuple[int, dict]:
     """(next step, saved AdamW state) of a ``stage`` run resumed from the
-    checkpoint ``resume`` whose blob is ``blob``; (0, {}) for a fresh run."""
+    checkpoint ``resume`` whose blob is ``blob``; (0, {}) for a fresh run.
+    Checkpoints written before the settings were recorded are not checked."""
     if not resume:
         return 0, {}
     if blob.get("finetuned", False) != (stage == "finetune"):
         kind = "a fine-tuned" if blob.get("finetuned") else "a stage-1"
         raise DataError(f"{stage} cannot resume from {resume}: it is {kind} checkpoint")
+    for key, value in blob.get(stage, {}).get("settings", {}).items():
+        if settings.get(key) != value:
+            raise DataError(
+                f"{stage} cannot resume from {resume}: it ran with {key}={value!r}, "
+                f"this run has {settings.get(key)!r}"
+            )
     start = int(blob.get(stage, {}).get("next_step", 0))
     if start > total:
         raise DataError(f"resume checkpoint {resume} is already past step {total} ({start})")
@@ -384,10 +405,8 @@ def _run_stage(out: Path, step, corpus: list[Spectrum], batches, start: int, tot
 
 def cmd_train(cfg: RunConfig, out: Path) -> int:
     table = AminoAcidTable()
-    corpus = _read_corpus(
-        _require_path(cfg, "corpus", "training spectra"), table, require_truth=True,
-        t_max=cfg.model_config().t_max,
-    )
+    corpus_path = _require_path(cfg, "corpus", "training spectra")
+    corpus = _read_corpus(corpus_path, table, require_truth=True, t_max=cfg.model_config().t_max)
     total = cfg.getint("training", "stage1_steps")
     batch_size = cfg.getint("training", "batch_size")
     every = cfg.getint("training", "checkpoint_every")
@@ -409,13 +428,15 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
             raise DataError("resume checkpoint's model shape differs from the config")
     else:
         model, blob = Model.build(cfg.model_config(), table, seed=cfg.seed), {}
-    start, optimizer = _resume_point(resume, blob, "train", total)
+    settings = _stage_settings(cfg, "train", corpus_path)
+    start, optimizer = _resume_point(resume, blob, "train", total, settings)
     opt = OptimizerState(lr=lr_cfg.base_lr, **optimizer)
     state = TrainState(model, opt, AnnealSchedule(total), lr_cfg, step=start)
     _run_stage(
         out, lambda b: train_stage1_step(model, b, state), corpus,
         _batches(len(corpus), batch_size, np.random.default_rng([cfg.seed, 1])),
-        start, total, every, lambda n: _save(out, model, opt, {"train": {"next_step": n}}),
+        start, total, every,
+        lambda n: _save(out, model, opt, {"train": {"next_step": n, "settings": settings}}),
     )
     _write_manifest(out, "train", cfg, {
         "steps": total - start,
@@ -436,12 +457,14 @@ def cmd_finetune(cfg: RunConfig, out: Path) -> int:
         raise UsageError(
             "finetune_epochs and finetune_lr must be >= 0, batch_size and checkpoint_every positive"
         )
-    corpus = _read_corpus(_require_path(cfg, "corpus", "training spectra"), table, require_truth=True)
+    corpus_path = _require_path(cfg, "corpus", "training spectra")
+    corpus = _read_corpus(corpus_path, table, require_truth=True)
     total = epochs * -(-len(corpus) // batch_size)  # whole passes over the corpus
     resume = cfg.get("paths", "resume")
     ckpt_in = Path(resume) if resume else _require_path(cfg, "checkpoint", "stage-1 checkpoint")
     model, blob = _load_model(ckpt_in, table)
-    start, optimizer = _resume_point(resume, blob, "finetune", total)
+    settings = _stage_settings(cfg, "finetune", corpus_path)
+    start, optimizer = _resume_point(resume, blob, "finetune", total, settings)
 
     frozen = {p: model.store.snapshot(p) for p in ("enc", "nat")}
     for p in frozen:
@@ -453,7 +476,7 @@ def cmd_finetune(cfg: RunConfig, out: Path) -> int:
 
     def save(next_step: int) -> None:
         if epochs:
-            counters = {"epochs": epochs, "next_step": next_step}
+            counters = {"epochs": epochs, "next_step": next_step, "settings": settings}
             _save(out, model, opt, {"train": blob.get("train", {}), "finetune": counters})
         elif ckpt_in.resolve() != ckpt_out.resolve():
             shutil.copyfile(ckpt_in, ckpt_out)  # nothing trained: pass the bytes through

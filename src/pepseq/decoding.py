@@ -10,6 +10,15 @@ counts as a stutter of the same residue rather than a new one. The
 exhaustive-enumeration oracle below implements exactly the same collapse
 semantics, which is what the dynamic program is checked against.
 
+The DP keeps, per frame, only the mass rows some live path can occupy, not
+one row per bin up to the target. Two exact prunings keep that set small:
+rows that can no longer reach the window are dropped, and cells whose
+admissible bound (score plus the most the later frames can add on the way
+into the window) falls below an incumbent are cut. The incumbent is the
+window optimum of a cheaper first pass that keeps a fixed number of cells
+per frame. A memory guard gives a spectrum up as infeasible, with a logged
+warning, before a frame's blocks pass a fixed byte cap.
+
 Ties in path probability are broken toward the lexicographically smaller
 peptide (by residue symbol), both inside the DP and at the final window
 selection. Within one DP cell all tied candidates share the same
@@ -21,6 +30,7 @@ in-cell tie-break sound.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,6 +51,8 @@ __all__ = [
     "pmc_bruteforce_oracle",
     "nat_pmc_decode",
 ]
+
+log = logging.getLogger(__name__)
 
 
 def ctc_collapse(path: Sequence[int], blank_id: int) -> list[int]:
@@ -201,18 +213,44 @@ class PMCResult:
 
 
 _STAY = np.int8(127)
+# Cells each frame keeps in the incumbent pass of pmc_decode. At 256 the
+# pass found a feasible path for each of the 150 fixture spectra under both
+# fixture checkpoints; at 64 it found none in 4 of those 300 decodes.
+INCUMBENT_CELLS = 256
+# Estimated bytes of one frame's blocks plus the stored back-pointers past
+# which pmc_decode gives the spectrum up as infeasible.
+MEMORY_CAP = 512 << 20
+# Daltons per unit of the coarse mass axis of pmc_decode's bound.
+BOUND_UNIT = 0.25
+# Relative slack under the incumbent below which a cell is pruned: the bound
+# and a path's score are the same float terms summed in different orders.
+_BOUND_SLACK = 1e-9
 
 
 def pmc_decode(log_probs: np.ndarray, cfg: PMCConfig, table: AminoAcidTable) -> PMCResult:
     """Best frame path whose collapsed discretized mass lands in the window.
 
-    Dynamic program over (mass bins 0..M, last non-blank token or none),
-    advanced one frame at a time. Per frame and cell the transitions are:
-    emit blank (state unchanged), repeat the last non-blank token (state
-    unchanged), or start a new residue l != last (mass grows by l's bins).
-    The "new residue" step needs the best predecessor over all lasts except
-    l, computed via the top-2 values per mass row. Back-pointers are one
-    int8 per cell per frame: STAY, or the predecessor's last-token column.
+    Dynamic program over (mass bin, last non-blank token or none), advanced
+    one frame at a time. Per frame and cell the transitions are: emit blank
+    (state unchanged), repeat the last non-blank token (state unchanged), or
+    start a new residue l != last (mass grows by l's bins). The "new
+    residue" step needs the best predecessor over all lasts except l,
+    computed via the top-2 values per mass row.
+
+    A frame holds only its live mass rows: a sorted int64 array of bins,
+    with a [rows, A+1] float64 score block and an int8 back-pointer block
+    (STAY, or the predecessor's last-token column). Cells are pruned without
+    changing the result:
+    - a row too light to reach the window in the frames left is dropped;
+    - a cell whose bound, its score plus the most the later frames can add
+      on the way into the window (``_completion_bounds``), is -inf or lies
+      below the incumbent by more than a relative 1e-9 is cut.
+    The incumbent is the window optimum of a first pass that keeps only the
+    ``INCUMBENT_CELLS`` cells of highest bound per frame. It is a real
+    path's score, so no optimal path or tie is cut; if the first pass finds
+    none, the second runs with no incumbent. A frame whose blocks would pass
+    ``MEMORY_CAP`` bytes ends the decode: a warning names the target mass,
+    the rows and the estimate, and the result is infeasible.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
     T, vocab = log_probs.shape
@@ -224,23 +262,77 @@ def pmc_decode(log_probs: np.ndarray, cfg: PMCConfig, table: AminoAcidTable) -> 
     if A > 126:
         raise ValueError("more residue symbols than the int8 back-pointers support")
     ubin = cfg.residue_bins(table)
+    infeasible = PMCResult(None, -np.inf, False)
+    if cfg.window[1] < 0:
+        return infeasible
+    ahead = _completion_bounds(log_probs, cfg, ubin)
+    first = _pmc_pass(log_probs, cfg, table, ubin, ahead, -np.inf, INCUMBENT_CELLS)
+    if first is None:
+        return infeasible
+    floor = -np.inf
+    if first.feasible:
+        floor = first.log_prob - _BOUND_SLACK * abs(first.log_prob)
+    return _pmc_pass(log_probs, cfg, table, ubin, ahead, floor, None) or infeasible
+
+
+def _completion_bounds(log_probs: np.ndarray, cfg: PMCConfig, ubin: np.ndarray):
+    """``ahead(t, rows)``: for paths at each mass bin of ``rows`` after frame
+    t, at least the most that the later frames can add while the path lands
+    in the window [lo, hi]; -inf where it cannot land.
+
+    It comes from a DP backwards over the frames on a coarse mass axis of c
+    bins per unit, each residue taking floor(bins / c) units. In it each
+    frame either keeps the mass and gains its best token, or starts any
+    residue. A real path does no better: it starts a residue only where the
+    last token differs, and its remainders of at most c - 1 bins per residue
+    are covered by taking the maximum over a range of units.
+    """
+    T = log_probs.shape[0]
     lo, hi = cfg.window
-    if hi < 0:
-        return PMCResult(None, -np.inf, False)
-    M = hi
+    c = max(1, int(BOUND_UNIT / cfg.bin_width))
+    units = ubin // c
+    best = log_probs.max(axis=1)
+    gain = np.full(hi // c + 1, -np.inf)  # over the frames after t, by units added
+    gain[0] = 0.0
+    by_frame = [gain] * T
+    for t in range(T - 1, -1, -1):
+        # A path at m needs between (lo - m - (c-1) * frames left) / c and
+        # (hi - m) / c units, a range at most this wide.
+        width = min((hi - lo + (T - 1 - t) * (c - 1)) // c + 1, gain.size - 1)
+        by_frame[t] = reach = gain.copy()
+        for s in range(1, width + 1):
+            np.maximum(reach[s:], gain[:-s], out=reach[s:])
+        step = gain + best[t]
+        for l, u in enumerate(units):
+            if u < gain.size:
+                np.maximum(step[u:], gain[: gain.size - u] + log_probs[t, l], out=step[u:])
+        gain = step
+    return lambda t, rows: by_frame[t][(hi - rows) // c]
+
+
+def _pmc_pass(log_probs, cfg, table, ubin, ahead, floor: float, keep: int | None) -> PMCResult | None:
+    """One DP pass of pmc_decode: cells whose bound is below ``floor`` are
+    cut, and with ``keep`` so is all but the best ``keep`` cells per frame.
+    None when the blocks would pass ``MEMORY_CAP``."""
+    T = log_probs.shape[0]
+    A = table.n_residues
+    lo, hi = cfg.window
     null = A  # the "no last token yet" column
     blank = table.blank_id
+    umax = int(ubin.max())
 
-    logp = np.full((M + 1, A + 1), -np.inf)
+    rows = np.zeros(1, dtype=np.int64)
+    logp = np.full((1, A + 1), -np.inf)
     logp[0, null] = 0.0
-    frames: list[np.ndarray] = []
-    rows = np.arange(M + 1)
+    frames: list[tuple[np.ndarray, np.ndarray]] = []  # (rows, back-pointers) per frame
+    stored = 0
 
     def materialize(m: int, l: int, upto: int) -> tuple[int, ...]:
         """Residue ids of the cell's peptide after frames[0..upto] (reversed walk)."""
         out: list[int] = []
         for t in range(upto, -1, -1):
-            f = int(frames[t][m, l])
+            frame_rows, frm = frames[t]
+            f = int(frm[np.searchsorted(frame_rows, m), l])
             if f == _STAY:
                 continue
             out.append(l)
@@ -253,68 +345,95 @@ def pmc_decode(log_probs: np.ndarray, cfg: PMCConfig, table: AminoAcidTable) -> 
         return tuple(table.symbols[i] for i in seq)
 
     for t in range(T):
+        need = lo - (T - 1 - t) * umax  # a lighter row can no longer reach the window
+        shifted = rows[:, None] + ubin  # [rows, A] bins after each residue
+        new = np.sort(np.concatenate([rows, shifted.ravel()]))
+        new = new[np.diff(new, prepend=-1) != 0]  # np.unique, without its hash pass
+        new = new[np.searchsorted(new, need) : np.searchsorted(new, hi, side="right")]
+        # A frame's blocks and per-pair temporaries come to about 100 bytes
+        # per cell of the new block (measured with tracemalloc).
+        estimate = stored + new.size * (A + 1) * 100
+        if estimate > MEMORY_CAP:
+            log.warning(
+                "nat-pmc gave up on the %.4f Da target at frame %d of %d: %d mass rows "
+                "need about %d bytes, over the %d-byte cap", cfg.target_mass, t, T, new.size,
+                estimate, MEMORY_CAP,
+            )
+            return None
+
         e = log_probs[t]
         stay_gain = np.empty(A + 1)
         stay_gain[:A] = np.maximum(e[blank], e[:A])
         stay_gain[null] = e[blank]
-        result = logp + stay_gain
-        frm = np.full((M + 1, A + 1), _STAY, dtype=np.int8)
+        result = np.full((new.size, A + 1), -np.inf)
+        frm = np.full((new.size, A + 1), _STAY, dtype=np.int8)
+        s0 = np.searchsorted(rows, need)
+        result[np.searchsorted(new, rows[s0:])] = logp[s0:] + stay_gain
 
+        g = np.arange(rows.size)
         top1i = np.argmax(logp, axis=1)
-        top1v = logp[rows, top1i]
+        top1v = logp[g, top1i]
         tmp = logp.copy()
-        tmp[rows, top1i] = -np.inf
+        tmp[g, top1i] = -np.inf
         top2i = np.argmax(tmp, axis=1)
-        top2v = tmp[rows, top2i]
+        top2v = tmp[g, top2i]
         # How many columns achieve each candidate value (for tie detection).
         cnt1 = (logp == top1v[:, None]).sum(axis=1)
         cnt2 = (logp == top2v[:, None]).sum(axis=1)
 
-        for l in range(A):
-            u = int(ubin[l])
-            if u > M:
-                continue
-            n = M + 1 - u
-            use_top2 = top1i[:n] == l
-            pv = np.where(use_top2, top2v[:n], top1v[:n])
-            pi = np.where(use_top2, top2i[:n], top1i[:n])
-            cand = pv + e[l]
-            cur = result[u:, l]
+        # Every (predecessor row, residue l) pair at once: for one l the
+        # targets are distinct rows, and each l owns its column, so no two
+        # pairs write the same cell.
+        l, src = np.nonzero(((shifted >= need) & (shifted <= hi)).T)  # by l, then row
+        tgt = np.searchsorted(new, shifted[src, l])
+        use_top2 = top1i[src] == l
+        pv = np.where(use_top2, top2v[src], top1v[src])
+        pi = np.where(use_top2, top2i[src], top1i[src])
+        cand = pv + e[l]
+        cur = result[tgt, l]
 
-            # Predecessor ties: more than one column != l attains pv.
-            attained = np.where(use_top2, cnt2[:n], cnt1[:n])
-            l_attains = logp[:n, l] == pv
-            pred_ties = (attained - l_attains.astype(np.int64) >= 2) & np.isfinite(pv)
+        # Predecessor ties: more than one column != l attains pv.
+        attained = np.where(use_top2, cnt2[src], cnt1[src])
+        l_attains = logp[src, l] == pv
+        pred_ties = (attained - l_attains.astype(np.int64) >= 2) & np.isfinite(pv)
 
-            better = cand > cur
-            equal = (cand == cur) & np.isfinite(cand)
-            result[u:, l] = np.where(better, cand, cur)
-            col = frm[u:, l]
-            col[better] = pi[better].astype(np.int8)
+        better = cand > cur
+        equal = (cand == cur) & np.isfinite(cand)
+        result[tgt, l] = np.where(better, cand, cur)
+        frm[tgt[better], l[better]] = pi[better].astype(np.int8)
 
-            # Ties: a gain with several best predecessors, or starting the
-            # residue as good as staying. The lexicographically smallest
-            # peptide wins; on equal peptides staying wins (listed first).
-            for m_pred in np.flatnonzero((better & pred_ties) | equal):
-                m_pred = int(m_pred)
-                options = [(symbols(materialize(m_pred + u, l, t - 1)), _STAY)] if equal[m_pred] else []
-                options += [
-                    (symbols(materialize(m_pred, p, t - 1) + (l,)), p)
-                    for p in range(A + 1)
-                    if p != l and logp[m_pred, p] == pv[m_pred]
-                ]
-                col[m_pred] = min(options, key=lambda o: o[0])[1]
+        # Ties: a gain with several best predecessors, or starting the
+        # residue as good as staying. The lexicographically smallest
+        # peptide wins; on equal peptides staying wins (listed first).
+        for k in np.flatnonzero((better & pred_ties) | equal):
+            i, r = int(src[k]), int(l[k])
+            m_pred = int(rows[i])
+            options = [(symbols(materialize(m_pred + int(ubin[r]), r, t - 1)), _STAY)] if equal[k] else []
+            options += [
+                (symbols(materialize(m_pred, p, t - 1) + (r,)), p)
+                for p in range(A + 1)
+                if p != r and logp[i, p] == pv[k]
+            ]
+            frm[tgt[k], r] = min(options, key=lambda o: o[0])[1]
 
-        frames.append(frm)
-        logp = result
+        bound = result + ahead(t, new)[:, None]
+        cut = ~(bound > -np.inf) | (bound < floor)  # -inf: the window is out of reach
+        if keep is not None and np.count_nonzero(~cut) > keep:
+            cut |= bound < np.partition(bound[~cut], -keep)[-keep]
+        result[cut] = -np.inf
+        alive = np.isfinite(result).any(axis=1)
+        rows, logp = new[alive], result[alive]
+        frames.append((rows, frm[alive]))
+        stored += rows.nbytes + frames[-1][1].nbytes
 
-    window_vals = logp[lo : hi + 1]
+    w0, w1 = np.searchsorted(rows, [lo, hi + 1])
+    window_vals = logp[w0:w1]
     best = window_vals.max() if window_vals.size else -np.inf
     if not np.isfinite(best):
         return PMCResult(None, -np.inf, False)
     cells = np.argwhere(window_vals == best)
     candidates = [
-        materialize(int(m) + lo, int(l), T - 1) for m, l in cells
+        materialize(int(rows[w0 + i]), int(l), T - 1) for i, l in cells
     ]
     winner = min(candidates, key=symbols)
     return PMCResult(table.peptide_from_ids(list(winner)), float(best), True)

@@ -13,8 +13,8 @@ from pepseq.autodiff import NumericError
 from pepseq.cli import main
 from pepseq.mgf import parse_mgf, write_mgf
 from pepseq.network import Model, ModelConfig
-from pepseq.params import save_checkpoint
-from pepseq.spectra import AminoAcidTable, Peak, Peptide, simulate_spectrum
+from pepseq.params import load_checkpoint, save_checkpoint
+from pepseq.spectra import WATER, AminoAcidTable, Peak, Peptide, simulate_spectrum
 
 TINY = [
     "--set", "model.d=16",
@@ -322,6 +322,43 @@ def test_resume_from_wrong_stage_or_missing_file_is_data_error(
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, change, field", [
+    ("train", ["--set", "training.batch_size=2"], "batch_size"),
+    ("train", ["--set", "training.base_lr=1e-2"], "base_lr"),
+    ("train", "corpus", "corpus_sha256"),
+    ("finetune", ["--set", "training.finetune_lr=1e-3"], "finetune_lr"),
+])
+def test_resume_under_other_settings_is_data_error(pipeline, tmp_path, capsys, command, change, field):
+    corpus = pipeline / "sim" / "spectra.mgf"
+    if change == "corpus":
+        spectra = parse_mgf(corpus.read_text(), AminoAcidTable())
+        corpus = tmp_path / "other.mgf"
+        corpus.write_text(write_mgf(spectra[:-1]))
+        change = []
+    resume = pipeline / ("train" if command == "train" else "ft") / "checkpoint.bin"
+    code = run(
+        command, "--seed", "5", "--out", str(tmp_path / "out"), *TINY,
+        "--corpus", str(corpus), "--resume", str(resume),
+        "--set", "training.stage1_steps=18", "--set", "training.finetune_epochs=3", *change,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert field in err and str(resume) in err
+
+
+def test_resume_from_checkpoint_without_recorded_settings(pipeline, tmp_path):
+    store, blob = load_checkpoint(str(pipeline / "train" / "checkpoint.bin"))
+    del blob["train"]["settings"]
+    old = tmp_path / "old.bin"
+    save_checkpoint(str(old), store, blob)
+    code = run(
+        "train", "--seed", "5", "--out", str(tmp_path / "out"), *TINY,
+        "--corpus", str(pipeline / "sim" / "spectra.mgf"), "--resume", str(old),
+        "--set", "training.stage1_steps=18", "--set", "training.batch_size=2",
+    )
+    assert code == 0
+
+
 class TestDecode:
     def test_greedy_predictions_cover_corpus(self, pipeline, tmp_path):
         out = tmp_path / "dec"
@@ -365,6 +402,27 @@ class TestDecode:
         rows = read_csv(out / "predictions.csv")
         assert len(rows) == 6
         assert all(r["feasible_flag"] in {"true", "false"} for r in rows)
+
+    def test_nat_pmc_decoder_at_default_bin(self, pipeline, tmp_path):
+        out = tmp_path / "pmc"
+        code = run(
+            "decode", "--seed", "5", "--out", str(out),
+            "--mgf", str(pipeline / "sim" / "spectra.mgf"),
+            "--checkpoint", str(pipeline / "ft" / "checkpoint.bin"),
+            "--decoder", "nat-pmc", *TINY,
+        )
+        assert code == 0
+        table = AminoAcidTable()
+        truth = {s.spectrum_id: s for s in parse_mgf((pipeline / "sim" / "spectra.mgf").read_text(), table)}
+        rows = read_csv(out / "predictions.csv")
+        assert [r["spectrum_id"] for r in rows] == list(truth)
+        assert any(r["feasible_flag"] == "true" for r in rows)
+        for r in rows:
+            if r["feasible_flag"] == "true":
+                # Within the 0.1 Da window, plus half a 0.001 Da bin per residue.
+                peptide = Peptide.from_string(r["predicted_sequence"])
+                target = truth[r["spectrum_id"]].neutral_mass - WATER
+                assert abs(table.residue_mass(peptide) - target) <= 0.1 + 0.0005 * (len(peptide) + 2)
 
     def test_vocabulary_mismatch_rejected(self, pipeline, tmp_path):
         other = AminoAcidTable(entries=(("A", 71.03711), ("G", 57.02146)))

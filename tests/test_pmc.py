@@ -7,13 +7,23 @@ smaller peptide). The DP must agree on feasibility, peptide, and
 log-probability everywhere inside the oracle's bounds.
 """
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from pepseq.decoding import PMCConfig, ctc_collapse, pmc_bruteforce_oracle, pmc_decode
-from pepseq.spectra import AminoAcidTable
+from pepseq import decoding
+from pepseq.decoding import (
+    PMCConfig,
+    PMCResult,
+    ctc_collapse,
+    nat_pmc_decode,
+    pmc_bruteforce_oracle,
+    pmc_decode,
+)
+from pepseq.network import Model, ModelConfig
+from pepseq.spectra import AminoAcidTable, Peptide, simulate_spectrum
 
 GA = AminoAcidTable(entries=(("A", 71.03711), ("G", 57.02146)))
 
@@ -266,3 +276,179 @@ def test_randomized_oracle_equivalence_with_ties():
             n_feasible += 1
             assert got.log_prob == pytest.approx(ref.log_prob, abs=1e-9)
     assert 1000 < n_feasible < 2900
+
+
+# ---------------------------------------------------------------------------
+# the row-sparse, pruned DP against the dense one it replaced
+
+
+def dense_pmc_reference(log_probs, cfg, table):
+    """The dense DP pmc_decode replaced: every mass bin 0..M is a row of a
+    [M+1, A+1] grid at every frame, nothing is pruned, and the same top-2
+    predecessor trick and tie rule pick each cell's back-pointer."""
+    stay = np.int8(127)
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    T, vocab = log_probs.shape
+    A = table.n_residues
+    ubin = cfg.residue_bins(table)
+    lo, hi = cfg.window
+    if hi < 0:
+        return PMCResult(None, -np.inf, False)
+    M = hi
+    null = A
+    blank = table.blank_id
+
+    logp = np.full((M + 1, A + 1), -np.inf)
+    logp[0, null] = 0.0
+    frames = []
+    rows = np.arange(M + 1)
+
+    def materialize(m, l, upto):
+        out = []
+        for t in range(upto, -1, -1):
+            f = int(frames[t][m, l])
+            if f == stay:
+                continue
+            out.append(l)
+            m -= int(ubin[l])
+            l = f
+        out.reverse()
+        return tuple(out)
+
+    def symbols(seq):
+        return tuple(table.symbols[i] for i in seq)
+
+    for t in range(T):
+        e = log_probs[t]
+        stay_gain = np.empty(A + 1)
+        stay_gain[:A] = np.maximum(e[blank], e[:A])
+        stay_gain[null] = e[blank]
+        result = logp + stay_gain
+        frm = np.full((M + 1, A + 1), stay, dtype=np.int8)
+
+        top1i = np.argmax(logp, axis=1)
+        top1v = logp[rows, top1i]
+        tmp = logp.copy()
+        tmp[rows, top1i] = -np.inf
+        top2i = np.argmax(tmp, axis=1)
+        top2v = tmp[rows, top2i]
+        cnt1 = (logp == top1v[:, None]).sum(axis=1)
+        cnt2 = (logp == top2v[:, None]).sum(axis=1)
+
+        for l in range(A):
+            u = int(ubin[l])
+            if u > M:
+                continue
+            n = M + 1 - u
+            use_top2 = top1i[:n] == l
+            pv = np.where(use_top2, top2v[:n], top1v[:n])
+            pi = np.where(use_top2, top2i[:n], top1i[:n])
+            cand = pv + e[l]
+            cur = result[u:, l]
+            attained = np.where(use_top2, cnt2[:n], cnt1[:n])
+            l_attains = logp[:n, l] == pv
+            pred_ties = (attained - l_attains.astype(np.int64) >= 2) & np.isfinite(pv)
+            better = cand > cur
+            equal = (cand == cur) & np.isfinite(cand)
+            result[u:, l] = np.where(better, cand, cur)
+            col = frm[u:, l]
+            col[better] = pi[better].astype(np.int8)
+            for m_pred in np.flatnonzero((better & pred_ties) | equal):
+                m_pred = int(m_pred)
+                options = [(symbols(materialize(m_pred + u, l, t - 1)), stay)] if equal[m_pred] else []
+                options += [
+                    (symbols(materialize(m_pred, p, t - 1) + (l,)), p)
+                    for p in range(A + 1)
+                    if p != l and logp[m_pred, p] == pv[m_pred]
+                ]
+                col[m_pred] = min(options, key=lambda o: o[0])[1]
+
+        frames.append(frm)
+        logp = result
+
+    window_vals = logp[lo : hi + 1]
+    best = window_vals.max() if window_vals.size else -np.inf
+    if not np.isfinite(best):
+        return PMCResult(None, -np.inf, False)
+    cells = np.argwhere(window_vals == best)
+    winner = min((materialize(int(m) + lo, int(l), T - 1) for m, l in cells), key=symbols)
+    return PMCResult(table.peptide_from_ids(list(winner)), float(best), True)
+
+
+def dense_equivalence_cases(rng):
+    """(log_probs, cfg, table): peaked, flat and tied integer logits on
+    random tables at bins 0.5-2.5, then the real table at bin 0.001."""
+    for kind in ("peaked", "flat", "tied") * 60:
+        n_res = int(rng.integers(1, 6))
+        T = int(rng.integers(1, 9))
+        if kind == "tied":
+            table = AminoAcidTable(entries=tuple(
+                (chr(ord("A") + i), float(rng.integers(1, 4))) for i in range(n_res)
+            ))
+            lp = log_softmax(rng.integers(0, 3, size=(T, n_res + 1)).astype(np.float64))
+            cfg = PMCConfig(target_mass=float(rng.integers(0, 3 * T + 1)),
+                            tolerance=float(rng.integers(0, 2)), bin_width=1.0)
+        else:
+            table = random_table(rng, n_res)
+            scale = 8.0 if kind == "peaked" else 0.1
+            lp = log_softmax(rng.normal(size=(T, n_res + 1)) * scale)
+            cfg = PMCConfig(target_mass=float(rng.uniform(0.0, T * 190.0)),
+                            tolerance=float(rng.uniform(0.0, 40.0)),
+                            bin_width=float(rng.choice([0.5, 1.0, 2.5])))
+        yield lp, cfg, table
+    real = AminoAcidTable()
+    for scale in (8.0, 0.1, 2.0):
+        T = int(rng.integers(5, 9))
+        picks = rng.integers(0, real.n_residues, size=int(rng.integers(2, 4)))
+        target = min(float(real.masses[picks].sum()), 300.0)
+        lp = log_softmax(rng.normal(size=(T, real.n_residues + 1)) * scale)
+        yield lp, PMCConfig(target_mass=target, tolerance=0.1, bin_width=0.001), real
+
+
+def assert_equals_dense(cases):
+    n_feasible = 0
+    for lp, cfg, table in cases:
+        got = pmc_decode(lp, cfg, table)
+        want = dense_pmc_reference(lp, cfg, table)
+        assert got.feasible == want.feasible, (cfg, got, want)
+        assert got.peptide == want.peptide, (cfg, got, want)
+        assert got.log_prob == want.log_prob, (cfg, got, want)
+        n_feasible += got.feasible
+    return n_feasible
+
+
+def test_row_sparse_dp_equals_dense_reference_exactly():
+    n_feasible = assert_equals_dense(dense_equivalence_cases(np.random.default_rng(77)))
+    assert 40 < n_feasible < 170
+
+
+@pytest.mark.parametrize("unit", [decoding.BOUND_UNIT, 5.0])
+def test_incumbent_of_one_cell_per_frame_keeps_the_dp_exact(monkeypatch, unit):
+    # One cell per frame makes the incumbent pass a single path, which on
+    # these small instances often is the optimum itself: cells whose bound
+    # ties it must survive the pruning margin. A 5 Da bound unit spans
+    # several bins, so the bound must also cover residue-mass remainders.
+    monkeypatch.setattr(decoding, "INCUMBENT_CELLS", 1)
+    monkeypatch.setattr(decoding, "BOUND_UNIT", unit)
+    n_feasible = assert_equals_dense(dense_equivalence_cases(np.random.default_rng(78)))
+    assert n_feasible > 40
+
+
+def test_memory_cap_gives_the_spectrum_up_and_logs_why(monkeypatch, caplog):
+    table = AminoAcidTable()
+    model = Model.build(ModelConfig(d=16, heads=2, hidden=32, enc_layers=1, at_layers=1,
+                                    nat_layers=1, t_max=10), table, seed=3)
+    spectrum = simulate_spectrum(Peptide.from_string("GASP"), seed=4, table=table)
+    monkeypatch.setattr(decoding, "MEMORY_CAP", 1000)
+    with caplog.at_level(logging.WARNING, logger="pepseq.decoding"):
+        result, conf = nat_pmc_decode(model, spectrum)
+    assert not result.feasible
+    # The fallback is the collapse of the per-frame argmax path.
+    enc = model.encode_spectrum(spectrum)
+    lp = log_softmax(model.nat_forward(enc).logits.values)
+    path = lp.argmax(axis=1)
+    assert result.peptide == table.peptide_from_ids(ctc_collapse(path.tolist(), table.blank_id))
+    assert result.log_prob == lp[np.arange(len(path)), path].sum()
+    [record] = [r for r in caplog.records if r.name == "pepseq.decoding"]
+    assert record.levelno == logging.WARNING
+    assert "mass rows" in record.getMessage() and "cap" in record.getMessage()
