@@ -9,12 +9,11 @@ them; leaves created with ``requires_grad=True`` end up holding ``.grad``
 arrays of the same shape as their values.
 
 Only the primitives needed by the sequencing model live here: elementwise
-arithmetic with broadcasting, matmul over leading batch axes (a right
-operand with fewer of them, such as a weight, is shared by the rest), a
-handful of fused numerically stable ops (log-softmax, softmax, layer norm,
-log-add-exp), shape surgery (slicing, concat, reshape, axis transpose,
-gather), GELU, and ``stop_gradient``. Multi-head attention is composed from
-these instead of being a fused kernel.
+arithmetic with broadcasting, matmul by a 2-D right operand (a weight,
+shared by every leading index of the left), a handful of fused numerically
+stable ops (log-softmax, softmax, layer norm, log-add-exp, and multi-head
+attention as one node), shape surgery (slicing, concat, reshape, transpose,
+gather), GELU, and ``stop_gradient``.
 """
 
 from __future__ import annotations
@@ -273,32 +272,26 @@ def logaddexp(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b over the last two axes. The leading (batch) axes of ``b`` must
-    equal the last leading axes of ``a``, and ``b`` is shared by every index
-    of the others (a 2-D ``b`` by all); numpy multiplies one slice at a time."""
-    lead = a.shape[a.ndim - b.ndim : -2]
-    if a.ndim < 2 or not 2 <= b.ndim <= a.ndim or b.shape[:-2] != lead or a.shape[-1] != b.shape[-2]:
+    """a @ b for ``a`` of shape [..., m, k] and a 2-D ``b`` [k, n], which
+    every leading index of ``a`` shares."""
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise DimensionError(f"matmul shapes do not match: {a.shape} @ {b.shape}")
     out_vals = a.values @ b.values
 
     def bwd(g: np.ndarray) -> None:
-        _accum(a, g @ np.swapaxes(b.values, -1, -2))
+        _accum(a, g @ b.values.T)
         _accum(b, _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape))
 
     return _node(out_vals, (a, b), bwd)
 
 
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    """Permute the axes as ``numpy.transpose``; by default reverse them."""
-    axes = tuple(reversed(range(a.ndim))) if axes is None else tuple(axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise DimensionError(f"transpose axes {axes} are not a permutation of {a.ndim} axes")
-    inverse = tuple(np.argsort(axes))
+def transpose(a: Tensor) -> Tensor:
+    """Reverse the axes, as ``numpy.transpose`` does."""
 
     def bwd(g: np.ndarray) -> None:
-        _accum(a, g.transpose(inverse))
+        _accum(a, g.transpose())
 
-    return _node(a.values.transpose(axes), (a,), bwd)
+    return _node(a.values.transpose(), (a,), bwd)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -391,19 +384,22 @@ def log_softmax(a: Tensor, *, axis: int = -1) -> Tensor:
     return _node(out_vals, (a,), bwd)
 
 
-def softmax(a: Tensor, *, axis: int = -1) -> Tensor:
-    x = a.values
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax values of ``softmax`` and attention; NaN input and a row with
+    no finite entry are errors."""
     if np.isnan(x).any():
         raise NumericError("softmax input contains NaN")
     m = np.max(x, axis=axis, keepdims=True)
-    # A row of all -inf would produce 0/0; callers (attention) reject that
-    # case up front, so guard only the shift here.
-    shifted = np.where(np.isneginf(m), x, x - m)
-    e = np.exp(shifted)
+    # Guard only the shift of an all -inf row; its 0/0 is rejected below.
+    e = np.exp(np.where(np.isneginf(m), x, x - m))
     denom = e.sum(axis=axis, keepdims=True)
     if np.any(denom == 0.0):
         raise NumericError("softmax row has no finite entry")
-    out_vals = e / denom
+    return e / denom
+
+
+def softmax(a: Tensor, *, axis: int = -1) -> Tensor:
+    out_vals = _softmax(a.values, axis)
 
     def bwd(g: np.ndarray) -> None:
         _accum(a, out_vals * (g - (g * out_vals).sum(axis=axis, keepdims=True)))
@@ -441,41 +437,56 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for x of shape [..., in], at least 2-D; w is [in, out], b is [out]."""
-    if w.ndim != 2:
-        raise DimensionError(f"linear weight must be 2-D, got shape {w.shape}")
-    if x.shape[-1] != w.shape[0]:
-        raise DimensionError(
-            f"linear input width {x.shape} does not match weight {w.shape}"
-        )
-    if b.shape != (w.shape[1],):
+    if b.shape != w.shape[1:]:
         raise DimensionError(f"linear bias shape {b.shape} does not match weight {w.shape}")
     return add(matmul(x, w), b)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Attention softmax(q k^T / sqrt(d) + mask bias) v over the last two axes.
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
+                         heads: int = 1) -> Tensor:
+    """Multi-head attention softmax(q k^T / sqrt(d_h) + mask bias) v as one node.
 
-    Operands are [..., L, d], e.g. one per head. The leading axes of ``k``
-    and ``v`` equal the last ones of ``q``, so one [heads, S, d] context
-    serves queries [n, heads, L, d]; the two matmuls reject other shapes.
-    ``mask`` is a boolean [Tq, Tk] array, True where attention is allowed,
-    shared by every leading index. A row with no allowed position is a
-    hard error.
+    ``q`` is [..., L, d]; ``k`` and ``v`` are [..., S, d] with leading axes
+    equal to the last ones of ``q``, so one [S, d] context serves queries
+    [n, L, d]. The last axis splits into ``heads`` heads of width d_h, merged
+    back in the [..., L, d] result. ``mask`` is a boolean [L, S] array, True
+    where attention is allowed; a row with no allowed position is an error.
     """
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    lead = tuple(range(k.ndim - 2))
-    scores = mul(matmul(q, transpose(k, lead + (k.ndim - 1, k.ndim - 2))), constant(scale))
+    if (not 2 <= k.ndim <= q.ndim or k.shape[:-2] != q.shape[q.ndim - k.ndim : -2]
+            or v.shape != k.shape or q.shape[-1] != k.shape[-1] or q.shape[-1] % heads):
+        raise DimensionError(f"attention shapes do not match: {q.shape}, {k.shape}, {v.shape}")
+
+    def split(x: np.ndarray) -> np.ndarray:  # [..., L, d] -> [..., heads, L, d_h]
+        return x.reshape(x.shape[:-1] + (heads, -1)).swapaxes(-2, -3)
+
+    def merge(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        return x.swapaxes(-2, -3).reshape(shape)
+
+    qh, kh, vh = split(q.values), split(k.values), split(v.values)
+    kt = kh.swapaxes(-1, -2)
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    scores = (qh @ kt) * scale
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != scores.shape[-2:]:
-            raise DimensionError(
-                f"mask shape {mask.shape} does not match scores {scores.shape[-2:]}"
-            )
+            raise DimensionError(f"mask shape {mask.shape} does not match scores {scores.shape[-2:]}")
         if not mask.any(axis=1).all():
             raise NumericError("attention mask leaves a query row with no allowed position")
-        bias = np.where(mask, 0.0, -np.inf)
-        scores = add(scores, constant(bias))
-    return matmul(softmax(scores, axis=-1), v)
+        scores = scores + np.where(mask, 0.0, -np.inf)
+    p = _softmax(scores, -1)
+
+    # Each expression, in order, is the backward of a matmul, scale, mask,
+    # softmax, matmul graph, so gradients equal that graph's bit for bit.
+    def bwd(g: np.ndarray) -> None:
+        go = split(g)
+        gp = go @ np.swapaxes(vh, -1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+        _accum(q, merge(gs @ np.swapaxes(kt, -1, -2), q.shape))
+        gkt = _unbroadcast(np.swapaxes(qh, -1, -2) @ gs, kt.shape)
+        _accum(k, merge(np.swapaxes(gkt, -1, -2), k.shape))
+        _accum(v, merge(_unbroadcast(np.swapaxes(p, -1, -2) @ go, vh.shape), v.shape))
+
+    return _node(merge(p @ vh, q.shape), (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -168,12 +168,14 @@ class RunConfig:
 
     def _get(self, kind, section: str, option: str):
         getter = {int: self._cp.getint, float: self._cp.getfloat, str: self._cp.get}[kind]
+        text = self._cp.get(section, option)
         try:
-            return getter(section, option)
+            value = getter(section, option)
+            if kind is float and not np.isfinite(value):
+                raise ValueError("not finite")
         except ValueError as e:
-            raise UsageError(
-                f"bad value for {section}.{option}: {self._cp.get(section, option)!r}"
-            ) from e
+            raise UsageError(f"bad value for {section}.{option}: {text!r}") from e
+        return value
 
     def getint(self, section, option):
         return self._get(int, section, option)
@@ -340,12 +342,14 @@ METRICS_COLUMNS = ("step", "stage", "at_loss", "nat_loss", "lambda", "lr")
 
 
 def _stage_settings(cfg: RunConfig, stage: str, corpus: Path) -> dict:
-    """The settings that shape a stage's batch stream and learning rate; a
-    resumed run must match them. A longer run is allowed."""
+    """The settings that shape a stage's batch stream, learning rate and
+    annealing; a resumed run must match them. A longer fine-tune is allowed:
+    stage 2 runs at a constant learning rate with no annealing."""
     settings = {"seed": cfg.seed, "batch_size": cfg.getint("training", "batch_size")}
     if stage == "train":
         settings["base_lr"] = cfg.getfloat("training", "base_lr")
         settings["warmup_steps"] = cfg.getint("training", "warmup_steps")
+        settings["stage1_steps"] = cfg.getint("training", "stage1_steps")
     else:
         settings["finetune_lr"] = cfg.getfloat("training", "finetune_lr")
     settings["corpus_sha256"] = hashlib.sha256(corpus.read_bytes()).hexdigest()

@@ -182,28 +182,13 @@ class Model:
     def _p(self, partition: str, name: str) -> Tensor:
         return self.store.get(partition, name)
 
-    def _mha(
-        self,
-        partition: str,
-        prefix: str,
-        x: Tensor,
-        context: Tensor,
-        mask: np.ndarray | None,
-    ) -> Tensor:
+    def _mha(self, partition: str, prefix: str, x: Tensor, context: Tensor,
+             mask: np.ndarray | None) -> Tensor:
         q = ad.linear(x, self._p(partition, f"{prefix}.wq"), self._p(partition, f"{prefix}.bq"))
         k = ad.linear(context, self._p(partition, f"{prefix}.wk"), self._p(partition, f"{prefix}.bk"))
         v = ad.linear(context, self._p(partition, f"{prefix}.wv"), self._p(partition, f"{prefix}.bv"))
-        h = self.cfg.heads
-
-        def swap(t: Tensor) -> Tensor:  # [..., L, heads, d_h] <-> [..., heads, L, d_h]
-            return ad.transpose(t, tuple(range(t.ndim - 3)) + (t.ndim - 2, t.ndim - 3, t.ndim - 1))
-
-        def split(t: Tensor) -> Tensor:
-            return swap(ad.reshape(t, t.shape[:-1] + (h, -1)))
-
-        out = ad.scaled_dot_attention(split(q), split(k), split(v), mask)
-        merged = ad.reshape(swap(out), x.shape[:-1] + (self.cfg.d,))
-        return ad.linear(merged, self._p(partition, f"{prefix}.wo"), self._p(partition, f"{prefix}.bo"))
+        out = ad.scaled_dot_attention(q, k, v, mask, self.cfg.heads)
+        return ad.linear(out, self._p(partition, f"{prefix}.wo"), self._p(partition, f"{prefix}.bo"))
 
     def _ln(self, partition: str, prefix: str, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self._p(partition, f"{prefix}.gain"), self._p(partition, f"{prefix}.bias"))

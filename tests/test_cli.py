@@ -186,18 +186,19 @@ class TestTrain:
         ).read_bytes()
 
     def test_resume_continues_step_numbering(self, pipeline, tmp_path):
+        # The schedule and annealing span stage1_steps, so a run resumes only
+        # under its own total; resuming a finished run has no step left.
         out = tmp_path / "resumed"
+        ckpt = pipeline / "train" / "checkpoint.bin"
         code = run(
             "train", "--seed", "5", "--out", str(out),
-            "--corpus", str(pipeline / "sim" / "spectra.mgf"),
-            "--resume", str(pipeline / "train" / "checkpoint.bin"),
-            *TINY, "--set", "training.stage1_steps=18",
+            "--corpus", str(pipeline / "sim" / "spectra.mgf"), "--resume", str(ckpt), *TINY,
         )
         assert code == 0
-        rows = read_csv(out / "metrics.csv")
-        assert [r["step"] for r in rows] == [str(i) for i in range(13, 19)]
+        assert read_csv(out / "metrics.csv") == []
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["resumed_from_step"] == 12
+        assert manifest["resumed_from_step"] == 12 and manifest["steps"] == 0
+        assert (out / "checkpoint.bin").read_bytes() == ckpt.read_bytes()
 
     def test_numeric_abort_maps_to_exit_three(self, tmp_path, monkeypatch, pipeline):
         def boom(model, batch, state):
@@ -302,6 +303,23 @@ def test_resumed_run_equals_unbroken_run(pipeline, tmp_path, monkeypatch, comman
     assert rows == read_csv(whole / "metrics.csv")[6:]
 
 
+def test_longer_finetune_resume_equals_unbroken_run(pipeline, tmp_path):
+    # Stage 2 runs at a constant learning rate with no annealing, so the
+    # pipeline's 2-epoch fine-tune may go on to 4 epochs.
+    args = [
+        "finetune", "--seed", "5", *TINY, "--corpus", str(pipeline / "sim" / "spectra.mgf"),
+        "--checkpoint", str(pipeline / "train" / "checkpoint.bin"),
+        "--set", "training.finetune_epochs=4",
+    ]
+    whole, resumed = tmp_path / "whole", tmp_path / "resumed"
+    assert run(*args, "--out", str(whole)) == 0
+    assert run(*args, "--out", str(resumed), "--resume", str(pipeline / "ft" / "checkpoint.bin")) == 0
+    assert (resumed / "checkpoint.bin").read_bytes() == (whole / "checkpoint.bin").read_bytes()
+    rows = read_csv(resumed / "metrics.csv")
+    assert [r["step"] for r in rows] == ["5", "6", "7", "8"]
+    assert rows == read_csv(whole / "metrics.csv")[4:]
+
+
 @pytest.mark.parametrize("command, resume", [
     ("train", "ft"),  # a fine-tuned checkpoint cannot resume stage 1
     ("finetune", "train"),  # nor a stage-1 checkpoint stage 2
@@ -327,6 +345,7 @@ def test_resume_from_wrong_stage_or_missing_file_is_data_error(
     ("train", ["--set", "training.base_lr=1e-2"], "base_lr"),
     ("train", "corpus", "corpus_sha256"),
     ("finetune", ["--set", "training.finetune_lr=1e-3"], "finetune_lr"),
+    ("train", ["--set", "training.stage1_steps=15"], "stage1_steps"),
 ])
 def test_resume_under_other_settings_is_data_error(pipeline, tmp_path, capsys, command, change, field):
     corpus = pipeline / "sim" / "spectra.mgf"
@@ -339,7 +358,7 @@ def test_resume_under_other_settings_is_data_error(pipeline, tmp_path, capsys, c
     code = run(
         command, "--seed", "5", "--out", str(tmp_path / "out"), *TINY,
         "--corpus", str(corpus), "--resume", str(resume),
-        "--set", "training.stage1_steps=18", "--set", "training.finetune_epochs=3", *change,
+        "--set", "training.finetune_epochs=3", *change,
     )
     assert code == 2
     err = capsys.readouterr().err
@@ -488,12 +507,20 @@ class TestDecode:
     ("decode", ["--decoder", "nat-pmc", "--tol", "-1"]),
     ("finetune", ["--set", "training.finetune_lr=-1"]),
     ("finetune", ["--set", "training.checkpoint_every=0"]),
+    ("decode", ["--decoder", "nat-pmc", "--tol", "nan"]),
+    ("decode", ["--decoder", "nat-pmc", "--tol", "inf"]),
+    ("train", ["--set", "training.base_lr=nan"]),
+    ("finetune", ["--set", "training.finetune_lr=inf"]),
+    ("simulate", ["--set", "simulation.mz_sigma=nan"]),
+    ("simulate", ["--set", "simulation.drop_prob=nan"]),
 ])
 def test_bad_decode_and_finetune_settings_are_usage_errors(pipeline, tmp_path, capsys, command, args):
     corpus = str(pipeline / "sim" / "spectra.mgf")
     inputs = {
         "decode": ["--mgf", corpus, "--checkpoint", str(pipeline / "ft" / "checkpoint.bin")],
         "finetune": ["--corpus", corpus, "--checkpoint", str(pipeline / "train" / "checkpoint.bin")],
+        "train": ["--corpus", corpus],
+        "simulate": [],
     }[command]
     out = tmp_path / "out"
     assert run(command, "--seed", "5", "--out", str(out), *TINY, *inputs, *args) == 1
