@@ -61,48 +61,47 @@ EXIT_NUMERIC = 3
 
 DECODERS = ("at-greedy", "at-beam", "nat-pmc")
 
-DEFAULTS: dict[str, dict[str, str]] = {
+# Every setting, as section -> key -> (default text, type, least value). A
+# least value of None leaves the range to the config object that takes the
+# value (ModelConfig, NoiseConfig, LRConfig, PMCConfig) or to the command.
+SETTINGS: dict[str, dict[str, tuple[str, type, int | float | None]]] = {
     "model": {
-        "d": "64",
-        "heads": "2",
-        "hidden": "128",
-        "enc_layers": "2",
-        "at_layers": "2",
-        "nat_layers": "2",
-        "t_max": "24",
+        "d": ("64", int, None),
+        "heads": ("2", int, None),
+        "hidden": ("128", int, None),
+        "enc_layers": ("2", int, None),
+        "at_layers": ("2", int, None),
+        "nat_layers": ("2", int, None),
+        "t_max": ("24", int, None),
     },
     "training": {
-        "seed": "",
-        "stage1_steps": "2000",
-        "finetune_epochs": "200",
-        "base_lr": "5e-4",
-        "finetune_lr": "1e-4",
-        "warmup_steps": "100",
-        "batch_size": "10",
-        "checkpoint_every": "500",
+        "seed": ("", str, None),  # --seed or this one is required
+        "stage1_steps": ("2000", int, 1),
+        "finetune_epochs": ("200", int, 0),
+        "base_lr": ("5e-4", float, None),
+        "finetune_lr": ("1e-4", float, 0.0),
+        "warmup_steps": ("100", int, None),
+        "batch_size": ("10", int, 1),
+        "checkpoint_every": ("500", int, 1),
     },
     "simulation": {
-        "n_spectra": "100",
-        "min_len": "5",
-        "max_len": "12",
-        "mz_sigma": "0.0",
-        "drop_prob": "0.0",
-        "n_noise_peaks": "0",
+        "n_spectra": ("100", int, 1),
+        "min_len": ("5", int, 1),
+        "max_len": ("12", int, None),
+        "mz_sigma": ("0.0", float, None),
+        "drop_prob": ("0.0", float, None),
+        "n_noise_peaks": ("0", int, None),
     },
     "decoding": {
-        "decoder": "at-greedy",
-        "beam_width": "5",
-        "pmc_tolerance": "0.1",
-        "pmc_bin": "0.001",
-        "max_len": "0",  # 0 means t_max - 2
+        "decoder": ("at-greedy", str, None),
+        "beam_width": ("5", int, 1),
+        "pmc_tolerance": ("0.1", float, None),
+        "pmc_bin": ("0.001", float, None),
+        "max_len": ("0", int, 0),  # 0 means t_max - 2
     },
     "paths": {
-        "corpus": "",
-        "checkpoint": "",
-        "resume": "",
-        "mgf": "",
-        "predictions": "",
-        "truth": "",
+        key: ("", str, None)
+        for key in ("corpus", "checkpoint", "resume", "mgf", "predictions", "truth")
     },
 }
 
@@ -125,7 +124,8 @@ class RunConfig:
     @classmethod
     def load(cls, config_path: str | None, sets: list[str], seed_flag: int | None) -> "RunConfig":
         cp = configparser.ConfigParser(interpolation=None)
-        cp.read_dict(DEFAULTS)
+        cp.read_dict({section: {key: spec[0] for key, spec in keys.items()}
+                      for section, keys in SETTINGS.items()})
         if config_path is not None:
             path = Path(config_path)
             if not path.is_file():
@@ -140,7 +140,7 @@ class RunConfig:
             section, dot, option = key.partition(".")
             if not sep or not dot or not section or not option:
                 raise UsageError(f"--set expects section.key=value, got {item!r}")
-            if section not in DEFAULTS or option not in DEFAULTS[section]:
+            if section not in SETTINGS or option not in SETTINGS[section]:
                 raise UsageError(f"unknown config key {section}.{option}")
             cp[section][option] = value
         cls._check_known(cp, "config")
@@ -160,50 +160,41 @@ class RunConfig:
     @staticmethod
     def _check_known(cp: configparser.ConfigParser, source: str) -> None:
         for section in cp.sections():
-            if section not in DEFAULTS:
+            if section not in SETTINGS:
                 raise UsageError(f"{source}: unknown section [{section}]")
             for option in cp[section]:
-                if option not in DEFAULTS[section]:
+                if option not in SETTINGS[section]:
                     raise UsageError(f"{source}: unknown key {section}.{option}")
 
-    def _get(self, kind, section: str, option: str):
-        getter = {int: self._cp.getint, float: self._cp.getfloat, str: self._cp.get}[kind]
-        text = self._cp.get(section, option)
+    def value(self, section: str, key: str):
+        """``section.key`` as its type. Text that does not convert, a float
+        that is not finite, or a value under the key's least value is a
+        usage error that names the key."""
+        _, kind, least = SETTINGS[section][key]
+        text = self._cp[section][key]
         try:
-            value = getter(section, option)
+            value = kind(text)
             if kind is float and not np.isfinite(value):
                 raise ValueError("not finite")
         except ValueError as e:
-            raise UsageError(f"bad value for {section}.{option}: {text!r}") from e
+            raise UsageError(f"bad value for {section}.{key}: {text!r}") from e
+        if least is not None and value < least:
+            raise UsageError(f"{section}.{key} must be at least {least}, got {value}")
         return value
 
-    def getint(self, section, option):
-        return self._get(int, section, option)
-
-    def getfloat(self, section, option):
-        return self._get(float, section, option)
-
-    def get(self, section, option):
-        return self._get(str, section, option)
+    def section(self, name: str) -> dict:
+        return {key: self.value(name, key) for key in SETTINGS[name]}
 
     def model_config(self) -> ModelConfig:
         try:
-            return ModelConfig(
-                d=self.getint("model", "d"),
-                heads=self.getint("model", "heads"),
-                hidden=self.getint("model", "hidden"),
-                enc_layers=self.getint("model", "enc_layers"),
-                at_layers=self.getint("model", "at_layers"),
-                nat_layers=self.getint("model", "nat_layers"),
-                t_max=self.getint("model", "t_max"),
-            )
+            return ModelConfig(**self.section("model"))
         except ValueError as e:
             raise UsageError(f"bad model config: {e}") from e
 
     def canonical(self) -> str:
         lines = []
-        for section in sorted(DEFAULTS):
-            for option in sorted(DEFAULTS[section]):
+        for section in sorted(SETTINGS):
+            for option in sorted(SETTINGS[section]):
                 lines.append(f"{section}.{option}={self._cp.get(section, option)}")
         return "\n".join(lines) + "\n"
 
@@ -212,7 +203,7 @@ class RunConfig:
 
 
 def _require_path(cfg: RunConfig, option: str, what: str) -> Path:
-    text = cfg.get("paths", option)
+    text = cfg.value("paths", option)
     if not text:
         raise UsageError(f"paths.{option} is required for this command ({what})")
     return Path(text)
@@ -293,24 +284,17 @@ def _load_model(path: Path, table: AminoAcidTable) -> tuple[Model, dict]:
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     table = AminoAcidTable()
-    n = cfg.getint("simulation", "n_spectra")
-    min_len = cfg.getint("simulation", "min_len")
-    max_len = cfg.getint("simulation", "max_len")
+    sim = cfg.section("simulation")
+    n, min_len, max_len = sim.pop("n_spectra"), sim.pop("min_len"), sim.pop("max_len")
     try:
-        noise = NoiseConfig(
-            mz_sigma=cfg.getfloat("simulation", "mz_sigma"),
-            drop_prob=cfg.getfloat("simulation", "drop_prob"),
-            n_noise_peaks=cfg.getint("simulation", "n_noise_peaks"),
-        )
+        noise = NoiseConfig(**sim)
     except ValueError as e:
         raise UsageError(f"bad simulation config: {e}") from e
-    if n < 1:
-        raise UsageError(f"simulation.n_spectra must be positive, got {n}")
-    if not 1 <= min_len <= max_len:
+    if min_len > max_len:
         raise UsageError(
-            f"simulation lengths need 1 <= min_len <= max_len, got {min_len} and {max_len}"
+            f"simulation lengths need min_len <= max_len, got {min_len} and {max_len}"
         )
-    t_max = cfg.getint("model", "t_max")
+    t_max = cfg.value("model", "t_max")
     if max_len > t_max - 2:
         raise UsageError(
             f"simulation.max_len {max_len} exceeds t_max - 2 = {t_max - 2}; "
@@ -345,15 +329,10 @@ def _stage_settings(cfg: RunConfig, stage: str, corpus: Path) -> dict:
     """The settings that shape a stage's batch stream, learning rate and
     annealing; a resumed run must match them. A longer fine-tune is allowed:
     stage 2 runs at a constant learning rate with no annealing."""
-    settings = {"seed": cfg.seed, "batch_size": cfg.getint("training", "batch_size")}
-    if stage == "train":
-        settings["base_lr"] = cfg.getfloat("training", "base_lr")
-        settings["warmup_steps"] = cfg.getint("training", "warmup_steps")
-        settings["stage1_steps"] = cfg.getint("training", "stage1_steps")
-    else:
-        settings["finetune_lr"] = cfg.getfloat("training", "finetune_lr")
-    settings["corpus_sha256"] = hashlib.sha256(corpus.read_bytes()).hexdigest()
-    return settings
+    keys = {"train": ("batch_size", "base_lr", "warmup_steps", "stage1_steps"),
+            "finetune": ("batch_size", "finetune_lr")}[stage]
+    return {"seed": cfg.seed, **{key: cfg.value("training", key) for key in keys},
+            "corpus_sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}
 
 
 def _resume_point(resume: str, blob: dict, stage: str, total: int,
@@ -411,34 +390,27 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
     table = AminoAcidTable()
     corpus_path = _require_path(cfg, "corpus", "training spectra")
     corpus = _read_corpus(corpus_path, table, require_truth=True, t_max=cfg.model_config().t_max)
-    total = cfg.getint("training", "stage1_steps")
-    batch_size = cfg.getint("training", "batch_size")
-    every = cfg.getint("training", "checkpoint_every")
-    if total < 1 or batch_size < 1 or every < 1:
-        raise UsageError("stage1_steps, batch_size, and checkpoint_every must be positive")
+    settings = _stage_settings(cfg, "train", corpus_path)
+    total = settings["stage1_steps"]
+    every = cfg.value("training", "checkpoint_every")
     try:
-        lr_cfg = LRConfig(
-            base_lr=cfg.getfloat("training", "base_lr"),
-            warmup_steps=cfg.getint("training", "warmup_steps"),
-            total_steps=total,
-        )
+        lr_cfg = LRConfig(settings["base_lr"], settings["warmup_steps"], total)
     except ValueError as e:
         raise UsageError(f"bad training config: {e}") from e
 
-    resume = cfg.get("paths", "resume")
+    resume = cfg.value("paths", "resume")
     if resume:
         model, blob = _load_model(Path(resume), table)
         if model.cfg != cfg.model_config():
             raise DataError("resume checkpoint's model shape differs from the config")
     else:
         model, blob = Model.build(cfg.model_config(), table, seed=cfg.seed), {}
-    settings = _stage_settings(cfg, "train", corpus_path)
     start, optimizer = _resume_point(resume, blob, "train", total, settings)
     opt = OptimizerState(lr=lr_cfg.base_lr, **optimizer)
     state = TrainState(model, opt, AnnealSchedule(total), lr_cfg, step=start)
     _run_stage(
         out, lambda b: train_stage1_step(model, b, state), corpus,
-        _batches(len(corpus), batch_size, np.random.default_rng([cfg.seed, 1])),
+        _batches(len(corpus), settings["batch_size"], np.random.default_rng([cfg.seed, 1])),
         start, total, every,
         lambda n: _save(out, model, opt, {"train": {"next_step": n, "settings": settings}}),
     )
@@ -453,27 +425,22 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
 
 def cmd_finetune(cfg: RunConfig, out: Path) -> int:
     table = AminoAcidTable()
-    epochs = cfg.getint("training", "finetune_epochs")
-    batch_size = cfg.getint("training", "batch_size")
-    every = cfg.getint("training", "checkpoint_every")
-    lr = cfg.getfloat("training", "finetune_lr")
-    if epochs < 0 or batch_size < 1 or every < 1 or lr < 0:
-        raise UsageError(
-            "finetune_epochs and finetune_lr must be >= 0, batch_size and checkpoint_every positive"
-        )
+    epochs = cfg.value("training", "finetune_epochs")
+    every = cfg.value("training", "checkpoint_every")
     corpus_path = _require_path(cfg, "corpus", "training spectra")
     corpus = _read_corpus(corpus_path, table, require_truth=True)
+    settings = _stage_settings(cfg, "finetune", corpus_path)
+    batch_size = settings["batch_size"]
     total = epochs * -(-len(corpus) // batch_size)  # whole passes over the corpus
-    resume = cfg.get("paths", "resume")
+    resume = cfg.value("paths", "resume")
     ckpt_in = Path(resume) if resume else _require_path(cfg, "checkpoint", "stage-1 checkpoint")
     model, blob = _load_model(ckpt_in, table)
-    settings = _stage_settings(cfg, "finetune", corpus_path)
     start, optimizer = _resume_point(resume, blob, "finetune", total, settings)
 
     frozen = {p: model.store.snapshot(p) for p in ("enc", "nat")}
     for p in frozen:
         model.store.freeze(p)
-    opt = OptimizerState(lr=lr, **optimizer)
+    opt = OptimizerState(lr=settings["finetune_lr"], **optimizer)
     state = TrainState(model, opt, AnnealSchedule(1), LRConfig(), finetune_step=start)
     cache = FeatureCache(model)
     ckpt_out = out / "checkpoint.bin"
@@ -506,23 +473,18 @@ def cmd_finetune(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_decode(cfg: RunConfig, out: Path) -> int:
-    decoder = cfg.get("decoding", "decoder")
+    dec = cfg.section("decoding")
+    decoder, tol, bin_width = dec["decoder"], dec["pmc_tolerance"], dec["pmc_bin"]
     if decoder not in DECODERS:
         raise UsageError(f"decoding.decoder must be one of {', '.join(DECODERS)}; got {decoder!r}")
     table = AminoAcidTable()
-    max_len = cfg.getint("decoding", "max_len")
-    beam_width = cfg.getint("decoding", "beam_width")
-    tol = cfg.getfloat("decoding", "pmc_tolerance")
-    bin_width = cfg.getfloat("decoding", "pmc_bin")
-    if beam_width < 1 or max_len < 0:
-        raise UsageError("decoding.beam_width must be positive and decoding.max_len >= 0")
     try:
         PMCConfig(0.0, tol, bin_width).residue_bins(table)
     except ValueError as e:
-        raise UsageError(f"bad nat-pmc settings: {e}") from e
+        raise UsageError(f"bad decoding.pmc_tolerance or decoding.pmc_bin: {e}") from e
     spectra = _read_corpus(_require_path(cfg, "mgf", "spectra to decode"), table, require_truth=False)
     model, _ = _load_model(_require_path(cfg, "checkpoint", "model checkpoint"), table)
-    max_len = max_len or model.cfg.t_max - 2
+    max_len = dec["max_len"] or model.cfg.t_max - 2
 
     rows = []
     for s in spectra:
@@ -530,7 +492,7 @@ def cmd_decode(cfg: RunConfig, out: Path) -> int:
             r = greedy_at_decode(model, s, max_len=max_len)
             rows.append((s.spectrum_id, str(r.peptide), r.confidence, decoder, r.finished))
         elif decoder == "at-beam":
-            r = beam_search_at(model, s, width=beam_width, max_len=max_len)[0]
+            r = beam_search_at(model, s, width=dec["beam_width"], max_len=max_len)[0]
             rows.append((s.spectrum_id, str(r.peptide), r.confidence, decoder, r.finished))
         else:
             result, conf = nat_pmc_decode(model, s, tolerance=tol, bin_width=bin_width)
@@ -644,7 +606,7 @@ def _add_shared(sub: argparse.ArgumentParser) -> None:
 
 
 # Each command: (function, help, [(flag, config key it sets, help)]). Flag
-# values are strings here; the config's typed getters check them.
+# values are strings here; RunConfig.value checks them.
 _COMMANDS = {
     "simulate": (cmd_simulate, "generate an annotated synthetic corpus", [
         ("--n", "simulation.n_spectra", "number of spectra"),

@@ -39,8 +39,7 @@ class MatchResult:
     peptide_correct: bool
 
 
-def _cursor_pass(pred: list[float], truth: list[float],
-                 prefix_tol: float, residue_tol: float) -> set[tuple[int, int]]:
+def _cursor_pass(pred: list[float], truth: list[float]) -> set[tuple[int, int]]:
     """One left-to-right alignment pass; returns matched (i, j) pairs."""
     pairs: set[tuple[int, int]] = set()
     i = j = 0
@@ -48,8 +47,8 @@ def _cursor_pass(pred: list[float], truth: list[float],
     while i < len(pred) and j < len(truth):
         end_p = cp + pred[i]
         end_t = ct + truth[j]
-        if abs(end_p - end_t) < prefix_tol:
-            if abs(pred[i] - truth[j]) < residue_tol:
+        if abs(end_p - end_t) < PREFIX_TOLERANCE:
+            if abs(pred[i] - truth[j]) < RESIDUE_TOLERANCE:
                 pairs.add((i, j))
             cp, ct = end_p, end_t
             i += 1
@@ -63,17 +62,11 @@ def _cursor_pass(pred: list[float], truth: list[float],
     return pairs
 
 
-def aa_match(
-    pred: Peptide,
-    truth: Peptide,
-    table: AminoAcidTable,
-    prefix_tol: float = PREFIX_TOLERANCE,
-    residue_tol: float = RESIDUE_TOLERANCE,
-) -> MatchResult:
+def aa_match(pred: Peptide, truth: Peptide, table: AminoAcidTable) -> MatchResult:
     pm = [table.mass_of(r) for r in pred]
     tm = [table.mass_of(r) for r in truth]
-    forward = _cursor_pass(pm, tm, prefix_tol, residue_tol)
-    backward = _cursor_pass(pm[::-1], tm[::-1], prefix_tol, residue_tol)
+    forward = _cursor_pass(pm, tm)
+    backward = _cursor_pass(pm[::-1], tm[::-1])
     pairs = forward | {
         (len(pm) - 1 - i, len(tm) - 1 - j) for i, j in backward
     }

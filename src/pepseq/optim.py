@@ -9,6 +9,7 @@ Gradients of updated parameters are cleared after the step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,9 +21,9 @@ __all__ = ["OptimizerState", "adamw_step"]
 @dataclass
 class OptimizerState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
     weight_decay: float = 0.01
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -31,8 +32,6 @@ class OptimizerState:
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError(f"negative learning rate {self.lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
 
 
 def adamw_step(

@@ -268,7 +268,8 @@ def encode_float(v: float | np.ndarray, cfg: FloatEncoderConfig) -> np.ndarray:
     j = np.arange(cfg.d, dtype=np.float64)
     denom = cfg.wavelength_ratio * (cfg.v_min / (2.0 * math.pi)) ** (2.0 * j / cfg.d)
     phase = np.asarray(v, dtype=np.float64)[..., None] / denom
-    return np.where(j < cfg.d / 2, np.sin(phase), np.cos(phase))
+    half = cfg.d // 2
+    return np.concatenate([np.sin(phase[..., :half]), np.cos(phase[..., half:])], axis=-1)
 
 
 def embed_peak(
@@ -322,6 +323,11 @@ def theoretical_ions(peptide: Peptide, table: AminoAcidTable) -> list[Peak]:
     return peaks
 
 
+# Uniform ranges of the intensity and m/z of each added noise peak.
+NOISE_INTENSITY_RANGE = (0.05, 0.3)
+NOISE_MZ_RANGE = (100.0, 1500.0)
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Corruption applied to theoretical ions. Defaults are noiseless."""
@@ -330,8 +336,6 @@ class NoiseConfig:
     drop_prob: float = 0.0
     n_noise_peaks: int = 0
     intensity_range: tuple[float, float] = (1.0, 1.0)
-    noise_intensity_range: tuple[float, float] = (0.05, 0.3)
-    noise_mz_range: tuple[float, float] = (100.0, 1500.0)
 
     def __post_init__(self):
         if self.mz_sigma < 0 or self.drop_prob < 0 or self.drop_prob >= 1:
@@ -375,9 +379,9 @@ def simulate_spectrum(
     if not kept:
         kept.append(Peak(ions[0].mz, float(lo)))
 
-    nlo, nhi = noise.noise_intensity_range
+    nlo, nhi = NOISE_INTENSITY_RANGE
     for _ in range(noise.n_noise_peaks):
-        mz = float(rng.uniform(*noise.noise_mz_range))
+        mz = float(rng.uniform(*NOISE_MZ_RANGE))
         kept.append(Peak(mz, float(rng.uniform(nlo, nhi))))
 
     sid = spectrum_id if spectrum_id is not None else f"synth-{seed:08d}"

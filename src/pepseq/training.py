@@ -310,7 +310,7 @@ def finetune_stage2_step(
     model: Model,
     batch: Sequence[Spectrum],
     state: TrainState,
-    cache: FeatureCache | None = None,
+    cache: FeatureCache,
 ) -> dict:
     """One fine-tuning step over the AT partition only.
 
@@ -328,11 +328,7 @@ def finetune_stage2_step(
     terms = []
     for s in batch:
         ids = _truth_ids(model, s)
-        if cache is not None:
-            enc, nat_latents = cache.get(s)
-        else:
-            enc = model.encode_spectrum(s)
-            nat_latents = model.nat_forward(enc).latents
+        enc, nat_latents = cache.get(s)
         terms.append(_at_sample_loss(model, s, ids, enc, nat_latents))
     loss = ad.mul(_sum_terms(terms), ad.constant(1.0 / len(batch)))
     if not np.isfinite(loss.values):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -513,6 +514,12 @@ class TestDecode:
     ("finetune", ["--set", "training.finetune_lr=inf"]),
     ("simulate", ["--set", "simulation.mz_sigma=nan"]),
     ("simulate", ["--set", "simulation.drop_prob=nan"]),
+    # each setting with a least value in cli.SETTINGS, just under it
+    ("train", ["--set", "training.stage1_steps=0"]),
+    ("train", ["--set", "training.batch_size=0"]),
+    ("simulate", ["--set", "simulation.n_spectra=0"]),
+    ("simulate", ["--set", "simulation.min_len=0"]),
+    ("finetune", ["--set", "training.finetune_epochs=-1"]),
 ])
 def test_bad_decode_and_finetune_settings_are_usage_errors(pipeline, tmp_path, capsys, command, args):
     corpus = str(pipeline / "sim" / "spectra.mgf")
@@ -524,8 +531,32 @@ def test_bad_decode_and_finetune_settings_are_usage_errors(pipeline, tmp_path, c
     }[command]
     out = tmp_path / "out"
     assert run(command, "--seed", "5", "--out", str(out), *TINY, *inputs, *args) == 1
-    assert "usage error" in capsys.readouterr().err
+    flag, value = args[-2:]  # the last flag sets the bad value
+    flags = {f: key for f, key, _ in cli._COMMANDS[command][2]}
+    key = value.partition("=")[0] if flag == "--set" else flags[flag]
+    err = capsys.readouterr().err
+    assert "usage error" in err and key in err
     assert list(out.iterdir()) == []  # rejected before any work
+
+
+def test_every_default_converts_and_meets_its_bound():
+    for section, keys in cli.SETTINGS.items():
+        for key, (default, kind, least) in keys.items():
+            value = kind(default)
+            assert least is None or value >= least, f"{section}.{key}"
+
+
+def test_readme_settings_table_matches_settings():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| (.*) \| (\w+) \| (.*) \|$", readme, re.MULTILINE)
+    table = {(section, key): (default, kind, least) for section, key, default, kind, least in rows}
+    want = {
+        (section, key): (f"`{default}`" if default else "", kind.__name__,
+                         "—" if least is None else f"`{least}`")
+        for section, keys in cli.SETTINGS.items()
+        for key, (default, kind, least) in keys.items()
+    }
+    assert table == want
 
 
 @pytest.mark.parametrize("command", ["train", "decode"])
