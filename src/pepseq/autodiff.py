@@ -239,7 +239,7 @@ def gelu(a: Tensor) -> Tensor:
     """GELU in the tanh approximation (smooth everywhere)."""
     x = a.values
     k = np.sqrt(2.0 / np.pi)
-    inner = k * (x + 0.044715 * x**3)
+    inner = k * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out_vals = 0.5 * x * (1.0 + t)
 
