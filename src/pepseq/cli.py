@@ -183,6 +183,7 @@ class RunConfig:
         return value
 
     def section(self, name: str) -> dict:
+        """Every setting of section ``name``, each read as ``value`` reads it."""
         return {key: self.value(name, key) for key in SETTINGS[name]}
 
     def model_config(self) -> ModelConfig:
