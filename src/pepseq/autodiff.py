@@ -8,12 +8,13 @@ topological order and accumulates gradients into every node that requires
 them; leaves created with ``requires_grad=True`` end up holding ``.grad``
 arrays of the same shape as their values.
 
-Only the primitives needed by the sequencing model live here: elementwise
-arithmetic with broadcasting, matmul by a 2-D right operand (a weight,
-shared by every leading index of the left), a handful of fused numerically
-stable ops (log-softmax, softmax, layer norm, log-add-exp, and multi-head
-attention as one node), shape surgery (slicing, concat, reshape, transpose,
-gather), GELU, and ``stop_gradient``.
+Only the primitives the sequencing model differentiates live here:
+``add``, ``mul`` and ``neg`` with broadcasting, ``gelu``, shape surgery
+(slicing, ``concat``, ``gather``, ``take_per_row``), the fused ops
+``log_softmax``, ``layer_norm``, ``linear`` (a weight shared by every
+leading index of the input) and ``scaled_dot_attention`` (multi-head
+attention), each one graph node, the reduction ``sum_all``, and
+``stop_gradient``.
 """
 
 from __future__ import annotations
@@ -29,27 +30,18 @@ __all__ = [
     "constant",
     "parameter",
     "add",
-    "sub",
     "mul",
     "neg",
-    "matmul",
-    "transpose",
-    "reshape",
     "concat",
     "gather",
     "take_per_row",
-    "exp",
-    "log",
     "gelu",
-    "logaddexp",
     "log_softmax",
-    "softmax",
     "layer_norm",
     "linear",
     "scaled_dot_attention",
     "stop_gradient",
     "sum_all",
-    "mean_all",
     "backward",
     "finite_diff_check",
 ]
@@ -104,12 +96,6 @@ class Tensor:
     def __radd__(self, other):
         return add(_lift(other), self)
 
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other))
 
@@ -118,9 +104,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
 
     def __getitem__(self, key):
         return _slice(self, key)
@@ -190,16 +173,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_vals, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_vals = a.values - b.values
-
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _node(out_vals, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_vals = a.values * b.values
 
@@ -217,24 +190,6 @@ def neg(a: Tensor) -> Tensor:
     return _node(-a.values, (a,), bwd)
 
 
-def exp(a: Tensor) -> Tensor:
-    out_vals = np.exp(a.values)
-
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, g * out_vals)
-
-    return _node(out_vals, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    out_vals = np.log(a.values)
-
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, g / a.values)
-
-    return _node(out_vals, (a,), bwd)
-
-
 def gelu(a: Tensor) -> Tensor:
     """GELU in the tanh approximation (smooth everywhere)."""
     x = a.values
@@ -250,57 +205,8 @@ def gelu(a: Tensor) -> Tensor:
     return _node(out_vals, (a,), bwd)
 
 
-def logaddexp(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise log(exp(a) + exp(b)); -inf inputs behave as log(0)."""
-    out_vals = np.logaddexp(a.values, b.values)
-
-    def bwd(g: np.ndarray) -> None:
-        # Where both inputs are -inf the output is -inf and the path carries
-        # no probability mass: its gradient weight is 0, not exp(nan).
-        dead = np.isneginf(out_vals)
-        with np.errstate(invalid="ignore"):
-            wa = np.where(dead, 0.0, np.exp(a.values - out_vals))
-            wb = np.where(dead, 0.0, np.exp(b.values - out_vals))
-        _accum(a, _unbroadcast(g * wa, a.shape))
-        _accum(b, _unbroadcast(g * wb, b.shape))
-
-    return _node(out_vals, (a, b), bwd)
-
-
 # ---------------------------------------------------------------------------
-# linear algebra and shape surgery
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for ``a`` of shape [..., m, k] and a 2-D ``b`` [k, n], which
-    every leading index of ``a`` shares."""
-    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise DimensionError(f"matmul shapes do not match: {a.shape} @ {b.shape}")
-    out_vals = a.values @ b.values
-
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, g @ b.values.T)
-        _accum(b, _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape))
-
-    return _node(out_vals, (a, b), bwd)
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Reverse the axes, as ``numpy.transpose`` does."""
-
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, g.transpose())
-
-    return _node(a.values.transpose(), (a,), bwd)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out_vals = a.values.reshape(shape)
-
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, g.reshape(a.shape))
-
-    return _node(out_vals, (a,), bwd)
+# shape surgery
 
 
 def _slice(a: Tensor, key) -> Tensor:
@@ -386,8 +292,8 @@ def log_softmax(a: Tensor) -> Tensor:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax values over the last axis, of ``softmax`` and attention; NaN
-    input and a row with no finite entry are errors."""
+    """Softmax values over the last axis, for attention; NaN input and a row
+    with no finite entry are errors."""
     if np.isnan(x).any():
         raise NumericError("softmax input contains NaN")
     m = np.max(x, axis=-1, keepdims=True)
@@ -397,16 +303,6 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     if np.any(denom == 0.0):
         raise NumericError("softmax row has no finite entry")
     return e / denom
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    out_vals = _softmax(a.values)
-
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, out_vals * (g - (g * out_vals).sum(axis=-1, keepdims=True)))
-
-    return _node(out_vals, (a,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -438,10 +334,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for x of shape [..., in], at least 2-D; w is [in, out], b is [out]."""
+    """x @ w + b as one node, for x of shape [..., m, in]; the 2-D weight w
+    [in, out] is shared by every leading index of x, and b is [out]."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise DimensionError(f"linear shapes do not match: {x.shape} @ {w.shape}")
     if b.shape != w.shape[1:]:
         raise DimensionError(f"linear bias shape {b.shape} does not match weight {w.shape}")
-    return add(matmul(x, w), b)
+
+    # The backward of a matmul, add graph, in its order: gradients equal
+    # that graph's bit for bit.
+    def bwd(g: np.ndarray) -> None:
+        _accum(b, _unbroadcast(g, b.shape))
+        if x.requires_grad:
+            _accum(x, g @ w.values.T)
+        if w.requires_grad:
+            _accum(w, _unbroadcast(np.swapaxes(x.values, -1, -2) @ g, w.shape))
+
+    return _node(x.values @ w.values + b.values, (x, w, b), bwd)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
@@ -500,17 +409,6 @@ def sum_all(a: Tensor) -> Tensor:
         _accum(a, np.broadcast_to(g, a.shape).copy() if a.shape else np.asarray(g))
 
     return _node(np.asarray(a.values.sum()), (a,), bwd)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.size
-    if n == 0:
-        raise DimensionError("mean of an empty tensor")
-
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, np.full(a.shape, float(g) / n) if a.shape else np.asarray(g))
-
-    return _node(np.asarray(a.values.mean()), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

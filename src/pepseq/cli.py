@@ -62,17 +62,19 @@ EXIT_NUMERIC = 3
 DECODERS = ("at-greedy", "at-beam", "nat-pmc")
 
 # Every setting, as section -> key -> (default text, type, least value). A
-# least value of None leaves the range to the config object that takes the
-# value (ModelConfig, NoiseConfig, LRConfig, PMCConfig) or to the command.
+# least value bounds one key; None leaves its range to the config object that
+# takes it (NoiseConfig, LRConfig, PMCConfig) or to the command. The config
+# objects also check the bounds that compare keys: ModelConfig an even d that
+# heads divides, LRConfig a warm-up shorter than the run.
 SETTINGS: dict[str, dict[str, tuple[str, type, int | float | None]]] = {
     "model": {
-        "d": ("64", int, None),
-        "heads": ("2", int, None),
-        "hidden": ("128", int, None),
-        "enc_layers": ("2", int, None),
-        "at_layers": ("2", int, None),
-        "nat_layers": ("2", int, None),
-        "t_max": ("24", int, None),
+        "d": ("64", int, 2),
+        "heads": ("2", int, 1),
+        "hidden": ("128", int, 1),
+        "enc_layers": ("2", int, 1),
+        "at_layers": ("2", int, 1),
+        "nat_layers": ("2", int, 1),
+        "t_max": ("24", int, 1),
     },
     "training": {
         "seed": ("", str, None),  # --seed or this one is required
@@ -80,7 +82,7 @@ SETTINGS: dict[str, dict[str, tuple[str, type, int | float | None]]] = {
         "finetune_epochs": ("200", int, 0),
         "base_lr": ("5e-4", float, None),
         "finetune_lr": ("1e-4", float, 0.0),
-        "warmup_steps": ("100", int, None),
+        "warmup_steps": ("100", int, 0),
         "batch_size": ("10", int, 1),
         "checkpoint_every": ("500", int, 1),
     },
@@ -134,7 +136,12 @@ class RunConfig:
                 cp.read_string(path.read_text(), source=str(path))
             except configparser.Error as e:
                 raise UsageError(f"bad config file: {e}") from e
-            cls._check_known(cp, f"config file {path}")
+            for section in cp.sections():
+                if section not in SETTINGS:
+                    raise UsageError(f"config file {path}: unknown section [{section}]")
+                for option in cp[section]:
+                    if option not in SETTINGS[section]:
+                        raise UsageError(f"config file {path}: unknown key {section}.{option}")
         for item in sets:
             key, sep, value = item.partition("=")
             section, dot, option = key.partition(".")
@@ -143,7 +150,6 @@ class RunConfig:
             if section not in SETTINGS or option not in SETTINGS[section]:
                 raise UsageError(f"unknown config key {section}.{option}")
             cp[section][option] = value
-        cls._check_known(cp, "config")
         seed_text = cp["training"]["seed"]
         if seed_flag is not None:
             seed = seed_flag
@@ -156,15 +162,6 @@ class RunConfig:
             raise UsageError("a seed is required (--seed N or training.seed in the config)")
         cp["training"]["seed"] = str(seed)
         return cls(cp, seed)
-
-    @staticmethod
-    def _check_known(cp: configparser.ConfigParser, source: str) -> None:
-        for section in cp.sections():
-            if section not in SETTINGS:
-                raise UsageError(f"{source}: unknown section [{section}]")
-            for option in cp[section]:
-                if option not in SETTINGS[section]:
-                    raise UsageError(f"{source}: unknown key {section}.{option}")
 
     def value(self, section: str, key: str):
         """``section.key`` as its type. Text that does not convert, a float
@@ -190,7 +187,7 @@ class RunConfig:
         try:
             return ModelConfig(**self.section("model"))
         except ValueError as e:
-            raise UsageError(f"bad model config: {e}") from e
+            raise UsageError(f"bad model.d or model.heads: {e}") from e
 
     def canonical(self) -> str:
         lines = []
@@ -397,7 +394,9 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
     try:
         lr_cfg = LRConfig(settings["base_lr"], settings["warmup_steps"], total)
     except ValueError as e:
-        raise UsageError(f"bad training config: {e}") from e
+        raise UsageError(
+            f"bad training.base_lr, training.warmup_steps or training.stage1_steps: {e}"
+        ) from e
 
     resume = cfg.value("paths", "resume")
     if resume:
@@ -503,8 +502,8 @@ def cmd_decode(cfg: RunConfig, out: Path) -> int:
     with pred_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["spectrum_id", "predicted_sequence", "confidence", "decoder", "feasible_flag"])
-        for sid, seq, conf, dec, flag in rows:
-            writer.writerow([sid, seq, conf, dec, str(bool(flag)).lower()])
+        for sid, seq, conf, name, flag in rows:
+            writer.writerow([sid, seq, conf, name, str(bool(flag)).lower()])
     _write_manifest(out, "decode", cfg, {
         "decoder": decoder,
         "n_spectra": len(rows),
@@ -660,10 +659,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, MGFParseError, CheckpointError, VocabularyError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as e:
+    except (DataError, MGFParseError, CheckpointError, VocabularyError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as e:

@@ -62,11 +62,11 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.d <= 0 or self.d % 2:
-            raise ValueError(f"model width must be positive and even, got {self.d}")
+            raise ValueError(f"d must be positive and even, got {self.d}")
         if self.heads <= 0 or self.d % self.heads:
-            raise ValueError(f"width {self.d} not divisible by heads {self.heads}")
+            raise ValueError(f"heads must be positive and divide d: d {self.d}, heads {self.heads}")
         if min(self.hidden, self.enc_layers, self.at_layers, self.nat_layers, self.t_max) <= 0:
-            raise ValueError("hidden, layer counts, and t_max must be positive")
+            raise ValueError("hidden, enc_layers, at_layers, nat_layers and t_max must be positive")
 
     @property
     def mz_encoder(self) -> FloatEncoderConfig:

@@ -190,10 +190,12 @@ class LRConfig:
     total_steps: int = 2000
 
     def __post_init__(self):
-        if self.base_lr <= 0 or self.total_steps <= 0 or self.warmup_steps < 0:
-            raise ValueError("learning-rate schedule needs positive base lr and total")
+        if self.base_lr <= 0 or self.warmup_steps < 0:
+            raise ValueError(f"base_lr must be positive and warmup_steps at least 0, got "
+                             f"{self.base_lr} and {self.warmup_steps}")
         if self.warmup_steps >= self.total_steps:
-            raise ValueError("warmup must be shorter than the run")
+            raise ValueError(f"warmup_steps {self.warmup_steps} must be less than "
+                             f"total_steps {self.total_steps}")
 
 
 def learning_rate(step: int, cfg: LRConfig) -> float:

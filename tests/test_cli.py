@@ -520,6 +520,9 @@ class TestDecode:
     ("simulate", ["--set", "simulation.n_spectra=0"]),
     ("simulate", ["--set", "simulation.min_len=0"]),
     ("finetune", ["--set", "training.finetune_epochs=-1"]),
+    ("train", ["--set", "training.warmup_steps=-1"]),
+    ("train", ["--set", "model.d=0"]),
+    ("train", ["--set", "model.t_max=0"]),
 ])
 def test_bad_decode_and_finetune_settings_are_usage_errors(pipeline, tmp_path, capsys, command, args):
     corpus = str(pipeline / "sim" / "spectra.mgf")

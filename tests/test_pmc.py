@@ -151,6 +151,20 @@ def test_repeat_after_blank_is_not_a_new_residue():
     assert ctc_collapse([a, blank, a], blank) == [a, a]
 
 
+@pytest.mark.xfail(strict=True, reason="the DP and its oracle read A ε A as one A, "
+                   "where CTC training and ctc_collapse read AA")
+def test_repeat_across_a_blank_reaches_the_mass_of_two_residues():
+    table = AminoAcidTable(entries=(("A", 1.0), ("B", 1.7)))
+    a, blank = 0, table.blank_id
+    lp = np.full((3, 3), -10.0)
+    lp[[0, 1, 2], [a, blank, a]] = 10.0
+    lp = log_softmax(lp)
+    cfg = PMCConfig(target_mass=2.0, tolerance=0.1, bin_width=0.01)  # AA only
+    for got in (pmc_decode(lp, cfg, table), pmc_bruteforce_oracle(lp, cfg, table)):
+        assert got.feasible
+        assert str(got.peptide) == "AA"
+
+
 def test_single_frame_best_residue_in_window():
     lp = log_softmax(np.array([[0.2, 1.5, 0.7]]))  # A, G, blank
     cfg = window_config(56.0, 58.0, bin_width=1.0)  # only G fits
