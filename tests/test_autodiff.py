@@ -24,6 +24,14 @@ class TestForwardValues:
         assert_allclose((a + b).values, a.values + b.values)
         assert_allclose((a * b).values, a.values * b.values)
 
+    def test_matmul_matches_numpy(self):
+        # The matrix product is computed inside ad.linear; a zero bias leaves it bare.
+        rng = make_rng(2)
+        a = ad.parameter(rng.normal(size=(3, 5)))
+        b = ad.parameter(rng.normal(size=(5, 2)))
+        out = ad.linear(a, b, ad.constant(np.zeros(2)))
+        assert_allclose(out.values, a.values @ b.values)
+
     def test_linear_shape_errors(self):
         x = ad.parameter(np.zeros((3, 4)))
         b = ad.parameter(np.zeros(2))
