@@ -247,20 +247,20 @@ def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
 
 
 def take_per_row(a: Tensor, indices) -> Tensor:
-    """out[i] = a[i, indices[i]] for a 2-D tensor."""
-    if a.ndim != 2:
-        raise DimensionError(f"take_per_row expects a 2-D tensor, got shape {a.shape}")
+    """out[...] = a[..., indices[...]]: one entry of the last axis per row,
+    for ``a`` [..., V] and integer ``indices`` [...]."""
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.shape != (a.shape[0],):
+    if a.ndim < 1 or idx.shape != a.shape[:-1]:
         raise DimensionError(
-            f"take_per_row needs one index per row: {idx.shape} vs {a.shape[0]} rows"
+            f"take_per_row needs one index per row: {idx.shape} vs rows {a.shape[:-1]}"
         )
-    rows = np.arange(a.shape[0])
-    out_vals = a.values[rows, idx]
+    # Each row is read once, so the scatter below meets no index twice.
+    key = np.indices(idx.shape, sparse=True) + (idx,)
+    out_vals = a.values[key]
 
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
-            np.add.at(_grad_buffer(a), (rows, idx), g)
+            _grad_buffer(a)[key] += g
 
     return _node(out_vals, (a,), bwd)
 
@@ -360,8 +360,10 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | Non
     ``q`` is [..., L, d]; ``k`` and ``v`` are [..., S, d] with leading axes
     equal to the last ones of ``q``, so one [S, d] context serves queries
     [n, L, d]. The last axis splits into ``heads`` heads of width d_h, merged
-    back in the [..., L, d] result. ``mask`` is a boolean [L, S] array, True
-    where attention is allowed; a row with no allowed position is an error.
+    back in the [..., L, d] result. ``mask`` is a boolean array, True where
+    attention is allowed, that broadcasts to [..., L, S]: a causal [L, S]
+    mask, or a key-padding mask [B, 1, S] of a padded batch. Every head sees
+    the same mask. A query row with no allowed position is an error.
     """
     if (not 2 <= k.ndim <= q.ndim or k.shape[:-2] != q.shape[q.ndim - k.ndim : -2]
             or v.shape != k.shape or q.shape[-1] != k.shape[-1] or q.shape[-1] % heads):
@@ -379,11 +381,12 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | Non
     scores = (qh @ kt) * scale
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != scores.shape[-2:]:
-            raise DimensionError(f"mask shape {mask.shape} does not match scores {scores.shape[-2:]}")
-        if not mask.any(axis=1).all():
+        rows = scores.shape[:-3] + scores.shape[-2:]  # the scores without their heads axis
+        if mask.ndim > len(rows) or any(m not in (1, r) for m, r in zip(mask.shape[::-1], rows[::-1])):
+            raise DimensionError(f"mask shape {mask.shape} does not broadcast to scores {rows}")
+        if not mask.any(axis=-1).all():
             raise NumericError("attention mask leaves a query row with no allowed position")
-        scores = scores + np.where(mask, 0.0, -np.inf)
+        scores = scores + np.where(mask, 0.0, -np.inf)[..., None, :, :]
     p = _softmax(scores)
 
     # Each expression, in order, is the backward of a matmul, scale, mask,
@@ -445,9 +448,14 @@ def backward(loss: Tensor) -> None:
         return
     order = _topo_order(loss)
     loss.grad = np.ones_like(loss.values)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        # The node has passed its gradient on. Unlinking it frees what its
+        # closure holds, and the node itself once no caller keeps it.
+        node._backward = None
+        node._parents = ()
 
 
 # ---------------------------------------------------------------------------

@@ -212,14 +212,20 @@ def _read_corpus(
 ) -> list[Spectrum]:
     """Parse an MGF corpus and reject spectra the model cannot take.
 
-    With ``t_max`` set (training), a target must fit the NAT frame axis.
+    Spectrum ids must be unique: fine-tuning caches features by id, and
+    evaluation joins predictions to truths by id. With ``t_max`` set
+    (training), a target must fit the NAT frame axis.
     """
     if not path.is_file():
         raise DataError(f"spectra file not found: {path}")
     spectra = parse_mgf(path.read_text(), table=table)
     if not spectra:
         raise DataError(f"no spectra in {path}")
+    seen = set()
     for s in spectra:
+        if s.spectrum_id in seen:
+            raise DataError(f"{path}: spectrum id {s.spectrum_id!r} appears more than once")
+        seen.add(s.spectrum_id)
         if s.charge > MAX_CHARGE:
             raise DataError(
                 f"{path}: spectrum {s.spectrum_id!r} has charge {s.charge}; "

@@ -19,6 +19,10 @@ After joint training the AT decoder can be fine-tuned with an augmented
 cross-attention context: the NAT latents (gradient-blocked, plus a learned
 segment embedding) concatenated with the encoder features (plus their own
 segment embedding). Both segment vectors belong to the AT partition.
+
+Training runs a batch of spectra as one padded batch: the encoder takes a
+list of spectra and returns :class:`Padded` features, whose padding rows
+every attention masks out as keys. Decoding runs one spectrum, unpadded.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from .spectra import (
     encode_float,
 )
 
-__all__ = ["ModelConfig", "Model", "NATFeatures", "MAX_CHARGE", "prefix_suffix_masses"]
+__all__ = ["ModelConfig", "Model", "NATFeatures", "Padded", "MAX_CHARGE", "pad_rows",
+           "prefix_suffix_masses"]
 
 MAX_CHARGE = 10
 
@@ -90,8 +95,34 @@ class ModelConfig:
 class NATFeatures(NamedTuple):
     """NAT decoder output: latents fed to cross-decoder attention, and logits."""
 
-    latents: Tensor  # [t_max, d]
-    logits: Tensor  # [t_max, nat_vocab]
+    latents: Tensor  # [t_max, d], or [B, t_max, d] for a batch
+    logits: Tensor  # [t_max, nat_vocab], or [B, t_max, nat_vocab]
+
+
+class Padded(NamedTuple):
+    """Row sets of unequal length padded into one batch: ``rows`` [B, S, d]
+    and ``mask`` [B, S], True on the real rows. Used as a cross-attention
+    context, its padding rows are masked out as keys."""
+
+    rows: Tensor
+    mask: np.ndarray
+
+
+def pad_rows(row_sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays [n_b, ...] of unequal n_b as one zero-padded array
+    [B, n_max, ...] and its mask [B, n_max], True on the real rows."""
+    lengths = np.array([len(rows) for rows in row_sets])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    padded = np.zeros(mask.shape + row_sets[0].shape[1:], dtype=row_sets[0].dtype)
+    padded[mask] = np.concatenate(row_sets)
+    return padded, mask
+
+
+def _keys(context: Tensor | Padded) -> tuple[Tensor, np.ndarray | None]:
+    """A context's rows and the key mask [B, 1, S] its attention needs."""
+    if isinstance(context, Padded):
+        return context.rows, context.mask[:, None, :]
+    return context, None
 
 
 def prefix_suffix_masses(residue_ids: Sequence[int] | np.ndarray, neutral_mass: float,
@@ -198,17 +229,17 @@ class Model:
         return ad.linear(h, self._p(partition, f"{prefix}.w2"), self._p(partition, f"{prefix}.b2"))
 
     def _stack(self, partition: str, layers: int, x: Tensor, mask: np.ndarray | None,
-               context: Tensor | None = None) -> Tensor:
+               context: Tensor | None = None, key_mask: np.ndarray | None = None) -> Tensor:
         """Pre-norm transformer stack: self-attention under ``mask``, then
-        cross-attention to ``context`` when one is given (the decoders),
-        then feed-forward; then the final norm."""
+        cross-attention to ``context`` under ``key_mask`` when a context is
+        given (the decoders), then feed-forward; then the final norm."""
         for i in range(layers):
             normed = self._ln(partition, f"layer{i}.ln1", x)
             x = ad.add(x, self._mha(partition, f"layer{i}.self", normed, normed, mask))
             ffn_ln = "ln2"
             if context is not None:
                 normed = self._ln(partition, f"layer{i}.ln2", x)
-                x = ad.add(x, self._mha(partition, f"layer{i}.cross", normed, context, None))
+                x = ad.add(x, self._mha(partition, f"layer{i}.cross", normed, context, key_mask))
                 ffn_ln = "ln3"
             normed = self._ln(partition, f"layer{i}.{ffn_ln}", x)
             x = ad.add(x, self._ffn(partition, f"layer{i}.ffn", normed))
@@ -223,31 +254,54 @@ class Model:
         Returns (precursor_row [1, d] including the learned charge embedding,
         peak_rows [k, d] as plain float arrays).
         """
+        peak_rows = self._peak_rows(spectrum)  # checks the charge first
+        return self._precursor_rows([spectrum.charge], spectrum.neutral_mass), peak_rows
+
+    def _peak_rows(self, spectrum: Spectrum) -> np.ndarray:
         if not 1 <= spectrum.charge <= MAX_CHARGE:
             raise ValueError(
                 f"spectrum {spectrum.spectrum_id!r}: charge {spectrum.charge} outside "
                 f"the supported range 1..{MAX_CHARGE}"
             )
-        mz_cfg = self.cfg.mz_encoder
-        peak_rows = embed_peak(spectrum.peaks, mz_cfg, self.cfg.intensity_encoder, spectrum.max_intensity)
-        mass_row = ad.constant(encode_float(spectrum.neutral_mass, mz_cfg))
-        charge_row = ad.gather(self._p("enc", "charge_emb"), [spectrum.charge - 1])
-        return ad.add(charge_row, mass_row), peak_rows
+        return embed_peak(spectrum.peaks, self.cfg.mz_encoder, self.cfg.intensity_encoder,
+                          spectrum.max_intensity)
 
-    def run_encoder(self, rows: Tensor) -> Tensor:
-        """Pre-norm self-attention stack over [k+1, d] rows; no positions."""
-        return self._stack("enc", self.cfg.enc_layers, rows, None)
+    def _precursor_rows(self, charges, neutral_masses) -> Tensor:
+        """Charge embeddings [..., d] of ``charges`` [...] plus the encodings
+        of ``neutral_masses``, which broadcast against them."""
+        charge_rows = ad.gather(self._p("enc", "charge_emb"), np.asarray(charges) - 1)
+        return ad.add(charge_rows, ad.constant(encode_float(neutral_masses, self.cfg.mz_encoder)))
 
-    def encode_spectrum(self, spectrum: Spectrum) -> Tensor:
-        precursor_row, peak_rows = self.spectrum_rows(spectrum)
-        x = ad.concat([precursor_row, ad.constant(peak_rows)], axis=0)
-        return self.run_encoder(x)
+    def run_encoder(self, rows: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Pre-norm self-attention stack over [k+1, d] rows, or padded
+        [B, K+1, d] rows under the key mask [B, 1, K+1]; no positions."""
+        return self._stack("enc", self.cfg.enc_layers, rows, mask)
+
+    def encode_spectrum(self, spectrum: Spectrum | Sequence[Spectrum]) -> Tensor | Padded:
+        """Encoder features [k+1, d] of one spectrum. A sequence of spectra
+        is encoded as one padded batch [B, K_max+1, d], whose padding rows
+        are masked out as keys."""
+        if isinstance(spectrum, Spectrum):
+            precursor_row, peak_rows = self.spectrum_rows(spectrum)
+            return self.run_encoder(ad.concat([precursor_row, ad.constant(peak_rows)], axis=0))
+        peaks, real = pad_rows([self._peak_rows(s) for s in spectrum])
+        mask = np.concatenate([np.ones((len(real), 1), dtype=bool), real], axis=1)  # row 0: precursor
+        precursor_rows = self._precursor_rows([[s.charge] for s in spectrum],
+                                              [[s.neutral_mass] for s in spectrum])
+        x = ad.concat([precursor_rows, ad.constant(peaks)], axis=1)
+        return Padded(self.run_encoder(x, mask[:, None, :]), mask)
 
     # ------------------------------------------------------------------
     # NAT decoder
 
-    def nat_forward(self, enc_features: Tensor) -> NATFeatures:
-        latents = self._stack("nat", self.cfg.nat_layers, self._p("nat", "pos_emb"), None, enc_features)
+    def nat_forward(self, enc_features: Tensor | Padded) -> NATFeatures:
+        """Latents and logits of the ``t_max`` frames; features of a batch
+        give one set of frames per row."""
+        context, key_mask = _keys(enc_features)
+        x = self._p("nat", "pos_emb")
+        if context.ndim == 3:  # every row starts from the same position embeddings
+            x = ad.add(ad.constant(np.zeros(context.shape[:1] + x.shape)), x)
+        latents = self._stack("nat", self.cfg.nat_layers, x, None, context, key_mask)
         logits = ad.linear(latents, self._p("nat", "out.w"), self._p("nat", "out.b"))
         return NATFeatures(latents, logits)
 
@@ -258,7 +312,7 @@ class Model:
         self,
         tokens: Sequence[int] | np.ndarray,
         masses: np.ndarray,
-        enc_features: Tensor,
+        enc_features: Tensor | Padded,
         nat_latents: Tensor | None = None,
         block_nat_grad: bool = True,
     ) -> Tensor:
@@ -267,7 +321,10 @@ class Model:
         ``masses`` [..., L, 2] holds one (prefix, suffix) pair per input
         position; both are embedded with the fixed m/z encoder and summed
         into the token embedding. One [S, d] context serves every leading
-        index of ``tokens``, so K and V are projected once for all of them.
+        index of ``tokens``, so K and V are projected once for all of them;
+        a padded batch of contexts [B, S, d] serves tokens [B, L], one row
+        each. Rows of unequal length are right-padded, so under the causal
+        mask a real position never sees a padding one.
         With ``nat_latents`` the cross-attention context becomes [NAT
         latents + seg_nat ; encoder features + seg_enc]; gradient into the
         NAT latents is blocked unless ``block_nat_grad=False`` (the
@@ -287,20 +344,22 @@ class Model:
         mass_rows = encode_float(masses[..., 0], mz_cfg) + encode_float(masses[..., 1], mz_cfg)
         x = ad.add(ad.gather(self._p("at", "tok_emb"), tokens), ad.constant(mass_rows))
 
-        if nat_latents is None:
-            context = enc_features
-        else:
+        context, key_mask = _keys(enc_features)
+        if nat_latents is not None:
             nv = ad.stop_gradient(nat_latents) if block_nat_grad else nat_latents
             context = ad.concat(
                 [
                     ad.add(nv, self._p("at", "seg_nat")),
-                    ad.add(enc_features, self._p("at", "seg_enc")),
+                    ad.add(context, self._p("at", "seg_enc")),
                 ],
                 axis=-2,
             )
+            if key_mask is not None:  # every NAT frame is a real key
+                frames = np.ones(key_mask.shape[:-1] + nv.shape[-2:-1], dtype=bool)
+                key_mask = np.concatenate([frames, key_mask], axis=-1)
 
         causal = np.tril(np.ones((tokens.shape[-1],) * 2, dtype=bool))
-        x = self._stack("at", self.cfg.at_layers, x, causal, context)
+        x = self._stack("at", self.cfg.at_layers, x, causal, context, key_mask)
         return ad.linear(x, self._p("at", "out.w"), self._p("at", "out.b"))
 
     # ------------------------------------------------------------------

@@ -12,6 +12,10 @@ Stage 2 freezes the encoder and NAT partitions, switches the AT decoder to
 the augmented cross-attention context (NAT latents, gradient-blocked, next
 to the encoder features), and fine-tunes only the AT partition with
 cross-entropy.
+
+Each step pads its batch into one forward: spectra of unequal peak counts
+share one encoder pass, targets of unequal length one AT pass and one CTC
+recursion.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, Tensor
-from .network import Model, prefix_suffix_masses
+from .network import Model, Padded, pad_rows, prefix_suffix_masses
 from .optim import OptimizerState, adamw_step
 from .spectra import Spectrum
 
@@ -50,20 +54,20 @@ __all__ = [
 INFEASIBLE_CTC_LOSS = 1e4
 
 
-def ce_loss(logits: Tensor, targets: Sequence[int], pad_id: int | None = None) -> Tensor:
-    """Summed next-token cross-entropy; positions whose target is PAD are skipped."""
-    targets = list(targets)
-    if logits.ndim != 2 or logits.shape[0] != len(targets):
+def ce_loss(logits: Tensor, targets: Sequence[int] | np.ndarray, pad_id: int | None = None) -> Tensor:
+    """Next-token cross-entropy of logits [..., L, V] against targets [..., L],
+    summed over every position; positions whose target is PAD are skipped."""
+    targets = np.asarray(targets, dtype=np.intp)
+    if logits.ndim < 2 or targets.shape != logits.shape[:-1]:
         raise ad.DimensionError(
-            f"logits {logits.shape} do not match {len(targets)} target positions"
+            f"logits {logits.shape} do not match targets {targets.shape}"
         )
-    log_probs = ad.log_softmax(logits)
-    picked = ad.take_per_row(log_probs, targets)
+    picked = ad.take_per_row(ad.log_softmax(logits), targets)
     if pad_id is not None:
-        keep = np.array([t != pad_id for t in targets], dtype=np.float64)
-        if keep.sum() == 0:
+        keep = targets != pad_id
+        if not keep.any():
             raise ad.DimensionError("all target positions are PAD")
-        picked = ad.mul(picked, ad.constant(keep))
+        picked = ad.mul(picked, ad.constant(keep.astype(np.float64)))
     return ad.neg(ad.sum_all(picked))
 
 
@@ -79,29 +83,37 @@ def ctc_required_frames(target_ids: Sequence[int]) -> int:
 
 
 def _ctc_alpha(emit: np.ndarray, aug: np.ndarray, blank_id: int) -> np.ndarray:
-    """Log-domain forward variables α[t, s] over the [T, 2U+1] emissions
-    ``emit[t, s] = log P_t(aug[s])``; α_t(s) includes frame t's emission."""
-    T, U2 = emit.shape
+    """Log-domain forward variables α[b, t, s] over the [B, T, S] emissions
+    ``emit[b, t, s] = log P_t(aug[b, s])``; α_t(s) includes frame t's
+    emission. Padding states past a row's 2U+1 carry -inf emissions, so
+    they stay at -inf."""
+    B, T, S = emit.shape
     # The skip (s-2) transition is legal into residue positions whose
     # predecessor residue differs.
-    skip_ok = np.full(U2, -np.inf)
-    skip_ok[2:][(aug[2:] != blank_id) & (aug[2:] != aug[:-2])] = 0.0
-    alpha = np.empty((T, U2))
-    alpha[0] = emit[0] + np.concatenate(([0.0, 0.0], np.full(U2 - 2, -np.inf)))
+    skip_ok = np.full((B, S), -np.inf)
+    skip_ok[:, 2:][(aug[:, 2:] != blank_id) & (aug[:, 2:] != aug[:, :-2])] = 0.0
+    alpha = np.empty((B, T, S))
+    alpha[:, 0] = emit[:, 0] + np.concatenate(([0.0, 0.0], np.full(S - 2, -np.inf)))
+    shifted = np.full((B, S + 2), -np.inf)  # shifted[:, s + 2] = α_{t-1}(s)
     for t in range(1, T):
-        prev = alpha[t - 1]
-        step1 = np.concatenate(([-np.inf], prev[:-1]))
-        step2 = np.concatenate(([-np.inf, -np.inf], prev[:-2])) + skip_ok
-        alpha[t] = np.logaddexp(np.logaddexp(prev, step1), step2) + emit[t]
+        prev = alpha[:, t - 1]
+        shifted[:, 2:] = prev
+        step2 = shifted[:, :-2] + skip_ok
+        alpha[:, t] = np.logaddexp(np.logaddexp(prev, shifted[:, 1:-1]), step2) + emit[:, t]
     return alpha
 
 
-def ctc_forward(log_probs: Tensor, target_ids: Sequence[int], blank_id: int) -> Tensor:
+def ctc_forward(log_probs: Tensor, target_ids, blank_id: int) -> Tensor:
     """Log-probability that the frame distribution emits a path collapsing
     to ``target_ids``, as one graph node.
 
+    ``log_probs`` is [T, V] with one target (a scalar result), or a batch
+    [B, T, V] with one target per row (a [B] result); a target no path can
+    realize in T frames gets -inf.
+
     Standard blank-augmented forward recursion over A' = [ε, a_1, ε, ...,
-    a_U, ε] (length 2U+1), run in numpy in the log domain:
+    a_U, ε] (length 2U+1), run in numpy in the log domain over every row at
+    once, with each row's states padded to the longest row's:
 
         α_1 = (log P_1(ε), log P_1(a_1), -inf, ...)
         α_t(s) = logsum of α_{t-1}(s), α_{t-1}(s-1), and α_{t-1}(s-2) --
@@ -110,48 +122,71 @@ def ctc_forward(log_probs: Tensor, target_ids: Sequence[int], blank_id: int) -> 
         result = logaddexp(α_T(2U+1), α_T(2U))
 
     The gradient comes from α·β (Graves et al., ICML 2006): β is the same
-    recursion run on the reversed frames and reversed A', and
+    recursion run on the reversed frames and each row's reversed A', and
     ∂ log p / ∂ log P_t(k) sums the state posteriors
     exp(α_t(s) + β_t(s) - log P_t(A'_s) - log p) over the states s with
-    A'_s = k.
+    A'_s = k. A row with no path gets no gradient.
     """
-    target_ids = list(target_ids)
-    if not target_ids:
-        raise ValueError("CTC target must be non-empty")
-    T, vocab = log_probs.shape
-    if any(not 0 <= a < vocab for a in target_ids) or any(a == blank_id for a in target_ids):
-        raise ValueError("CTC target ids must be residues inside the vocabulary")
+    rows = [list(target_ids)] if log_probs.ndim == 2 else [list(t) for t in target_ids]
+    if log_probs.ndim < 2 or log_probs.shape[:-2] not in ((), (len(rows),)):
+        raise ad.DimensionError(
+            f"log_probs {log_probs.shape} do not match {len(rows)} CTC targets"
+        )
+    T, vocab = log_probs.shape[-2:]
+    for target in rows:
+        if not target:
+            raise ValueError("CTC target must be non-empty")
+        if any(not 0 <= a < vocab for a in target) or any(a == blank_id for a in target):
+            raise ValueError("CTC target ids must be residues inside the vocabulary")
 
-    aug = np.full(2 * len(target_ids) + 1, blank_id)
-    aug[1::2] = target_ids
-    emit = log_probs.values[:, aug]
+    B = len(rows)
+    states = 2 * np.array([len(t) for t in rows]) + 1  # each row's 2U+1
+    s = np.arange(states.max())
+    aug = np.full((B, s.size), blank_id)
+    for b, target in enumerate(rows):
+        aug[b, 1 : states[b] : 2] = target
+    emit = np.take_along_axis(log_probs.values.reshape(B, T, vocab), aug[:, None, :], axis=2)
+    emit[np.broadcast_to((s >= states[:, None])[:, None, :], emit.shape)] = -np.inf
     alpha = _ctc_alpha(emit, aug, blank_id)
-    log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    b_ix = np.arange(B)
+    log_p = np.logaddexp(alpha[b_ix, -1, states - 1], alpha[b_ix, -1, states - 2])
 
     def bwd(g: np.ndarray) -> None:
-        beta = _ctc_alpha(emit[::-1, ::-1], aug[::-1], blank_id)[::-1, ::-1]
+        # Reverse each row's own states, not the padding: the order is its own inverse.
+        rev = np.where(s < states[:, None], states[:, None] - 1 - s, s)
+        emit_rev = np.take_along_axis(emit[:, ::-1], rev[:, None, :], axis=2)
+        beta_rev = _ctc_alpha(emit_rev, np.take_along_axis(aug, rev, axis=1), blank_id)
+        beta = np.take_along_axis(beta_rev[:, ::-1], rev[:, None, :], axis=2)
         joint = alpha + beta
         with np.errstate(invalid="ignore"):
-            post = np.where(np.isneginf(joint), 0.0, np.exp(joint - emit - log_p))
-        np.add.at(ad._grad_buffer(log_probs), (np.arange(T)[:, None], aug), g * post)
+            post = np.where(np.isneginf(joint), 0.0, np.exp(joint - emit - log_p[:, None, None]))
+        grad = ad._grad_buffer(log_probs).reshape(B, T, vocab)  # a view: adds land in .grad
+        np.add.at(grad, (b_ix[:, None, None], np.arange(T)[:, None], aug[:, None, :]),
+                  g.reshape(B)[:, None, None] * post)
 
-    return ad._node(np.asarray(log_p), (log_probs,), bwd)
+    return ad._node(log_p.reshape(log_probs.shape[:-2]), (log_probs,), bwd)
 
 
-def ctc_loss(
-    logits: Tensor, target_ids: Sequence[int], blank_id: int
-) -> tuple[Tensor, bool]:
-    """Negative CTC log-likelihood from raw frame logits.
+def ctc_loss(logits: Tensor, target_ids, blank_id: int) -> tuple[Tensor, bool | np.ndarray]:
+    """Negative CTC log-likelihood from raw frame logits, summed over rows.
 
-    Returns (loss, feasible). Infeasible targets (more frames required than
-    available) get the constant :data:`INFEASIBLE_CTC_LOSS` with no
-    gradient, instead of an infinite loss that would poison the batch.
+    ``logits`` is [T, V] with one target, or a padded batch [B, T, V] with
+    one target per row. Returns (loss, feasible); a batch gets one flag per
+    row. Infeasible targets (more frames required than available) get the
+    constant :data:`INFEASIBLE_CTC_LOSS` with no gradient, instead of an
+    infinite loss that would poison the batch.
     """
-    T = logits.shape[0]
-    if ctc_required_frames(target_ids) > T:
-        return ad.constant(INFEASIBLE_CTC_LOSS), False
-    log_probs = ad.log_softmax(logits)
-    return ad.neg(ctc_forward(log_probs, target_ids, blank_id)), True
+    batch = logits.ndim == 3
+    rows = list(target_ids) if batch else [target_ids]
+    feasible = np.array([ctc_required_frames(t) <= logits.shape[-2] for t in rows])
+    loss = ad.constant(INFEASIBLE_CTC_LOSS * np.count_nonzero(~feasible))
+    if feasible.any():
+        if not feasible.all():
+            logits = logits[feasible]
+            target_ids = [t for t, ok in zip(rows, feasible) if ok]
+        log_p = ctc_forward(ad.log_softmax(logits), target_ids, blank_id)
+        loss = ad.add(ad.neg(ad.sum_all(log_p)), loss)
+    return loss, (feasible if batch else bool(feasible[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +284,59 @@ def _truth_ids(model: Model, spectrum: Spectrum) -> list[int]:
     return model.table.ids_of(spectrum.truth)
 
 
+def _at_inputs(model: Model, batch: Sequence[Spectrum],
+               ids: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """AT tokens [B, L], targets [B, L] and masses [B, L, 2] of a batch:
+    inputs [BOS, a_1..a_n] against targets [a_1..a_n, EOS], each row
+    right-padded with PAD to the longest."""
+    table = model.table
+    tokens, real = pad_rows([np.array([table.bos_id] + row) for row in ids])
+    targets, _ = pad_rows([np.array(row + [table.eos_id]) for row in ids])
+    tokens[~real] = targets[~real] = table.pad_id
+    masses, _ = pad_rows([prefix_suffix_masses(row, s.neutral_mass, table)
+                          for s, row in zip(batch, ids)])
+    return tokens, targets, masses
+
+
+def _at_loss(model: Model, batch: Sequence[Spectrum], ids: list[list[int]],
+             enc: Tensor | Padded, nat_latents: Tensor | None,
+             block_nat_grad: bool = True) -> Tensor:
+    """Summed AT cross-entropy of a batch, from one AT forward."""
+    tokens, targets, masses = _at_inputs(model, batch, ids)
+    logits = model.at_forward(tokens, masses, enc, nat_latents, block_nat_grad)
+    return ce_loss(logits, targets, pad_id=model.table.pad_id)
+
+
 def _at_sample_loss(model: Model, spectrum: Spectrum, ids: list[int],
                     enc: Tensor, nat_latents: Tensor | None,
                     block_nat_grad: bool = True) -> Tensor:
-    table = model.table
-    tokens = [table.bos_id] + ids
-    targets = ids + [table.eos_id]
-    masses = prefix_suffix_masses(ids, spectrum.neutral_mass, table)
-    logits = model.at_forward(tokens, masses, enc, nat_latents, block_nat_grad)
-    return ce_loss(logits, targets, pad_id=table.pad_id)
+    """The AT loss of one spectrum: :func:`_at_loss` on a batch of one."""
+    return _at_loss(model, [spectrum], [ids], enc, nat_latents, block_nat_grad)
+
+
+def _padded_cache(cached: list[tuple[Tensor, Tensor]]) -> tuple[Padded, Tensor]:
+    """Per-spectrum cached (encoder features, NAT latents) as one padded
+    batch of encoder features and the stacked [B, t_max, d] latents."""
+    rows, mask = pad_rows([enc.values for enc, _ in cached])
+    return Padded(ad.constant(rows), mask), ad.constant(np.stack([nat.values for _, nat in cached]))
+
+
+def _stage1_losses(model: Model, batch: Sequence[Spectrum]) -> tuple[Tensor, Tensor]:
+    """Mean AT and NAT losses of a batch: one encoder, NAT, AT and CTC pass."""
+    ids = [_truth_ids(model, s) for s in batch]
+    enc = model.encode_spectrum(batch)
+    inv = ad.constant(1.0 / len(batch))
+    at_loss = ad.mul(_at_loss(model, batch, ids, enc, None), inv)
+    nat_sum, _feasible = ctc_loss(model.nat_forward(enc).logits, ids, model.table.blank_id)
+    return at_loss, ad.mul(nat_sum, inv)
 
 
 def train_stage1_step(model: Model, batch: Sequence[Spectrum], state: TrainState) -> dict:
-    """One joint step: mean per-sample AT and NAT losses, annealed mixture,
-    backward, AdamW. Returns the step's scalar metrics."""
+    """One joint step over the batch padded into one forward: mean AT and
+    NAT losses, annealed mixture, backward, AdamW. Returns the step's scalar
+    metrics."""
     if not batch:
         raise ValueError("empty batch")
-    table = model.table
     if any(
         s.truth is not None and len(s.truth) > model.cfg.t_max - 2 for s in batch
     ):
@@ -273,18 +344,7 @@ def train_stage1_step(model: Model, batch: Sequence[Spectrum], state: TrainState
             f"a target exceeds t_max - 2 = {model.cfg.t_max - 2} residues; "
             "the NAT frame axis cannot fit it"
         )
-    at_terms, nat_terms = [], []
-    for s in batch:
-        ids = _truth_ids(model, s)
-        enc = model.encode_spectrum(s)
-        at_terms.append(_at_sample_loss(model, s, ids, enc, None))
-        nat = model.nat_forward(enc)
-        nat_term, _feasible = ctc_loss(nat.logits, ids, table.blank_id)
-        nat_terms.append(nat_term)
-
-    inv = 1.0 / len(batch)
-    at_loss = ad.mul(_sum_terms(at_terms), ad.constant(inv))
-    nat_loss = ad.mul(_sum_terms(nat_terms), ad.constant(inv))
+    at_loss, nat_loss = _stage1_losses(model, batch)
     lam = lambda_at(state.anneal, state.step)
     loss = total_loss(at_loss, nat_loss, lam)
     if not np.isfinite(loss.values):
@@ -327,12 +387,9 @@ def finetune_stage2_step(
             raise ValueError(
                 f"stage 2 requires the {partition!r} partition frozen; call freeze() first"
             )
-    terms = []
-    for s in batch:
-        ids = _truth_ids(model, s)
-        enc, nat_latents = cache.get(s)
-        terms.append(_at_sample_loss(model, s, ids, enc, nat_latents))
-    loss = ad.mul(_sum_terms(terms), ad.constant(1.0 / len(batch)))
+    ids = [_truth_ids(model, s) for s in batch]
+    enc, nat_latents = _padded_cache([cache.get(s) for s in batch])
+    loss = ad.mul(_at_loss(model, batch, ids, enc, nat_latents), ad.constant(1.0 / len(batch)))
     if not np.isfinite(loss.values):
         raise NumericError(f"non-finite fine-tune loss at step {state.finetune_step}")
     ad.backward(loss)
@@ -348,9 +405,3 @@ def finetune_stage2_step(
         "lr": state.opt.lr,
     }
 
-
-def _sum_terms(terms: list[Tensor]) -> Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return total

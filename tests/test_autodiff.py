@@ -111,6 +111,12 @@ class TestForwardValues:
         assert_allclose(g.values, x.values[[4, 0, 0]])
         t = ad.take_per_row(x, [2, 1, 0, 2, 1])
         assert_allclose(t.values, x.values[np.arange(5), [2, 1, 0, 2, 1]])
+        batch = ad.parameter(rng.normal(size=(2, 5, 3)))
+        idx = rng.integers(0, 3, size=(2, 5))
+        t = ad.take_per_row(batch, idx)
+        assert np.array_equal(t.values, np.take_along_axis(batch.values, idx[..., None], -1)[..., 0])
+        with pytest.raises(ad.DimensionError):
+            ad.take_per_row(batch, idx[0])
 
 
 class TestGradients:
@@ -189,6 +195,33 @@ class TestGradients:
             [q, k, v],
             tol=1e-5,
         )
+
+    def test_batched_attention_grad_with_key_mask(self):
+        # A padded batch: each row of [B, L, d] queries attends to its own
+        # [S, d] keys under a [B, 1, S] key-padding mask, two heads.
+        rng = make_rng(19)
+        q = ad.parameter(rng.normal(size=(3, 4, 6)))
+        k = ad.parameter(rng.normal(size=(3, 5, 6)))
+        v = ad.parameter(rng.normal(size=(3, 5, 6)))
+        mask = (np.arange(5) < np.array([[5], [2], [4]]))[:, None, :]
+        w = ad.constant(rng.normal(size=(3, 4, 6)))
+        self.check(
+            lambda: ad.sum_all(ad.scaled_dot_attention(q, k, v, mask, heads=2) * w),
+            [q, k, v],
+            tol=1e-5,
+        )
+        # The masked keys get exactly no gradient.
+        for t in (k, v):
+            t.zero_grad()
+        ad.backward(ad.sum_all(ad.scaled_dot_attention(q, k, v, mask, heads=2) * w))
+        assert not k.grad[1, 2:].any() and not v.grad[1, 2:].any()
+
+    def test_take_per_row_grad_over_leading_axes(self):
+        rng = make_rng(17)
+        x = ad.parameter(rng.normal(size=(2, 3, 4)))
+        idx = rng.integers(0, 4, size=(2, 3))
+        w = ad.constant(rng.normal(size=(2, 3)))
+        self.check(lambda: ad.sum_all(ad.take_per_row(x, idx) * w), [x])
 
     def test_gather_grad_accumulates_duplicates(self):
         x = ad.parameter(np.array([1.0, 2.0, 3.0]))
@@ -327,6 +360,24 @@ class TestAttentionMasking:
             assert_allclose(both[..., h], one.values, atol=1e-12)
         with pytest.raises(ad.DimensionError):  # 6 columns do not split into 4 heads
             ad.scaled_dot_attention(q, kv, kv, heads=4)
+
+    def test_key_mask_equals_unpadded_rows(self):
+        # Each row of a padded batch attends as its own unpadded keys would.
+        rng = make_rng(32)
+        q = ad.constant(rng.normal(size=(3, 2, 4)))
+        kv = ad.constant(rng.normal(size=(3, 5, 4)))
+        lengths = [5, 1, 3]
+        mask = (np.arange(5) < np.array(lengths)[:, None])[:, None, :]
+        both = ad.scaled_dot_attention(q, kv, kv, mask, heads=2).values
+        for b, n in enumerate(lengths):
+            one = ad.scaled_dot_attention(q[b], kv[b, :n], kv[b, :n], heads=2).values
+            assert_allclose(both[b], one, rtol=1e-13, atol=0)
+        with pytest.raises(ad.DimensionError):  # 3 rows of mask against 2 queries
+            ad.scaled_dot_attention(q, kv, kv, np.ones((3, 3, 5), dtype=bool))
+        bad = mask.copy()
+        bad[1] = False
+        with pytest.raises(ad.NumericError):
+            ad.scaled_dot_attention(q, kv, kv, bad)
 
     def test_fully_masked_row_is_an_error(self):
         q = ad.parameter(np.zeros((2, 4)))

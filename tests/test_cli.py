@@ -577,6 +577,25 @@ def test_all_zero_intensities_is_data_error(pipeline, tmp_path, capsys, command)
     assert "dark" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["finetune", "decode"])
+def test_repeated_spectrum_id_is_data_error(pipeline, tmp_path, capsys, command):
+    # Two different spectra under one TITLE: a feature cache keyed on the id
+    # would serve the first one's features for the second.
+    spectra = [simulate_spectrum(Peptide.from_string(p), seed=i, spectrum_id="s000")
+               for i, p in enumerate(["YYIEWDGD", "DSFSHSY"])]
+    mgf = tmp_path / "twice.mgf"
+    mgf.write_text(write_mgf(spectra))
+    checkpoint = pipeline / ("train" if command == "finetune" else "ft") / "checkpoint.bin"
+    source = "--corpus" if command == "finetune" else "--mgf"
+    out = tmp_path / "out"
+    code = run(command, "--seed", "5", "--out", str(out), *TINY,
+               source, str(mgf), "--checkpoint", str(checkpoint))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'s000'" in err and "more than once" in err
+    assert not (out / "checkpoint.bin").exists() and not (out / "predictions.csv").exists()
+
+
 class TestEval:
     def make_truth_predictions(self, pipeline, path, mutate=False):
         spectra = parse_mgf((pipeline / "sim" / "spectra.mgf").read_text())

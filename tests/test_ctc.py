@@ -82,6 +82,53 @@ class TestForwardAlgorithm:
             ctc_forward(lp, [], blank_id=2)
 
 
+class TestBatchedCTC:
+    """A batch [B, T, V] with one target per row equals per-row calls."""
+
+    # Rows of unequal U, adjacent repeats, and (row 3) a target that needs 7
+    # of the 6 frames.
+    TARGETS = [[0], [1, 1], [0, 2, 2, 1], [1, 1, 1, 1], [2, 0, 1]]
+    T, V, BLANK = 6, 4, 3
+
+    def test_values_and_gradients_equal_per_row_calls(self):
+        rng = np.random.default_rng(11)
+        lp = np.stack([random_log_probs(rng, self.T, self.V) for _ in self.TARGETS])
+        leaf = ad.parameter(lp.copy())
+        out = ctc_forward(leaf, self.TARGETS, self.BLANK)
+        assert out.shape == (len(self.TARGETS),)
+        weights = rng.normal(size=len(self.TARGETS))
+        weights[3] = 0.0  # an infeasible row's -inf cannot enter a finite loss
+        finite = np.isfinite(out.values)
+        assert finite.tolist() == [True, True, True, False, True]
+        ad.backward(ad.sum_all(ad.mul(out[finite], ad.constant(weights[finite]))))
+        for b, target in enumerate(self.TARGETS):
+            row = ad.parameter(lp[b].copy())
+            want = ctc_forward(row, target, self.BLANK)
+            if not np.isfinite(want.values):
+                assert b == 3 and np.isneginf(out.values[b])
+                assert not leaf.grad[b].any()
+                continue
+            assert_allclose(out.values[b], want.values, rtol=1e-13, atol=0)
+            ad.backward(ad.mul(want, ad.constant(weights[b])))
+            assert_allclose(leaf.grad[b], row.grad, rtol=1e-12, atol=1e-15)
+
+    def test_loss_sums_rows_and_charges_infeasible_ones_a_constant(self):
+        rng = np.random.default_rng(12)
+        logits = ad.parameter(rng.normal(size=(len(self.TARGETS), self.T, self.V)))
+        loss, feasible = ctc_loss(logits, self.TARGETS, self.BLANK)
+        assert feasible.tolist() == [True, True, True, False, True]
+        want = sum(ctc_loss(ad.constant(logits.values[b]), t, self.BLANK)[0].item()
+                   for b, t in enumerate(self.TARGETS))
+        assert_allclose(loss.item(), want, rtol=1e-13)
+        ad.backward(loss)
+        assert not logits.grad[3].any() and logits.grad[[0, 1, 2, 4]].all()
+
+    def test_row_count_must_match_targets(self):
+        lp = ad.constant(np.zeros((2, 3, 3)))
+        with pytest.raises(ad.DimensionError):
+            ctc_forward(lp, [[0]], blank_id=2)
+
+
 class TestRequiredFrames:
     def test_no_repeats(self):
         assert ctc_required_frames([0, 1, 0]) == 3

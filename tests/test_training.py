@@ -1,25 +1,38 @@
 """Schedules, optimizer, and the two training stages."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from pepseq import autodiff as ad
+from pepseq.mgf import parse_mgf
 from pepseq.network import Model, ModelConfig
 from pepseq.optim import OptimizerState, adamw_step
-from pepseq.params import ParameterStore
+from pepseq.params import ParameterStore, load_checkpoint
 from pepseq.spectra import AminoAcidTable, Peptide, random_peptide, simulate_spectrum
 from pepseq.training import (
     AnnealSchedule,
     FeatureCache,
     LRConfig,
     TrainState,
+    _at_inputs,
+    _at_loss,
+    _at_sample_loss,
+    _padded_cache,
+    _stage1_losses,
+    ce_loss,
+    ctc_forward,
+    ctc_loss,
     finetune_stage2_step,
     lambda_at,
     learning_rate,
     total_loss,
     train_stage1_step,
 )
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 
 
 def tiny_model(seed=0, **kw):
@@ -272,3 +285,99 @@ class TestStage2:
         ad.backward(loss)
         pos = model.store.get("nat", "pos_emb")
         assert pos.grad is not None and np.any(pos.grad != 0)
+
+
+class TestPaddedBatch:
+    """A padded batch computes what its rows compute alone.
+
+    Batches of 10 from the benchmark's pool (peptides of 5-12 residues) go
+    through one padded forward; each row's losses must equal the unpadded
+    batch-of-one path's, and the batch gradient the mean of the lone ones.
+    Padded GEMMs round differently, so the bounds are tolerances, not bit
+    identity.
+    """
+
+    LAM = 0.3  # weighs both losses into the gradient
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        store, blob = load_checkpoint(str(FIXTURE / "trained.ckpt"))
+        model = Model.from_checkpoint_blob(store, blob)
+        for partition in ("enc", "nat"):  # the checkpoint was saved after stage 2
+            store.unfreeze(partition)
+        pool = parse_mgf((FIXTURE / "pool.mgf").read_text(), model.table)
+        rng = np.random.default_rng(5)
+        batches = [[pool[i] for i in rng.choice(len(pool), 10, replace=False)] for _ in range(2)]
+        assert len({len(s.truth) for b in batches for s in b}) >= 5  # mixed lengths
+        return model, batches
+
+    @staticmethod
+    def grads(model, loss):
+        model.store.zero_grads()
+        ad.backward(loss)
+        return {k: np.zeros_like(t.values) if t.grad is None else t.grad.copy()
+                for k, t in model.store.items()}
+
+    @staticmethod
+    def assert_mean_gradient(batch_grads, lone_grads, reached):
+        for key, got in batch_grads.items():
+            want = np.mean([g[key] for g in lone_grads], axis=0)
+            assert want.any() == reached(key), key
+            # A key bias moves every score of a query row alike, which the
+            # softmax ignores: its true gradient is 0, and what is left is
+            # rounding noise of either path.
+            if key.endswith(".bk"):
+                assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=key)
+            else:
+                scale = np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-12 * scale, key
+
+    def test_stage1_rows_and_gradient_equal_lone_samples(self, setup):
+        model, batches = setup
+        table = model.table
+        for batch in batches:
+            ids = [table.ids_of(s.truth) for s in batch]
+            enc = model.encode_spectrum(batch)
+            tokens, targets, masses = _at_inputs(model, batch, ids)
+            at_logits = model.at_forward(tokens, masses, enc)
+            nat_log_p = ctc_forward(ad.log_softmax(model.nat_forward(enc).logits), ids,
+                                    table.blank_id)
+            lone_grads = []
+            for b, (s, row) in enumerate(zip(batch, ids)):
+                lone_enc = model.encode_spectrum(s)
+                at = _at_sample_loss(model, s, row, lone_enc, None)
+                nat, _ = ctc_loss(model.nat_forward(lone_enc).logits, row, table.blank_id)
+                assert_allclose(ce_loss(at_logits[b], targets[b], table.pad_id).item(),
+                                at.item(), rtol=1e-12)
+                assert_allclose(-nat_log_p.values[b], nat.item(), rtol=1e-12)
+                lone_grads.append(self.grads(model, total_loss(at, nat, self.LAM)))
+            at, nat = _stage1_losses(model, batch)
+            self.assert_mean_gradient(self.grads(model, total_loss(at, nat, self.LAM)),
+                                      lone_grads,
+                                      lambda key: "/seg_" not in key)  # stage 2 only
+
+    def test_stage2_rows_and_gradient_equal_lone_samples(self, setup):
+        model, batches = setup
+        table = model.table
+        for partition in ("enc", "nat"):
+            model.store.freeze(partition)
+        try:
+            cache = FeatureCache(model)
+            for batch in batches:
+                ids = [table.ids_of(s.truth) for s in batch]
+                enc, nat_latents = _padded_cache([cache.get(s) for s in batch])
+                tokens, targets, masses = _at_inputs(model, batch, ids)
+                logits = model.at_forward(tokens, masses, enc, nat_latents)
+                lone_grads = []
+                for b, (s, row) in enumerate(zip(batch, ids)):
+                    lone = _at_sample_loss(model, s, row, *cache.get(s))
+                    assert_allclose(ce_loss(logits[b], targets[b], table.pad_id).item(),
+                                    lone.item(), rtol=1e-12)
+                    lone_grads.append(self.grads(model, lone))
+                loss = ad.mul(_at_loss(model, batch, ids, enc, nat_latents),
+                              ad.constant(1.0 / len(batch)))
+                self.assert_mean_gradient(self.grads(model, loss), lone_grads,
+                                          lambda key: key.startswith("at/"))
+        finally:
+            for partition in ("enc", "nat"):
+                model.store.unfreeze(partition)
