@@ -534,6 +534,8 @@ def _read_predictions(path: Path) -> list[tuple[str, Peptide, float]]:
             try:
                 pep = Peptide.from_string(row["predicted_sequence"] or "")
                 conf = float(row["confidence"])
+                if np.isnan(conf):  # -inf stays: it marks a missing prediction
+                    raise ValueError("confidence is NaN")
             except (VocabularyError, ValueError) as e:
                 raise DataError(f"{path} line {line}: {e}") from e
             preds.append((row["spectrum_id"], pep, conf))

@@ -20,14 +20,14 @@ cross-attention context: the NAT latents (gradient-blocked, plus a learned
 segment embedding) concatenated with the encoder features (plus their own
 segment embedding). Both segment vectors belong to the AT partition.
 
-Training runs a batch of spectra as one padded batch: the encoder takes a
-list of spectra and returns :class:`Padded` features, whose padding rows
-every attention masks out as keys. Decoding runs one spectrum, unpadded.
+The encoder takes a list of spectra and returns one padded batch of
+:class:`Padded` features, whose padding rows every attention masks out as
+keys; a lone spectrum is a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -49,6 +49,11 @@ __all__ = ["ModelConfig", "Model", "NATFeatures", "Padded", "MAX_CHARGE", "pad_r
 
 MAX_CHARGE = 10
 
+# Former ModelConfig fields, each at the one value it now has (paired encodings off, the
+# wavelength bounds of the sinusoidal encoders). Older checkpoints store them.
+_FIXED = {"paired_encoding": False, "mz_v_min": 0.001, "mz_v_max": 10000.0,
+          "intensity_v_min": 1e-4, "intensity_v_max": 1.0}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -59,11 +64,6 @@ class ModelConfig:
     at_layers: int = 2
     nat_layers: int = 2
     t_max: int = 24
-    # Wavelength bounds of the fixed sinusoidal encoders.
-    mz_v_min: float = 0.001
-    mz_v_max: float = 10000.0
-    intensity_v_min: float = 1e-4
-    intensity_v_max: float = 1.0
 
     def __post_init__(self):
         if self.d <= 0 or self.d % 2:
@@ -75,11 +75,11 @@ class ModelConfig:
 
     @property
     def mz_encoder(self) -> FloatEncoderConfig:
-        return FloatEncoderConfig(self.d, self.mz_v_min, self.mz_v_max)
+        return FloatEncoderConfig(self.d, _FIXED["mz_v_min"], _FIXED["mz_v_max"])
 
     @property
     def intensity_encoder(self) -> FloatEncoderConfig:
-        return FloatEncoderConfig(self.d, self.intensity_v_min, self.intensity_v_max)
+        return FloatEncoderConfig(self.d, _FIXED["intensity_v_min"], _FIXED["intensity_v_max"])
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -87,8 +87,10 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
-        if d.pop("paired_encoding", False):  # removed switch; older checkpoints store false
-            raise ValueError("paired sinusoidal encodings are no longer supported")
+        for key, fixed in _FIXED.items():
+            stored = d.pop(key, fixed)
+            if stored != fixed:
+                raise ValueError(f"{key}={stored} is no longer supported; it is fixed at {fixed}")
         return cls(**d)
 
 
@@ -248,48 +250,25 @@ class Model:
     # ------------------------------------------------------------------
     # encoder
 
-    def spectrum_rows(self, spectrum: Spectrum) -> tuple[Tensor, np.ndarray]:
-        """Input rows for the encoder: precursor row 0, then one row per peak.
-
-        Returns (precursor_row [1, d] including the learned charge embedding,
-        peak_rows [k, d] as plain float arrays).
-        """
-        peak_rows = self._peak_rows(spectrum)  # checks the charge first
-        return self._precursor_rows([spectrum.charge], spectrum.neutral_mass), peak_rows
-
-    def _peak_rows(self, spectrum: Spectrum) -> np.ndarray:
-        if not 1 <= spectrum.charge <= MAX_CHARGE:
-            raise ValueError(
-                f"spectrum {spectrum.spectrum_id!r}: charge {spectrum.charge} outside "
-                f"the supported range 1..{MAX_CHARGE}"
-            )
-        return embed_peak(spectrum.peaks, self.cfg.mz_encoder, self.cfg.intensity_encoder,
-                          spectrum.max_intensity)
-
-    def _precursor_rows(self, charges, neutral_masses) -> Tensor:
-        """Charge embeddings [..., d] of ``charges`` [...] plus the encodings
-        of ``neutral_masses``, which broadcast against them."""
-        charge_rows = ad.gather(self._p("enc", "charge_emb"), np.asarray(charges) - 1)
-        return ad.add(charge_rows, ad.constant(encode_float(neutral_masses, self.cfg.mz_encoder)))
-
-    def run_encoder(self, rows: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Pre-norm self-attention stack over [k+1, d] rows, or padded
-        [B, K+1, d] rows under the key mask [B, 1, K+1]; no positions."""
-        return self._stack("enc", self.cfg.enc_layers, rows, mask)
-
     def encode_spectrum(self, spectrum: Spectrum | Sequence[Spectrum]) -> Tensor | Padded:
-        """Encoder features [k+1, d] of one spectrum. A sequence of spectra
-        is encoded as one padded batch [B, K_max+1, d], whose padding rows
-        are masked out as keys."""
-        if isinstance(spectrum, Spectrum):
-            precursor_row, peak_rows = self.spectrum_rows(spectrum)
-            return self.run_encoder(ad.concat([precursor_row, ad.constant(peak_rows)], axis=0))
-        peaks, real = pad_rows([self._peak_rows(s) for s in spectrum])
+        """Encoder features of spectra as one padded batch [B, K_max+1, d]:
+        the precursor row, then one row per peak, with no positions; padding
+        rows are masked out as keys. A lone spectrum is a batch of one,
+        returned as its features [k+1, d]."""
+        batch = [spectrum] if isinstance(spectrum, Spectrum) else spectrum
+        for s in batch:
+            if not 1 <= s.charge <= MAX_CHARGE:
+                raise ValueError(f"spectrum {s.spectrum_id!r}: charge {s.charge} outside "
+                                 f"the supported range 1..{MAX_CHARGE}")
+        peaks, real = pad_rows([embed_peak(s.peaks, self.cfg.mz_encoder, self.cfg.intensity_encoder,
+                                           s.max_intensity) for s in batch])
         mask = np.concatenate([np.ones((len(real), 1), dtype=bool), real], axis=1)  # row 0: precursor
-        precursor_rows = self._precursor_rows([[s.charge] for s in spectrum],
-                                              [[s.neutral_mass] for s in spectrum])
-        x = ad.concat([precursor_rows, ad.constant(peaks)], axis=1)
-        return Padded(self.run_encoder(x, mask[:, None, :]), mask)
+        charge_rows = ad.gather(self._p("enc", "charge_emb"), [[s.charge - 1] for s in batch])
+        masses = encode_float([[s.neutral_mass] for s in batch], self.cfg.mz_encoder)
+        x = ad.concat([ad.add(charge_rows, ad.constant(masses)), ad.constant(peaks)], axis=1)
+        keys = None if real.all() else mask[:, None, :]  # all-True masks nothing: skip it
+        features = self._stack("enc", self.cfg.enc_layers, x, keys)
+        return features[0] if isinstance(spectrum, Spectrum) else Padded(features, mask)
 
     # ------------------------------------------------------------------
     # NAT decoder

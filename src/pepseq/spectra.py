@@ -9,7 +9,7 @@ spectrum simulator used for the desk-scale corpora.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -273,24 +273,24 @@ def encode_float(v: float | np.ndarray, cfg: FloatEncoderConfig) -> np.ndarray:
 
 
 def embed_peak(
-    peak: Peak | Sequence[Peak],
+    peaks: Sequence[Peak],
     mz_cfg: FloatEncoderConfig,
     intensity_cfg: FloatEncoderConfig,
     max_intensity: float,
 ) -> np.ndarray:
-    """Sum of the m/z encoding and the max-normalized intensity encoding.
-
-    Takes one peak ([d] out) or a sequence of k peaks ([k, d] out).
-    """
+    """Sum of the m/z encoding and the max-normalized intensity encoding of
+    each of k peaks: [k, d]."""
     if max_intensity <= 0:
         raise ValueError("cannot normalize intensities: spectrum maximum is not positive")
     if mz_cfg.d != intensity_cfg.d:
         raise ValueError(
             f"m/z and intensity encoders must share width, got {mz_cfg.d} and {intensity_cfg.d}"
         )
-    mz_intensity = np.asarray(peak, dtype=np.float64)
-    return encode_float(mz_intensity[..., 0], mz_cfg) + encode_float(
-        mz_intensity[..., 1] / max_intensity, intensity_cfg
+    mz_intensity = np.asarray(peaks, dtype=np.float64)
+    if mz_intensity.ndim != 2:
+        raise ValueError(f"embed_peak takes a sequence of peaks, got shape {mz_intensity.shape}")
+    return encode_float(mz_intensity[:, 0], mz_cfg) + encode_float(
+        mz_intensity[:, 1] / max_intensity, intensity_cfg
     )
 
 

@@ -20,7 +20,7 @@ recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -167,26 +167,24 @@ def ctc_forward(log_probs: Tensor, target_ids, blank_id: int) -> Tensor:
     return ad._node(log_p.reshape(log_probs.shape[:-2]), (log_probs,), bwd)
 
 
-def ctc_loss(logits: Tensor, target_ids, blank_id: int) -> tuple[Tensor, bool | np.ndarray]:
-    """Negative CTC log-likelihood from raw frame logits, summed over rows.
-
-    ``logits`` is [T, V] with one target, or a padded batch [B, T, V] with
-    one target per row. Returns (loss, feasible); a batch gets one flag per
-    row. Infeasible targets (more frames required than available) get the
-    constant :data:`INFEASIBLE_CTC_LOSS` with no gradient, instead of an
-    infinite loss that would poison the batch.
-    """
-    batch = logits.ndim == 3
-    rows = list(target_ids) if batch else [target_ids]
-    feasible = np.array([ctc_required_frames(t) <= logits.shape[-2] for t in rows])
+def ctc_loss(logits: Tensor, target_ids, blank_id: int) -> tuple[Tensor, np.ndarray]:
+    """Negative CTC log-likelihood of a padded batch of frame logits
+    [B, T, V], one target per row, summed over rows; and one feasible flag
+    per row. Infeasible targets (more frames required than available) get
+    the constant :data:`INFEASIBLE_CTC_LOSS` with no gradient, instead of
+    an infinite loss that would poison the batch."""
+    if logits.ndim != 3:
+        raise ad.DimensionError(f"ctc_loss takes a batch of frame logits [B, T, V], got {logits.shape}")
+    target_ids = list(target_ids)
+    feasible = np.array([ctc_required_frames(t) <= logits.shape[1] for t in target_ids])
     loss = ad.constant(INFEASIBLE_CTC_LOSS * np.count_nonzero(~feasible))
     if feasible.any():
         if not feasible.all():
             logits = logits[feasible]
-            target_ids = [t for t, ok in zip(rows, feasible) if ok]
+            target_ids = [t for t, ok in zip(target_ids, feasible) if ok]
         log_p = ctc_forward(ad.log_softmax(logits), target_ids, blank_id)
         loss = ad.add(ad.neg(ad.sum_all(log_p)), loss)
-    return loss, (feasible if batch else bool(feasible[0]))
+    return loss, feasible
 
 
 # ---------------------------------------------------------------------------

@@ -499,6 +499,21 @@ class TestDecode:
         )
         assert code == 2
 
+    def test_other_encoder_wavelength_checkpoint_is_data_error(self, pipeline, tmp_path, capsys):
+        cfg = ModelConfig(d=16, hidden=32, enc_layers=1, at_layers=1, nat_layers=1, t_max=10)
+        model = Model.build(cfg, AminoAcidTable(), seed=0)
+        blob = model.metadata()
+        blob["model"]["mz_v_max"] = 5000.0
+        bad = tmp_path / "wavelength.bin"
+        save_checkpoint(str(bad), model.store, blob)
+        code = run(
+            "decode", "--seed", "5", "--out", str(tmp_path / "out"),
+            "--mgf", str(pipeline / "sim" / "spectra.mgf"),
+            "--checkpoint", str(bad), *TINY,
+        )
+        assert code == 2
+        assert "mz_v_max" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command, args", [
     ("decode", ["--decoder", "at-beam", "--beam", "0"]),
@@ -666,6 +681,33 @@ class TestEval:
             "--truth", str(pipeline / "sim" / "spectra.mgf"), *TINY,
         )
         assert code == 2
+
+    def test_nan_confidence_is_data_error(self, tmp_path, capsys):
+        # A NaN sorts anywhere, so it would put the correct NaN row ahead of
+        # the wrong -0.1 one at the start of the curve. -inf is a valid
+        # confidence: eval gives it to a missing prediction.
+        sim = tmp_path / "sim"
+        assert run("simulate", "--seed", "1", "--n", "3", "--out", str(sim)) == 0
+        spectra = parse_mgf((sim / "spectra.mgf").read_text())
+        wrong = "G" if str(spectra[2].truth) != "G" else "A"
+
+        def evaluate(first_confidence):
+            preds = tmp_path / "preds.csv"
+            preds.write_text(
+                "spectrum_id,predicted_sequence,confidence\n"
+                f"{spectra[0].spectrum_id},{spectra[0].truth},{first_confidence}\n"
+                f"{spectra[1].spectrum_id},{spectra[1].truth},-0.5\n"
+                f"{spectra[2].spectrum_id},{wrong},-0.1\n"
+            )
+            return run("eval", "--seed", "5", "--out", str(tmp_path / "out"),
+                       "--predictions", str(preds), "--truth", str(sim / "spectra.mgf"), *TINY)
+
+        assert evaluate("nan") == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "NaN" in err
+        assert evaluate("-inf") == 0
+        first = read_csv(tmp_path / "out" / "curve.csv")[0]
+        assert (float(first["coverage"]), float(first["value"])) == (1 / 3, 0.0)
 
 
 def test_manifests_record_provenance(pipeline):

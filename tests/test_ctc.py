@@ -117,7 +117,7 @@ class TestBatchedCTC:
         logits = ad.parameter(rng.normal(size=(len(self.TARGETS), self.T, self.V)))
         loss, feasible = ctc_loss(logits, self.TARGETS, self.BLANK)
         assert feasible.tolist() == [True, True, True, False, True]
-        want = sum(ctc_loss(ad.constant(logits.values[b]), t, self.BLANK)[0].item()
+        want = sum(ctc_loss(ad.constant(logits.values[b : b + 1]), [t], self.BLANK)[0].item()
                    for b, t in enumerate(self.TARGETS))
         assert_allclose(loss.item(), want, rtol=1e-13)
         ad.backward(loss)
@@ -142,9 +142,9 @@ class TestRequiredFrames:
 class TestCTCLoss:
     def test_infeasible_target_constant_loss_no_gradient(self):
         rng = np.random.default_rng(3)
-        logits = ad.parameter(rng.normal(size=(2, 3)))
-        loss, feasible = ctc_loss(logits, [0, 0], blank_id=2)  # needs 3 frames
-        assert not feasible
+        logits = ad.parameter(rng.normal(size=(1, 2, 3)))
+        loss, feasible = ctc_loss(logits, [[0, 0]], blank_id=2)  # needs 3 frames
+        assert feasible.tolist() == [False]
         assert loss.values == INFEASIBLE_CTC_LOSS
         ad.backward(ad.mul(loss, ad.constant(1.0)))
         assert logits.grad is None
@@ -152,9 +152,9 @@ class TestCTCLoss:
     def test_feasible_loss_is_negative_log_likelihood(self):
         rng = np.random.default_rng(4)
         logits_np = rng.normal(size=(4, 3))
-        logits = ad.constant(logits_np)
-        loss, feasible = ctc_loss(logits, [0, 1], blank_id=2)
-        assert feasible
+        logits = ad.constant(logits_np[None])
+        loss, feasible = ctc_loss(logits, [[0, 1]], blank_id=2)
+        assert feasible.tolist() == [True]
         lp = logits_np - np.log(np.exp(logits_np).sum(axis=1, keepdims=True))
         want = ctc_bruteforce(lp, [0, 1], 2)
         assert_allclose(loss.values, -want, atol=1e-9)
@@ -163,12 +163,12 @@ class TestCTCLoss:
         rng = np.random.default_rng(5)
         for trial in range(5):
             T = int(rng.integers(3, 6))
-            logits = ad.parameter(rng.normal(size=(T, 4)))
+            logits = ad.parameter(rng.normal(size=(1, T, 4)))
             target = rng.integers(0, 3, size=int(rng.integers(1, 3))).tolist()
             if ctc_required_frames(target) > T:
                 continue
             err = ad.finite_diff_check(
-                lambda: ctc_loss(logits, target, blank_id=3)[0], [logits], eps=1e-5
+                lambda: ctc_loss(logits, [target], blank_id=3)[0], [logits], eps=1e-5
             )
             assert err < 1e-4, f"trial {trial}: fd error {err}"
 
@@ -191,11 +191,15 @@ class TestCTCLoss:
 
     def test_gradient_covers_every_frame(self):
         rng = np.random.default_rng(6)
-        logits = ad.parameter(rng.normal(size=(5, 3)))
-        loss, _ = ctc_loss(logits, [0, 1], blank_id=2)
+        logits = ad.parameter(rng.normal(size=(1, 5, 3)))
+        loss, _ = ctc_loss(logits, [[0, 1]], blank_id=2)
         ad.backward(loss)
         assert logits.grad is not None
-        assert np.all(np.any(logits.grad != 0, axis=1)), "a frame received no gradient"
+        assert np.all(np.any(logits.grad[0] != 0, axis=1)), "a frame received no gradient"
+
+    def test_lone_frame_logits_rejected(self):
+        with pytest.raises(ad.DimensionError, match=r"\[B, T, V\]"):
+            ctc_loss(ad.constant(np.zeros((4, 3))), [0, 1], blank_id=2)
 
 
 class TestCELoss:

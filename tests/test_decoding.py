@@ -18,9 +18,11 @@ from pepseq.decoding import (
     beam_search_at,
     ctc_collapse,
     greedy_at_decode,
+    nat_pmc_decode,
 )
 from pepseq.network import Model, ModelConfig
 from pepseq.spectra import AminoAcidTable, Peptide, random_peptide, simulate_spectrum
+from pepseq.training import FeatureCache
 
 TABLE = AminoAcidTable()
 
@@ -238,3 +240,33 @@ def test_beam_validation():
         beam_search_at(model, s, width=0, max_len=4)
     with pytest.raises(ValueError):
         beam_search_at(model, s, width=2, max_len=0)
+
+
+# ---------------------------------------------------------------------------
+# one encoder pass per spectrum
+
+
+@pytest.mark.parametrize("finetuned", [False, True])
+def test_each_decode_and_cache_miss_encodes_once(monkeypatch, finetuned):
+    calls = []
+    encode = Model.encode_spectrum
+
+    def counting(model, spectrum):
+        calls.append(spectrum)
+        return encode(model, spectrum)
+
+    monkeypatch.setattr(Model, "encode_spectrum", counting)
+    model = small_model()
+    model.finetuned = finetuned  # the AT decoder then also reads the NAT latents
+    s = spectra_for(TABLE, 1, seed=8)[0]
+    for decode in (lambda: greedy_at_decode(model, s, 6),
+                   lambda: beam_search_at(model, s, 3, 6),
+                   lambda: nat_pmc_decode(model, s, bin_width=0.01)):
+        calls.clear()
+        decode()
+        assert calls == [s]
+    cache = FeatureCache(model)
+    calls.clear()
+    cache.get(s)
+    cache.get(s)  # a hit
+    assert calls == [s]

@@ -19,7 +19,8 @@ from pepseq.params import (
     load_checkpoint,
     save_checkpoint,
 )
-from pepseq.spectra import PROTON, WATER, AminoAcidTable, Peptide, Spectrum, simulate_spectrum
+from pepseq.spectra import (PROTON, WATER, AminoAcidTable, Peptide, Spectrum, embed_peak,
+                            encode_float, simulate_spectrum)
 
 
 def tiny_config(**kw):
@@ -45,14 +46,20 @@ class TestEncoder:
         assert feats.shape == (len(spectrum.peaks) + 1, model.cfg.d)
 
     def test_permutation_equivariance(self, model, spectrum):
-        precursor, peak_rows = model.spectrum_rows(spectrum)
-        k = peak_rows.shape[0]
-        rows = ad.concat([precursor, ad.constant(peak_rows)], axis=0)
-        out = model.run_encoder(rows).values
+        cfg = model.cfg
+        precursor = (model.store.get("enc", "charge_emb").values[spectrum.charge - 1]
+                     + encode_float(spectrum.neutral_mass, cfg.mz_encoder))
+        peak_rows = embed_peak(spectrum.peaks, cfg.mz_encoder, cfg.intensity_encoder,
+                               spectrum.max_intensity)
 
-        perm = np.random.default_rng(3).permutation(k)
-        rows_p = ad.concat([precursor, ad.constant(peak_rows[perm])], axis=0)
-        out_p = model.run_encoder(rows_p).values
+        def encode(peaks):
+            rows = ad.constant(np.vstack([precursor, peaks]))
+            return model._stack("enc", cfg.enc_layers, rows, None).values
+
+        out = encode(peak_rows)
+        assert_allclose(out, model.encode_spectrum(spectrum).values, atol=1e-10)  # the same rows
+        perm = np.random.default_rng(3).permutation(len(peak_rows))
+        out_p = encode(peak_rows[perm])
 
         assert_allclose(out_p[0], out[0], atol=1e-10)  # precursor row stays put
         assert_allclose(out_p[1:], out[1:][perm], atol=1e-10)
@@ -282,6 +289,15 @@ class TestConfig:
         assert ModelConfig.from_dict(stored) == tiny_config()
         with pytest.raises(ValueError, match="paired"):
             ModelConfig.from_dict(dict(stored, paired_encoding=True))
+
+    def test_stored_encoder_wavelengths(self):
+        # Older checkpoints store the fixed wavelength bounds of the encoders.
+        stored = dict(tiny_config().to_dict(), mz_v_min=0.001, mz_v_max=10000.0,
+                      intensity_v_min=1e-4, intensity_v_max=1.0)
+        assert ModelConfig.from_dict(stored) == tiny_config()
+        for key in ("mz_v_min", "mz_v_max", "intensity_v_min", "intensity_v_max"):
+            with pytest.raises(ValueError, match=key):
+                ModelConfig.from_dict(dict(stored, **{key: 2 * stored[key]}))
 
 
 class TestCheckpoint:

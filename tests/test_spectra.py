@@ -145,9 +145,14 @@ class TestFloatEncoder:
         cfg = FloatEncoderConfig(d=4, v_min=0.001, v_max=10000.0)
         icfg = FloatEncoderConfig(d=4, v_min=1e-4, v_max=1.0)
         with pytest.raises(ValueError):
-            embed_peak(Peak(100.0, 1.0), cfg, icfg, 0.0)
-        out = embed_peak(Peak(100.0, 0.5), cfg, icfg, 2.0)
-        assert_allclose(out, encode_float(100.0, cfg) + encode_float(0.25, icfg))
+            embed_peak([Peak(100.0, 1.0)], cfg, icfg, 0.0)
+        out = embed_peak([Peak(100.0, 0.5)], cfg, icfg, 2.0)
+        assert_allclose(out, [encode_float(100.0, cfg) + encode_float(0.25, icfg)])
+
+    def test_embed_peak_takes_a_sequence_of_peaks(self):
+        cfg = FloatEncoderConfig(d=4, v_min=0.001, v_max=10000.0)
+        with pytest.raises(ValueError, match="sequence of peaks"):
+            embed_peak(Peak(100.0, 1.0), cfg, cfg, 1.0)
 
     def test_embed_peak_over_a_spectrum_equals_stacked_per_peak_calls(self):
         cfg = FloatEncoderConfig(d=64, v_min=0.001, v_max=10000.0)
@@ -155,7 +160,7 @@ class TestFloatEncoder:
         noise = NoiseConfig(mz_sigma=0.01, n_noise_peaks=5, intensity_range=(0.1, 1.0))
         s = simulate_spectrum(Peptide.from_string("PEPTIDEK"), seed=3, noise=noise)
         out = embed_peak(s.peaks, cfg, icfg, s.max_intensity)
-        want = np.stack([embed_peak(p, cfg, icfg, s.max_intensity) for p in s.peaks])
+        want = np.concatenate([embed_peak([p], cfg, icfg, s.max_intensity) for p in s.peaks])
         assert out.shape == (len(s.peaks), 64)
         assert np.array_equal(out, want)
 

@@ -291,8 +291,9 @@ class TestPaddedBatch:
     """A padded batch computes what its rows compute alone.
 
     Batches of 10 from the benchmark's pool (peptides of 5-12 residues) go
-    through one padded forward; each row's losses must equal the unpadded
-    batch-of-one path's, and the batch gradient the mean of the lone ones.
+    through one padded forward; each row's losses must equal those of its
+    spectrum encoded alone, as a batch of one, and the batch gradient the
+    mean of the lone ones.
     Padded GEMMs round differently, so the bounds are tolerances, not bit
     identity.
     """
@@ -346,7 +347,7 @@ class TestPaddedBatch:
             for b, (s, row) in enumerate(zip(batch, ids)):
                 lone_enc = model.encode_spectrum(s)
                 at = _at_sample_loss(model, s, row, lone_enc, None)
-                nat, _ = ctc_loss(model.nat_forward(lone_enc).logits, row, table.blank_id)
+                nat, _ = ctc_loss(model.nat_forward(lone_enc).logits[None], [row], table.blank_id)
                 assert_allclose(ce_loss(at_logits[b], targets[b], table.pad_id).item(),
                                 at.item(), rtol=1e-12)
                 assert_allclose(-nat_log_p.values[b], nat.item(), rtol=1e-12)
