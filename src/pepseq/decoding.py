@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .network import Model, prefix_suffix_masses
+from .network import ATCache, Model, prefix_suffix_masses
 from .spectra import WATER, AminoAcidTable, Peptide, Spectrum
 
 __all__ = [
@@ -78,21 +78,38 @@ class DecodeResult:
     finished: bool  # False when the length cap cut the hypothesis off
 
 
+def _step_logps(model: Model, spectrum: Spectrum, cache: ATCache, ids: np.ndarray) -> np.ndarray:
+    """Masked next-token log-probabilities [n, vocab] after the residue
+    prefixes ``ids`` [n, t], from one cached AT step.
+
+    The cache holds the prefixes' first t input positions; the step feeds
+    the last, each row's last residue (BOS when t is 0) at its prefix and
+    suffix masses, and the cache gains it.
+    """
+    table = model.table
+    tokens = ids[:, -1:] if ids.shape[1] else np.full((len(ids), 1), table.bos_id)
+    masses = prefix_suffix_masses(ids, spectrum.neutral_mass, table)[:, -1:]
+    logits = model.at_forward(tokens, masses, cache=cache)[:, 0]
+    logps = ad.log_softmax(logits).values
+    # Structural tokens are never valid emissions.
+    logps[:, [table.bos_id, table.pad_id]] = -np.inf
+    return logps
+
+
 def _next_logps(model: Model, spectrum: Spectrum, ids, enc, nat_latents) -> np.ndarray:
     """Masked next-token log-probabilities after residue prefixes ``ids``.
 
     One prefix [L] gives [vocab]; n prefixes of equal length [n, L] give
-    [n, vocab] from one AT forward, all against the one decode context.
+    [n, vocab], all against the one decode context. The prefixes go through
+    the cached steps the decoders take, one position at a time, so the
+    values are the decoders' bit for bit.
     """
-    table = model.table
     ids = np.asarray(ids, dtype=np.intp)
-    tokens = np.concatenate([np.full(ids.shape[:-1] + (1,), table.bos_id), ids], axis=-1)
-    masses = prefix_suffix_masses(ids, spectrum.neutral_mass, table)
-    logits = model.at_forward(tokens, masses, enc, nat_latents)[..., -1, :]
-    logps = ad.log_softmax(logits).values
-    # Structural tokens are never valid emissions.
-    logps[..., [table.bos_id, table.pad_id]] = -np.inf
-    return logps
+    rows = np.atleast_2d(ids)  # one prefix is a batch of one
+    cache = model.at_cache(enc, nat_latents)
+    for t in range(rows.shape[1] + 1):
+        logps = _step_logps(model, spectrum, cache, rows[:, :t])
+    return logps.reshape(ids.shape[:-1] + logps.shape[-1:])
 
 
 def _decode_context(model: Model, spectrum: Spectrum):
@@ -110,54 +127,63 @@ def greedy_at_decode(model: Model, spectrum: Spectrum, max_len: int) -> DecodeRe
     return beam_search_at(model, spectrum, 1, max_len)[0]
 
 
-@dataclass(frozen=True)
-class _Hyp:
-    ids: tuple[int, ...]
-    total: float
-    finished: bool
-
-    def live(self, max_len: int) -> bool:
-        return not self.finished and len(self.ids) < max_len
-
-
 def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -> list[DecodeResult]:
     """Beam search pruned by total log-probability.
 
     Finished (and length-capped) hypotheses stay in the pool and compete
-    with growing ones. Results come back ranked by mean per-token
-    log-probability. Width 1 is greedy decoding.
+    with growing ones; ties in total go to the smaller residue ids, and a
+    prefix ranks before its extensions, so ending wins a tie with going on.
+    Results come back ranked by mean per-token log-probability. Width 1 is
+    greedy decoding.
+
+    The pool is arrays, one row per hypothesis: residue ids padded with -1,
+    totals and finished flags. Every live hypothesis holds the same number
+    of residues, so one cached AT step scores them all; the decode context
+    is projected into the cache once, and the cache follows the kept
+    hypotheses' parents.
     """
     if width < 1:
         raise ValueError(f"beam width must be at least 1, got {width}")
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     table = model.table
-    enc, nat_latents = _decode_context(model, spectrum)
-    residue_ids = range(table.n_residues)
+    cache = model.at_cache(*_decode_context(model, spectrum))
+    # Each live row's candidates: ending (no new residue), then each residue.
+    emitted = np.concatenate([[-1], np.arange(table.n_residues)])
+    ends = emitted < 0
+    columns = np.concatenate([[table.eos_id], np.arange(table.n_residues)])
 
-    beams = [_Hyp((), 0.0, False)]
-    while any(h.live(max_len) for h in beams):
-        # Every live hypothesis holds the same number of residues, so one
-        # forward scores them all.
-        live = [h for h in beams if h.live(max_len)]
-        candidates: list[_Hyp] = [h for h in beams if not h.live(max_len)]
-        logps = _next_logps(model, spectrum, [h.ids for h in live], enc, nat_latents)
-        for h, row in zip(live, logps):
-            candidates.append(_Hyp(h.ids, h.total + float(row[table.eos_id]), True))
-            for r in residue_ids:
-                candidates.append(_Hyp(h.ids + (r,), h.total + float(row[r]), False))
-        candidates.sort(key=lambda h: (-h.total, h.ids))
-        beams = candidates[:width]
+    ids = np.full((1, max_len), -1, dtype=np.intp)
+    totals = np.zeros(1)
+    finished = np.zeros(1, dtype=bool)
+    for length in range(max_len):  # residues every live hypothesis holds
+        live = ~finished
+        if not live.any():
+            break
+        logps = _step_logps(model, spectrum, cache, ids[live, :length])
+        n, k = len(logps), len(emitted)
+        grown = np.repeat(ids[live], k, axis=0)
+        grown.reshape(n, k, max_len)[:, :, length] = emitted
+        pool_ids = np.concatenate([ids[finished], grown])
+        pool_totals = np.concatenate(
+            [totals[finished], (totals[live][:, None] + logps[:, columns]).ravel()])
+        pool_finished = np.concatenate([finished[finished], np.broadcast_to(ends, (n, k)).ravel()])
+        parents = np.concatenate([np.full(finished.sum(), -1), np.arange(n).repeat(k)])
+        # Rank by (-total, ids): lexsort's last key is its first.
+        keep = np.lexsort([*pool_ids[:, length::-1].T, -pool_totals])[:width]
+        ids, totals, finished = pool_ids[keep], pool_totals[keep], pool_finished[keep]
+        cache.select(parents[keep][~finished])
 
     results = []
-    for h in beams:
-        n_emitted = len(h.ids) + (1 if h.finished else 0)
+    for row, total, done in zip(ids, totals.tolist(), finished.tolist()):
+        residues = row[row >= 0].tolist()
+        n_emitted = len(residues) + (1 if done else 0)
         results.append(
             DecodeResult(
-                peptide=table.peptide_from_ids(list(h.ids)),
-                confidence=h.total / n_emitted if n_emitted else -np.inf,
-                total_logp=h.total,
-                finished=h.finished,
+                peptide=table.peptide_from_ids(residues),
+                confidence=total / n_emitted if n_emitted else -np.inf,
+                total_logp=total,
+                finished=done,
             )
         )
     results.sort(key=lambda r: (-r.confidence, tuple(r.peptide.residues)))

@@ -23,6 +23,10 @@ segment embedding). Both segment vectors belong to the AT partition.
 The encoder takes a list of spectra and returns one padded batch of
 :class:`Padded` features, whose padding rows every attention masks out as
 keys; a lone spectrum is a batch of one.
+
+The AT decoder runs through an :class:`ATCache`: one built inside a whole
+forward, or one that decoding builds once per spectrum and then extends by
+one position per step.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .spectra import (
     encode_float,
 )
 
-__all__ = ["ModelConfig", "Model", "NATFeatures", "Padded", "MAX_CHARGE", "pad_rows",
+__all__ = ["ModelConfig", "Model", "NATFeatures", "Padded", "ATCache", "MAX_CHARGE", "pad_rows",
            "prefix_suffix_masses"]
 
 MAX_CHARGE = 10
@@ -125,6 +129,37 @@ def _keys(context: Tensor | Padded) -> tuple[Tensor, np.ndarray | None]:
     if isinstance(context, Padded):
         return context.rows, context.mask[:, None, :]
     return context, None
+
+
+class ATCache:
+    """What the AT decoder keeps of one decode context between calls: the
+    augmented context and its key mask, each layer's cross-attention keys
+    and values, projected once, and each layer's self-attention keys and
+    values of the positions fed so far. Those are plain arrays [n, t, d],
+    one row per prefix, so no graph chains from one call to the next.
+    """
+
+    def __init__(self, context: Tensor, key_mask: np.ndarray | None,
+                 cross: list[tuple[Tensor, Tensor]]):
+        self.context = context
+        self.key_mask = key_mask
+        self.cross = cross
+        self.past: list[tuple[np.ndarray, np.ndarray]] = []  # per layer, once fed
+
+    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """The keys and values of ``layer`` over the cached positions and the
+        new ones ``k``, ``v``; the new ones join the cache."""
+        if layer < len(self.past):
+            k = ad.concat([ad.constant(self.past[layer][0]), k], axis=-2)
+            v = ad.concat([ad.constant(self.past[layer][1]), v], axis=-2)
+            self.past[layer] = (k.values, v.values)
+        else:
+            self.past.append((k.values, v.values))
+        return k, v
+
+    def select(self, rows: np.ndarray) -> None:
+        """Keep the cached prefixes ``rows``, in that order (a beam's parents)."""
+        self.past = [(k[rows], v[rows]) for k, v in self.past]
 
 
 def prefix_suffix_masses(residue_ids: Sequence[int] | np.ndarray, neutral_mass: float,
@@ -215,12 +250,18 @@ class Model:
     def _p(self, partition: str, name: str) -> Tensor:
         return self.store.get(partition, name)
 
-    def _mha(self, partition: str, prefix: str, x: Tensor, context: Tensor,
+    def _kv(self, partition: str, prefix: str, rows: Tensor) -> tuple[Tensor, Tensor]:
+        """The keys and values an attention block projects from ``rows``."""
+        return (ad.linear(rows, self._p(partition, f"{prefix}.wk"), self._p(partition, f"{prefix}.bk")),
+                ad.linear(rows, self._p(partition, f"{prefix}.wv"), self._p(partition, f"{prefix}.bv")))
+
+    def _cross_kv(self, partition: str, layers: int, context: Tensor) -> list[tuple[Tensor, Tensor]]:
+        return [self._kv(partition, f"layer{i}.cross", context) for i in range(layers)]
+
+    def _mha(self, partition: str, prefix: str, x: Tensor, kv: tuple[Tensor, Tensor],
              mask: np.ndarray | None) -> Tensor:
         q = ad.linear(x, self._p(partition, f"{prefix}.wq"), self._p(partition, f"{prefix}.bq"))
-        k = ad.linear(context, self._p(partition, f"{prefix}.wk"), self._p(partition, f"{prefix}.bk"))
-        v = ad.linear(context, self._p(partition, f"{prefix}.wv"), self._p(partition, f"{prefix}.bv"))
-        out = ad.scaled_dot_attention(q, k, v, mask, self.cfg.heads)
+        out = ad.scaled_dot_attention(q, *kv, mask, self.cfg.heads)
         return ad.linear(out, self._p(partition, f"{prefix}.wo"), self._p(partition, f"{prefix}.bo"))
 
     def _ln(self, partition: str, prefix: str, x: Tensor) -> Tensor:
@@ -231,17 +272,23 @@ class Model:
         return ad.linear(h, self._p(partition, f"{prefix}.w2"), self._p(partition, f"{prefix}.b2"))
 
     def _stack(self, partition: str, layers: int, x: Tensor, mask: np.ndarray | None,
-               context: Tensor | None = None, key_mask: np.ndarray | None = None) -> Tensor:
-        """Pre-norm transformer stack: self-attention under ``mask``, then
-        cross-attention to ``context`` under ``key_mask`` when a context is
-        given (the decoders), then feed-forward; then the final norm."""
+               cross: list[tuple[Tensor, Tensor]] | None = None,
+               key_mask: np.ndarray | None = None, past: ATCache | None = None) -> Tensor:
+        """Pre-norm transformer stack: self-attention under ``mask``, over
+        ``past``'s cached positions too when it is given (which then keeps
+        this call's), then cross-attention to each layer's projected
+        ``cross`` keys and values under ``key_mask`` when they are given (the
+        decoders), then feed-forward; then the final norm."""
         for i in range(layers):
             normed = self._ln(partition, f"layer{i}.ln1", x)
-            x = ad.add(x, self._mha(partition, f"layer{i}.self", normed, normed, mask))
+            kv = self._kv(partition, f"layer{i}.self", normed)
+            if past is not None:
+                kv = past.extend(i, *kv)
+            x = ad.add(x, self._mha(partition, f"layer{i}.self", normed, kv, mask))
             ffn_ln = "ln2"
-            if context is not None:
+            if cross is not None:
                 normed = self._ln(partition, f"layer{i}.ln2", x)
-                x = ad.add(x, self._mha(partition, f"layer{i}.cross", normed, context, key_mask))
+                x = ad.add(x, self._mha(partition, f"layer{i}.cross", normed, cross[i], key_mask))
                 ffn_ln = "ln3"
             normed = self._ln(partition, f"layer{i}.{ffn_ln}", x)
             x = ad.add(x, self._ffn(partition, f"layer{i}.ffn", normed))
@@ -280,49 +327,24 @@ class Model:
         x = self._p("nat", "pos_emb")
         if context.ndim == 3:  # every row starts from the same position embeddings
             x = ad.add(ad.constant(np.zeros(context.shape[:1] + x.shape)), x)
-        latents = self._stack("nat", self.cfg.nat_layers, x, None, context, key_mask)
+        cross = self._cross_kv("nat", self.cfg.nat_layers, context)
+        latents = self._stack("nat", self.cfg.nat_layers, x, None, cross, key_mask)
         logits = ad.linear(latents, self._p("nat", "out.w"), self._p("nat", "out.b"))
         return NATFeatures(latents, logits)
 
     # ------------------------------------------------------------------
     # AT decoder
 
-    def at_forward(
-        self,
-        tokens: Sequence[int] | np.ndarray,
-        masses: np.ndarray,
-        enc_features: Tensor | Padded,
-        nat_latents: Tensor | None = None,
-        block_nat_grad: bool = True,
-    ) -> Tensor:
-        """Next-token logits [..., L, at_vocab] for [BOS, a_1, ...] inputs [..., L].
+    def at_cache(self, enc_features: Tensor | Padded, nat_latents: Tensor | None = None,
+                 block_nat_grad: bool = True) -> ATCache:
+        """A cache holding no positions yet, for ``at_forward`` on this context.
 
-        ``masses`` [..., L, 2] holds one (prefix, suffix) pair per input
-        position; both are embedded with the fixed m/z encoder and summed
-        into the token embedding. One [S, d] context serves every leading
-        index of ``tokens``, so K and V are projected once for all of them;
-        a padded batch of contexts [B, S, d] serves tokens [B, L], one row
-        each. Rows of unequal length are right-padded, so under the causal
-        mask a real position never sees a padding one.
-        With ``nat_latents`` the cross-attention context becomes [NAT
-        latents + seg_nat ; encoder features + seg_enc]; gradient into the
-        NAT latents is blocked unless ``block_nat_grad=False`` (the
-        ablation switch).
+        The cross-attention context is the encoder features; with
+        ``nat_latents`` it becomes [NAT latents + seg_nat ; encoder features
+        + seg_enc], and gradient into the NAT latents is blocked unless
+        ``block_nat_grad=False`` (the ablation switch). Each layer's keys and
+        values of it are projected here, once.
         """
-        tokens = np.asarray(tokens, dtype=np.intp)
-        masses = np.asarray(masses, dtype=np.float64)
-        if masses.shape != tokens.shape + (2,):
-            raise ValueError(
-                f"masses must be {tokens.shape + (2,)} (prefix, suffix) pairs, got {masses.shape}"
-            )
-        vocab = self.table.at_vocab_size
-        if np.any((tokens < 0) | (tokens >= vocab)):
-            raise ValueError(f"token id outside AT vocabulary of size {vocab}")
-
-        mz_cfg = self.cfg.mz_encoder
-        mass_rows = encode_float(masses[..., 0], mz_cfg) + encode_float(masses[..., 1], mz_cfg)
-        x = ad.add(ad.gather(self._p("at", "tok_emb"), tokens), ad.constant(mass_rows))
-
         context, key_mask = _keys(enc_features)
         if nat_latents is not None:
             nv = ad.stop_gradient(nat_latents) if block_nat_grad else nat_latents
@@ -336,9 +358,60 @@ class Model:
             if key_mask is not None:  # every NAT frame is a real key
                 frames = np.ones(key_mask.shape[:-1] + nv.shape[-2:-1], dtype=bool)
                 key_mask = np.concatenate([frames, key_mask], axis=-1)
+        return ATCache(context, key_mask, self._cross_kv("at", self.cfg.at_layers, context))
 
-        causal = np.tril(np.ones((tokens.shape[-1],) * 2, dtype=bool))
-        x = self._stack("at", self.cfg.at_layers, x, causal, context, key_mask)
+    def at_forward(
+        self,
+        tokens: Sequence[int] | np.ndarray,
+        masses: np.ndarray,
+        enc_features: Tensor | Padded | None = None,
+        nat_latents: Tensor | None = None,
+        block_nat_grad: bool = True,
+        cache: ATCache | None = None,
+    ) -> Tensor:
+        """Next-token logits [..., L, at_vocab] for [BOS, a_1, ...] inputs [..., L].
+
+        ``masses`` [..., L, 2] holds one (prefix, suffix) pair per input
+        position; both are embedded with the fixed m/z encoder and summed
+        into the token embedding. One [S, d] context serves every leading
+        index of ``tokens``, so K and V are projected once for all of them;
+        a padded batch of contexts [B, S, d] serves tokens [B, L], one row
+        each. Rows of unequal length are right-padded, so under the causal
+        mask a real position never sees a padding one. The context is
+        ``at_cache(enc_features, nat_latents, block_nat_grad)``.
+
+        Given a ``cache`` instead of the features, ``tokens`` [n, 1] and
+        ``masses`` [n, 1, 2] are the next position of the n prefixes the cache
+        holds (of none, at first): it attends over the cached positions and
+        itself, and joins the cache.
+        """
+        tokens = np.asarray(tokens, dtype=np.intp)
+        masses = np.asarray(masses, dtype=np.float64)
+        if masses.shape != tokens.shape + (2,):
+            raise ValueError(
+                f"masses must be {tokens.shape + (2,)} (prefix, suffix) pairs, got {masses.shape}"
+            )
+        vocab = self.table.at_vocab_size
+        if np.any((tokens < 0) | (tokens >= vocab)):
+            raise ValueError(f"token id outside AT vocabulary of size {vocab}")
+        if cache is None:
+            if enc_features is None:
+                raise ValueError("at_forward needs the encoder features or a cache")
+            cache = self.at_cache(enc_features, nat_latents, block_nat_grad)
+            causal = np.tril(np.ones((tokens.shape[-1],) * 2, dtype=bool))
+        elif enc_features is not None or nat_latents is not None:
+            raise ValueError("a cache already holds its context: pass no features with it")
+        elif tokens.ndim != 2 or tokens.shape[1] != 1 or (
+                cache.past and cache.past[0][0].shape[0] != tokens.shape[0]):
+            raise ValueError(f"a cached step takes one new position per cached prefix, "
+                             f"got tokens {tokens.shape}")
+        else:
+            causal = None  # the one new position sees every cached one
+
+        mz_cfg = self.cfg.mz_encoder
+        mass_rows = encode_float(masses[..., 0], mz_cfg) + encode_float(masses[..., 1], mz_cfg)
+        x = ad.add(ad.gather(self._p("at", "tok_emb"), tokens), ad.constant(mass_rows))
+        x = self._stack("at", self.cfg.at_layers, x, causal, cache.cross, cache.key_mask, cache)
         return ad.linear(x, self._p("at", "out.w"), self._p("at", "out.b"))
 
     # ------------------------------------------------------------------

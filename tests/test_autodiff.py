@@ -81,6 +81,16 @@ class TestForwardValues:
         assert_allclose(y.values.mean(axis=-1), np.zeros(3), atol=1e-12)
         assert_allclose(y.values.var(axis=-1), np.ones(3), atol=1e-3)
 
+    def test_layer_norm_equals_numpy_mean_and_var_bit_for_bit(self):
+        rng = make_rng(13)
+        for shape in [(5, 1, 64), (3, 16), (2, 7, 9), (64,), (4, 3, 2, 10)]:
+            x = rng.normal(size=shape) * rng.uniform(0.1, 10) + rng.normal()
+            gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+            mu = x.mean(axis=-1, keepdims=True)
+            want = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)) * gain + bias
+            got = ad.layer_norm(ad.constant(x), ad.constant(gain), ad.constant(bias)).values
+            assert np.array_equal(got, want)
+
     def test_linear_nd_input(self):
         rng = make_rng(6)
         x = ad.parameter(rng.normal(size=(2, 3, 4)))

@@ -1,8 +1,10 @@
-"""Smoke test of the benchmark: one short traced run of its main child.
+"""Smoke test of the benchmark: one short traced run of its main child per
+workload.
 
 The child checks every output against ``bench/reference.json`` and wraps the
-names ``bench/tracing.py`` traces, so a wrong loss or a renamed function
-fails here before a benchmark run does.
+names ``bench/tracing.py`` traces, so a wrong loss, a decode that differs
+from the reference on either checkpoint, or a renamed function fails here
+before a benchmark run does.
 """
 
 import json
@@ -13,12 +15,15 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_train_run_passes_every_check():
+@pytest.mark.parametrize("workload", ["train", "decode-trained", "decode-untrained"])
+def test_traced_run_passes_every_check(workload):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    cmd = [sys.executable, str(ROOT / "bench" / "worker.py"), "main", "--workload", "train",
+    cmd = [sys.executable, str(ROOT / "bench" / "worker.py"), "main", "--workload", workload,
            "--seed", "0", "--seconds", "0.5", "--trace", "1",
            "--spawned-at", repr(time.monotonic())]
     run = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)

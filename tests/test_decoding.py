@@ -20,7 +20,7 @@ from pepseq.decoding import (
     greedy_at_decode,
     nat_pmc_decode,
 )
-from pepseq.network import Model, ModelConfig
+from pepseq.network import Model, ModelConfig, prefix_suffix_masses
 from pepseq.spectra import AminoAcidTable, Peptide, random_peptide, simulate_spectrum
 from pepseq.training import FeatureCache
 
@@ -233,6 +233,25 @@ def test_beam_returns_at_most_width_ranked_by_confidence():
     assert confs == sorted(confs, reverse=True)
 
 
+def test_beam_tie_order_is_pinned():
+    # With a zero read-out every candidate ties, so the ranking alone picks
+    # the beam: smaller residue ids first, and a prefix (ending) before its
+    # extensions. The literal is the result of the per-hypothesis beam that
+    # the array beam replaced.
+    model = small_model()
+    model.store.get("at", "out.w").values[:] = 0.0
+    model.store.get("at", "out.b").values[:] = 0.0
+    (s,) = spectra_for(TABLE, 1, seed=41)
+    got = [(str(r.peptide), r.confidence.hex(), r.total_logp.hex(), r.finished)
+           for r in beam_search_at(model, s, width=4, max_len=3)]
+    assert got == [
+        ("", "-0x1.9157dfdd1b3f0p+1", "-0x1.9157dfdd1b3f0p+1", True),
+        ("A", "-0x1.9157dfdd1b3f0p+1", "-0x1.9157dfdd1b3f0p+2", True),
+        ("AA", "-0x1.9157dfdd1b3f0p+1", "-0x1.2d01e7e5d46f4p+3", True),
+        ("AAA", "-0x1.9157dfdd1b3f0p+1", "-0x1.2d01e7e5d46f4p+3", False),
+    ]
+
+
 def test_beam_validation():
     model = small_model()
     (s,) = spectra_for(TABLE, 1, seed=3)
@@ -270,3 +289,98 @@ def test_each_decode_and_cache_miss_encodes_once(monkeypatch, finetuned):
     cache.get(s)
     cache.get(s)  # a hit
     assert calls == [s]
+
+
+# ---------------------------------------------------------------------------
+# the incremental AT cache
+
+
+def cached_steps(model, cache, tokens, masses):
+    """Logits of each position, fed through ``cache`` one at a time."""
+    return np.concatenate([model.at_forward(tokens[:, t:t + 1], masses[:, t:t + 1], cache=cache).values
+                           for t in range(tokens.shape[1])], axis=1)
+
+
+@pytest.mark.parametrize("finetuned", [False, True])
+def test_cached_steps_equal_one_full_forward(finetuned):
+    model = small_model()
+    model.finetuned = finetuned  # True: the context gains the NAT latents
+    for s in spectra_for(TABLE, 3, seed=17, min_len=4, max_len=8):
+        enc, nat = _decode_context(model, s)
+        ids = np.array([[TABLE.index_of(r) for r in s.truth]])
+        tokens = np.concatenate([[[TABLE.bos_id]], ids], axis=1)
+        masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
+        cache = model.at_cache(enc, nat)
+        assert len(cache.context.values) == len(enc.values) + (model.cfg.t_max if finetuned else 0)
+        stepped = cached_steps(model, cache, tokens, masses)
+        full = model.at_forward(tokens, masses, enc, nat).values
+        np.testing.assert_allclose(stepped, full, rtol=0, atol=1e-12)
+        assert all(k.shape == v.shape == (1, tokens.shape[1], model.cfg.d) for k, v in cache.past)
+
+
+@pytest.mark.parametrize("finetuned", [False, True])
+def test_reordered_cache_equals_one_rebuilt_from_the_parents(finetuned):
+    model = small_model()
+    model.finetuned = finetuned
+    (s,) = spectra_for(TABLE, 1, seed=29)
+    enc, nat = _decode_context(model, s)
+    rng = np.random.default_rng(4)
+    ids = rng.integers(0, TABLE.n_residues, size=(5, 4))
+    tokens = np.concatenate([np.full((5, 1), TABLE.bos_id), ids], axis=1)
+    masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
+    parents = np.array([3, 3, 0, 4])
+    cache = model.at_cache(enc, nat)
+    cached_steps(model, cache, tokens[:, :-1], masses[:, :-1])
+    cache.select(parents)
+    rebuilt = model.at_cache(enc, nat)
+    cached_steps(model, rebuilt, tokens[parents, :-1], masses[parents, :-1])
+    step = (tokens[parents, -1:], masses[parents, -1:])
+    assert np.array_equal(model.at_forward(*step, cache=cache).values,
+                          model.at_forward(*step, cache=rebuilt).values)
+
+
+def test_cached_step_rejects_a_mismatched_position():
+    model = small_model()
+    (s,) = spectra_for(TABLE, 1, seed=2)
+    enc, _ = _decode_context(model, s)
+    cache = model.at_cache(enc)
+    bos = np.full((2, 1), TABLE.bos_id)
+    model.at_forward(bos, np.zeros((2, 1, 2)), cache=cache)
+    for tokens in (np.full((3, 1), 0), np.full((2, 2), 0)):  # other rows; two positions
+        with pytest.raises(ValueError):
+            model.at_forward(tokens, np.zeros(tokens.shape + (2,)), cache=cache)
+    with pytest.raises(ValueError):
+        model.at_forward(bos, np.zeros((2, 1, 2)), enc, cache=cache)
+
+
+@pytest.mark.parametrize("finetuned", [False, True])
+def test_one_at_forward_per_step_and_one_encoder_pass_per_decode(monkeypatch, finetuned):
+    model = small_model()
+    model.finetuned = finetuned
+    encodes, steps = [], []
+    encode, at_forward = Model.encode_spectrum, Model.at_forward
+
+    def counting_encode(self, spectrum):
+        encodes.append(spectrum)
+        return encode(self, spectrum)
+
+    def counting_at_forward(self, tokens, *args, **kwargs):
+        steps.append(np.shape(tokens))
+        return at_forward(self, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "encode_spectrum", counting_encode)
+    monkeypatch.setattr(Model, "at_forward", counting_at_forward)
+    max_len = 6
+    for s in spectra_for(TABLE, 3, seed=37):
+        encodes.clear(), steps.clear()
+        r = greedy_at_decode(model, s, max_len)
+        assert encodes == [s]
+        assert steps == [(1, 1)] * (len(r.peptide) + r.finished)
+    # A read-out that never ends keeps every hypothesis live to the cap.
+    model.store.get("at", "out.b").values[TABLE.eos_id] = -1e9
+    for width in (1, 4):
+        encodes.clear(), steps.clear()
+        results = beam_search_at(model, s, width, max_len)
+        assert encodes == [s]
+        assert len(steps) == max_len and all(n <= width and l == 1 for n, l in steps)
+        assert not any(r.finished for r in results)

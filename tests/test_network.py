@@ -119,9 +119,13 @@ class TestMultiHeadAttention:
                 heads.append((w / w.sum(axis=1, keepdims=True)) @ v[:, cols])
             return np.concatenate(heads, axis=1) @ p["wo"] + p["bo"]
 
-        got = model._mha("at", "layer0.cross", ad.constant(x), ad.constant(context), None)
+        def mha(x, ctx, mask):
+            kv = model._kv("at", "layer0.cross", ad.constant(ctx))
+            return model._mha("at", "layer0.cross", ad.constant(x), kv, mask)
+
+        got = mha(x, context, None)
         assert_allclose(got.values, reference(x, context, None), rtol=0, atol=1e-12)
-        got = model._mha("at", "layer0.cross", ad.constant(x), ad.constant(x), causal)
+        got = mha(x, x, causal)
         assert_allclose(got.values, reference(x, x, causal), rtol=0, atol=1e-12)
 
 
