@@ -233,23 +233,32 @@ def test_beam_returns_at_most_width_ranked_by_confidence():
     assert confs == sorted(confs, reverse=True)
 
 
-def test_beam_tie_order_is_pinned():
-    # With a zero read-out every candidate ties, so the ranking alone picks
-    # the beam: smaller residue ids first, and a prefix (ending) before its
-    # extensions. The literal is the result of the per-hypothesis beam that
-    # the array beam replaced.
+@pytest.mark.parametrize("c_bias, width, want", [
+    # Every candidate ties: smaller residue ids first, and a prefix (ending)
+    # before its extensions.
+    (0.0, 4, [("", "-0x1.9157dfdd1b3f0p+1", "-0x1.9157dfdd1b3f0p+1", True),
+              ("A", "-0x1.9157dfdd1b3f0p+1", "-0x1.9157dfdd1b3f0p+2", True),
+              ("AA", "-0x1.9157dfdd1b3f0p+1", "-0x1.2d01e7e5d46f4p+3", True),
+              ("AAA", "-0x1.9157dfdd1b3f0p+1", "-0x1.2d01e7e5d46f4p+3", False)]),
+    # C is likelier than the rest, so at step 2 "AC" ties "C" + EOS and "CA"
+    # although its parent "A" ranks below "C": the ids decide, not the order
+    # the candidates were made in.
+    (1.0, 3, [("CCC", "-0x1.1a90c5eae039ep+1", "-0x1.a7d928e05056dp+2", False),
+              ("ACC", "-0x1.453b70958ae49p+1", "-0x1.e7d928e05056dp+2", False),
+              ("", "-0x1.9a90c5eae039ep+1", "-0x1.9a90c5eae039ep+1", True)]),
+])
+def test_beam_tie_order_is_pinned(c_bias, width, want):
+    # With a zero read-out weight every candidate's log-probability is its
+    # token's bias term, whatever the prefix. The literals are the results of
+    # the per-hypothesis beam that the array beam replaced.
     model = small_model()
     model.store.get("at", "out.w").values[:] = 0.0
     model.store.get("at", "out.b").values[:] = 0.0
+    model.store.get("at", "out.b").values[TABLE.index_of("C")] = c_bias
     (s,) = spectra_for(TABLE, 1, seed=41)
     got = [(str(r.peptide), r.confidence.hex(), r.total_logp.hex(), r.finished)
-           for r in beam_search_at(model, s, width=4, max_len=3)]
-    assert got == [
-        ("", "-0x1.9157dfdd1b3f0p+1", "-0x1.9157dfdd1b3f0p+1", True),
-        ("A", "-0x1.9157dfdd1b3f0p+1", "-0x1.9157dfdd1b3f0p+2", True),
-        ("AA", "-0x1.9157dfdd1b3f0p+1", "-0x1.2d01e7e5d46f4p+3", True),
-        ("AAA", "-0x1.9157dfdd1b3f0p+1", "-0x1.2d01e7e5d46f4p+3", False),
-    ]
+           for r in beam_search_at(model, s, width=width, max_len=3)]
+    assert got == want
 
 
 def test_beam_validation():
@@ -372,14 +381,16 @@ def test_one_at_forward_per_step_and_one_encoder_pass_per_decode(monkeypatch, fi
     monkeypatch.setattr(Model, "at_forward", counting_at_forward)
     max_len = 6
     for s in spectra_for(TABLE, 3, seed=37):
-        encodes.clear(), steps.clear()
+        encodes.clear()
+        steps.clear()
         r = greedy_at_decode(model, s, max_len)
         assert encodes == [s]
         assert steps == [(1, 1)] * (len(r.peptide) + r.finished)
     # A read-out that never ends keeps every hypothesis live to the cap.
     model.store.get("at", "out.b").values[TABLE.eos_id] = -1e9
     for width in (1, 4):
-        encodes.clear(), steps.clear()
+        encodes.clear()
+        steps.clear()
         results = beam_search_at(model, s, width, max_len)
         assert encodes == [s]
         assert len(steps) == max_len and all(n <= width and l == 1 for n, l in steps)
