@@ -32,7 +32,7 @@ one position per step.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,15 +133,13 @@ def _keys(context: Tensor | Padded) -> tuple[Tensor, np.ndarray | None]:
 
 class ATCache:
     """What the AT decoder keeps of one decode context between calls: the
-    augmented context and its key mask, each layer's cross-attention keys
+    key mask of the augmented context, each layer's cross-attention keys
     and values, projected once, and each layer's self-attention keys and
     values of the positions fed so far. Those are plain arrays [n, t, d],
     one row per prefix, so no graph chains from one call to the next.
     """
 
-    def __init__(self, context: Tensor, key_mask: np.ndarray | None,
-                 cross: list[tuple[Tensor, Tensor]]):
-        self.context = context
+    def __init__(self, key_mask: np.ndarray | None, cross: list[tuple[Tensor, Tensor]]):
         self.key_mask = key_mask
         self.cross = cross
         self.past: list[tuple[np.ndarray, np.ndarray]] = []  # per layer, once fed
@@ -178,18 +176,83 @@ def prefix_suffix_masses(residue_ids: Sequence[int] | np.ndarray, neutral_mass: 
     return np.stack([prefix, (neutral_mass - WATER) - prefix], axis=-1)
 
 
-def _init(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    return rng.normal(0.0, 0.02, size=shape)
+def _layout(cfg: ModelConfig, table: AminoAcidTable, make: Callable[..., Tensor]) -> dict:
+    """Every parameter of the model, declared once, in registration order.
+
+    ``make(partition, name, shape, fill)`` gives each one's tensor; ``fill``
+    is "normal" (N(0, 0.02)), "zeros" or "ones". The tensors come back as a
+    tree: per partition, its embeddings and its stack, a list of layer blocks
+    ("ln1", "self", "ln2", ["cross", "ln3"], "ffn"), then "final_ln" and, in
+    a decoder, "out". Norms are (gain, bias), feed-forwards (w1, b1, w2, b2),
+    read-outs (w, b) and attentions dicts of their projections "wq" .. "bo".
+    """
+    d, hid = cfg.d, cfg.hidden
+
+    # A stack with a ``vocab`` is a decoder: cross-attention and a read-out.
+    def stack(partition: str, layers: int, vocab: int | None = None) -> dict:
+        def p(name: str, *shape: int, fill: str = "normal") -> Tensor:
+            return make(partition, name, shape, fill)
+
+        def attn(prefix: str) -> dict:
+            return ({n: p(f"{prefix}.{n}", d, d) for n in ("wq", "wk", "wv", "wo")}
+                    | {n: p(f"{prefix}.{n}", d, fill="zeros") for n in ("bq", "bk", "bv", "bo")})
+
+        def ln(prefix: str) -> tuple[Tensor, Tensor]:
+            return p(f"{prefix}.gain", d, fill="ones"), p(f"{prefix}.bias", d, fill="zeros")
+
+        def block(i: int) -> dict:
+            b = {"ln1": ln(f"layer{i}.ln1"), "self": attn(f"layer{i}.self"), "ln2": ln(f"layer{i}.ln2")}
+            if vocab is not None:
+                b |= {"cross": attn(f"layer{i}.cross"), "ln3": ln(f"layer{i}.ln3")}
+            b["ffn"] = (p(f"layer{i}.ffn.w1", d, hid), p(f"layer{i}.ffn.b1", hid, fill="zeros"),
+                        p(f"layer{i}.ffn.w2", hid, d), p(f"layer{i}.ffn.b2", d, fill="zeros"))
+            return b
+
+        tree = {"layers": [block(i) for i in range(layers)], "final_ln": ln("final_ln")}
+        if vocab is not None:
+            tree["out"] = (p("out.w", d, vocab), p("out.b", vocab, fill="zeros"))
+        return tree
+
+    enc = {"charge_emb": make("enc", "charge_emb", (MAX_CHARGE, d), "normal"),
+           **stack("enc", cfg.enc_layers)}
+    at = {"tok_emb": make("at", "tok_emb", (table.at_vocab_size, d), "normal"),
+          **stack("at", cfg.at_layers, table.at_vocab_size),
+          **{seg: make("at", seg, (d,), "normal") for seg in ("seg_nat", "seg_enc")}}
+    nat = {"pos_emb": make("nat", "pos_emb", (cfg.t_max, d), "normal"),
+           **stack("nat", cfg.nat_layers, table.nat_vocab_size)}
+    return {"enc": enc, "at": at, "nat": nat}
 
 
 class Model:
-    """Configuration + parameter store + forward passes."""
+    """Configuration + parameter store + forward passes.
+
+    ``params`` holds the store's own tensors as :func:`_layout`'s tree, which
+    the forwards read, so freezing, in-place edits and checkpoints see exactly
+    the tensors the forwards use. A store with a parameter that the layout of
+    ``cfg`` lacks, or without one it declares, or of another shape, raises
+    ValueError.
+    """
 
     def __init__(self, cfg: ModelConfig, table: AminoAcidTable, store: ParameterStore):
         self.cfg = cfg
         self.table = table
         self.store = store
         self.finetuned = False  # flips when stage-2 training has run
+        unbound = dict(store.items())
+
+        def bind(partition: str, name: str, shape: tuple[int, ...], fill: str) -> Tensor:
+            key = f"{partition}/{name}"
+            t = unbound.pop(key, None)
+            if t is None:
+                raise ValueError(f"parameter {key!r} is missing")
+            if t.shape != shape:
+                raise ValueError(f"parameter {key!r} has shape {t.shape}, the model config needs {shape}")
+            return t
+
+        self.params = _layout(cfg, table, bind)
+        if unbound:
+            names = ", ".join(map(repr, unbound))
+            raise ValueError(f"parameters the model config does not declare: {names}")
 
     # ------------------------------------------------------------------
     # construction
@@ -198,80 +261,26 @@ class Model:
     def build(cls, cfg: ModelConfig, table: AminoAcidTable, seed: int) -> "Model":
         rng = np.random.default_rng(seed)
         store = ParameterStore()
-        d, hid = cfg.d, cfg.hidden
-
-        def attn_block(partition: str, prefix: str) -> None:
-            for name in ("wq", "wk", "wv", "wo"):
-                store.add(partition, f"{prefix}.{name}", _init(rng, d, d))
-            for name in ("bq", "bk", "bv", "bo"):
-                store.add(partition, f"{prefix}.{name}", np.zeros(d))
-
-        def ln(partition: str, prefix: str) -> None:
-            store.add(partition, f"{prefix}.gain", np.ones(d))
-            store.add(partition, f"{prefix}.bias", np.zeros(d))
-
-        def ffn(partition: str, prefix: str) -> None:
-            store.add(partition, f"{prefix}.w1", _init(rng, d, hid))
-            store.add(partition, f"{prefix}.b1", np.zeros(hid))
-            store.add(partition, f"{prefix}.w2", _init(rng, hid, d))
-            store.add(partition, f"{prefix}.b2", np.zeros(d))
-
-        # A stack with a ``vocab`` is a decoder: cross-attention and a read-out.
-        def stack(partition: str, layers: int, vocab: int | None = None) -> None:
-            for i in range(layers):
-                ln(partition, f"layer{i}.ln1")
-                attn_block(partition, f"layer{i}.self")
-                ln(partition, f"layer{i}.ln2")
-                if vocab is not None:
-                    attn_block(partition, f"layer{i}.cross")
-                    ln(partition, f"layer{i}.ln3")
-                ffn(partition, f"layer{i}.ffn")
-            ln(partition, "final_ln")
-            if vocab is not None:
-                store.add(partition, "out.w", _init(rng, d, vocab))
-                store.add(partition, "out.b", np.zeros(vocab))
-
-        store.add("enc", "charge_emb", _init(rng, MAX_CHARGE, d))
-        stack("enc", cfg.enc_layers)
-
-        store.add("at", "tok_emb", _init(rng, table.at_vocab_size, d))
-        stack("at", cfg.at_layers, table.at_vocab_size)
-        store.add("at", "seg_nat", _init(rng, d))
-        store.add("at", "seg_enc", _init(rng, d))
-
-        store.add("nat", "pos_emb", _init(rng, cfg.t_max, d))
-        stack("nat", cfg.nat_layers, table.nat_vocab_size)
-
+        fills = {"zeros": np.zeros, "ones": np.ones,
+                 "normal": lambda shape: rng.normal(0.0, 0.02, size=shape)}
+        _layout(cfg, table, lambda partition, name, shape, fill:
+                store.add(partition, name, fills[fill](shape)))
         return cls(cfg, table, store)
 
     # ------------------------------------------------------------------
     # shared sublayers
 
-    def _p(self, partition: str, name: str) -> Tensor:
-        return self.store.get(partition, name)
-
-    def _kv(self, partition: str, prefix: str, rows: Tensor) -> tuple[Tensor, Tensor]:
+    @staticmethod
+    def _kv(block: dict, rows: Tensor) -> tuple[Tensor, Tensor]:
         """The keys and values an attention block projects from ``rows``."""
-        return (ad.linear(rows, self._p(partition, f"{prefix}.wk"), self._p(partition, f"{prefix}.bk")),
-                ad.linear(rows, self._p(partition, f"{prefix}.wv"), self._p(partition, f"{prefix}.bv")))
+        return ad.linear(rows, block["wk"], block["bk"]), ad.linear(rows, block["wv"], block["bv"])
 
-    def _cross_kv(self, partition: str, layers: int, context: Tensor) -> list[tuple[Tensor, Tensor]]:
-        return [self._kv(partition, f"layer{i}.cross", context) for i in range(layers)]
-
-    def _mha(self, partition: str, prefix: str, x: Tensor, kv: tuple[Tensor, Tensor],
-             mask: np.ndarray | None) -> Tensor:
-        q = ad.linear(x, self._p(partition, f"{prefix}.wq"), self._p(partition, f"{prefix}.bq"))
+    def _mha(self, block: dict, x: Tensor, kv: tuple[Tensor, Tensor], mask: np.ndarray | None) -> Tensor:
+        q = ad.linear(x, block["wq"], block["bq"])
         out = ad.scaled_dot_attention(q, *kv, mask, self.cfg.heads)
-        return ad.linear(out, self._p(partition, f"{prefix}.wo"), self._p(partition, f"{prefix}.bo"))
+        return ad.linear(out, block["wo"], block["bo"])
 
-    def _ln(self, partition: str, prefix: str, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self._p(partition, f"{prefix}.gain"), self._p(partition, f"{prefix}.bias"))
-
-    def _ffn(self, partition: str, prefix: str, x: Tensor) -> Tensor:
-        h = ad.gelu(ad.linear(x, self._p(partition, f"{prefix}.w1"), self._p(partition, f"{prefix}.b1")))
-        return ad.linear(h, self._p(partition, f"{prefix}.w2"), self._p(partition, f"{prefix}.b2"))
-
-    def _stack(self, partition: str, layers: int, x: Tensor, mask: np.ndarray | None,
+    def _stack(self, tree: dict, x: Tensor, mask: np.ndarray | None,
                cross: list[tuple[Tensor, Tensor]] | None = None,
                key_mask: np.ndarray | None = None, past: ATCache | None = None) -> Tensor:
         """Pre-norm transformer stack: self-attention under ``mask``, over
@@ -279,20 +288,21 @@ class Model:
         this call's), then cross-attention to each layer's projected
         ``cross`` keys and values under ``key_mask`` when they are given (the
         decoders), then feed-forward; then the final norm."""
-        for i in range(layers):
-            normed = self._ln(partition, f"layer{i}.ln1", x)
-            kv = self._kv(partition, f"layer{i}.self", normed)
+        for i, block in enumerate(tree["layers"]):
+            normed = ad.layer_norm(x, *block["ln1"])
+            kv = self._kv(block["self"], normed)
             if past is not None:
                 kv = past.extend(i, *kv)
-            x = ad.add(x, self._mha(partition, f"layer{i}.self", normed, kv, mask))
+            x = ad.add(x, self._mha(block["self"], normed, kv, mask))
             ffn_ln = "ln2"
             if cross is not None:
-                normed = self._ln(partition, f"layer{i}.ln2", x)
-                x = ad.add(x, self._mha(partition, f"layer{i}.cross", normed, cross[i], key_mask))
+                normed = ad.layer_norm(x, *block["ln2"])
+                x = ad.add(x, self._mha(block["cross"], normed, cross[i], key_mask))
                 ffn_ln = "ln3"
-            normed = self._ln(partition, f"layer{i}.{ffn_ln}", x)
-            x = ad.add(x, self._ffn(partition, f"layer{i}.ffn", normed))
-        return self._ln(partition, "final_ln", x)
+            normed = ad.layer_norm(x, *block[ffn_ln])
+            w1, b1, w2, b2 = block["ffn"]
+            x = ad.add(x, ad.linear(ad.gelu(ad.linear(normed, w1, b1)), w2, b2))
+        return ad.layer_norm(x, *tree["final_ln"])
 
     # ------------------------------------------------------------------
     # encoder
@@ -310,11 +320,11 @@ class Model:
         peaks, real = pad_rows([embed_peak(s.peaks, self.cfg.mz_encoder, self.cfg.intensity_encoder,
                                            s.max_intensity) for s in batch])
         mask = np.concatenate([np.ones((len(real), 1), dtype=bool), real], axis=1)  # row 0: precursor
-        charge_rows = ad.gather(self._p("enc", "charge_emb"), [[s.charge - 1] for s in batch])
+        charge_rows = ad.gather(self.params["enc"]["charge_emb"], [[s.charge - 1] for s in batch])
         masses = encode_float([[s.neutral_mass] for s in batch], self.cfg.mz_encoder)
         x = ad.concat([ad.add(charge_rows, ad.constant(masses)), ad.constant(peaks)], axis=1)
         keys = None if real.all() else mask[:, None, :]  # all-True masks nothing: skip it
-        features = self._stack("enc", self.cfg.enc_layers, x, keys)
+        features = self._stack(self.params["enc"], x, keys)
         return features[0] if isinstance(spectrum, Spectrum) else Padded(features, mask)
 
     # ------------------------------------------------------------------
@@ -324,12 +334,13 @@ class Model:
         """Latents and logits of the ``t_max`` frames; features of a batch
         give one set of frames per row."""
         context, key_mask = _keys(enc_features)
-        x = self._p("nat", "pos_emb")
+        tree = self.params["nat"]
+        x = tree["pos_emb"]
         if context.ndim == 3:  # every row starts from the same position embeddings
             x = ad.add(ad.constant(np.zeros(context.shape[:1] + x.shape)), x)
-        cross = self._cross_kv("nat", self.cfg.nat_layers, context)
-        latents = self._stack("nat", self.cfg.nat_layers, x, None, cross, key_mask)
-        logits = ad.linear(latents, self._p("nat", "out.w"), self._p("nat", "out.b"))
+        cross = [self._kv(block["cross"], context) for block in tree["layers"]]
+        latents = self._stack(tree, x, None, cross, key_mask)
+        logits = ad.linear(latents, *tree["out"])
         return NATFeatures(latents, logits)
 
     # ------------------------------------------------------------------
@@ -345,20 +356,15 @@ class Model:
         ``block_nat_grad=False`` (the ablation switch). Each layer's keys and
         values of it are projected here, once.
         """
+        tree = self.params["at"]
         context, key_mask = _keys(enc_features)
         if nat_latents is not None:
             nv = ad.stop_gradient(nat_latents) if block_nat_grad else nat_latents
-            context = ad.concat(
-                [
-                    ad.add(nv, self._p("at", "seg_nat")),
-                    ad.add(context, self._p("at", "seg_enc")),
-                ],
-                axis=-2,
-            )
+            context = ad.concat([ad.add(nv, tree["seg_nat"]), ad.add(context, tree["seg_enc"])], axis=-2)
             if key_mask is not None:  # every NAT frame is a real key
                 frames = np.ones(key_mask.shape[:-1] + nv.shape[-2:-1], dtype=bool)
                 key_mask = np.concatenate([frames, key_mask], axis=-1)
-        return ATCache(context, key_mask, self._cross_kv("at", self.cfg.at_layers, context))
+        return ATCache(key_mask, [self._kv(block["cross"], context) for block in tree["layers"]])
 
     def at_forward(
         self,
@@ -388,9 +394,8 @@ class Model:
         tokens = np.asarray(tokens, dtype=np.intp)
         masses = np.asarray(masses, dtype=np.float64)
         if masses.shape != tokens.shape + (2,):
-            raise ValueError(
-                f"masses must be {tokens.shape + (2,)} (prefix, suffix) pairs, got {masses.shape}"
-            )
+            raise ValueError(f"masses must be {tokens.shape + (2,)} (prefix, suffix) pairs, "
+                             f"got {masses.shape}")
         vocab = self.table.at_vocab_size
         if np.any((tokens < 0) | (tokens >= vocab)):
             raise ValueError(f"token id outside AT vocabulary of size {vocab}")
@@ -408,24 +413,18 @@ class Model:
         else:
             causal = None  # the one new position sees every cached one
 
-        mz_cfg = self.cfg.mz_encoder
-        mass_rows = encode_float(masses[..., 0], mz_cfg) + encode_float(masses[..., 1], mz_cfg)
-        x = ad.add(ad.gather(self._p("at", "tok_emb"), tokens), ad.constant(mass_rows))
-        x = self._stack("at", self.cfg.at_layers, x, causal, cache.cross, cache.key_mask, cache)
-        return ad.linear(x, self._p("at", "out.w"), self._p("at", "out.b"))
+        tree = self.params["at"]
+        mass_rows = encode_float(masses, self.cfg.mz_encoder).sum(axis=-2)
+        x = ad.add(ad.gather(tree["tok_emb"], tokens), ad.constant(mass_rows))
+        x = self._stack(tree, x, causal, cache.cross, cache.key_mask, cache)
+        return ad.linear(x, *tree["out"])
 
     # ------------------------------------------------------------------
     # persistence
 
     def metadata(self, extra: dict | None = None) -> dict:
-        blob = {
-            "model": self.cfg.to_dict(),
-            "vocabulary": self.table.to_dict(),
-            "finetuned": self.finetuned,
-        }
-        if extra:
-            blob.update(extra)
-        return blob
+        return {"model": self.cfg.to_dict(), "vocabulary": self.table.to_dict(),
+                "finetuned": self.finetuned, **(extra or {})}
 
     @classmethod
     def from_checkpoint_blob(cls, store: ParameterStore, blob: dict) -> "Model":

@@ -17,6 +17,8 @@ from pepseq.network import Model, ModelConfig
 from pepseq.params import load_checkpoint, save_checkpoint
 from pepseq.spectra import WATER, AminoAcidTable, Peak, Peptide, simulate_spectrum
 
+from conftest import MISMATCHES, mismatched_store
+
 TINY = [
     "--set", "model.d=16",
     "--set", "model.hidden=32",
@@ -498,6 +500,20 @@ class TestDecode:
             "--checkpoint", str(bad), *TINY,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("edit", sorted(MISMATCHES))
+    def test_checkpoint_not_matching_its_config_is_data_error(self, pipeline, tmp_path, capsys, edit):
+        store, blob = load_checkpoint(str(pipeline / "ft" / "checkpoint.bin"))
+        bad = tmp_path / f"{edit}.bin"
+        save_checkpoint(str(bad), mismatched_store(store, edit), blob)
+        code = run(
+            "decode", "--seed", "5", "--out", str(tmp_path / "out"),
+            "--mgf", str(pipeline / "sim" / "spectra.mgf"),
+            "--checkpoint", str(bad), *TINY,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert MISMATCHES[edit] in err and "Traceback" not in err
 
     def test_other_encoder_wavelength_checkpoint_is_data_error(self, pipeline, tmp_path, capsys):
         cfg = ModelConfig(d=16, hidden=32, enc_layers=1, at_layers=1, nat_layers=1, t_max=10)

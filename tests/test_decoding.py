@@ -320,7 +320,8 @@ def test_cached_steps_equal_one_full_forward(finetuned):
         tokens = np.concatenate([[[TABLE.bos_id]], ids], axis=1)
         masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
         cache = model.at_cache(enc, nat)
-        assert len(cache.context.values) == len(enc.values) + (model.cfg.t_max if finetuned else 0)
+        context_len = len(enc.values) + (model.cfg.t_max if finetuned else 0)
+        assert all(len(k.values) == len(v.values) == context_len for k, v in cache.cross)
         stepped = cached_steps(model, cache, tokens, masses)
         full = model.at_forward(tokens, masses, enc, nat).values
         np.testing.assert_allclose(stepped, full, rtol=0, atol=1e-12)

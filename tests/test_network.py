@@ -22,6 +22,8 @@ from pepseq.params import (
 from pepseq.spectra import (PROTON, WATER, AminoAcidTable, Peptide, Spectrum, embed_peak,
                             encode_float, simulate_spectrum)
 
+from conftest import MISMATCHES, mismatched_store
+
 
 def tiny_config(**kw):
     defaults = dict(d=16, heads=2, hidden=32, enc_layers=2, at_layers=2,
@@ -54,7 +56,7 @@ class TestEncoder:
 
         def encode(peaks):
             rows = ad.constant(np.vstack([precursor, peaks]))
-            return model._stack("enc", cfg.enc_layers, rows, None).values
+            return model._stack(model.params["enc"], rows, None).values
 
         out = encode(peak_rows)
         assert_allclose(out, model.encode_spectrum(spectrum).values, atol=1e-10)  # the same rows
@@ -120,8 +122,8 @@ class TestMultiHeadAttention:
             return np.concatenate(heads, axis=1) @ p["wo"] + p["bo"]
 
         def mha(x, ctx, mask):
-            kv = model._kv("at", "layer0.cross", ad.constant(ctx))
-            return model._mha("at", "layer0.cross", ad.constant(x), kv, mask)
+            block = model.params["at"]["layers"][0]["cross"]
+            return model._mha(block, ad.constant(x), model._kv(block, ad.constant(ctx)), mask)
 
         got = mha(x, context, None)
         assert_allclose(got.values, reference(x, context, None), rtol=0, atol=1e-12)
@@ -130,6 +132,16 @@ class TestMultiHeadAttention:
 
 
 class TestATDecoder:
+    def test_mass_rows_in_one_call_equal_the_sum_of_two(self):
+        # at_forward encodes each (prefix, suffix) pair in one call and sums
+        # over the pair axis: the same bits as encoding each mass apart.
+        cfg = ModelConfig().mz_encoder
+        rng = np.random.default_rng(4)
+        masses = np.stack([rng.uniform(0.0, 2500.0, (4, 9)), rng.uniform(-400.0, 2500.0, (4, 9))], axis=-1)
+        assert (masses[..., 1] < 0).any()
+        one = encode_float(masses, cfg).sum(axis=-2)
+        assert np.array_equal(one, encode_float(masses[..., 0], cfg) + encode_float(masses[..., 1], cfg))
+
     def tokens_and_masses(self, model, spectrum, residues):
         table = model.table
         ids = [table.index_of(r) for r in residues]
@@ -420,6 +432,12 @@ class TestCheckpoint:
         assert [k for k, _ in built.items()] == [k for k, _ in store.items()]
         for (key, a), (_, b) in zip(built.items(), store.items()):
             assert a.shape == b.shape and a.values.tobytes() == b.values.tobytes(), key
+
+    @pytest.mark.parametrize("edit", sorted(MISMATCHES))
+    def test_store_not_matching_the_config_is_rejected(self, model, edit):
+        store = mismatched_store(model.store, edit)
+        with pytest.raises(ValueError, match=MISMATCHES[edit]):
+            Model.from_checkpoint_blob(store, model.metadata())
 
     def test_model_roundtrip_through_checkpoint(self, tmp_path, model, spectrum):
         path = tmp_path / "m.ckpt"
