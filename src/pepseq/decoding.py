@@ -7,17 +7,19 @@ around the discretized precursor target. Its state is (frames consumed,
 accumulated discretized mass, last non-blank token); a blank frame keeps
 the last non-blank token, so a repeat separated only by blanks still
 counts as a stutter of the same residue rather than a new one. The
-exhaustive-enumeration oracle below implements exactly the same collapse
-semantics, which is what the dynamic program is checked against.
+exhaustive-enumeration oracle below applies the same collapse rule
+(``_new_residue``), which is what the dynamic program is checked against.
 
-The DP keeps, per frame, only the mass rows some live path can occupy, not
-one row per bin up to the target. Two exact prunings keep that set small:
-rows that can no longer reach the window are dropped, and cells whose
-admissible bound (score plus the most the later frames can add on the way
-into the window) falls below an incumbent are cut. The incumbent is the
-window optimum of a cheaper first pass that keeps a fixed number of cells
-per frame. A memory guard gives a spectrum up as infeasible, with a logged
-warning, before a frame's blocks pass a fixed byte cap.
+When the per-frame argmax path is the one best path and lands in the
+window, it is the answer and no DP runs. Otherwise the DP keeps, per frame,
+only the mass rows some live path can occupy, not one row per bin up to the
+target. Two exact prunings keep that set small: rows that can no longer
+reach the window are dropped, and cells whose admissible bound (score plus
+the most the later frames can add on the way into the window) falls below
+an incumbent are cut. The incumbent is the window optimum of a cheaper
+first pass that keeps a fixed number of cells per frame. A memory guard
+gives a spectrum up as infeasible, with a logged warning, before a frame's
+blocks pass a fixed byte cap.
 
 Ties in path probability are broken toward the lexicographically smaller
 peptide (by residue symbol), both inside the DP and at the final window
@@ -256,6 +258,10 @@ _BOUND_SLACK = 1e-9
 def pmc_decode(log_probs: np.ndarray, cfg: PMCConfig, table: AminoAcidTable) -> PMCResult:
     """Best frame path whose collapsed discretized mass lands in the window.
 
+    With no transition scores, the per-frame argmax path is the best of all
+    paths. When every other path scores strictly less and its collapse lands
+    in the window, it is returned as is (``_unique_best_path``); otherwise:
+
     Dynamic program over (mass bin, last non-blank token or none), advanced
     one frame at a time. Per frame and cell the transitions are: emit blank
     (state unchanged), repeat the last non-blank token (state unchanged), or
@@ -291,6 +297,8 @@ def pmc_decode(log_probs: np.ndarray, cfg: PMCConfig, table: AminoAcidTable) -> 
     infeasible = PMCResult(None, -np.inf, False)
     if cfg.window[1] < 0:
         return infeasible
+    if (shortcut := _unique_best_path(log_probs, cfg, table, ubin)) is not None:
+        return shortcut
     ahead = _completion_bounds(log_probs, cfg, ubin)
     first = _pmc_pass(log_probs, cfg, table, ubin, ahead, -np.inf, INCUMBENT_CELLS)
     if first is None:
@@ -299,6 +307,36 @@ def pmc_decode(log_probs: np.ndarray, cfg: PMCConfig, table: AminoAcidTable) -> 
     if first.feasible:
         floor = first.log_prob - _BOUND_SLACK * abs(first.log_prob)
     return _pmc_pass(log_probs, cfg, table, ubin, ahead, floor, None) or infeasible
+
+
+def _new_residue(paths: np.ndarray, blank: int) -> np.ndarray:
+    """[..., T] bool: where a frame path starts a new residue under the DP's
+    collapse, a non-blank token unlike the last non-blank one before it."""
+    T = paths.shape[-1]
+    last = np.maximum.accumulate(np.where(paths != blank, np.arange(T), -1), axis=-1)
+    token = np.take_along_axis(paths, np.maximum(last, 0), axis=-1)  # blank before the first
+    prev = np.concatenate([np.full_like(paths[..., :1], blank), token[..., :-1]], axis=-1)
+    return (paths != blank) & (paths != prev)
+
+
+def _unique_best_path(log_probs, cfg: PMCConfig, table: AminoAcidTable, ubin) -> PMCResult | None:
+    """The per-frame argmax path as pmc_decode's result, when every other
+    path scores strictly less and its collapse lands in the window; else None.
+
+    Row 0 of ``sums`` adds the frame maxima left to right from 0.0, as the DP
+    does; row 1 + t swaps in frame t's runner-up, the most a path off the
+    argmax at frame t can score (such sums are monotone in every term).
+    """
+    T = log_probs.shape[0]
+    top = np.partition(log_probs, -2, axis=1)
+    terms = np.where(np.eye(T + 1, T, -1, dtype=bool), top[:, -2], top[:, -1])
+    sums = np.add.accumulate(np.hstack([np.zeros((T + 1, 1)), terms]), axis=1)[:, -1]
+    path = log_probs.argmax(axis=1)
+    ids = path[_new_residue(path[None], table.blank_id)[0]]
+    lo, hi = cfg.window
+    if np.all(sums[1:] < sums[0]) and lo <= ubin[ids].sum() <= hi:
+        return PMCResult(table.peptide_from_ids(ids.tolist()), float(sums[0]), True)
+    return None
 
 
 def _completion_bounds(log_probs: np.ndarray, cfg: PMCConfig, ubin: np.ndarray):
@@ -489,24 +527,10 @@ def pmc_bruteforce_oracle(
     if hi < 0:
         return PMCResult(None, -np.inf, False)
 
-    n_paths = vocab**T
-    paths = np.stack(
-        np.meshgrid(*[np.arange(vocab)] * T, indexing="ij"), axis=-1
-    ).reshape(n_paths, T)
+    paths = np.stack(np.meshgrid(*[np.arange(vocab)] * T, indexing="ij"), axis=-1).reshape(-1, T)
     path_logp = log_probs[np.arange(T), paths].sum(axis=1)
 
-    nonblank = paths != blank
-    pos = np.where(nonblank, np.arange(T), -1)
-    last_pos = np.maximum.accumulate(pos, axis=1)
-    prev_pos = np.concatenate(
-        [np.full((n_paths, 1), -1, dtype=np.int64), last_pos[:, :-1]], axis=1
-    )
-    prev_val = np.where(
-        prev_pos >= 0,
-        np.take_along_axis(paths, np.maximum(prev_pos, 0), axis=1),
-        -1,
-    )
-    new_event = nonblank & (paths != prev_val)
+    new_event = _new_residue(paths, blank)
     bins_per_tok = np.append(ubin, 0)
     masses = (bins_per_tok[paths] * new_event).sum(axis=1)
 
@@ -515,11 +539,7 @@ def pmc_bruteforce_oracle(
         return PMCResult(None, -np.inf, False)
     best = path_logp[in_window].max()
     tied = np.flatnonzero(in_window & (path_logp == best))
-    collapses = []
-    for i in tied:
-        seq = tuple(int(y) for y, ev in zip(paths[i], new_event[i]) if ev)
-        collapses.append(tuple(table.symbols[s] for s in seq))
-    winner = min(collapses)
+    winner = min(tuple(table.symbols[y] for y in paths[i][new_event[i]]) for i in tied)
     return PMCResult(Peptide(winner), float(best), True)
 
 

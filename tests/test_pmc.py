@@ -4,15 +4,20 @@ The oracle enumerates every frame path, applies the same
 last-token-survives-blanks collapse, filters by the discretized mass
 window, and takes the best path (ties toward the lexicographically
 smaller peptide). The DP must agree on feasibility, peptide, and
-log-probability everywhere inside the oracle's bounds.
+log-probability everywhere inside the oracle's bounds. So must the shortcut
+that answers with the per-frame argmax path; the tests that compare with
+the dense DP also run with the shortcut patched off, so that the DP itself
+still meets the peaked cases.
 """
 
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pepseq import autodiff as ad
 from pepseq import decoding
 from pepseq.decoding import (
     PMCConfig,
@@ -22,10 +27,13 @@ from pepseq.decoding import (
     pmc_bruteforce_oracle,
     pmc_decode,
 )
+from pepseq.mgf import parse_mgf
 from pepseq.network import Model, ModelConfig
-from pepseq.spectra import AminoAcidTable, Peptide, simulate_spectrum
+from pepseq.params import load_checkpoint
+from pepseq.spectra import WATER, AminoAcidTable, Peptide, simulate_spectrum
 
 GA = AminoAcidTable(entries=(("A", 71.03711), ("G", 57.02146)))
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 
 
 def log_softmax(x):
@@ -43,6 +51,17 @@ def window_config(lo_mass, hi_mass, bin_width):
     center = (lo_mass + hi_mass) / 2.0
     tol = (hi_mass - lo_mass) / 2.0
     return PMCConfig(target_mass=center, tolerance=tol, bin_width=bin_width)
+
+
+def argmax_collapse(lp, blank):
+    """Residue ids of the per-frame argmax path, a repeat across blanks read once."""
+    out, last = [], blank
+    for y in lp.argmax(axis=1).tolist():
+        if y != blank and y != last:
+            out.append(y)
+        if y != blank:
+            last = y
+    return out
 
 
 def test_config_window_and_discretization():
@@ -117,16 +136,9 @@ def test_full_window_recovers_unconstrained_best_path():
         lp = random_logps(rng, T, 3)
         cfg = window_config(0.0, T * 72.0, bin_width=1.0)
         got = pmc_decode(lp, cfg, GA)
-        path = lp.argmax(axis=1).tolist()
         # The collapse here keeps the last non-blank across blanks: a
         # repeat after a blank does NOT start a new residue.
-        expected: list[int] = []
-        last = GA.blank_id
-        for y in path:
-            if y != GA.blank_id and y != last:
-                expected.append(y)
-            if y != GA.blank_id:
-                last = y
+        expected = argmax_collapse(lp, GA.blank_id)
         assert got.feasible
         assert got.peptide == GA.peptide_from_ids(expected)
         assert got.log_prob == pytest.approx(lp.max(axis=1).sum(), abs=1e-9)
@@ -233,7 +245,8 @@ def random_table(rng, n_residues):
     return AminoAcidTable(entries=entries)
 
 
-def test_randomized_oracle_equivalence():
+def test_randomized_oracle_equivalence(monkeypatch):
+    shortcuts = shortcut_spy(monkeypatch)
     rng = np.random.default_rng(2024)
     n_infeasible = 0
     for _ in range(140):
@@ -259,9 +272,12 @@ def test_randomized_oracle_equivalence():
             mass_bins = sum(cfg.discretize(table.mass_of(r)) for r in got.peptide)
             lo, hi = cfg.window
             assert lo <= mass_bins <= hi
-    # The draw ranges are tuned so both branches actually occur.
+    # The draw ranges are tuned so both branches actually occur, and the
+    # feasible ones both with and without the shortcut.
     assert n_infeasible > 10
     assert n_infeasible < 130
+    n_shortcut = sum(r is not None for r in shortcuts)
+    assert 5 < n_shortcut < 140 - n_infeasible - 5
 
 
 def test_randomized_oracle_equivalence_with_ties():
@@ -436,6 +452,12 @@ def test_row_sparse_dp_equals_dense_reference_exactly():
     assert 40 < n_feasible < 170
 
 
+def test_row_sparse_dp_equals_dense_reference_exactly_without_the_shortcut(monkeypatch):
+    # The shortcut answers many peaked cases above; here the DP meets them.
+    monkeypatch.setattr(decoding, "_unique_best_path", lambda *args: None)
+    test_row_sparse_dp_equals_dense_reference_exactly()
+
+
 @pytest.mark.parametrize("unit", [decoding.BOUND_UNIT, 5.0])
 def test_incumbent_of_one_cell_per_frame_keeps_the_dp_exact(monkeypatch, unit):
     # One cell per frame makes the incumbent pass a single path, which on
@@ -446,6 +468,14 @@ def test_incumbent_of_one_cell_per_frame_keeps_the_dp_exact(monkeypatch, unit):
     monkeypatch.setattr(decoding, "BOUND_UNIT", unit)
     n_feasible = assert_equals_dense(dense_equivalence_cases(np.random.default_rng(78)))
     assert n_feasible > 40
+
+
+@pytest.mark.parametrize("unit", [decoding.BOUND_UNIT, 5.0])
+def test_incumbent_of_one_cell_per_frame_keeps_the_dp_exact_without_the_shortcut(monkeypatch, unit):
+    # Without the shortcut the peaked optima, which the one-cell incumbent
+    # often is, reach the DP and its tie margin.
+    monkeypatch.setattr(decoding, "_unique_best_path", lambda *args: None)
+    test_incumbent_of_one_cell_per_frame_keeps_the_dp_exact(monkeypatch, unit)
 
 
 def test_memory_cap_gives_the_spectrum_up_and_logs_why(monkeypatch, caplog):
@@ -466,3 +496,138 @@ def test_memory_cap_gives_the_spectrum_up_and_logs_why(monkeypatch, caplog):
     [record] = [r for r in caplog.records if r.name == "pepseq.decoding"]
     assert record.levelno == logging.WARNING
     assert "mass rows" in record.getMessage() and "cap" in record.getMessage()
+
+
+# ---------------------------------------------------------------------------
+# the shortcut: a unique best frame path that lands in the window
+
+
+def shortcut_spy(monkeypatch):
+    """Record what each call of the shortcut returns (None: the DP ran)."""
+    seen = []
+    real = decoding._unique_best_path
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(decoding, "_unique_best_path", spy)
+    return seen
+
+
+def dp_spy(monkeypatch):
+    """Count the DP runs of pmc_decode (each builds its completion bounds)."""
+    runs = []
+    real = decoding._completion_bounds
+
+    def spy(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(decoding, "_completion_bounds", spy)
+    return runs
+
+
+def test_shortcut_answers_a_unique_best_path_in_the_window(monkeypatch):
+    def no_dp(*args):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(decoding, "_completion_bounds", no_dp)
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        n_res = int(rng.integers(1, 5))
+        T = int(rng.integers(1, 7))
+        table = random_table(rng, n_res)
+        lp = log_softmax(rng.normal(size=(T, n_res + 1)) * 8.0)
+        bin_width = float(rng.choice([0.5, 1.0, 2.5]))
+        cfg = PMCConfig(target_mass=0.0, bin_width=bin_width)
+        bins = sum(cfg.discretize(table.masses[i]) for i in argmax_collapse(lp, table.blank_id))
+        cfg = PMCConfig(target_mass=bins * bin_width, tolerance=float(rng.uniform(0.0, 5.0)),
+                        bin_width=bin_width)
+        got = pmc_decode(lp, cfg, table)
+        assert got == dense_pmc_reference(lp, cfg, table)
+        ref = pmc_bruteforce_oracle(lp, cfg, table)
+        assert got.feasible and got.peptide == ref.peptide
+        assert got.log_prob == pytest.approx(ref.log_prob, abs=1e-9)
+
+
+def test_tied_frame_maximum_falls_through_to_the_dp(monkeypatch):
+    # Residues of 1 and 2 bins. Frame 1 ties A and B: the argmax path
+    # B A blank reads BA (3 bins), the tied B B blank reads B (2 bins), and
+    # the window holds both, so the lexicographic rule must pick B.
+    table = AminoAcidTable(entries=(("A", 1.0), ("B", 2.0)))
+    runs = dp_spy(monkeypatch)
+    lp = log_softmax(np.array([[0.0, 2.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]))
+    cfg = PMCConfig(target_mass=2.5, tolerance=0.5, bin_width=1.0)
+    got = pmc_decode(lp, cfg, table)
+    assert len(runs) == 1
+    assert got == pmc_bruteforce_oracle(lp, cfg, table)
+    assert str(got.peptide) == "B"
+    # Random integer logits: every instance with a tied frame maximum runs the DP.
+    rng = np.random.default_rng(16)
+    n_tied = 0
+    for _ in range(200):
+        T = int(rng.integers(1, 6))
+        lp = log_softmax(rng.integers(0, 3, size=(T, 3)).astype(np.float64))
+        tied = bool(np.any((lp == lp.max(axis=1, keepdims=True)).sum(axis=1) > 1))
+        cfg = PMCConfig(target_mass=float(rng.integers(0, 2 * T + 1)), tolerance=1.0,
+                        bin_width=1.0)
+        before = len(runs)
+        got = pmc_decode(lp, cfg, table)
+        assert got == pmc_bruteforce_oracle(lp, cfg, table)
+        if tied:
+            n_tied += 1
+            assert len(runs) == before + 1
+    assert n_tied > 50
+
+
+def test_tie_below_the_last_bit_of_the_sum_falls_through_to_the_dp(monkeypatch):
+    # Frame 0's maximum is unique, but its runner-up is short of it by less
+    # than the last bit of the path's sum: B blank and A blank both sum to
+    # -1.0, so the DP's lexicographic rule picks A, not the argmax path's B.
+    table = AminoAcidTable(entries=(("A", 1.0), ("B", 1.0)))
+    runs = dp_spy(monkeypatch)
+    lp = np.array([[-1e-17, 0.0, -50.0], [-50.0, -50.0, -1.0]])
+    cfg = PMCConfig(target_mass=1.0, tolerance=0.0, bin_width=1.0)
+    got = pmc_decode(lp, cfg, table)
+    assert len(runs) == 1
+    assert got == dense_pmc_reference(lp, cfg, table) == pmc_bruteforce_oracle(lp, cfg, table)
+    assert str(got.peptide) == "A" and got.log_prob == -1.0
+
+
+def test_argmax_path_outside_the_window_falls_through_to_the_dp(monkeypatch):
+    # The argmax path reads A (71 bins); the window asks for G (57 bins).
+    runs = dp_spy(monkeypatch)
+    lp = log_softmax(np.array([[9.0, 1.0, 0.0], [0.0, 1.0, 9.0], [0.0, 2.0, 9.0]]))
+    cfg = PMCConfig(target_mass=57.0, tolerance=0.4, bin_width=1.0)
+    got = pmc_decode(lp, cfg, GA)
+    assert len(runs) == 1
+    assert got == dense_pmc_reference(lp, cfg, GA)
+    assert got == pmc_bruteforce_oracle(lp, cfg, GA)
+    assert str(got.peptide) == "G"
+
+
+def test_fixture_shortcut_equals_the_dp_and_fires_without_adjacent_repeats(monkeypatch):
+    # The 50 fixture spectra with the trained checkpoint: the argmax path
+    # is the true peptide's, and the shortcut answers each that has no
+    # adjacent repeat (nat-pmc reads a repeat across a blank as one residue).
+    store, blob = load_checkpoint(str(FIXTURE / "trained.ckpt"))
+    model = Model.from_checkpoint_blob(store, blob)
+    spectra = parse_mgf((FIXTURE / "spectra.mgf").read_text(), model.table)
+    cases = [
+        (s, ad.log_softmax(model.nat_forward(model.encode_spectrum(s)).logits).values,
+         PMCConfig(target_mass=s.neutral_mass - WATER))
+        for s in spectra
+    ]
+    shortcuts = shortcut_spy(monkeypatch)
+    with_shortcut = [pmc_decode(lp, cfg, model.table) for _, lp, cfg in cases]
+    monkeypatch.setattr(decoding, "_unique_best_path", lambda *args: None)
+    dp_only = [pmc_decode(lp, cfg, model.table) for _, lp, cfg in cases]
+    for got, want in zip(with_shortcut, dp_only):
+        assert got.peptide == want.peptide and got.feasible == want.feasible
+        assert got.log_prob.hex() == want.log_prob.hex()
+    fired = {s.spectrum_id for (s, _, _), r in zip(cases, shortcuts) if r is not None}
+    no_repeat = {s.spectrum_id for s in spectra
+                 if all(a != b for a, b in zip(s.truth.residues, s.truth.residues[1:]))}
+    assert len(no_repeat) == 36
+    assert fired == no_repeat
