@@ -20,6 +20,10 @@ cross-attention context: the NAT latents (gradient-blocked, plus a learned
 segment embedding) concatenated with the encoder features (plus their own
 segment embedding). Both segment vectors belong to the AT partition.
 
+Every sinusoidal encoding is ``spectra.encode_float`` at width ``d``, over the
+fixed ``MZ_WAVELENGTHS`` for m/z and masses and ``INTENSITY_WAVELENGTHS`` for
+intensities.
+
 The encoder takes a list of spectra and returns one padded batch of
 :class:`Padded` features, whose padding rows every attention masks out as
 keys; a lone spectrum is a batch of one.
@@ -40,9 +44,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .params import ParameterStore
 from .spectra import (
+    INTENSITY_WAVELENGTHS,
+    MZ_WAVELENGTHS,
     WATER,
     AminoAcidTable,
-    FloatEncoderConfig,
     Spectrum,
     embed_peak,
     encode_float,
@@ -55,8 +60,9 @@ MAX_CHARGE = 10
 
 # Former ModelConfig fields, each at the one value it now has (paired encodings off, the
 # wavelength bounds of the sinusoidal encoders). Older checkpoints store them.
-_FIXED = {"paired_encoding": False, "mz_v_min": 0.001, "mz_v_max": 10000.0,
-          "intensity_v_min": 1e-4, "intensity_v_max": 1.0}
+_FIXED = {"paired_encoding": False,
+          "mz_v_min": MZ_WAVELENGTHS[0], "mz_v_max": MZ_WAVELENGTHS[1],
+          "intensity_v_min": INTENSITY_WAVELENGTHS[0], "intensity_v_max": INTENSITY_WAVELENGTHS[1]}
 
 
 @dataclass(frozen=True)
@@ -76,14 +82,6 @@ class ModelConfig:
             raise ValueError(f"heads must be positive and divide d: d {self.d}, heads {self.heads}")
         if min(self.hidden, self.enc_layers, self.at_layers, self.nat_layers, self.t_max) <= 0:
             raise ValueError("hidden, enc_layers, at_layers, nat_layers and t_max must be positive")
-
-    @property
-    def mz_encoder(self) -> FloatEncoderConfig:
-        return FloatEncoderConfig(self.d, _FIXED["mz_v_min"], _FIXED["mz_v_max"])
-
-    @property
-    def intensity_encoder(self) -> FloatEncoderConfig:
-        return FloatEncoderConfig(self.d, _FIXED["intensity_v_min"], _FIXED["intensity_v_max"])
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -317,11 +315,10 @@ class Model:
             if not 1 <= s.charge <= MAX_CHARGE:
                 raise ValueError(f"spectrum {s.spectrum_id!r}: charge {s.charge} outside "
                                  f"the supported range 1..{MAX_CHARGE}")
-        peaks, real = pad_rows([embed_peak(s.peaks, self.cfg.mz_encoder, self.cfg.intensity_encoder,
-                                           s.max_intensity) for s in batch])
+        peaks, real = pad_rows([embed_peak(s.peaks, self.cfg.d, s.max_intensity) for s in batch])
         mask = np.concatenate([np.ones((len(real), 1), dtype=bool), real], axis=1)  # row 0: precursor
         charge_rows = ad.gather(self.params["enc"]["charge_emb"], [[s.charge - 1] for s in batch])
-        masses = encode_float([[s.neutral_mass] for s in batch], self.cfg.mz_encoder)
+        masses = encode_float([[s.neutral_mass] for s in batch], self.cfg.d)
         x = ad.concat([ad.add(charge_rows, ad.constant(masses)), ad.constant(peaks)], axis=1)
         keys = None if real.all() else mask[:, None, :]  # all-True masks nothing: skip it
         features = self._stack(self.params["enc"], x, keys)
@@ -378,7 +375,7 @@ class Model:
         """Next-token logits [..., L, at_vocab] for [BOS, a_1, ...] inputs [..., L].
 
         ``masses`` [..., L, 2] holds one (prefix, suffix) pair per input
-        position; both are embedded with the fixed m/z encoder and summed
+        position; both are embedded at the m/z wavelengths and summed
         into the token embedding. One [S, d] context serves every leading
         index of ``tokens``, so K and V are projected once for all of them;
         a padded batch of contexts [B, S, d] serves tokens [B, L], one row
@@ -414,7 +411,7 @@ class Model:
             causal = None  # the one new position sees every cached one
 
         tree = self.params["at"]
-        mass_rows = encode_float(masses, self.cfg.mz_encoder).sum(axis=-2)
+        mass_rows = encode_float(masses, self.cfg.d).sum(axis=-2)
         x = ad.add(ad.gather(tree["tok_emb"], tokens), ad.constant(mass_rows))
         x = self._stack(tree, x, causal, cache.cross, cache.key_mask, cache)
         return ad.linear(x, *tree["out"])

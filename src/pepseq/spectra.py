@@ -1,9 +1,10 @@
 """Peptides, spectra, and their numeric embeddings.
 
 Holds the monoisotopic residue mass table, the peptide/peak/spectrum value
-types, the sinusoidal encoding of real-valued features (m/z, intensity,
-prefix/suffix masses), theoretical b/y fragment ions, and a deterministic
-spectrum simulator used for the desk-scale corpora.
+types, the fixed sinusoidal encoding of real-valued features (m/z and
+prefix/suffix masses over ``MZ_WAVELENGTHS``, normalized intensity over
+``INTENSITY_WAVELENGTHS``), theoretical b/y fragment ions, and a
+deterministic spectrum simulator used for the desk-scale corpora.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ __all__ = [
     "Peptide",
     "Peak",
     "Spectrum",
-    "FloatEncoderConfig",
+    "MZ_WAVELENGTHS",
+    "INTENSITY_WAVELENGTHS",
     "encode_float",
     "embed_peak",
     "theoretical_ions",
@@ -234,63 +236,39 @@ class Spectrum:
 # sinusoidal encoding of real-valued features
 
 
-@dataclass(frozen=True)
-class FloatEncoderConfig:
-    """Fixed sinusoidal encoding of a scalar into ``d`` components.
+# The (v_min, v_max) wavelength bounds of the two fixed encodings: m/z and
+# masses in daltons, as Casanovo's, and max-normalized intensities.
+MZ_WAVELENGTHS = (0.001, 10000.0)
+INTENSITY_WAVELENGTHS = (1e-4, 1.0)
+
+
+def encode_float(v: float | np.ndarray, d: int,
+                 bounds: tuple[float, float] = MZ_WAVELENGTHS) -> np.ndarray:
+    """Encode a value, or an array of values of shape [...], as [..., d].
 
     Component j in [0, d): the phase is v / (C * (v_min / 2π) ** (2j/d))
     with C = v_max / v_min; the first d/2 components take sin of the phase,
-    the rest take cos.
-
-    Values outside [v_min, v_max] are allowed; the bounds only set the
-    wavelength range.
+    the rest take cos. Values outside [v_min, v_max] are allowed; the bounds
+    only set the wavelength range.
     """
-
-    d: int
-    v_min: float
-    v_max: float
-
-    def __post_init__(self):
-        if self.d <= 0 or self.d % 2 != 0:
-            raise ValueError(f"encoder width must be positive and even, got {self.d}")
-        if not (0 < self.v_min < self.v_max):
-            raise ValueError(
-                f"need 0 < v_min < v_max, got v_min={self.v_min}, v_max={self.v_max}"
-            )
-
-    @property
-    def wavelength_ratio(self) -> float:
-        return self.v_max / self.v_min
-
-
-def encode_float(v: float | np.ndarray, cfg: FloatEncoderConfig) -> np.ndarray:
-    """Encode a value, or an array of values of shape [...], as [..., d]."""
-    j = np.arange(cfg.d, dtype=np.float64)
-    denom = cfg.wavelength_ratio * (cfg.v_min / (2.0 * math.pi)) ** (2.0 * j / cfg.d)
+    v_min, v_max = bounds
+    j = np.arange(d, dtype=np.float64)
+    denom = (v_max / v_min) * (v_min / (2.0 * math.pi)) ** (2.0 * j / d)
     phase = np.asarray(v, dtype=np.float64)[..., None] / denom
-    half = cfg.d // 2
+    half = d // 2
     return np.concatenate([np.sin(phase[..., :half]), np.cos(phase[..., half:])], axis=-1)
 
 
-def embed_peak(
-    peaks: Sequence[Peak],
-    mz_cfg: FloatEncoderConfig,
-    intensity_cfg: FloatEncoderConfig,
-    max_intensity: float,
-) -> np.ndarray:
+def embed_peak(peaks: Sequence[Peak], d: int, max_intensity: float) -> np.ndarray:
     """Sum of the m/z encoding and the max-normalized intensity encoding of
     each of k peaks: [k, d]."""
     if max_intensity <= 0:
         raise ValueError("cannot normalize intensities: spectrum maximum is not positive")
-    if mz_cfg.d != intensity_cfg.d:
-        raise ValueError(
-            f"m/z and intensity encoders must share width, got {mz_cfg.d} and {intensity_cfg.d}"
-        )
     mz_intensity = np.asarray(peaks, dtype=np.float64)
     if mz_intensity.ndim != 2:
         raise ValueError(f"embed_peak takes a sequence of peaks, got shape {mz_intensity.shape}")
-    return encode_float(mz_intensity[:, 0], mz_cfg) + encode_float(
-        mz_intensity[:, 1] / max_intensity, intensity_cfg
+    return encode_float(mz_intensity[:, 0], d) + encode_float(
+        mz_intensity[:, 1] / max_intensity, d, INTENSITY_WAVELENGTHS
     )
 
 

@@ -50,9 +50,8 @@ class TestEncoder:
     def test_permutation_equivariance(self, model, spectrum):
         cfg = model.cfg
         precursor = (model.store.get("enc", "charge_emb").values[spectrum.charge - 1]
-                     + encode_float(spectrum.neutral_mass, cfg.mz_encoder))
-        peak_rows = embed_peak(spectrum.peaks, cfg.mz_encoder, cfg.intensity_encoder,
-                               spectrum.max_intensity)
+                     + encode_float(spectrum.neutral_mass, cfg.d))
+        peak_rows = embed_peak(spectrum.peaks, cfg.d, spectrum.max_intensity)
 
         def encode(peaks):
             rows = ad.constant(np.vstack([precursor, peaks]))
@@ -135,12 +134,12 @@ class TestATDecoder:
     def test_mass_rows_in_one_call_equal_the_sum_of_two(self):
         # at_forward encodes each (prefix, suffix) pair in one call and sums
         # over the pair axis: the same bits as encoding each mass apart.
-        cfg = ModelConfig().mz_encoder
+        d = ModelConfig().d
         rng = np.random.default_rng(4)
         masses = np.stack([rng.uniform(0.0, 2500.0, (4, 9)), rng.uniform(-400.0, 2500.0, (4, 9))], axis=-1)
         assert (masses[..., 1] < 0).any()
-        one = encode_float(masses, cfg).sum(axis=-2)
-        assert np.array_equal(one, encode_float(masses[..., 0], cfg) + encode_float(masses[..., 1], cfg))
+        one = encode_float(masses, d).sum(axis=-2)
+        assert np.array_equal(one, encode_float(masses[..., 0], d) + encode_float(masses[..., 1], d))
 
     def tokens_and_masses(self, model, spectrum, residues):
         table = model.table
@@ -300,6 +299,13 @@ class TestParameterStore:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("d", [63, 0, -2])
+    def test_width_must_be_positive_and_even(self, d):
+        # Each sinusoidal encoding splits d into a sin half and a cos half;
+        # the config is the one place that checks d.
+        with pytest.raises(ValueError, match="positive and even"):
+            ModelConfig(d=d, heads=1)
+
     def test_stored_paired_encoding_flag(self):
         stored = dict(tiny_config().to_dict(), paired_encoding=False)
         assert ModelConfig.from_dict(stored) == tiny_config()

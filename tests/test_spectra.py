@@ -16,7 +16,6 @@ from pepseq.spectra import (
     PROTON,
     WATER,
     AminoAcidTable,
-    FloatEncoderConfig,
     NoiseConfig,
     Peak,
     Peptide,
@@ -107,60 +106,45 @@ class TestFloatEncoder:
     def test_worked_example_top_of_range(self):
         # d=2, v_min=2π, v_max=2πe: at v = v_max both phases are exactly 2π,
         # so the output is [sin 2π, cos 2π] = [0, 1].
-        cfg = FloatEncoderConfig(d=2, v_min=2 * math.pi, v_max=2 * math.pi * math.e)
-        out = encode_float(2 * math.pi * math.e, cfg)
+        out = encode_float(2 * math.pi * math.e, 2, (2 * math.pi, 2 * math.pi * math.e))
         assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
     def test_zero_input_gives_zeros_then_ones(self):
-        cfg = FloatEncoderConfig(d=8, v_min=0.001, v_max=10000.0)
-        out = encode_float(0.0, cfg)
+        out = encode_float(0.0, 8, (0.001, 10000.0))
         assert_allclose(out[:4], np.zeros(4))
         assert_allclose(out[4:], np.ones(4))
 
     def test_output_bounded_and_deterministic(self):
-        cfg = FloatEncoderConfig(d=16, v_min=0.001, v_max=10000.0)
         rng = np.random.default_rng(0)
         for v in rng.uniform(-1e5, 1e5, size=50):
-            out = encode_float(float(v), cfg)
+            out = encode_float(float(v), 16, (0.001, 10000.0))
             assert np.all(np.abs(out) <= 1.0)
-            assert np.array_equal(out, encode_float(float(v), cfg))
+            assert np.array_equal(out, encode_float(float(v), 16, (0.001, 10000.0)))
 
     def test_array_input_equals_stacked_scalar_calls(self):
-        cfg = FloatEncoderConfig(d=64, v_min=0.001, v_max=10000.0)
         values = np.random.default_rng(1).uniform(0.0, 3000.0, size=(7, 2))
-        out = encode_float(values, cfg)
+        out = encode_float(values, 64, (0.001, 10000.0))
         assert out.shape == (7, 2, 64)
-        want = np.stack([np.stack([encode_float(float(v), cfg) for v in row]) for row in values])
+        want = np.stack([np.stack([encode_float(float(v), 64, (0.001, 10000.0)) for v in row])
+                         for row in values])
         assert np.array_equal(out, want)
 
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            FloatEncoderConfig(d=3, v_min=0.1, v_max=1.0)
-        with pytest.raises(ValueError):
-            FloatEncoderConfig(d=4, v_min=1.0, v_max=0.5)
-        with pytest.raises(ValueError):
-            FloatEncoderConfig(d=4, v_min=0.0, v_max=1.0)
-
     def test_embed_peak_requires_positive_max(self):
-        cfg = FloatEncoderConfig(d=4, v_min=0.001, v_max=10000.0)
-        icfg = FloatEncoderConfig(d=4, v_min=1e-4, v_max=1.0)
         with pytest.raises(ValueError):
-            embed_peak([Peak(100.0, 1.0)], cfg, icfg, 0.0)
-        out = embed_peak([Peak(100.0, 0.5)], cfg, icfg, 2.0)
-        assert_allclose(out, [encode_float(100.0, cfg) + encode_float(0.25, icfg)])
+            embed_peak([Peak(100.0, 1.0)], 4, 0.0)
+        out = embed_peak([Peak(100.0, 0.5)], 4, 2.0)
+        assert_allclose(out, [encode_float(100.0, 4, (0.001, 10000.0))
+                              + encode_float(0.25, 4, (1e-4, 1.0))])
 
     def test_embed_peak_takes_a_sequence_of_peaks(self):
-        cfg = FloatEncoderConfig(d=4, v_min=0.001, v_max=10000.0)
         with pytest.raises(ValueError, match="sequence of peaks"):
-            embed_peak(Peak(100.0, 1.0), cfg, cfg, 1.0)
+            embed_peak(Peak(100.0, 1.0), 4, 1.0)
 
     def test_embed_peak_over_a_spectrum_equals_stacked_per_peak_calls(self):
-        cfg = FloatEncoderConfig(d=64, v_min=0.001, v_max=10000.0)
-        icfg = FloatEncoderConfig(d=64, v_min=1e-4, v_max=1.0)
         noise = NoiseConfig(mz_sigma=0.01, n_noise_peaks=5, intensity_range=(0.1, 1.0))
         s = simulate_spectrum(Peptide.from_string("PEPTIDEK"), seed=3, noise=noise)
-        out = embed_peak(s.peaks, cfg, icfg, s.max_intensity)
-        want = np.concatenate([embed_peak([p], cfg, icfg, s.max_intensity) for p in s.peaks])
+        out = embed_peak(s.peaks, 64, s.max_intensity)
+        want = np.concatenate([embed_peak([p], 64, s.max_intensity) for p in s.peaks])
         assert out.shape == (len(s.peaks), 64)
         assert np.array_equal(out, want)
 
