@@ -18,6 +18,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -116,6 +117,24 @@ class DataError(Exception):
     pass
 
 
+def _open_text(path: Path, error: type[Exception], newline: str | None = None) -> io.StringIO:
+    """``path`` as UTF-8 text, read as ``open(path, newline=newline)`` reads
+    it; bytes that are not UTF-8 raise ``error`` naming the file and line."""
+    data = path.read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise error(f"{path} line {line}: not UTF-8 text ({e.reason})") from e
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 class RunConfig:
     """Merged defaults + INI file + --set overrides, plus the seed."""
 
@@ -133,7 +152,7 @@ class RunConfig:
             if not path.is_file():
                 raise UsageError(f"config file not found: {path}")
             try:
-                cp.read_string(path.read_text(), source=str(path))
+                cp.read_file(_open_text(path, UsageError), source=str(path))
             except configparser.Error as e:
                 raise UsageError(f"bad config file: {e}") from e
             for section in cp.sections():
@@ -218,7 +237,7 @@ def _read_corpus(
     """
     if not path.is_file():
         raise DataError(f"spectra file not found: {path}")
-    spectra = parse_mgf(path.read_text(), table=table)
+    spectra = parse_mgf(_open_text(path, DataError).read(), table=table)
     if not spectra:
         raise DataError(f"no spectra in {path}")
     seen = set()
@@ -327,6 +346,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 
 METRICS_COLUMNS = ("step", "stage", "at_loss", "nat_loss", "lambda", "lr")
+# eval reads the first three
+PREDICTION_COLUMNS = ("spectrum_id", "predicted_sequence", "confidence", "decoder", "feasible_flag")
 
 
 def _stage_settings(cfg: RunConfig, stage: str, corpus: Path) -> dict:
@@ -494,22 +515,17 @@ def cmd_decode(cfg: RunConfig, out: Path) -> int:
 
     rows = []
     for s in spectra:
-        if decoder == "at-greedy":
-            r = greedy_at_decode(model, s, max_len=max_len)
-            rows.append((s.spectrum_id, str(r.peptide), r.confidence, decoder, r.finished))
-        elif decoder == "at-beam":
-            r = beam_search_at(model, s, width=dec["beam_width"], max_len=max_len)[0]
-            rows.append((s.spectrum_id, str(r.peptide), r.confidence, decoder, r.finished))
-        else:
+        if decoder == "nat-pmc":
             result, conf = nat_pmc_decode(model, s, tolerance=tol, bin_width=bin_width)
-            rows.append((s.spectrum_id, str(result.peptide), conf, decoder, result.feasible))
+            peptide, flag = result.peptide, result.feasible
+        else:
+            r = (greedy_at_decode(model, s, max_len=max_len) if decoder == "at-greedy"
+                 else beam_search_at(model, s, width=dec["beam_width"], max_len=max_len)[0])
+            peptide, conf, flag = r.peptide, r.confidence, r.finished
+        rows.append((s.spectrum_id, str(peptide), conf, decoder, str(bool(flag)).lower()))
 
     pred_path = out / "predictions.csv"
-    with pred_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["spectrum_id", "predicted_sequence", "confidence", "decoder", "feasible_flag"])
-        for sid, seq, conf, name, flag in rows:
-            writer.writerow([sid, seq, conf, name, str(bool(flag)).lower()])
+    _write_csv(pred_path, PREDICTION_COLUMNS, rows)
     _write_manifest(out, "decode", cfg, {
         "decoder": decoder,
         "n_spectra": len(rows),
@@ -522,23 +538,24 @@ def cmd_decode(cfg: RunConfig, out: Path) -> int:
 def _read_predictions(path: Path) -> list[tuple[str, Peptide, float]]:
     if not path.is_file():
         raise DataError(f"predictions file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"spectrum_id", "predicted_sequence", "confidence"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise DataError(
-                f"{path}: predictions CSV must have columns {sorted(required)}"
-            )
-        preds = []
-        for line, row in enumerate(reader, start=2):
-            try:
-                pep = Peptide.from_string(row["predicted_sequence"] or "")
-                conf = float(row["confidence"])
-                if np.isnan(conf):  # -inf stays: it marks a missing prediction
-                    raise ValueError("confidence is NaN")
-            except (VocabularyError, ValueError) as e:
-                raise DataError(f"{path} line {line}: {e}") from e
-            preds.append((row["spectrum_id"], pep, conf))
+    reader = csv.DictReader(_open_text(path, DataError, newline=""))
+    required = PREDICTION_COLUMNS[:3]
+    if reader.fieldnames is None or not set(required) <= set(reader.fieldnames):
+        raise DataError(f"{path}: predictions CSV must have columns {sorted(required)}")
+    preds = []
+    for row in reader:
+        line = reader.line_num
+        if None in row.values():
+            raise DataError(f"{path} line {line}: fewer fields than the "
+                            f"{len(reader.fieldnames)} columns of the header")
+        try:
+            pep = Peptide.from_string(row["predicted_sequence"])
+            conf = float(row["confidence"])
+            if np.isnan(conf):  # -inf stays: it marks a missing prediction
+                raise ValueError("confidence is NaN")
+        except (VocabularyError, ValueError) as e:
+            raise DataError(f"{path} line {line}: {e}") from e
+        preds.append((row["spectrum_id"], pep, conf))
     return preds
 
 
@@ -553,25 +570,13 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
         raise DataError(str(e)) from e
     curve = precision_coverage(report)
 
-    with (out / "summary.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["aa_precision", "peptide_recall"])
-        writer.writerow([report.aa_precision, report.peptide_recall])
-    with (out / "per_spectrum.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["spectrum_id", "confidence", "peptide_correct", "matched_aa", "predicted_aa", "truth_aa"]
-        )
-        for r in report.rows:
-            writer.writerow(
-                [r.spectrum_id, r.confidence, str(r.peptide_correct).lower(),
-                 r.matched_aa, r.predicted_aa, r.truth_aa]
-            )
-    with (out / "curve.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coverage", "value"])
-        for x, y in curve.points:
-            writer.writerow([x, y])
+    _write_csv(out / "summary.csv", ["aa_precision", "peptide_recall"],
+               [[report.aa_precision, report.peptide_recall]])
+    _write_csv(out / "per_spectrum.csv",
+               ["spectrum_id", "confidence", "peptide_correct", "matched_aa", "predicted_aa", "truth_aa"],
+               [[r.spectrum_id, r.confidence, str(r.peptide_correct).lower(),
+                 r.matched_aa, r.predicted_aa, r.truth_aa] for r in report.rows])
+    _write_csv(out / "curve.csv", ["coverage", "value"], curve.points)
     _write_manifest(out, "eval", cfg, {
         "aa_precision": report.aa_precision,
         "peptide_recall": report.peptide_recall,
@@ -662,7 +667,10 @@ def main(argv: list[str] | None = None) -> int:
                  if "." in key and value is not None]
         cfg = RunConfig.load(args.config, flags + args.set, args.seed)  # a later --set wins
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise UsageError(f"--out {out}: cannot make the output directory ({e.strerror})") from e
         return _COMMANDS[args.command][0](cfg, out)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -35,7 +35,7 @@ one position per step.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -88,11 +88,19 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The config a checkpoint stores; an unknown field or a value that
+        is not an integer raises ValueError naming the field."""
         d = dict(d)
         for key, fixed in _FIXED.items():
             stored = d.pop(key, fixed)
             if stored != fixed:
                 raise ValueError(f"{key}={stored} is no longer supported; it is fixed at {fixed}")
+        names = {f.name for f in fields(cls)}
+        for key, value in d.items():
+            if key not in names:
+                raise ValueError(f"unknown model field {key!r}")
+            if type(value) is not int:
+                raise ValueError(f"model field {key!r} must be an integer, got {value!r}")
         return cls(**d)
 
 
@@ -425,6 +433,8 @@ class Model:
 
     @classmethod
     def from_checkpoint_blob(cls, store: ParameterStore, blob: dict) -> "Model":
+        if not isinstance(blob.get("model"), dict):
+            raise ValueError('metadata has no "model" object')
         cfg = ModelConfig.from_dict(blob["model"])
         table = AminoAcidTable.from_dict(blob["vocabulary"])
         model = cls(cfg, table, store)

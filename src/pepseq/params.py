@@ -203,15 +203,30 @@ class _Reader:
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def text(self, n: int, what: str) -> str:
+        raw = self.take(n, what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{what} is not UTF-8 text: {raw[:40]!r}") from e
+
 
 def load_checkpoint(path: str) -> tuple[ParameterStore, dict]:
     """Read a checkpoint; returns (store, metadata blob).
 
     The blob is exactly what was passed to :func:`save_checkpoint` plus the
-    "frozen" flags, which are re-applied to the returned store.
+    "frozen" flags, which are re-applied to the returned store. A malformed
+    file raises a :class:`CheckpointError` naming it and what was being read.
     """
     with open(path, "rb") as f:
         data = f.read()
+    try:
+        return _parse(data)
+    except CheckpointError as e:
+        raise type(e)(f"checkpoint {path}: {e}") from e
+
+
+def _parse(data: bytes) -> tuple[ParameterStore, dict]:
     r = _Reader(data)
 
     magic = r.take(4, "magic")
@@ -225,7 +240,7 @@ def load_checkpoint(path: str) -> tuple[ParameterStore, dict]:
     moments: dict[str, dict[str, np.ndarray]] = {"m": {}, "v": {}}
     for i in range(count):
         (name_len,) = r.unpack("<H", f"array {i} name length")
-        key = r.take(name_len, f"array {i} name").decode("utf-8")
+        key = r.text(name_len, f"array {i} name")
         if "/" not in key:
             raise UnknownPartitionError(f"array name {key!r} has no partition prefix")
         partition, name = key.split("/", 1)
@@ -240,9 +255,18 @@ def load_checkpoint(path: str) -> tuple[ParameterStore, dict]:
             store.add(partition, name, values)
 
     (blob_len,) = r.unpack("<I", "metadata length")
-    blob = json.loads(r.take(blob_len, "metadata").decode("utf-8"))
+    text = r.text(blob_len, "metadata")
     if r.pos != len(data):
         raise CheckpointError(f"{len(data) - r.pos} trailing bytes after metadata")
+    try:
+        blob = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"metadata is not JSON: {e}") from e
+    if not isinstance(blob, dict):
+        raise CheckpointError(f"metadata is a JSON {type(blob).__name__}, not an object")
+    for key in ("frozen", "optimizer"):
+        if not isinstance(blob.get(key, {}), dict):
+            raise CheckpointError(f"metadata field {key!r} is not an object")
     if "optimizer" in blob:
         blob["optimizer"].update(moments)
 

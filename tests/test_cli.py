@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -531,6 +532,45 @@ class TestDecode:
         assert "mz_v_max" in capsys.readouterr().err
 
 
+def _json(blob):
+    return json.dumps(blob, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda meta: _json(meta)[:-1], "metadata is not JSON", id="broken-json"),
+    pytest.param(lambda meta: b"[1, 2]", "metadata is a JSON list", id="json-list"),
+    pytest.param(lambda meta: _json({**meta, "model": {**meta["model"], "d": "64"}}),
+                 "model field 'd' must be an integer", id="d-as-text"),
+    pytest.param(lambda meta: _json({**meta, "model": {**meta["model"], "depth": 3}}),
+                 "unknown model field 'depth'", id="unknown-model-field"),
+    pytest.param(lambda meta: _json({k: v for k, v in meta.items() if k != "model"}),
+                 'no "model" object', id="no-model"),
+    pytest.param(lambda meta: _json(meta).replace(b"vocabulary", b"vocabul\xffry"),
+                 "metadata is not UTF-8", id="non-utf8-metadata"),
+    pytest.param(None, "array 0 name is not UTF-8", id="non-utf8-array-name"),
+])
+def test_bad_checkpoint_metadata_is_data_error(pipeline, tmp_path, capsys, edit, named):
+    cfg = ModelConfig(d=16, hidden=32, enc_layers=1, at_layers=1, nat_layers=1, t_max=10)
+    model = Model.build(cfg, AminoAcidTable(), seed=0)
+    good = tmp_path / "good.bin"
+    save_checkpoint(str(good), model.store, model.metadata())
+    _, meta = load_checkpoint(str(good))
+    data, old = good.read_bytes(), _json(meta)
+    assert data.endswith(struct.pack("<I", len(old)) + old)  # the metadata closes the file
+    if edit is None:
+        data = data.replace(b"enc/charge_emb", b"enc/charg\xff_emb", 1)
+    else:
+        new = edit(meta)
+        data = data[:-len(old) - 4] + struct.pack("<I", len(new)) + new
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(data)
+    code = run("decode", "--seed", "5", "--out", str(tmp_path / "out"),
+               "--mgf", str(pipeline / "sim" / "spectra.mgf"), "--checkpoint", str(bad), *TINY)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {bad}" in err and named in err
+
+
 @pytest.mark.parametrize("command, args", [
     ("decode", ["--decoder", "at-beam", "--beam", "0"]),
     ("decode", ["--set", "decoding.max_len=-1"]),
@@ -724,6 +764,55 @@ class TestEval:
         assert evaluate("-inf") == 0
         first = read_csv(tmp_path / "out" / "curve.csv")[0]
         assert (float(first["coverage"]), float(first["value"])) == (1 / 3, 0.0)
+
+
+class TestBadInput:
+    """Undecodable or malformed input files end in their exit code, with a
+    message that names the file and, where there is one, the line."""
+
+    @pytest.mark.parametrize("command", ["train", "decode"])
+    def test_non_utf8_mgf_is_data_error(self, pipeline, tmp_path, capsys, command):
+        text = (pipeline / "sim" / "spectra.mgf").read_bytes()
+        mgf = tmp_path / "latin1.mgf"
+        mgf.write_bytes(text.replace(b"TITLE=synth-00000", b"TITLE=synth-0000\xe9", 1))
+        line = text[:text.index(b"TITLE=synth-00000")].count(b"\n") + 1
+        inputs = {
+            "train": ["--corpus", str(mgf)],
+            "decode": ["--mgf", str(mgf), "--checkpoint", str(pipeline / "ft" / "checkpoint.bin")],
+        }[command]
+        code = run(command, "--seed", "5", "--out", str(tmp_path / "out"), *TINY, *inputs)
+        assert code == 2
+        assert f"{mgf} line {line}: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(b"[model]\nd = 16\n# caf\xe9\n")
+        code = run("simulate", "--seed", "5", "--out", str(tmp_path / "out"), "--config", str(ini))
+        assert code == 1
+        assert f"{ini} line 3: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_predictions_is_data_error(self, pipeline, tmp_path, capsys):
+        preds = tmp_path / "preds.csv"
+        preds.write_bytes(b"spectrum_id,predicted_sequence,confidence\nsynth-00000,G\xc1,-0.5\n")
+        code = run("eval", "--seed", "5", "--out", str(tmp_path / "out"), "--predictions", str(preds),
+                   "--truth", str(pipeline / "sim" / "spectra.mgf"), *TINY)
+        assert code == 2
+        assert f"{preds} line 2: not UTF-8" in capsys.readouterr().err
+
+    def test_predictions_row_shorter_than_its_header_is_data_error(self, pipeline, tmp_path, capsys):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("spectrum_id,predicted_sequence,confidence\nsynth-00000,GA,-0.5\nsynth-00001,GA\n")
+        code = run("eval", "--seed", "5", "--out", str(tmp_path / "out"), "--predictions", str(preds),
+                   "--truth", str(pipeline / "sim" / "spectra.mgf"), *TINY)
+        assert code == 2
+        assert f"{preds} line 3: fewer fields" in capsys.readouterr().err
+
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        assert run("simulate", "--seed", "5", "--out", str(taken), *TINY) == 1
+        assert f"--out {taken}" in capsys.readouterr().err
+        assert taken.read_text() == "keep\n" and list(tmp_path.iterdir()) == [taken]
 
 
 def test_manifests_record_provenance(pipeline):
