@@ -237,7 +237,10 @@ def _read_corpus(
     """
     if not path.is_file():
         raise DataError(f"spectra file not found: {path}")
-    spectra = parse_mgf(_open_text(path, DataError).read(), table=table)
+    try:
+        spectra = parse_mgf(_open_text(path, DataError).read(), table=table)
+    except MGFParseError as e:
+        raise DataError(f"{path} {e}") from e
     if not spectra:
         raise DataError(f"no spectra in {path}")
     seen = set()
@@ -675,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, MGFParseError, CheckpointError, VocabularyError, FileNotFoundError) as e:
+    except (DataError, CheckpointError, VocabularyError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as e:

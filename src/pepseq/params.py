@@ -208,7 +208,7 @@ class _Reader:
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as e:
-            raise CheckpointError(f"{what} is not UTF-8 text: {raw[:40]!r}") from e
+            raise CheckpointError(f"{what} is not UTF-8 text (byte {e.start}: {e.reason})") from e
 
 
 def load_checkpoint(path: str) -> tuple[ParameterStore, dict]:
@@ -238,9 +238,13 @@ def _parse(data: bytes) -> tuple[ParameterStore, dict]:
 
     store = ParameterStore()
     moments: dict[str, dict[str, np.ndarray]] = {"m": {}, "v": {}}
+    keys: set[str] = set()
     for i in range(count):
         (name_len,) = r.unpack("<H", f"array {i} name length")
         key = r.text(name_len, f"array {i} name")
+        if key in keys:
+            raise CheckpointError(f"array {i} name {key!r} appears twice")
+        keys.add(key)
         if "/" not in key:
             raise UnknownPartitionError(f"array name {key!r} has no partition prefix")
         partition, name = key.split("/", 1)

@@ -547,9 +547,14 @@ def _json(blob):
                  'no "model" object', id="no-model"),
     pytest.param(lambda meta: _json(meta).replace(b"vocabulary", b"vocabul\xffry"),
                  "metadata is not UTF-8", id="non-utf8-metadata"),
-    pytest.param(None, "array 0 name is not UTF-8", id="non-utf8-array-name"),
+    pytest.param((b"enc/charge_emb", b"enc/charg\xff_emb"), "array 0 name is not UTF-8",
+                 id="non-utf8-array-name"),
+    pytest.param((b"enc/layer0.ln1.bias", b"enc/layer0.ln1.gain"),
+                 "array 2 name 'enc/layer0.ln1.gain' appears twice", id="repeated-array-name"),
 ])
 def test_bad_checkpoint_metadata_is_data_error(pipeline, tmp_path, capsys, edit, named):
+    """``edit`` rewrites the metadata dict as JSON bytes, or is an (old, new)
+    pair of bytes of the same length that renames an array in place."""
     cfg = ModelConfig(d=16, hidden=32, enc_layers=1, at_layers=1, nat_layers=1, t_max=10)
     model = Model.build(cfg, AminoAcidTable(), seed=0)
     good = tmp_path / "good.bin"
@@ -557,8 +562,8 @@ def test_bad_checkpoint_metadata_is_data_error(pipeline, tmp_path, capsys, edit,
     _, meta = load_checkpoint(str(good))
     data, old = good.read_bytes(), _json(meta)
     assert data.endswith(struct.pack("<I", len(old)) + old)  # the metadata closes the file
-    if edit is None:
-        data = data.replace(b"enc/charge_emb", b"enc/charg\xff_emb", 1)
+    if isinstance(edit, tuple):
+        data = data.replace(*edit, 1)
     else:
         new = edit(meta)
         data = data[:-len(old) - 4] + struct.pack("<I", len(new)) + new
@@ -783,6 +788,14 @@ class TestBadInput:
         code = run(command, "--seed", "5", "--out", str(tmp_path / "out"), *TINY, *inputs)
         assert code == 2
         assert f"{mgf} line {line}: not UTF-8" in capsys.readouterr().err
+
+    def test_mgf_parse_error_names_the_file(self, pipeline, tmp_path, capsys):
+        mgf = tmp_path / "bad.mgf"
+        mgf.write_text("BEGIN IONS\nTITLE=odd\nPEPMASS=400.0\nCHARGE=2+\n200.0 1.0\n100.0 nan\nEND IONS\n")
+        code = run("decode", "--seed", "5", "--out", str(tmp_path / "out"), *TINY,
+                   "--mgf", str(mgf), "--checkpoint", str(pipeline / "ft" / "checkpoint.bin"))
+        assert code == 2
+        assert f"{mgf} line 6: peak values must be finite" in capsys.readouterr().err
 
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
