@@ -179,6 +179,8 @@ class RunConfig:
                 raise UsageError(f"training.seed must be an integer, got {seed_text!r}") from e
         else:
             raise UsageError("a seed is required (--seed N or training.seed in the config)")
+        if seed < 0:
+            raise UsageError(f"the seed must be at least 0, got {seed}")
         cp["training"]["seed"] = str(seed)
         return cls(cp, seed)
 
@@ -330,15 +332,18 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     spectra = []
     for i in range(n):
         pep = random_peptide(rng, min_len, max_len, table)
-        spectra.append(
-            simulate_spectrum(
-                pep,
-                seed=int(rng.integers(1 << 30)),
-                noise=noise,
-                spectrum_id=f"synth-{i:05d}",
-                table=table,
+        try:
+            spectra.append(
+                simulate_spectrum(
+                    pep,
+                    seed=int(rng.integers(1 << 30)),
+                    noise=noise,
+                    spectrum_id=f"synth-{i:05d}",
+                    table=table,
+                )
             )
-        )
+        except ValueError as e:  # m/z noise wide enough to push a peak to m/z <= 0
+            raise UsageError(f"bad simulation.mz_sigma {noise.mz_sigma}: {e}") from e
     (out / "spectra.mgf").write_text(write_mgf(spectra))
     _write_manifest(out, "simulate", cfg, {
         "n_spectra": n,
@@ -373,16 +378,28 @@ def _resume_point(resume: str, blob: dict, stage: str, total: int,
     if blob.get("finetuned", False) != (stage == "finetune"):
         kind = "a fine-tuned" if blob.get("finetuned") else "a stage-1"
         raise DataError(f"{stage} cannot resume from {resume}: it is {kind} checkpoint")
-    for key, value in blob.get(stage, {}).get("settings", {}).items():
+
+    def bad(field: str, what: str) -> DataError:
+        return DataError(f"resume checkpoint {resume}: metadata field {field!r} {what}")
+
+    record, optimizer = blob.get(stage, {}), blob.get("optimizer", {})
+    if not isinstance(record, dict):
+        raise bad(stage, "is not an object")
+    if not isinstance(record.get("settings", {}), dict):
+        raise bad(f"{stage}.settings", "is not an object")
+    for key, value in record.get("settings", {}).items():
         if settings.get(key) != value:
             raise DataError(
                 f"{stage} cannot resume from {resume}: it ran with {key}={value!r}, "
                 f"this run has {settings.get(key)!r}"
             )
-    start = int(blob.get(stage, {}).get("next_step", 0))
+    start = record.get("next_step", 0)
+    for field, value in ((f"{stage}.next_step", start), ("optimizer.step", optimizer.get("step", 0))):
+        if type(value) is not int or value < 0:
+            raise bad(field, f"must be an integer of at least 0, got {value!r}")
     if start > total:
         raise DataError(f"resume checkpoint {resume} is already past step {total} ({start})")
-    return start, blob.get("optimizer", {})
+    return start, {key: optimizer[key] for key in ("step", "m", "v") if key in optimizer}
 
 
 def _save(out: Path, model: Model, opt: OptimizerState, counters: dict) -> None:

@@ -258,6 +258,10 @@ _BOUND_SLACK = 1e-9
 def pmc_decode(log_probs: np.ndarray, cfg: PMCConfig, table: AminoAcidTable) -> PMCResult:
     """Best frame path whose collapsed discretized mass lands in the window.
 
+    T frames collapse to at most T residues, so a window above T of the
+    heaviest residue is infeasible at once, before any array that grows with
+    the target mass is made.
+
     With no transition scores, the per-frame argmax path is the best of all
     paths. When every other path scores strictly less and its collapse lands
     in the window, it is returned as is (``_unique_best_path``); otherwise:
@@ -295,7 +299,7 @@ def pmc_decode(log_probs: np.ndarray, cfg: PMCConfig, table: AminoAcidTable) -> 
         raise ValueError("more residue symbols than the int8 back-pointers support")
     ubin = cfg.residue_bins(table)
     infeasible = PMCResult(None, -np.inf, False)
-    if cfg.window[1] < 0:
+    if cfg.window[1] < 0 or cfg.window[0] > T * int(ubin.max()):
         return infeasible
     if (shortcut := _unique_best_path(log_probs, cfg, table, ubin)) is not None:
         return shortcut

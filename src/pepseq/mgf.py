@@ -31,121 +31,99 @@ class MGFParseError(ValueError):
         self.line = line
 
 
-def parse_mgf(text: str | bytes, table: AminoAcidTable | None = None) -> list[Spectrum]:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+def _pepmass(value: str, table: AminoAcidTable) -> float:
+    try:
+        pepmass = float(value.split()[0])
+    except (ValueError, IndexError):
+        raise ValueError(f"unparseable PEPMASS {value!r}") from None
+    if not math.isfinite(pepmass):
+        raise ValueError(f"PEPMASS must be finite, got {value!r}")
+    return pepmass
+
+
+def _charge(value: str, table: AminoAcidTable) -> int:
+    m = _CHARGE_RE.match(value)
+    if not m:
+        raise ValueError(f"CHARGE must look like '2+', got {value!r}")
+    if int(m.group(1)) < 1:
+        raise ValueError(f"charge must be positive, got {value!r}")
+    return int(m.group(1))
+
+
+def _seq(value: str, table: AminoAcidTable) -> Peptide:
+    seq = Peptide.from_string(value)
+    try:
+        table.ids_of(seq)
+    except VocabularyError as e:
+        raise ValueError(f"bad SEQ {value!r}: {e}") from e
+    if not seq:
+        raise ValueError("SEQ must not be empty")
+    return seq
+
+
+def _peak(line: str) -> Peak:
+    parts = line.split(" ")
+    if len(parts) != 2:
+        raise ValueError(f"peak line must be two floats separated by one space: {line!r}")
+    try:
+        mz, intensity = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ValueError(f"unparseable peak line {line!r}") from None
+    if not (math.isfinite(mz) and math.isfinite(intensity)):
+        raise ValueError(f"peak values must be finite: {line!r}")
+    return Peak(mz, intensity)
+
+
+# Each understood header: the Spectrum field it sets, the parser of its
+# value, and whether every block must have it.
+_HEADERS = {
+    "TITLE": ("spectrum_id", lambda value, table: value, True),
+    "PEPMASS": ("precursor_mz", _pepmass, True),
+    "CHARGE": ("charge", _charge, True),
+    "SEQ": ("truth", _seq, False),
+}
+
+
+def parse_mgf(text: str, table: AminoAcidTable | None = None) -> list[Spectrum]:
     table = table or AminoAcidTable()
-
     spectra: list[Spectrum] = []
-    in_block = False
-    block_start = 0
-    title: str | None = None
-    pepmass: float | None = None
-    charge: int | None = None
-    seq: Peptide | None = None
-    peaks: list[Peak] = []
-
-    def reset():
-        nonlocal title, pepmass, charge, seq, peaks
-        title, pepmass, charge, seq, peaks = None, None, None, None, []
-
+    start, fields, peaks = None, {}, []  # the open block's BEGIN IONS line, headers, peaks
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            if in_block:
-                raise MGFParseError("blank line inside a spectrum block", lineno)
-            continue
-        if line == "BEGIN IONS":
-            if in_block:
-                raise MGFParseError("BEGIN IONS inside an open block", lineno)
-            in_block = True
-            block_start = lineno
-            reset()
-            continue
-        if line == "END IONS":
-            if not in_block:
-                raise MGFParseError("END IONS without BEGIN IONS", lineno)
-            missing = [
-                name
-                for name, v in (("TITLE", title), ("PEPMASS", pepmass), ("CHARGE", charge))
-                if v is None
-            ]
-            if missing:
-                raise MGFParseError(
-                    f"block starting at line {block_start} is missing {', '.join(missing)}",
-                    lineno,
-                )
-            if not peaks:
-                raise MGFParseError(
-                    f"block starting at line {block_start} has no peaks", lineno
-                )
-            try:
-                spectra.append(
-                    Spectrum(
-                        spectrum_id=title,
-                        peaks=tuple(peaks),
-                        precursor_mz=pepmass,
-                        charge=charge,
-                        truth=seq,
-                    )
-                )
-            except ValueError as e:
-                raise MGFParseError(str(e), lineno) from e
-            in_block = False
-            continue
-        if not in_block:
-            raise MGFParseError(f"content outside any block: {line!r}", lineno)
-
-        if "=" in line and not line[0].isdigit() and not line.startswith("-"):
-            key, _, value = line.partition("=")
-            if key == "TITLE":
-                title = value
-            elif key == "PEPMASS":
-                try:
-                    pepmass = float(value.split()[0])
-                except (ValueError, IndexError):
-                    raise MGFParseError(f"unparseable PEPMASS {value!r}", lineno) from None
-                if not math.isfinite(pepmass):
-                    raise MGFParseError(f"PEPMASS must be finite, got {value!r}", lineno)
-            elif key == "CHARGE":
-                m = _CHARGE_RE.match(value)
-                if not m:
-                    raise MGFParseError(
-                        f"CHARGE must look like '2+', got {value!r}", lineno
-                    )
-                charge = int(m.group(1))
-                if charge < 1:
-                    raise MGFParseError(f"charge must be positive, got {value!r}", lineno)
-            elif key == "SEQ":
-                try:
-                    seq = Peptide.from_string(value)
-                    for s in seq:
-                        table.index_of(s)
-                except VocabularyError as e:
-                    raise MGFParseError(f"bad SEQ {value!r}: {e}", lineno) from e
-                if len(seq) < 1:
-                    raise MGFParseError("SEQ must not be empty", lineno)
-            else:
-                log.warning("line %d: ignoring unknown MGF header %r", lineno, key)
-            continue
-
-        parts = line.split(" ")
-        if len(parts) != 2:
-            raise MGFParseError(
-                f"peak line must be two floats separated by one space: {line!r}", lineno
-            )
         try:
-            mz, intensity = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise MGFParseError(f"unparseable peak line {line!r}", lineno) from None
-        if not (math.isfinite(mz) and math.isfinite(intensity)):
-            raise MGFParseError(f"peak values must be finite: {line!r}", lineno)
-        peaks.append(Peak(mz, intensity))
-
-    if in_block:
-        raise MGFParseError(
-            f"unterminated block starting at line {block_start}", lineno
-        )
+            if start is None:
+                if line == "BEGIN IONS":
+                    start, fields, peaks = lineno, {}, []
+                elif line == "END IONS":
+                    raise ValueError("END IONS without BEGIN IONS")
+                elif line:
+                    raise ValueError(f"content outside any block: {line!r}")
+            elif not line:
+                raise ValueError("blank line inside a spectrum block")
+            elif line == "BEGIN IONS":
+                raise ValueError("BEGIN IONS inside an open block")
+            elif line == "END IONS":
+                missing = [key for key, (name, _, required) in _HEADERS.items()
+                           if required and name not in fields]
+                if missing:
+                    raise ValueError(f"block starting at line {start} is missing {', '.join(missing)}")
+                if not peaks:
+                    raise ValueError(f"block starting at line {start} has no peaks")
+                spectra.append(Spectrum(peaks=tuple(peaks), **fields))
+                start = None
+            elif "=" in line and not line[0].isdigit() and not line.startswith("-"):
+                key, _, value = line.partition("=")
+                if key in _HEADERS:
+                    name, parse, _ = _HEADERS[key]
+                    fields[name] = parse(value, table)
+                else:
+                    log.warning("line %d: ignoring unknown MGF header %r", lineno, key)
+            else:
+                peaks.append(_peak(line))
+        except ValueError as e:
+            raise MGFParseError(str(e), lineno) from e
+    if start is not None:
+        raise MGFParseError(f"unterminated block starting at line {start}", lineno)
     return spectra
 
 

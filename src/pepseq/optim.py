@@ -24,7 +24,7 @@ class OptimizerState:
     beta1: ClassVar[float] = 0.9
     beta2: ClassVar[float] = 0.999
     eps: ClassVar[float] = 1e-8
-    weight_decay: float = 0.01
+    weight_decay: ClassVar[float] = 0.01
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)

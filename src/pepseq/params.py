@@ -29,6 +29,7 @@ Round trips are bit-exact because payloads are raw float64 bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from typing import Iterator
@@ -249,8 +250,10 @@ def _parse(data: bytes) -> tuple[ParameterStore, dict]:
             raise UnknownPartitionError(f"array name {key!r} has no partition prefix")
         partition, name = key.split("/", 1)
         (rank,) = r.unpack("<B", f"array {key} rank")
+        if rank > 32:  # numpy 1.x arrays have at most 32 axes
+            raise CheckpointError(f"array {key} has rank {rank}; at most 32 is supported")
         shape = r.unpack(f"<{rank}I", f"array {key} dims") if rank else ()
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)  # Python ints: dims near 2**32 must not wrap
         payload = r.take(8 * n, f"array {key} payload")
         values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         if partition in moments:

@@ -70,6 +70,11 @@ class TestUsage:
         assert run("simulate", "--out", str(tmp_path), *TINY) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [["--seed", "-1"], ["--set", "training.seed=-2"]])
+    def test_negative_seed(self, tmp_path, capsys, seed):
+        assert run("simulate", "--out", str(tmp_path), *TINY, *seed) == 1
+        assert "seed must be at least 0" in capsys.readouterr().err
+
     def test_bad_set_syntax(self, tmp_path):
         assert run("simulate", "--seed", "1", "--out", str(tmp_path), "--set", "nonsense") == 1
 
@@ -382,6 +387,33 @@ def test_resume_from_checkpoint_without_recorded_settings(pipeline, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("command, edit, field", [
+    ("train", lambda blob: blob.update(train=[blob["train"]]), "'train' is not an object"),
+    ("train", lambda blob: blob["train"].update(settings=[]), "'train.settings' is not an object"),
+    ("train", lambda blob: blob["train"].update(next_step="abc"), "'train.next_step'"),
+    ("train", lambda blob: blob["train"].update(next_step=-2), "'train.next_step'"),
+    ("train", lambda blob: blob["train"].update(next_step=1.7), "'train.next_step'"),
+    ("train", lambda blob: (blob["train"].update(next_step=6), blob["optimizer"].update(step="x")),
+     "'optimizer.step'"),
+    ("finetune", lambda blob: blob.update(finetune=None), "'finetune' is not an object"),
+    ("finetune", lambda blob: blob["finetune"].update(next_step=True), "'finetune.next_step'"),
+], ids=["train-list", "settings-list", "next-step-text", "next-step-negative", "next-step-float",
+        "optimizer-step-text", "finetune-null", "next-step-bool"])
+def test_bad_resume_metadata_is_data_error(pipeline, tmp_path, capsys, command, edit, field):
+    resume = pipeline / ("train" if command == "train" else "ft") / "checkpoint.bin"
+    store, blob = load_checkpoint(str(resume))
+    edit(blob)
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(str(bad), store, blob)
+    code = run(
+        command, "--seed", "5", "--out", str(tmp_path / "out"), *TINY,
+        "--corpus", str(pipeline / "sim" / "spectra.mgf"), "--resume", str(bad),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"resume checkpoint {bad}: metadata field {field}" in err
+
+
 class TestDecode:
     def test_greedy_predictions_cover_corpus(self, pipeline, tmp_path):
         out = tmp_path / "dec"
@@ -599,6 +631,7 @@ def test_bad_checkpoint_metadata_is_data_error(pipeline, tmp_path, capsys, edit,
     ("train", ["--set", "training.warmup_steps=-1"]),
     ("train", ["--set", "model.d=0"]),
     ("train", ["--set", "model.t_max=0"]),
+    ("simulate", ["--set", "simulation.mz_sigma=1e200"]),  # pushes a peak below m/z 0
 ])
 def test_bad_decode_and_finetune_settings_are_usage_errors(pipeline, tmp_path, capsys, command, args):
     corpus = str(pipeline / "sim" / "spectra.mgf")

@@ -47,10 +47,6 @@ class TestRoundTrip:
         back = parse_mgf(write_mgf([bare]))
         assert back[0].truth is None
 
-    def test_accepts_bytes_input(self):
-        text = write_mgf(corpus(2))
-        assert parse_mgf(text.encode()) == parse_mgf(text)
-
 
 GOOD = """BEGIN IONS
 TITLE=demo

@@ -2,6 +2,7 @@
 causality of the AT decoder, the NAT decoder's token-free signature, the
 augmented cross-attention context, and checkpoint round trips."""
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from pepseq import autodiff as ad
 from pepseq.network import MAX_CHARGE, Model, ModelConfig, prefix_suffix_masses
 from pepseq.params import (
     BadMagicError,
+    CheckpointError,
     ParameterStore,
     TruncatedCheckpointError,
     UnknownPartitionError,
@@ -384,9 +386,20 @@ class TestCheckpoint:
         with pytest.raises(TruncatedCheckpointError):
             load_checkpoint(str(p))
 
-    def test_unknown_partition(self, tmp_path):
-        import struct
+    @pytest.mark.parametrize("rank, dims, error", [
+        # 2**32 - 1 squared elements of 8 bytes overflow an int64 byte count
+        (2, (2**32 - 1, 2**32 - 1), "truncated while reading array enc/w payload"),
+        (100, (0,) * 100, "array enc/w has rank 100"),  # zero elements, more axes than numpy has
+    ])
+    def test_impossible_shape_is_checkpoint_error(self, tmp_path, rank, dims, error):
+        p = tmp_path / "x.ckpt"
+        name = b"enc/w"
+        p.write_bytes(b"NVCK" + struct.pack("<IIH", 1, 1, len(name)) + name
+                      + struct.pack(f"<B{rank}I", rank, *dims) + np.zeros(2).tobytes())
+        with pytest.raises(CheckpointError, match=error):
+            load_checkpoint(str(p))
 
+    def test_unknown_partition(self, tmp_path):
         p = tmp_path / "x.ckpt"
         name = b"mystery/w"
         payload = (

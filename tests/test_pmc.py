@@ -528,6 +528,23 @@ def dp_spy(monkeypatch):
     return runs
 
 
+def test_unreachable_window_is_infeasible_before_the_dp(monkeypatch):
+    # 24 frames of W (186.08 Da) reach 4.47 kDa at most, so a 100 kDa target
+    # is given up before _completion_bounds, whose arrays grow with the target.
+    table = AminoAcidTable()
+    lp = random_logps(np.random.default_rng(16), 24, table.n_residues + 1)
+    runs = dp_spy(monkeypatch)
+    assert pmc_decode(lp, PMCConfig(target_mass=100_000.0), table) == PMCResult(None, -np.inf, False)
+    assert runs == []
+    # Three frames of A reach 213 bins: a window from there still runs the DP, one from 214 not.
+    lp = random_logps(np.random.default_rng(17), 3, 3)
+    for lo, dp_ran in ((213.0, True), (214.0, False)):
+        runs.clear()
+        cfg = window_config(lo, lo + 2.0, bin_width=1.0)
+        assert pmc_decode(lp, cfg, GA) == pmc_bruteforce_oracle(lp, cfg, GA)
+        assert bool(runs) == dp_ran
+
+
 def test_shortcut_answers_a_unique_best_path_in_the_window(monkeypatch):
     def no_dp(*args):
         raise AssertionError("the DP ran")

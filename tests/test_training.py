@@ -109,7 +109,7 @@ class TestAdamW:
     def test_minimizes_quadratic(self):
         store = ParameterStore()
         p = store.add("at", "x", np.array([4.0, -3.0]))
-        state = OptimizerState(lr=0.05, weight_decay=0.0)
+        state = OptimizerState(lr=0.05)
         for _ in range(400):
             loss = ad.sum_all(ad.mul(p, p))
             ad.backward(loss)
@@ -151,7 +151,7 @@ class TestAdamW:
         # With zero gradient pressure, decay alone shrinks the value.
         store = ParameterStore()
         p = store.add("at", "w", np.array([2.0]))
-        state = OptimizerState(lr=0.1, weight_decay=0.5)
+        state = OptimizerState(lr=0.1)
         zero = ad.mul(p, ad.constant(np.zeros(1)))
         ad.backward(ad.sum_all(zero))
         adamw_step(store, state)
