@@ -32,7 +32,7 @@ from .autodiff import NumericError
 from .decoding import PMCConfig, beam_search_at, greedy_at_decode, nat_pmc_decode
 from .metrics import corpus_eval, precision_coverage
 from .mgf import MGFParseError, parse_mgf, write_mgf
-from .network import MAX_CHARGE, Model, ModelConfig
+from .network import Model, ModelConfig, check_spectrum
 from .optim import OptimizerState
 from .params import CheckpointError, load_checkpoint, save_checkpoint
 from .spectra import (
@@ -100,7 +100,7 @@ SETTINGS: dict[str, dict[str, tuple[str, type, int | float | None]]] = {
         "beam_width": ("5", int, 1),
         "pmc_tolerance": ("0.1", float, None),
         "pmc_bin": ("0.001", float, None),
-        "max_len": ("0", int, 0),  # 0 means t_max - 2
+        "max_len": ("0", int, 0),  # 0 means ModelConfig.max_residues
     },
     "paths": {
         key: ("", str, None)
@@ -228,14 +228,12 @@ def _require_path(cfg: RunConfig, option: str, what: str) -> Path:
     return Path(text)
 
 
-def _read_corpus(
-    path: Path, table: AminoAcidTable, require_truth: bool, t_max: int | None = None
-) -> list[Spectrum]:
-    """Parse an MGF corpus and reject spectra the model cannot take.
+def _read_corpus(path: Path, table: AminoAcidTable, require_truth: bool,
+                 max_residues: int | None = None) -> list[Spectrum]:
+    """Parse an MGF corpus and reject the spectra ``check_spectrum`` rejects.
 
     Spectrum ids must be unique: fine-tuning caches features by id, and
-    evaluation joins predictions to truths by id. With ``t_max`` set
-    (training), a target must fit the NAT frame axis.
+    evaluation joins predictions to truths by id.
     """
     if not path.is_file():
         raise DataError(f"spectra file not found: {path}")
@@ -250,20 +248,10 @@ def _read_corpus(
         if s.spectrum_id in seen:
             raise DataError(f"{path}: spectrum id {s.spectrum_id!r} appears more than once")
         seen.add(s.spectrum_id)
-        if s.charge > MAX_CHARGE:
-            raise DataError(
-                f"{path}: spectrum {s.spectrum_id!r} has charge {s.charge}; "
-                f"the model supports 1..{MAX_CHARGE}"
-            )
-        if s.max_intensity <= 0:
-            raise DataError(
-                f"{path}: spectrum {s.spectrum_id!r} has no peak with positive intensity"
-            )
-        if t_max is not None and s.truth is not None and len(s.truth) > t_max - 2:
-            raise DataError(
-                f"{path}: spectrum {s.spectrum_id!r} has a {len(s.truth)}-residue target; "
-                f"training supports at most t_max - 2 = {t_max - 2}"
-            )
+        try:
+            check_spectrum(s, max_residues)
+        except ValueError as e:
+            raise DataError(f"{path}: {e}") from e
     if require_truth:
         missing = [s.spectrum_id for s in spectra if s.truth is None]
         if missing:
@@ -322,10 +310,10 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         raise UsageError(
             f"simulation lengths need min_len <= max_len, got {min_len} and {max_len}"
         )
-    t_max = cfg.value("model", "t_max")
-    if max_len > t_max - 2:
+    cap = ModelConfig(t_max=cfg.value("model", "t_max")).max_residues
+    if max_len > cap:
         raise UsageError(
-            f"simulation.max_len {max_len} exceeds t_max - 2 = {t_max - 2}; "
+            f"simulation.max_len {max_len} exceeds t_max - 2 = {cap}; "
             "such peptides could not be trained on"
         )
     rng = np.random.default_rng(cfg.seed)
@@ -368,15 +356,16 @@ def _stage_settings(cfg: RunConfig, stage: str, corpus: Path) -> dict:
             "corpus_sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}
 
 
-def _resume_point(resume: str, blob: dict, stage: str, total: int,
+def _resume_point(resume: str, model: Model, blob: dict, stage: str, total: int,
                   settings: dict) -> tuple[int, dict]:
     """(next step, saved AdamW state) of a ``stage`` run resumed from the
-    checkpoint ``resume`` whose blob is ``blob``; (0, {}) for a fresh run.
+    checkpoint ``resume`` whose model is ``model`` and blob ``blob``; (0, {})
+    for a fresh run. Each saved moment needs its pair and its parameter's shape.
     Checkpoints written before the settings were recorded are not checked."""
     if not resume:
         return 0, {}
-    if blob.get("finetuned", False) != (stage == "finetune"):
-        kind = "a fine-tuned" if blob.get("finetuned") else "a stage-1"
+    if model.finetuned != (stage == "finetune"):
+        kind = "a fine-tuned" if model.finetuned else "a stage-1"
         raise DataError(f"{stage} cannot resume from {resume}: it is {kind} checkpoint")
 
     def bad(field: str, what: str) -> DataError:
@@ -397,6 +386,16 @@ def _resume_point(resume: str, blob: dict, stage: str, total: int,
     for field, value in ((f"{stage}.next_step", start), ("optimizer.step", optimizer.get("step", 0))):
         if type(value) is not int or value < 0:
             raise bad(field, f"must be an integer of at least 0, got {value!r}")
+    params = dict(model.store.items())
+    for kind, other in ("mv", "vm"):
+        for key, moment in optimizer.get(kind, {}).items():
+            if key not in optimizer[other]:
+                raise bad(f"optimizer.{kind}", f"has array {key!r}, optimizer.{other} does not")
+            if key not in params:
+                raise bad(f"optimizer.{kind}", f"has array {key!r}, which names no model parameter")
+            if moment.shape != params[key].shape:
+                raise bad(f"optimizer.{kind}", f"has array {key!r} of shape {moment.shape}, "
+                          f"not the parameter's {params[key].shape}")
     if start > total:
         raise DataError(f"resume checkpoint {resume} is already past step {total} ({start})")
     return start, {key: optimizer[key] for key in ("step", "m", "v") if key in optimizer}
@@ -433,8 +432,8 @@ def _run_stage(out: Path, step, corpus: list[Spectrum], batches, start: int, tot
 
 def cmd_train(cfg: RunConfig, out: Path) -> int:
     table = AminoAcidTable()
-    corpus_path = _require_path(cfg, "corpus", "training spectra")
-    corpus = _read_corpus(corpus_path, table, require_truth=True, t_max=cfg.model_config().t_max)
+    corpus_path, model_cfg = _require_path(cfg, "corpus", "training spectra"), cfg.model_config()
+    corpus = _read_corpus(corpus_path, table, require_truth=True, max_residues=model_cfg.max_residues)
     settings = _stage_settings(cfg, "train", corpus_path)
     total = settings["stage1_steps"]
     every = cfg.value("training", "checkpoint_every")
@@ -448,11 +447,11 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
     resume = cfg.value("paths", "resume")
     if resume:
         model, blob = _load_model(Path(resume), table)
-        if model.cfg != cfg.model_config():
+        if model.cfg != model_cfg:
             raise DataError("resume checkpoint's model shape differs from the config")
     else:
-        model, blob = Model.build(cfg.model_config(), table, seed=cfg.seed), {}
-    start, optimizer = _resume_point(resume, blob, "train", total, settings)
+        model, blob = Model.build(model_cfg, table, seed=cfg.seed), {}
+    start, optimizer = _resume_point(resume, model, blob, "train", total, settings)
     opt = OptimizerState(lr=lr_cfg.base_lr, **optimizer)
     state = TrainState(model, opt, AnnealSchedule(total), lr_cfg, step=start)
     _run_stage(
@@ -482,7 +481,7 @@ def cmd_finetune(cfg: RunConfig, out: Path) -> int:
     resume = cfg.value("paths", "resume")
     ckpt_in = Path(resume) if resume else _require_path(cfg, "checkpoint", "stage-1 checkpoint")
     model, blob = _load_model(ckpt_in, table)
-    start, optimizer = _resume_point(resume, blob, "finetune", total, settings)
+    start, optimizer = _resume_point(resume, model, blob, "finetune", total, settings)
 
     frozen = {p: model.store.snapshot(p) for p in ("enc", "nat")}
     for p in frozen:
@@ -531,7 +530,7 @@ def cmd_decode(cfg: RunConfig, out: Path) -> int:
         raise UsageError(f"bad decoding.pmc_tolerance or decoding.pmc_bin: {e}") from e
     spectra = _read_corpus(_require_path(cfg, "mgf", "spectra to decode"), table, require_truth=False)
     model, _ = _load_model(_require_path(cfg, "checkpoint", "model checkpoint"), table)
-    max_len = dec["max_len"] or model.cfg.t_max - 2
+    max_len = dec["max_len"] or model.cfg.max_residues
 
     rows = []
     for s in spectra:

@@ -53,8 +53,8 @@ from .spectra import (
     encode_float,
 )
 
-__all__ = ["ModelConfig", "Model", "NATFeatures", "Padded", "ATCache", "MAX_CHARGE", "pad_rows",
-           "prefix_suffix_masses"]
+__all__ = ["ModelConfig", "Model", "NATFeatures", "Padded", "ATCache", "MAX_CHARGE", "check_spectrum",
+           "pad_rows", "prefix_suffix_masses"]
 
 MAX_CHARGE = 10
 
@@ -83,6 +83,11 @@ class ModelConfig:
         if min(self.hidden, self.enc_layers, self.at_layers, self.nat_layers, self.t_max) <= 0:
             raise ValueError("hidden, enc_layers, at_layers, nat_layers and t_max must be positive")
 
+    @property
+    def max_residues(self) -> int:
+        """The longest target the ``t_max`` NAT frames fit: t_max - 2."""
+        return self.t_max - 2
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -102,6 +107,19 @@ class ModelConfig:
             if type(value) is not int:
                 raise ValueError(f"model field {key!r} must be an integer, got {value!r}")
         return cls(**d)
+
+
+def check_spectrum(spectrum: Spectrum, max_residues: int | None = None) -> None:
+    """Raise a ValueError naming ``spectrum`` if the model cannot read it."""
+    name, charge = f"spectrum {spectrum.spectrum_id!r}", spectrum.charge
+    if not 1 <= charge <= MAX_CHARGE:
+        raise ValueError(f"{name} has charge {charge}; the model supports 1..{MAX_CHARGE}")
+    if not np.isfinite(spectrum.neutral_mass):
+        raise ValueError(f"{name}: m/z {spectrum.precursor_mz} at charge {charge} has no finite mass")
+    if spectrum.max_intensity <= 0:
+        raise ValueError(f"{name} has no peak with positive intensity")
+    if max_residues is not None and len(spectrum.truth or ()) > max_residues:
+        raise ValueError(f"{name}: {len(spectrum.truth)} target residues exceed t_max - 2 = {max_residues}")
 
 
 class NATFeatures(NamedTuple):
@@ -320,9 +338,7 @@ class Model:
         returned as its features [k+1, d]."""
         batch = [spectrum] if isinstance(spectrum, Spectrum) else spectrum
         for s in batch:
-            if not 1 <= s.charge <= MAX_CHARGE:
-                raise ValueError(f"spectrum {s.spectrum_id!r}: charge {s.charge} outside "
-                                 f"the supported range 1..{MAX_CHARGE}")
+            check_spectrum(s)
         peaks, real = pad_rows([embed_peak(s.peaks, self.cfg.d, s.max_intensity) for s in batch])
         mask = np.concatenate([np.ones((len(real), 1), dtype=bool), real], axis=1)  # row 0: precursor
         charge_rows = ad.gather(self.params["enc"]["charge_emb"], [[s.charge - 1] for s in batch])
@@ -438,5 +454,7 @@ class Model:
         cfg = ModelConfig.from_dict(blob["model"])
         table = AminoAcidTable.from_dict(blob["vocabulary"])
         model = cls(cfg, table, store)
-        model.finetuned = bool(blob.get("finetuned", False))
+        model.finetuned = blob.get("finetuned", False)
+        if type(model.finetuned) is not bool:
+            raise ValueError(f"metadata field 'finetuned' must be true or false, got {model.finetuned!r}")
         return model

@@ -1,8 +1,9 @@
 """AdamW with decoupled weight decay over a ParameterStore.
 
 One shared step counter drives bias correction; moment buffers are keyed by
-parameter name and allocated lazily. Frozen partitions are skipped entirely:
-their values, and any stale moment buffers, stay bit-identical across steps.
+parameter name and allocated lazily, a pair for each name they lack. Tensors
+that do not require grad (the frozen partitions) are skipped entirely: their
+values, and any stale moment buffers, stay bit-identical across steps.
 Gradients of updated parameters are cleared after the step.
 """
 
@@ -52,21 +53,17 @@ def adamw_step(
     bc2 = 1.0 - state.beta2**t
 
     for key, p in store.items():
-        partition = key.split("/", 1)[0]
-        if store.is_frozen(partition):
+        if not p.requires_grad:
             continue
         g = p.grad
         if g is None:
             if key in unused_ok:
                 continue
             raise ValueError(f"parameter {key!r} is trainable but received no gradient")
-        m = state.m.get(key)
-        if m is None or m.shape != p.values.shape:
-            m = np.zeros_like(p.values)
-            state.v[key] = np.zeros_like(p.values)
-        v = state.v[key]
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        if key not in state.m:
+            state.m[key], state.v[key] = np.zeros_like(p.values), np.zeros_like(p.values)
+        m = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
+        v = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
         state.m[key] = m
         state.v[key] = v
         update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)

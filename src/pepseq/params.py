@@ -278,6 +278,9 @@ def _parse(data: bytes) -> tuple[ParameterStore, dict]:
         blob["optimizer"].update(moments)
 
     for partition, frozen in blob.get("frozen", {}).items():
+        if type(frozen) is not bool:
+            raise CheckpointError(f"metadata field 'frozen.{partition}' must be true or false, "
+                                  f"got {frozen!r}")
         if frozen:
             store.freeze(partition)
     return store, blob

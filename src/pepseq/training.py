@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, Tensor
-from .network import Model, Padded, pad_rows, prefix_suffix_masses
+from .network import Model, Padded, check_spectrum, pad_rows, prefix_suffix_masses
 from .optim import OptimizerState, adamw_step
 from .spectra import Spectrum
 
@@ -335,13 +335,8 @@ def train_stage1_step(model: Model, batch: Sequence[Spectrum], state: TrainState
     metrics."""
     if not batch:
         raise ValueError("empty batch")
-    if any(
-        s.truth is not None and len(s.truth) > model.cfg.t_max - 2 for s in batch
-    ):
-        raise ValueError(
-            f"a target exceeds t_max - 2 = {model.cfg.t_max - 2} residues; "
-            "the NAT frame axis cannot fit it"
-        )
+    for s in batch:
+        check_spectrum(s, model.cfg.max_residues)
     at_loss, nat_loss = _stage1_losses(model, batch)
     lam = lambda_at(state.anneal, state.step)
     loss = total_loss(at_loss, nat_loss, lam)

@@ -397,8 +397,17 @@ def test_resume_from_checkpoint_without_recorded_settings(pipeline, tmp_path):
      "'optimizer.step'"),
     ("finetune", lambda blob: blob.update(finetune=None), "'finetune' is not an object"),
     ("finetune", lambda blob: blob["finetune"].update(next_step=True), "'finetune.next_step'"),
+    ("train", lambda blob: blob["optimizer"]["m"].update({"at/out.b": np.zeros(2)}),
+     "'optimizer.m' has array 'at/out.b' of shape (2,)"),
+    ("train", lambda blob: blob["optimizer"]["v"].update({"at/out.b": np.zeros((1, 2))}),
+     "'optimizer.v' has array 'at/out.b' of shape (1, 2)"),
+    ("finetune", lambda blob: blob["optimizer"]["v"].pop("at/tok_emb"),
+     "'optimizer.m' has array 'at/tok_emb', optimizer.v does not"),
+    ("train", lambda blob: [blob["optimizer"][kind].update({"at/extra": np.zeros(2)}) for kind in "mv"],
+     "'optimizer.m' has array 'at/extra', which names no model parameter"),
 ], ids=["train-list", "settings-list", "next-step-text", "next-step-negative", "next-step-float",
-        "optimizer-step-text", "finetune-null", "next-step-bool"])
+        "optimizer-step-text", "finetune-null", "next-step-bool", "moment-m-shape", "moment-v-shape",
+        "moment-unpaired", "moment-unknown"])
 def test_bad_resume_metadata_is_data_error(pipeline, tmp_path, capsys, command, edit, field):
     resume = pipeline / ("train" if command == "train" else "ft") / "checkpoint.bin"
     store, blob = load_checkpoint(str(resume))
@@ -505,6 +514,19 @@ class TestDecode:
         assert code == 2
         assert "s000" in capsys.readouterr().err
 
+        # A finite PEPMASS whose neutral mass overflows to inf at charge 2.
+        huge = tmp_path / "huge.mgf"
+        huge.write_text("BEGIN IONS\nTITLE=huge\nPEPMASS=1e308\nCHARGE=2+\nSEQ=GASP\n"
+                        "200.0 1.0\nEND IONS\n")
+        checkpoint = ["--checkpoint", str(pipeline / "ft" / "checkpoint.bin")]
+        for command, args in [*(("decode", ["--mgf", str(huge), *checkpoint, "--decoder", decoder])
+                                for decoder in cli.DECODERS),
+                              ("train", ["--corpus", str(huge)])]:
+            code = run(command, "--seed", "5", "--out", str(tmp_path / command), *args, *TINY)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"{huge}: spectrum 'huge'" in err and "no finite mass" in err
+
     @pytest.mark.parametrize("peak", ["100.0 nan", "100.0 inf", "nan 1.0"])
     def test_non_finite_peak_is_data_error(self, pipeline, tmp_path, capsys, peak):
         mgf = tmp_path / "bad.mgf"
@@ -583,6 +605,12 @@ def _json(blob):
                  id="non-utf8-array-name"),
     pytest.param((b"enc/layer0.ln1.bias", b"enc/layer0.ln1.gain"),
                  "array 2 name 'enc/layer0.ln1.gain' appears twice", id="repeated-array-name"),
+    pytest.param(lambda meta: _json({**meta, "finetuned": "false"}),
+                 "metadata field 'finetuned' must be true or false, got 'false'", id="finetuned-text"),
+    pytest.param(lambda meta: _json({**meta, "finetuned": 1}),
+                 "metadata field 'finetuned' must be true or false, got 1", id="finetuned-number"),
+    pytest.param(lambda meta: _json({**meta, "frozen": {**meta["frozen"], "at": "false"}}),
+                 "metadata field 'frozen.at' must be true or false, got 'false'", id="frozen-text"),
 ])
 def test_bad_checkpoint_metadata_is_data_error(pipeline, tmp_path, capsys, edit, named):
     """``edit`` rewrites the metadata dict as JSON bytes, or is an (old, new)

@@ -1,9 +1,9 @@
 """Seeded fuzz of the command line. Each input file is mutated at random and
 run in process through ``cli.main``: MGF spectra through decode (every
 decoder) and train, precursors through nat-pmc, the bytes of checkpoint
-headers, array names and dims through decode, checkpoint metadata through
-decode and ``--resume``, predictions through eval and config files through
-simulate. Every run must end in a documented exit code (0 ok, 1 usage,
+headers, array names and dims through decode, checkpoint metadata and
+AdamW moment shapes through ``--resume``, predictions through eval and config
+files through simulate. Every run must end in a documented exit code (0 ok, 1 usage,
 2 data, 3 numeric) and raise nothing."""
 
 import json
@@ -11,9 +11,11 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from pepseq.cli import DECODERS, main
+from pepseq.params import load_checkpoint, save_checkpoint
 
 SMALL = [
     "--seed", "5",
@@ -33,9 +35,11 @@ SMALL = [
     "--set", "simulation.max_len=4",
 ]
 # Values that replace a field of a mutated line: malformed, out of range,
-# non-finite, and precursors far beyond any peptide the model can emit.
+# non-finite, and precursors far beyond any peptide the model can emit (a
+# PEPMASS of 1e308 has a neutral mass that overflows at charge 2 and up).
 VALUES = ["", "x", "-1", "0", "1", "0.5", "nan", "inf", "-inf", "2+", "0+", "10+", "11+", "GA",
-          "GZ", "3000", "500000", "1e200", "BEGIN IONS", "END IONS", "TITLE=dup", "100.0 0.0"]
+          "GZ", "3000", "500000", "1e200", "1e308", "BEGIN IONS", "END IONS", "TITLE=dup",
+          "100.0 0.0"]
 JSON_VALUES = [None, True, -1, 0, 2, 1.7, 10**12, "x", "", [], {}, [1], {"a": 1}]
 
 
@@ -182,6 +186,25 @@ def test_mutated_metadata_through_decode_and_resume(runs, tmp_path):
         inputs = (["--mgf", mgf, "--checkpoint", ckpt] if command == "decode"
                   else ["--corpus", mgf, "--resume", ckpt])
         run(command, "--out", tmp_path / f"out{i}", *inputs, *SMALL)
+
+
+def test_misshapen_moments_through_resume(runs, tmp_path):
+    # One saved AdamW moment gets another shape than its parameter, and the
+    # run resumes before its last step, so it would update with that moment.
+    rng = random.Random(7)
+    for i in range(8):
+        command, stage = (("train", "train"), ("finetune", "ft"))[i % 2]
+        store, blob = load_checkpoint(str(runs / stage / "checkpoint.bin"))
+        record = blob[command]
+        record["next_step"] = rng.randrange(record["next_step"])
+        moments = blob["optimizer"][rng.choice("mv")]
+        key = rng.choice(sorted(moments))
+        shape = moments[key].shape
+        moments[key] = np.zeros(rng.choice([shape[:-1], shape + (1,), shape[:-1] + (shape[-1] + 1,)]))
+        ckpt = tmp_path / f"{i}.bin"
+        save_checkpoint(str(ckpt), store, blob)
+        assert run(command, "--out", tmp_path / f"out{i}", "--corpus", runs / "sim" / "spectra.mgf",
+                   "--resume", ckpt, *SMALL) == 2
 
 
 def test_mutated_predictions_through_eval(runs, tmp_path):

@@ -3,6 +3,7 @@ causality of the AT decoder, the NAT decoder's token-free signature, the
 augmented cross-attention context, and checkpoint round trips."""
 
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pepseq import autodiff as ad
-from pepseq.network import MAX_CHARGE, Model, ModelConfig, prefix_suffix_masses
+from pepseq.network import MAX_CHARGE, Model, ModelConfig, check_spectrum, prefix_suffix_masses
 from pepseq.params import (
     BadMagicError,
     CheckpointError,
@@ -21,7 +22,7 @@ from pepseq.params import (
     load_checkpoint,
     save_checkpoint,
 )
-from pepseq.spectra import (PROTON, WATER, AminoAcidTable, Peptide, Spectrum, embed_peak,
+from pepseq.spectra import (PROTON, WATER, AminoAcidTable, Peak, Peptide, Spectrum, embed_peak,
                             encode_float, simulate_spectrum)
 
 from conftest import MISMATCHES, mismatched_store
@@ -86,6 +87,22 @@ class TestEncoder:
         )
         feats = model.encode_spectrum(ok)
         assert np.all(np.isfinite(feats.values))
+
+    @pytest.mark.parametrize("change, max_residues, rule", [
+        (dict(charge=MAX_CHARGE + 1), None, "has charge 11; the model supports 1..10"),
+        (dict(precursor_mz=1e308, charge=2), None, "no finite mass"),
+        (dict(peaks=(Peak(100.0, 0.0), Peak(200.0, 0.0))), None, "no peak with positive intensity"),
+        ({}, 4, "5 target residues exceed t_max - 2 = 4"),
+    ], ids=["charge", "mass", "intensity", "target"])
+    def test_check_spectrum_names_what_the_model_cannot_read(self, model, spectrum, change,
+                                                             max_residues, rule):
+        check_spectrum(spectrum, max_residues=5)  # GASPV fits five residues
+        bad = replace(spectrum, spectrum_id="odd", **change)
+        with pytest.raises(ValueError, match=f"spectrum 'odd'.*{rule}"):
+            check_spectrum(bad, max_residues)
+        if max_residues is None:  # the encoder reads what the check accepts, and no more
+            with pytest.raises(ValueError, match="spectrum 'odd'"):
+                model.encode_spectrum(bad)
 
     def test_charge_changes_only_through_embedding(self, model, spectrum):
         # Same peaks and precursor m/z, different charge: row 0 input differs.
