@@ -360,8 +360,9 @@ def _resume_point(resume: str, model: Model, blob: dict, stage: str, total: int,
                   settings: dict) -> tuple[int, dict]:
     """(next step, saved AdamW state) of a ``stage`` run resumed from the
     checkpoint ``resume`` whose model is ``model`` and blob ``blob``; (0, {})
-    for a fresh run. Each saved moment needs its pair and its parameter's shape.
-    Checkpoints written before the settings were recorded are not checked."""
+    for a fresh run. A saved AdamW step must be the stage's next step;
+    ``load_checkpoint`` has checked the rest of the AdamW record. Checkpoints
+    written before the settings or that record existed are not checked."""
     if not resume:
         return 0, {}
     if model.finetuned != (stage == "finetune"):
@@ -383,22 +384,13 @@ def _resume_point(resume: str, model: Model, blob: dict, stage: str, total: int,
                 f"this run has {settings.get(key)!r}"
             )
     start = record.get("next_step", 0)
-    for field, value in ((f"{stage}.next_step", start), ("optimizer.step", optimizer.get("step", 0))):
-        if type(value) is not int or value < 0:
-            raise bad(field, f"must be an integer of at least 0, got {value!r}")
-    params = dict(model.store.items())
-    for kind, other in ("mv", "vm"):
-        for key, moment in optimizer.get(kind, {}).items():
-            if key not in optimizer[other]:
-                raise bad(f"optimizer.{kind}", f"has array {key!r}, optimizer.{other} does not")
-            if key not in params:
-                raise bad(f"optimizer.{kind}", f"has array {key!r}, which names no model parameter")
-            if moment.shape != params[key].shape:
-                raise bad(f"optimizer.{kind}", f"has array {key!r} of shape {moment.shape}, "
-                          f"not the parameter's {params[key].shape}")
+    if type(start) is not int or start < 0:
+        raise bad(f"{stage}.next_step", f"must be an integer of at least 0, got {start!r}")
+    if optimizer and optimizer["step"] != start:
+        raise bad("optimizer.step", f"is {optimizer['step']}, not {stage}.next_step {start}")
     if start > total:
         raise DataError(f"resume checkpoint {resume} is already past step {total} ({start})")
-    return start, {key: optimizer[key] for key in ("step", "m", "v") if key in optimizer}
+    return start, optimizer
 
 
 def _save(out: Path, model: Model, opt: OptimizerState, counters: dict) -> None:
@@ -487,7 +479,7 @@ def cmd_finetune(cfg: RunConfig, out: Path) -> int:
     for p in frozen:
         model.store.freeze(p)
     opt = OptimizerState(lr=settings["finetune_lr"], **optimizer)
-    state = TrainState(model, opt, AnnealSchedule(1), LRConfig(), finetune_step=start)
+    state = TrainState(model, opt, AnnealSchedule(1), LRConfig(), step=start)
     cache = FeatureCache(model)
     ckpt_out = out / "checkpoint.bin"
 
@@ -554,7 +546,7 @@ def cmd_decode(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _read_predictions(path: Path) -> list[tuple[str, Peptide, float]]:
+def _read_predictions(path: Path, table: AminoAcidTable) -> list[tuple[str, Peptide, float]]:
     if not path.is_file():
         raise DataError(f"predictions file not found: {path}")
     reader = csv.DictReader(_open_text(path, DataError, newline=""))
@@ -569,6 +561,7 @@ def _read_predictions(path: Path) -> list[tuple[str, Peptide, float]]:
                             f"{len(reader.fieldnames)} columns of the header")
         try:
             pep = Peptide.from_string(row["predicted_sequence"])
+            table.ids_of(pep)  # each residue must be in the vocabulary
             conf = float(row["confidence"])
             if np.isnan(conf):  # -inf stays: it marks a missing prediction
                 raise ValueError("confidence is NaN")
@@ -580,7 +573,7 @@ def _read_predictions(path: Path) -> list[tuple[str, Peptide, float]]:
 
 def cmd_eval(cfg: RunConfig, out: Path) -> int:
     table = AminoAcidTable()
-    preds = _read_predictions(_require_path(cfg, "predictions", "decoder output"))
+    preds = _read_predictions(_require_path(cfg, "predictions", "decoder output"), table)
     truth_spectra = _read_corpus(_require_path(cfg, "truth", "annotated spectra"), table, require_truth=True)
     truths = {s.spectrum_id: s.truth for s in truth_spectra}
     try:

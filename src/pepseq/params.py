@@ -21,7 +21,9 @@ Version 2 may add the AdamW state, so that a resumed run continues exactly:
 the moments follow the parameters as arrays "m/partition/name" and
 "v/partition/name", and the blob holds "optimizer": {"step": n}. The blob
 returned by load_checkpoint carries the moments in ``blob["optimizer"]``
-("step", "m", "v"), where save_checkpoint takes them. Version 1 still loads.
+("step", "m", "v"), where save_checkpoint takes them. The reader checks the
+step (an integer of at least 0) and that the moments pair up and match their
+parameters' shapes; moment arrays need the record. Version 1 still loads.
 
 Round trips are bit-exact because payloads are raw float64 bytes.
 """
@@ -274,8 +276,26 @@ def _parse(data: bytes) -> tuple[ParameterStore, dict]:
     for key in ("frozen", "optimizer"):
         if not isinstance(blob.get(key, {}), dict):
             raise CheckpointError(f"metadata field {key!r} is not an object")
-    if "optimizer" in blob:
-        blob["optimizer"].update(moments)
+    optimizer = blob.get("optimizer")
+    if optimizer is None and (moments["m"] or moments["v"]):
+        raise CheckpointError("metadata field 'optimizer' is missing, but the file has moment arrays")
+    if optimizer is not None:
+        step = optimizer.get("step")
+        if type(step) is not int or step < 0:
+            raise CheckpointError(f"metadata field 'optimizer.step' must be an integer of at least 0, "
+                                  f"got {step!r}")
+        params = dict(store.items())
+        for kind, other in ("mv", "vm"):
+            for key, moment in moments[kind].items():
+                field = f"metadata field 'optimizer.{kind}' has array {key!r}"
+                if key not in moments[other]:
+                    raise CheckpointError(f"{field}, optimizer.{other} does not")
+                if key not in params:
+                    raise CheckpointError(f"{field}, which names no model parameter")
+                if moment.shape != params[key].shape:
+                    raise CheckpointError(f"{field} of shape {moment.shape}, "
+                                          f"not the parameter's {params[key].shape}")
+        blob["optimizer"] = {"step": step, **moments}
 
     for partition, frozen in blob.get("frozen", {}).items():
         if type(frozen) is not bool:

@@ -251,7 +251,6 @@ class TrainState:
     anneal: AnnealSchedule
     lr: LRConfig
     step: int = 0
-    finetune_step: int = 0
 
 
 class FeatureCache:
@@ -329,6 +328,19 @@ def _stage1_losses(model: Model, batch: Sequence[Spectrum]) -> tuple[Tensor, Ten
     return at_loss, ad.mul(nat_sum, inv)
 
 
+def _update(model: Model, state: TrainState, loss: Tensor, row: dict,
+            unused_ok: frozenset[str] = frozenset()) -> dict:
+    """The end both stages share: a finite-loss check, backward, one AdamW
+    update and one count of ``state.step``. Returns the metrics row
+    ``{"step", **row, "lr"}``."""
+    if not np.isfinite(loss.values):
+        raise NumericError(f"non-finite loss at step {state.step}: {row}")
+    ad.backward(loss)
+    adamw_step(model.store, state.opt, unused_ok=unused_ok)
+    state.step += 1
+    return {"step": state.step, **row, "lr": state.opt.lr}
+
+
 def train_stage1_step(model: Model, batch: Sequence[Spectrum], state: TrainState) -> dict:
     """One joint step over the batch padded into one forward: mean AT and
     NAT losses, annealed mixture, backward, AdamW. Returns the step's scalar
@@ -339,26 +351,14 @@ def train_stage1_step(model: Model, batch: Sequence[Spectrum], state: TrainState
         check_spectrum(s, model.cfg.max_residues)
     at_loss, nat_loss = _stage1_losses(model, batch)
     lam = lambda_at(state.anneal, state.step)
-    loss = total_loss(at_loss, nat_loss, lam)
-    if not np.isfinite(loss.values):
-        raise NumericError(
-            f"non-finite loss at step {state.step}: at={at_loss.values!r} nat={nat_loss.values!r}"
-        )
-    ad.backward(loss)
     state.opt.lr = learning_rate(state.step, state.lr)
+    row = {"stage": 1, "at_loss": float(at_loss.values), "nat_loss": float(nat_loss.values),
+           "lambda": lam}
     # The segment embeddings belong to the AT partition but only the
     # stage-2 augmented context uses them; exempt them from the
     # missing-gradient tripwire here.
-    adamw_step(model.store, state.opt, unused_ok=frozenset({"at/seg_nat", "at/seg_enc"}))
-    state.step += 1
-    return {
-        "step": state.step,
-        "stage": 1,
-        "at_loss": float(at_loss.values),
-        "nat_loss": float(nat_loss.values),
-        "lambda": lam,
-        "lr": state.opt.lr,
-    }
+    return _update(model, state, total_loss(at_loss, nat_loss, lam), row,
+                   unused_ok=frozenset({"at/seg_nat", "at/seg_enc"}))
 
 
 def finetune_stage2_step(
@@ -383,18 +383,7 @@ def finetune_stage2_step(
     ids = [_truth_ids(model, s) for s in batch]
     enc, nat_latents = _padded_cache([cache.get(s) for s in batch])
     loss = ad.mul(_at_loss(model, batch, ids, enc, nat_latents), ad.constant(1.0 / len(batch)))
-    if not np.isfinite(loss.values):
-        raise NumericError(f"non-finite fine-tune loss at step {state.finetune_step}")
-    ad.backward(loss)
-    adamw_step(model.store, state.opt)
-    state.finetune_step += 1
+    row = _update(model, state, loss, {"stage": 2, "at_loss": float(loss.values),
+                                       "nat_loss": float("nan"), "lambda": 1.0})
     model.finetuned = True
-    return {
-        "step": state.finetune_step,
-        "stage": 2,
-        "at_loss": float(loss.values),
-        "nat_loss": float("nan"),
-        "lambda": 1.0,
-        "lr": state.opt.lr,
-    }
-
+    return row

@@ -387,27 +387,38 @@ def test_resume_from_checkpoint_without_recorded_settings(pipeline, tmp_path):
     assert code == 0
 
 
+def test_resume_from_checkpoint_without_adamw_record(pipeline, tmp_path):
+    # Version 1 checkpoints hold no AdamW record; they resume with fresh
+    # moments, so no saved step is compared with next_step.
+    store, blob = load_checkpoint(str(pipeline / "train" / "checkpoint.bin"))
+    del blob["optimizer"]
+    blob["train"]["next_step"] = 6
+    old = tmp_path / "v1.bin"
+    save_checkpoint(str(old), store, blob)
+    data = old.read_bytes()
+    old.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])  # the version field
+    out = tmp_path / "out"
+    code = run("train", "--seed", "5", "--out", str(out), *TINY,
+               "--corpus", str(pipeline / "sim" / "spectra.mgf"), "--resume", str(old))
+    assert code == 0
+    assert [r["step"] for r in read_csv(out / "metrics.csv")] == [str(k) for k in range(7, 13)]
+
+
 @pytest.mark.parametrize("command, edit, field", [
     ("train", lambda blob: blob.update(train=[blob["train"]]), "'train' is not an object"),
     ("train", lambda blob: blob["train"].update(settings=[]), "'train.settings' is not an object"),
     ("train", lambda blob: blob["train"].update(next_step="abc"), "'train.next_step'"),
     ("train", lambda blob: blob["train"].update(next_step=-2), "'train.next_step'"),
     ("train", lambda blob: blob["train"].update(next_step=1.7), "'train.next_step'"),
-    ("train", lambda blob: (blob["train"].update(next_step=6), blob["optimizer"].update(step="x")),
-     "'optimizer.step'"),
     ("finetune", lambda blob: blob.update(finetune=None), "'finetune' is not an object"),
     ("finetune", lambda blob: blob["finetune"].update(next_step=True), "'finetune.next_step'"),
-    ("train", lambda blob: blob["optimizer"]["m"].update({"at/out.b": np.zeros(2)}),
-     "'optimizer.m' has array 'at/out.b' of shape (2,)"),
-    ("train", lambda blob: blob["optimizer"]["v"].update({"at/out.b": np.zeros((1, 2))}),
-     "'optimizer.v' has array 'at/out.b' of shape (1, 2)"),
-    ("finetune", lambda blob: blob["optimizer"]["v"].pop("at/tok_emb"),
-     "'optimizer.m' has array 'at/tok_emb', optimizer.v does not"),
-    ("train", lambda blob: [blob["optimizer"][kind].update({"at/extra": np.zeros(2)}) for kind in "mv"],
-     "'optimizer.m' has array 'at/extra', which names no model parameter"),
+    # Every checkpoint the program writes has the AdamW step equal to the
+    # stage's next step; AdamW's bias correction reads it.
+    ("train", lambda blob: blob["optimizer"].update(step=0), "'optimizer.step' is 0, not train.next_step 12"),
+    ("finetune", lambda blob: blob["optimizer"].update(step=9),
+     "'optimizer.step' is 9, not finetune.next_step 4"),
 ], ids=["train-list", "settings-list", "next-step-text", "next-step-negative", "next-step-float",
-        "optimizer-step-text", "finetune-null", "next-step-bool", "moment-m-shape", "moment-v-shape",
-        "moment-unpaired", "moment-unknown"])
+        "finetune-null", "next-step-bool", "optimizer-step-behind", "optimizer-step-ahead"])
 def test_bad_resume_metadata_is_data_error(pipeline, tmp_path, capsys, command, edit, field):
     resume = pipeline / ("train" if command == "train" else "ft") / "checkpoint.bin"
     store, blob = load_checkpoint(str(resume))
@@ -636,6 +647,45 @@ def test_bad_checkpoint_metadata_is_data_error(pipeline, tmp_path, capsys, edit,
     assert f"checkpoint {bad}" in err and named in err
 
 
+@pytest.mark.parametrize("command, edit, field", [
+    ("train", lambda blob: blob["optimizer"].update(step="x"),
+     "'optimizer.step' must be an integer of at least 0, got 'x'"),
+    ("train", lambda blob: blob["optimizer"]["m"].update({"at/out.b": np.zeros(2)}),
+     "'optimizer.m' has array 'at/out.b' of shape (2,)"),
+    ("train", lambda blob: blob["optimizer"]["v"].update({"at/out.b": np.zeros((1, 2))}),
+     "'optimizer.v' has array 'at/out.b' of shape (1, 2)"),
+    ("finetune", lambda blob: blob["optimizer"]["v"].pop("at/tok_emb"),
+     "'optimizer.m' has array 'at/tok_emb', optimizer.v does not"),
+    ("train", lambda blob: [blob["optimizer"][kind].update({"at/extra": np.zeros(2)}) for kind in "mv"],
+     "'optimizer.m' has array 'at/extra', which names no model parameter"),
+    ("train", None, "'optimizer' is missing, but the file has moment arrays"),
+    ("finetune", None, "'optimizer' is missing, but the file has moment arrays"),
+], ids=["optimizer-step-text", "moment-m-shape", "moment-v-shape", "moment-unpaired",
+        "moment-unknown", "train-record-missing", "finetune-record-missing"])
+def test_bad_adamw_record_is_checkpoint_error(pipeline, tmp_path, capsys, command, edit, field):
+    """The checkpoint reader checks the AdamW record as it loads, so every
+    command that reads the file exits 2 naming it. ``edit`` changes the
+    loaded record before it is saved again; None drops the record from the
+    metadata bytes and keeps the moment arrays."""
+    good = pipeline / ("train" if command == "train" else "ft") / "checkpoint.bin"
+    bad = tmp_path / "bad.bin"
+    store, blob = load_checkpoint(str(good))
+    if edit is None:
+        data, old = good.read_bytes(), _json({**blob, "optimizer": {"step": blob["optimizer"]["step"]}})
+        assert data.endswith(struct.pack("<I", len(old)) + old)  # the metadata closes the file
+        del blob["optimizer"]
+        bad.write_bytes(data[:-len(old) - 4] + struct.pack("<I", len(_json(blob))) + _json(blob))
+    else:
+        edit(blob)
+        save_checkpoint(str(bad), store, blob)
+    corpus = pipeline / "sim" / "spectra.mgf"
+    for argv in ([command, "--corpus", corpus, "--resume", bad],
+                 ["decode", "--mgf", corpus, "--checkpoint", bad]):
+        code = run(*map(str, argv), "--seed", "5", "--out", str(tmp_path / "out"), *TINY)
+        assert code == 2
+        assert f"checkpoint {bad}: metadata field {field}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, args", [
     ("decode", ["--decoder", "at-beam", "--beam", "0"]),
     ("decode", ["--set", "decoding.max_len=-1"]),
@@ -803,6 +853,14 @@ class TestEval:
             "--truth", str(pipeline / "sim" / "spectra.mgf"), *TINY,
         )
         assert code == 2
+
+    def test_residue_outside_vocabulary_names_file_and_line(self, pipeline, tmp_path, capsys):
+        preds = tmp_path / "pred.csv"
+        preds.write_text("spectrum_id,predicted_sequence,confidence\nsynth-00000,PEPZIDE,-1.0\n")
+        code = run("eval", "--seed", "5", "--out", str(tmp_path / "out"), "--predictions", str(preds),
+                   "--truth", str(pipeline / "sim" / "spectra.mgf"), *TINY)
+        assert code == 2
+        assert f"{preds} line 2: unknown residue symbol 'Z'" in capsys.readouterr().err
 
     def test_nan_confidence_is_data_error(self, tmp_path, capsys):
         # A NaN sorts anywhere, so it would put the correct NaN row ahead of

@@ -1,9 +1,9 @@
 """Seeded fuzz of the command line. Each input file is mutated at random and
 run in process through ``cli.main``: MGF spectra through decode (every
 decoder) and train, precursors through nat-pmc, the bytes of checkpoint
-headers, array names and dims through decode, checkpoint metadata and
-AdamW moment shapes through ``--resume``, predictions through eval and config
-files through simulate. Every run must end in a documented exit code (0 ok, 1 usage,
+headers, array names and dims through decode, checkpoint metadata, AdamW
+moment shapes and AdamW records through ``--resume``, predictions through eval
+and config files through simulate. Every run must end in a documented exit code (0 ok, 1 usage,
 2 data, 3 numeric) and raise nothing."""
 
 import json
@@ -203,6 +203,29 @@ def test_misshapen_moments_through_resume(runs, tmp_path):
         moments[key] = np.zeros(rng.choice([shape[:-1], shape + (1,), shape[:-1] + (shape[-1] + 1,)]))
         ckpt = tmp_path / f"{i}.bin"
         save_checkpoint(str(ckpt), store, blob)
+        assert run(command, "--out", tmp_path / f"out{i}", "--corpus", runs / "sim" / "spectra.mgf",
+                   "--resume", ckpt, *SMALL) == 2
+
+
+def test_adamw_record_through_resume(runs, tmp_path):
+    # The run resumes before its last step, with its AdamW record dropped
+    # while the moment arrays stay, or with the record's step 1 to 3 off the
+    # stage's next step: either would update with another bias correction
+    # than the unbroken run's.
+    rng = random.Random(8)
+    for i in range(8):
+        command, stage = (("train", "train"), ("finetune", "ft"))[i % 2]
+        data = (runs / stage / "checkpoint.bin").read_bytes()
+        _, pos = layout(data)
+        meta = json.loads(data[pos + 4:])
+        meta[command]["next_step"] = start = rng.randrange(meta[command]["next_step"])
+        if rng.random() < 0.5:
+            del meta["optimizer"]
+        else:
+            meta["optimizer"]["step"] = start + rng.choice([-3, -2, -1, 1, 2, 3])
+        text = json.dumps(meta).encode()
+        ckpt = tmp_path / f"{i}.bin"
+        ckpt.write_bytes(data[:pos] + struct.pack("<I", len(text)) + text)
         assert run(command, "--out", tmp_path / f"out{i}", "--corpus", runs / "sim" / "spectra.mgf",
                    "--resume", ckpt, *SMALL) == 2
 

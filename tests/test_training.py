@@ -7,6 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pepseq import autodiff as ad
+from pepseq import training
+from pepseq.autodiff import NumericError
+from pepseq.cli import METRICS_COLUMNS
 from pepseq.mgf import parse_mgf
 from pepseq.network import Model, ModelConfig
 from pepseq.optim import OptimizerState, adamw_step
@@ -285,6 +288,41 @@ class TestStage2:
         ad.backward(loss)
         pos = model.store.get("nat", "pos_emb")
         assert pos.grad is not None and np.any(pos.grad != 0)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_both_stages_end_in_one_update(stage, monkeypatch):
+    """Each stage's row has the metrics.csv columns, and a non-finite loss
+    raises before any parameter, moment or step count changes."""
+    model, corpus = tiny_model(seed=4), tiny_corpus(3, seed=4)
+    state, cache = fresh_state(model), None
+    if stage == 2:
+        model.store.freeze("enc")
+        model.store.freeze("nat")
+        cache = FeatureCache(model)
+
+    def step():
+        if stage == 1:
+            return train_stage1_step(model, corpus, state)
+        return finetune_stage2_step(model, corpus, state, cache)
+
+    row = step()
+    assert tuple(row) == METRICS_COLUMNS
+    assert (row["step"], row["stage"], state.step, state.opt.step) == (1, stage, 1, 1)
+    params = model.store.snapshot()
+    moments = {kind: {k: a.copy() for k, a in getattr(state.opt, kind).items()} for kind in "mv"}
+    real = training._at_loss
+    monkeypatch.setattr(training, "_at_loss",
+                        lambda *args: ad.mul(real(*args), ad.constant(np.inf)))
+    with pytest.raises(NumericError, match="non-finite loss at step 1"):
+        step()
+    assert (state.step, state.opt.step) == (1, 1)
+    after = model.store.snapshot()
+    assert all(np.array_equal(params[k], after[k]) for k in params)
+    for kind in "mv":
+        saved = getattr(state.opt, kind)
+        assert saved.keys() == moments[kind].keys()
+        assert all(np.array_equal(moments[kind][k], saved[k]) for k in saved)
 
 
 class TestPaddedBatch:
