@@ -360,8 +360,10 @@ def _resume_point(resume: str, model: Model, blob: dict, stage: str, total: int,
                   settings: dict) -> tuple[int, dict]:
     """(next step, saved AdamW state) of a ``stage`` run resumed from the
     checkpoint ``resume`` whose model is ``model`` and blob ``blob``; (0, {})
-    for a fresh run. A saved AdamW step must be the stage's next step;
-    ``load_checkpoint`` has checked the rest of the AdamW record. Checkpoints
+    for a fresh run. A saved AdamW step must be the stage's next step less
+    the step its moments began at (``optimizer_from``, 0 unless an earlier
+    run resumed from a checkpoint without an AdamW record);
+    ``load_checkpoint`` has checked the rest of that record. Checkpoints
     written before the settings or that record existed are not checked."""
     if not resume:
         return 0, {}
@@ -386,17 +388,27 @@ def _resume_point(resume: str, model: Model, blob: dict, stage: str, total: int,
     start = record.get("next_step", 0)
     if type(start) is not int or start < 0:
         raise bad(f"{stage}.next_step", f"must be an integer of at least 0, got {start!r}")
-    if optimizer and optimizer["step"] != start:
-        raise bad("optimizer.step", f"is {optimizer['step']}, not {stage}.next_step {start}")
+    first = record.get("optimizer_from", 0)
+    if type(first) is not int or not 0 <= first <= start:
+        raise bad(f"{stage}.optimizer_from", f"must be an integer from 0 to {start}, got {first!r}")
+    if optimizer and optimizer["step"] != start - first:
+        raise bad("optimizer.step", f"is {optimizer['step']}, not {stage}.next_step {start} "
+                                    f"- {stage}.optimizer_from {first}")
     if start > total:
         raise DataError(f"resume checkpoint {resume} is already past step {total} ({start})")
     return start, optimizer
 
 
-def _save(out: Path, model: Model, opt: OptimizerState, counters: dict) -> None:
+def _save(out: Path, model: Model, opt: OptimizerState, stage: str, record: dict,
+          carried: dict | None = None) -> None:
+    """Write the checkpoint with ``stage``'s ``record`` after the ``carried``
+    records; the record notes as ``optimizer_from`` the step AdamW's count
+    began at when that is not 0 (a resume from a version-1 checkpoint)."""
+    if record["next_step"] != opt.step:
+        record = {**record, "optimizer_from": record["next_step"] - opt.step}
     optimizer = {"step": opt.step, "m": opt.m, "v": opt.v}
     save_checkpoint(str(out / "checkpoint.bin"), model.store,
-                    model.metadata({**counters, "optimizer": optimizer}))
+                    model.metadata({**(carried or {}), stage: record, "optimizer": optimizer}))
 
 
 def _run_stage(out: Path, step, corpus: list[Spectrum], batches, start: int, total: int,
@@ -450,7 +462,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
         out, lambda b: train_stage1_step(model, b, state), corpus,
         _batches(len(corpus), settings["batch_size"], np.random.default_rng([cfg.seed, 1])),
         start, total, every,
-        lambda n: _save(out, model, opt, {"train": {"next_step": n, "settings": settings}}),
+        lambda n: _save(out, model, opt, "train", {"next_step": n, "settings": settings}),
     )
     _write_manifest(out, "train", cfg, {
         "steps": total - start,
@@ -486,7 +498,7 @@ def cmd_finetune(cfg: RunConfig, out: Path) -> int:
     def save(next_step: int) -> None:
         if epochs:
             counters = {"epochs": epochs, "next_step": next_step, "settings": settings}
-            _save(out, model, opt, {"train": blob.get("train", {}), "finetune": counters})
+            _save(out, model, opt, "finetune", counters, {"train": blob.get("train", {})})
         elif ckpt_in.resolve() != ckpt_out.resolve():
             shutil.copyfile(ckpt_in, ckpt_out)  # nothing trained: pass the bytes through
 

@@ -328,15 +328,17 @@ def _stage1_losses(model: Model, batch: Sequence[Spectrum]) -> tuple[Tensor, Ten
     return at_loss, ad.mul(nat_sum, inv)
 
 
-def _update(model: Model, state: TrainState, loss: Tensor, row: dict,
+def _update(state: TrainState, loss: Tensor, lr: float, row: dict,
             unused_ok: frozenset[str] = frozenset()) -> dict:
     """The end both stages share: a finite-loss check, backward, one AdamW
-    update and one count of ``state.step``. Returns the metrics row
-    ``{"step", **row, "lr"}``."""
+    update at learning rate ``lr`` and one count of ``state.step``. Returns
+    the metrics row ``{"step", **row, "lr"}``. A non-finite loss raises
+    before any of the state changes."""
     if not np.isfinite(loss.values):
         raise NumericError(f"non-finite loss at step {state.step}: {row}")
+    state.opt.lr = lr
     ad.backward(loss)
-    adamw_step(model.store, state.opt, unused_ok=unused_ok)
+    adamw_step(state.model.store, state.opt, unused_ok=unused_ok)
     state.step += 1
     return {"step": state.step, **row, "lr": state.opt.lr}
 
@@ -351,14 +353,13 @@ def train_stage1_step(model: Model, batch: Sequence[Spectrum], state: TrainState
         check_spectrum(s, model.cfg.max_residues)
     at_loss, nat_loss = _stage1_losses(model, batch)
     lam = lambda_at(state.anneal, state.step)
-    state.opt.lr = learning_rate(state.step, state.lr)
     row = {"stage": 1, "at_loss": float(at_loss.values), "nat_loss": float(nat_loss.values),
            "lambda": lam}
     # The segment embeddings belong to the AT partition but only the
     # stage-2 augmented context uses them; exempt them from the
     # missing-gradient tripwire here.
-    return _update(model, state, total_loss(at_loss, nat_loss, lam), row,
-                   unused_ok=frozenset({"at/seg_nat", "at/seg_enc"}))
+    return _update(state, total_loss(at_loss, nat_loss, lam), learning_rate(state.step, state.lr),
+                   row, unused_ok=frozenset({"at/seg_nat", "at/seg_enc"}))
 
 
 def finetune_stage2_step(
@@ -383,7 +384,7 @@ def finetune_stage2_step(
     ids = [_truth_ids(model, s) for s in batch]
     enc, nat_latents = _padded_cache([cache.get(s) for s in batch])
     loss = ad.mul(_at_loss(model, batch, ids, enc, nat_latents), ad.constant(1.0 / len(batch)))
-    row = _update(model, state, loss, {"stage": 2, "at_loss": float(loss.values),
-                                       "nat_loss": float("nan"), "lambda": 1.0})
+    row = _update(state, loss, state.opt.lr, {"stage": 2, "at_loss": float(loss.values),
+                                              "nat_loss": float("nan"), "lambda": 1.0})
     model.finetuned = True
     return row

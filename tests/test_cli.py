@@ -387,9 +387,11 @@ def test_resume_from_checkpoint_without_recorded_settings(pipeline, tmp_path):
     assert code == 0
 
 
-def test_resume_from_checkpoint_without_adamw_record(pipeline, tmp_path):
+def test_resume_from_checkpoint_without_adamw_record(pipeline, tmp_path, monkeypatch):
     # Version 1 checkpoints hold no AdamW record; they resume with fresh
-    # moments, so no saved step is compared with next_step.
+    # moments, so no saved step is compared with next_step. The run's own
+    # checkpoints note that AdamW began at step 6, and an interrupted run
+    # resumed from them ends as the unbroken one does.
     store, blob = load_checkpoint(str(pipeline / "train" / "checkpoint.bin"))
     del blob["optimizer"]
     blob["train"]["next_step"] = 6
@@ -397,11 +399,30 @@ def test_resume_from_checkpoint_without_adamw_record(pipeline, tmp_path):
     save_checkpoint(str(old), store, blob)
     data = old.read_bytes()
     old.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])  # the version field
-    out = tmp_path / "out"
-    code = run("train", "--seed", "5", "--out", str(out), *TINY,
-               "--corpus", str(pipeline / "sim" / "spectra.mgf"), "--resume", str(old))
-    assert code == 0
-    assert [r["step"] for r in read_csv(out / "metrics.csv")] == [str(k) for k in range(7, 13)]
+    args = ["--seed", "5", *TINY, "--corpus", str(pipeline / "sim" / "spectra.mgf"),
+            "--set", "training.checkpoint_every=2"]
+    whole, broken, resumed = tmp_path / "whole", tmp_path / "broken", tmp_path / "resumed"
+    assert run("train", "--out", str(whole), *args, "--resume", str(old)) == 0
+    rows = read_csv(whole / "metrics.csv")
+    assert [r["step"] for r in rows] == [str(k) for k in range(7, 13)]
+
+    real_step, calls = cli.train_stage1_step, []
+
+    def crash_at_step_nine(*step_args):
+        calls.append(step_args)
+        if len(calls) == 3:
+            raise NumericError("synthetic blow-up")
+        return real_step(*step_args)
+
+    with monkeypatch.context() as m:
+        m.setattr("pepseq.cli.train_stage1_step", crash_at_step_nine)
+        assert run("train", "--out", str(broken), *args, "--resume", str(old)) == 3
+    _, cut = load_checkpoint(str(broken / "checkpoint.bin"))
+    assert cut["train"]["next_step"] == 8 and cut["optimizer"]["step"] == 2
+    assert cut["train"]["optimizer_from"] == 6
+    assert run("train", "--out", str(resumed), *args, "--resume", str(broken / "checkpoint.bin")) == 0
+    assert (resumed / "checkpoint.bin").read_bytes() == (whole / "checkpoint.bin").read_bytes()
+    assert read_csv(resumed / "metrics.csv") == rows[2:]
 
 
 @pytest.mark.parametrize("command, edit, field", [
@@ -413,12 +434,17 @@ def test_resume_from_checkpoint_without_adamw_record(pipeline, tmp_path):
     ("finetune", lambda blob: blob.update(finetune=None), "'finetune' is not an object"),
     ("finetune", lambda blob: blob["finetune"].update(next_step=True), "'finetune.next_step'"),
     # Every checkpoint the program writes has the AdamW step equal to the
-    # stage's next step; AdamW's bias correction reads it.
-    ("train", lambda blob: blob["optimizer"].update(step=0), "'optimizer.step' is 0, not train.next_step 12"),
+    # stage's next step less optimizer_from; AdamW's bias correction reads it.
+    ("train", lambda blob: blob["optimizer"].update(step=0),
+     "'optimizer.step' is 0, not train.next_step 12 - train.optimizer_from 0"),
     ("finetune", lambda blob: blob["optimizer"].update(step=9),
-     "'optimizer.step' is 9, not finetune.next_step 4"),
+     "'optimizer.step' is 9, not finetune.next_step 4 - finetune.optimizer_from 0"),
+    ("train", lambda blob: blob["train"].update(optimizer_from=13),
+     "'train.optimizer_from' must be an integer from 0 to 12, got 13"),
+    ("finetune", lambda blob: blob["finetune"].update(optimizer_from="0"), "'finetune.optimizer_from'"),
 ], ids=["train-list", "settings-list", "next-step-text", "next-step-negative", "next-step-float",
-        "finetune-null", "next-step-bool", "optimizer-step-behind", "optimizer-step-ahead"])
+        "finetune-null", "next-step-bool", "optimizer-step-behind", "optimizer-step-ahead",
+        "optimizer-from-past-next-step", "optimizer-from-text"])
 def test_bad_resume_metadata_is_data_error(pipeline, tmp_path, capsys, command, edit, field):
     resume = pipeline / ("train" if command == "train" else "ft") / "checkpoint.bin"
     store, blob = load_checkpoint(str(resume))

@@ -309,14 +309,14 @@ def test_both_stages_end_in_one_update(stage, monkeypatch):
     row = step()
     assert tuple(row) == METRICS_COLUMNS
     assert (row["step"], row["stage"], state.step, state.opt.step) == (1, stage, 1, 1)
-    params = model.store.snapshot()
+    params, lr = model.store.snapshot(), state.opt.lr
     moments = {kind: {k: a.copy() for k, a in getattr(state.opt, kind).items()} for kind in "mv"}
     real = training._at_loss
     monkeypatch.setattr(training, "_at_loss",
                         lambda *args: ad.mul(real(*args), ad.constant(np.inf)))
     with pytest.raises(NumericError, match="non-finite loss at step 1"):
         step()
-    assert (state.step, state.opt.step) == (1, 1)
+    assert (state.step, state.opt.step, state.opt.lr) == (1, 1, lr)
     after = model.store.snapshot()
     assert all(np.array_equal(params[k], after[k]) for k in params)
     for kind in "mv":
