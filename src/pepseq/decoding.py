@@ -13,13 +13,16 @@ exhaustive-enumeration oracle below applies the same collapse rule
 When the per-frame argmax path is the one best path and lands in the
 window, it is the answer and no DP runs. Otherwise the DP keeps, per frame,
 only the mass rows some live path can occupy, not one row per bin up to the
-target. Two exact prunings keep that set small: rows that can no longer
-reach the window are dropped, and cells whose admissible bound (score plus
-the most the later frames can add on the way into the window) falls below
-an incumbent are cut. The incumbent is the window optimum of a cheaper
-first pass that keeps a fixed number of cells per frame. A memory guard
-gives a spectrum up as infeasible, with a logged warning, before a frame's
-blocks pass a fixed byte cap.
+target. Each frame scores its candidates first (every live cell staying put
+and every live row starting each residue), cuts them, and only then builds
+its rows from the survivors. Two exact prunings do the cutting: rows that
+can no longer reach the window are dropped, and candidates whose admissible
+bound (score plus the most the later frames can add on the way into the
+window) falls below an incumbent are cut. The incumbent is the window
+optimum of a cheaper first pass that keeps a fixed number of candidates per
+frame. A memory guard gives a spectrum up as infeasible, with a logged
+warning, before a frame's candidates or its block would pass a fixed byte
+cap.
 
 Ties in path probability are broken toward the lexicographically smaller
 peptide (by residue symbol), both inside the DP and at the final window
@@ -241,12 +244,19 @@ class PMCResult:
 
 
 _STAY = np.int8(127)
-# Cells each frame keeps in the incumbent pass of pmc_decode. At 256 the
-# pass found a feasible path for each of the 150 fixture spectra under both
-# fixture checkpoints; at 64 it found none in 4 of those 300 decodes.
+# Candidates each frame keeps in the incumbent pass of pmc_decode. Of the
+# 300 fixture decodes (150 spectra under both fixture checkpoints), 264 run
+# the DP; at 256 the pass found a feasible path in all 264 and the optimum
+# itself in 211, at 64 a feasible path in 259 and the optimum in 156.
 INCUMBENT_CELLS = 256
-# Estimated bytes of one frame's blocks plus the stored back-pointers past
-# which pmc_decode gives the spectrum up as infeasible.
+# Estimated bytes of one frame plus the stored back-pointers past which
+# pmc_decode gives the spectrum up as infeasible. A frame is checked before
+# its candidates are scored, at 45 bytes for each of a live row's 2A+1, and
+# again before its block is built, adding 30 bytes per surviving start and
+# per row with a surviving stay, and 10 per cell of the block. tracemalloc
+# put a frame's peak at 0.76-0.93 of these estimates on frames of 1k-310k
+# rows, flat and fixture frames, with an incumbent and without one; the
+# untrained synth-00013 of pool.mgf (1.46 kDa) peaks at 253 MiB.
 MEMORY_CAP = 512 << 20
 # Daltons per unit of the coarse mass axis of pmc_decode's bound.
 BOUND_UNIT = 0.25
@@ -275,18 +285,24 @@ def pmc_decode(log_probs: np.ndarray, cfg: PMCConfig, table: AminoAcidTable) -> 
 
     A frame holds only its live mass rows: a sorted int64 array of bins,
     with a [rows, A+1] float64 score block and an int8 back-pointer block
-    (STAY, or the predecessor's last-token column). Cells are pruned without
-    changing the result:
+    (STAY, or the predecessor's last-token column). Each frame first scores
+    its candidates, a live row's A+1 stays and its A residue starts, then
+    cuts them, and builds the rows and blocks from the survivors alone:
     - a row too light to reach the window in the frames left is dropped;
-    - a cell whose bound, its score plus the most the later frames can add
-      on the way into the window (``_completion_bounds``), is -inf or lies
-      below the incumbent by more than a relative 1e-9 is cut.
-    The incumbent is the window optimum of a first pass that keeps only the
-    ``INCUMBENT_CELLS`` cells of highest bound per frame. It is a real
+    - a candidate whose bound, its score plus the most the later frames can
+      add on the way into the window (``_completion_bounds``), is -inf or
+      lies below the incumbent by more than a relative 1e-9 is cut.
+    The bound's look-ahead depends on the row alone, so a cell survives
+    exactly when its best candidate does: the stored rows and scores, and
+    every back-pointer a path or a tie-break reads, are those of building
+    every reachable cell and then cutting cells by the same bound. The
+    incumbent is the window optimum of a first pass whose floor rises, per
+    frame, to the ``INCUMBENT_CELLS``-th best candidate bound. It is a real
     path's score, so no optimal path or tie is cut; if the first pass finds
-    none, the second runs with no incumbent. A frame whose blocks would pass
-    ``MEMORY_CAP`` bytes ends the decode: a warning names the target mass,
-    the rows and the estimate, and the result is infeasible.
+    none, the second runs with no incumbent. A frame whose candidates or
+    block would pass ``MEMORY_CAP`` bytes ends the decode: a warning names
+    the target mass, the rows and the estimate, and the result is
+    infeasible.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
     T, vocab = log_probs.shape
@@ -379,9 +395,9 @@ def _completion_bounds(log_probs: np.ndarray, cfg: PMCConfig, ubin: np.ndarray):
 
 
 def _pmc_pass(log_probs, cfg, table, ubin, ahead, floor: float, keep: int | None) -> PMCResult | None:
-    """One DP pass of pmc_decode: cells whose bound is below ``floor`` are
-    cut, and with ``keep`` so is all but the best ``keep`` cells per frame.
-    None when the blocks would pass ``MEMORY_CAP``."""
+    """One DP pass of pmc_decode: candidates whose bound is below ``floor``
+    are cut, and with ``keep`` so is all but the best ``keep`` candidates
+    per frame. None when a frame would pass ``MEMORY_CAP``."""
     T = log_probs.shape[0]
     A = table.n_residues
     lo, hi = cfg.window
@@ -412,31 +428,32 @@ def _pmc_pass(log_probs, cfg, table, ubin, ahead, floor: float, keep: int | None
     def symbols(seq: tuple[int, ...]) -> tuple[str, ...]:
         return tuple(table.symbols[i] for i in seq)
 
-    for t in range(T):
+    def over_cap(t: int, n_rows: int, estimate: int) -> bool:
+        if estimate <= MEMORY_CAP:
+            return False
+        log.warning(
+            "nat-pmc gave up on the %.4f Da target at frame %d of %d: %d mass rows "
+            "need about %d bytes, over the %d-byte cap", cfg.target_mass, t, T, n_rows,
+            estimate, MEMORY_CAP,
+        )
+        return True
+
+    def advance(t: int, rows: np.ndarray, logp: np.ndarray):
+        """Frame t after the live ``rows`` and their scores ``logp``: the new
+        rows, scores and back-pointers, or None past ``MEMORY_CAP``. The
+        frame's temporaries go when it returns."""
         need = lo - (T - 1 - t) * umax  # a lighter row can no longer reach the window
-        shifted = rows[:, None] + ubin  # [rows, A] bins after each residue
-        new = np.sort(np.concatenate([rows, shifted.ravel()]))
-        new = new[np.diff(new, prepend=-1) != 0]  # np.unique, without its hash pass
-        new = new[np.searchsorted(new, need) : np.searchsorted(new, hi, side="right")]
-        # A frame's blocks and per-pair temporaries come to about 100 bytes
-        # per cell of the new block (measured with tracemalloc).
-        estimate = stored + new.size * (A + 1) * 100
-        if estimate > MEMORY_CAP:
-            log.warning(
-                "nat-pmc gave up on the %.4f Da target at frame %d of %d: %d mass rows "
-                "need about %d bytes, over the %d-byte cap", cfg.target_mass, t, T, new.size,
-                estimate, MEMORY_CAP,
-            )
+        frame = rows.size * (2 * A + 1) * 45  # A+1 stays and A starts a row
+        if over_cap(t, rows.size, stored + frame):
             return None
 
         e = log_probs[t]
         stay_gain = np.empty(A + 1)
         stay_gain[:A] = np.maximum(e[blank], e[:A])
         stay_gain[null] = e[blank]
-        result = np.full((new.size, A + 1), -np.inf)
-        frm = np.full((new.size, A + 1), _STAY, dtype=np.int8)
         s0 = np.searchsorted(rows, need)
-        result[np.searchsorted(new, rows[s0:])] = logp[s0:] + stay_gain
+        stay = logp[s0:] + stay_gain
+        stay_bound = stay + ahead(t, rows[s0:])[:, None]
 
         g = np.arange(rows.size)
         top1i = np.argmax(logp, axis=1)
@@ -445,16 +462,48 @@ def _pmc_pass(log_probs, cfg, table, ubin, ahead, floor: float, keep: int | None
         tmp[g, top1i] = -np.inf
         top2i = np.argmax(tmp, axis=1)
         top2v = tmp[g, top2i]
+        del tmp
         # How many columns achieve each candidate value (for tie detection).
         cnt1 = (logp == top1v[:, None]).sum(axis=1)
         cnt2 = (logp == top2v[:, None]).sum(axis=1)
 
-        # Every (predecessor row, residue l) pair at once: for one l the
-        # targets are distinct rows, and each l owns its column, so no two
-        # pairs write the same cell.
+        # Every (predecessor row, residue l) start, scored from the row's
+        # best column other than l.
+        shifted = rows[:, None] + ubin  # [rows, A] bins after each residue
         l, src = np.nonzero(((shifted >= need) & (shifted <= hi)).T)  # by l, then row
-        tgt = np.searchsorted(new, shifted[src, l])
-        use_top2 = top1i[src] == l
+        start_bound = np.where(top1i[src] == l, top2v[src], top1v[src]) + e[l]
+        start_bound += ahead(t, shifted[src, l])
+
+        # Cut the candidates whose bound is -inf or below the floor, which
+        # the incumbent pass raises to its keep-th best bound; ``ahead``
+        # depends on the row alone, so a cell survives exactly when its best
+        # candidate does. Only the survivors are built.
+        cut_at = floor
+        if keep is not None:
+            bounds = np.concatenate([stay_bound.ravel(), start_bound])
+            bounds = bounds[bounds > -np.inf]
+            if bounds.size > keep:
+                cut_at = max(floor, np.partition(bounds, -keep)[-keep])
+        stay[~((stay_bound > -np.inf) & (stay_bound >= cut_at))] = -np.inf
+        kept = (start_bound > -np.inf) & (start_bound >= cut_at)
+        del stay_bound, start_bound, shifted  # the cap counts these no further
+        l, src = l[kept], src[kept]
+        live = np.isfinite(stay).any(axis=1)
+        stay_rows, moved = rows[s0:][live], rows[src] + ubin[l]
+        new = np.sort(np.concatenate([stay_rows, moved]))
+        new = new[np.diff(new, prepend=-1) != 0]  # np.unique, without its hash pass
+        frame += (l.size + stay_rows.size) * 30 + new.size * (A + 1) * 10  # survivors, block
+        if over_cap(t, new.size, stored + frame):
+            return None
+
+        result = np.full((new.size, A + 1), -np.inf)
+        frm = np.full((new.size, A + 1), _STAY, dtype=np.int8)
+        result[np.searchsorted(new, stay_rows)] = stay[live]
+
+        # For one l the starts reach distinct rows, and each l owns its
+        # column, so no two starts write the same cell.
+        tgt = np.searchsorted(new, moved)
+        use_top2 = top1i[src] == l  # scored again for the survivors alone
         pv = np.where(use_top2, top2v[src], top1v[src])
         pi = np.where(use_top2, top2i[src], top1i[src])
         cand = pv + e[l]
@@ -484,15 +533,14 @@ def _pmc_pass(log_probs, cfg, table, ubin, ahead, floor: float, keep: int | None
             ]
             frm[tgt[k], r] = min(options, key=lambda o: o[0])[1]
 
-        bound = result + ahead(t, new)[:, None]
-        cut = ~(bound > -np.inf) | (bound < floor)  # -inf: the window is out of reach
-        if keep is not None and np.count_nonzero(~cut) > keep:
-            cut |= bound < np.partition(bound[~cut], -keep)[-keep]
-        result[cut] = -np.inf
-        alive = np.isfinite(result).any(axis=1)
-        rows, logp = new[alive], result[alive]
-        frames.append((rows, frm[alive]))
-        stored += rows.nbytes + frames[-1][1].nbytes
+        return new, result, frm
+
+    for t in range(T):
+        if (step := advance(t, rows, logp)) is None:
+            return None
+        rows, logp, frm = step
+        frames.append((rows, frm))
+        stored += rows.nbytes + frm.nbytes
 
     w0, w1 = np.searchsorted(rows, [lo, hi + 1])
     window_vals = logp[w0:w1]

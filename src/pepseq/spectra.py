@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -87,13 +88,20 @@ class AminoAcidTable:
             if m <= 0:
                 raise VocabularyError(f"residue {s!r} has non-positive mass {m}")
 
-    @property
+    @cached_property
     def symbols(self) -> tuple[str, ...]:
         return tuple(s for s, _ in self.entries)
 
-    @property
+    @cached_property
     def masses(self) -> np.ndarray:
-        return np.array([m for _, m in self.entries])
+        """Residue masses in table order; read-only, as it is built once."""
+        masses = np.array([m for _, m in self.entries])
+        masses.flags.writeable = False
+        return masses
+
+    def __getstate__(self) -> dict:
+        # A copy or unpickled table builds its own read-only masses.
+        return {"entries": self.entries}
 
     @property
     def n_residues(self) -> int:

@@ -12,6 +12,7 @@ still meets the peaked cases.
 
 import logging
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -496,6 +497,58 @@ def test_memory_cap_gives_the_spectrum_up_and_logs_why(monkeypatch, caplog):
     [record] = [r for r in caplog.records if r.name == "pepseq.decoding"]
     assert record.levelno == logging.WARNING
     assert "mass rows" in record.getMessage() and "cap" in record.getMessage()
+
+
+def test_memory_cap_bounds_what_a_flat_heavy_decode_allocates(monkeypatch, caplog):
+    # Flat frames near 1.46 kDa: the incumbent pass finds no feasible path,
+    # so the exact pass runs with no floor and its rows grow each frame
+    # until the guard gives the spectrum up. The margin holds what the
+    # guard's estimate leaves out, chiefly the completion bounds (about
+    # 1 MiB here).
+    rng = np.random.default_rng(0)
+    lp = log_softmax(rng.normal(size=(24, 21)) * 0.3)
+    cap, margin = 128 << 20, 4 << 20
+    monkeypatch.setattr(decoding, "MEMORY_CAP", cap)
+    tracemalloc.start()
+    try:
+        with caplog.at_level(logging.WARNING, logger="pepseq.decoding"):
+            result = pmc_decode(lp, PMCConfig(target_mass=1460.0), AminoAcidTable())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == PMCResult(None, -np.inf, False)
+    [record] = [r for r in caplog.records if r.name == "pepseq.decoding"]
+    assert "mass rows" in record.getMessage() and "cap" in record.getMessage()
+    assert peak < cap + margin
+
+
+def fixture_band_frames():
+    """(checkpoint, spectrum id, log_probs, cfg, table): the NAT frames of
+    the four fixture spectra of 588-593 Da under both fixture checkpoints."""
+    for ckpt in ("trained.ckpt", "untrained.ckpt"):
+        model = Model.from_checkpoint_blob(*load_checkpoint(str(FIXTURE / ckpt)))
+        for s in parse_mgf((FIXTURE / "spectra.mgf").read_text(), model.table):
+            if s.spectrum_id in ("s005", "s010", "s033", "s039"):
+                lp = ad.log_softmax(model.nat_forward(model.encode_spectrum(s)).logits).values
+                cfg = PMCConfig(target_mass=s.neutral_mass - WATER)
+                yield ckpt, s.spectrum_id, lp, cfg, model.table
+
+
+def test_incumbent_of_one_cell_per_frame_keeps_the_dp_exact_on_fixture_frames(monkeypatch):
+    # Real 24-frame frames at bin 0.001, where the dense reference is out of
+    # reach: the DP with a one-cell incumbent pass must give the default's
+    # result bit for bit. The shortcut is off, so the DP meets every case.
+    # The one-cell pass finds the optimum itself on three trained spectra
+    # and no path on the other five, so the exact pass runs at the tie
+    # margin or with no floor.
+    monkeypatch.setattr(decoding, "_unique_best_path", lambda *args: None)
+    cases = list(fixture_band_frames())
+    wants = [pmc_decode(lp, cfg, table) for *_, lp, cfg, table in cases]
+    monkeypatch.setattr(decoding, "INCUMBENT_CELLS", 1)
+    for (ckpt, sid, lp, cfg, table), want in zip(cases, wants):
+        got = pmc_decode(lp, cfg, table)
+        assert want.feasible, (ckpt, sid)
+        assert got == want and got.log_prob.hex() == want.log_prob.hex(), (ckpt, sid, got, want)
 
 
 # ---------------------------------------------------------------------------

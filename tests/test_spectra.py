@@ -6,7 +6,9 @@ worked example the formula implies; fragments and the simulator against
 hand-derived values.
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -90,6 +92,14 @@ class TestMassTable:
     def test_duplicate_symbols_rejected(self):
         with pytest.raises(VocabularyError):
             AminoAcidTable((("A", 71.0), ("A", 72.0)))
+
+    def test_symbols_and_masses_are_built_once_and_masses_are_read_only(self):
+        table = AminoAcidTable()
+        assert table.symbols is table.symbols and table.masses is table.masses
+        for t in (table, copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert t == table and not t.masses.flags.writeable
+            with pytest.raises(ValueError):
+                t.masses[0] = 0.0
 
     def test_roundtrip_through_dict(self):
         table = AminoAcidTable()
