@@ -14,7 +14,8 @@ Only the primitives the sequencing model differentiates live here:
 ``log_softmax``, ``layer_norm``, ``linear`` (a weight shared by every
 leading index of the input) and ``scaled_dot_attention`` (multi-head
 attention), each one graph node, the reduction ``sum_all``, and
-``stop_gradient``.
+``stop_gradient``. Graphs are built by calling them by name (``add(a, b)``,
+not ``a + b``); slicing, ``t[...]``, is the one operator a Tensor has.
 """
 
 from __future__ import annotations
@@ -82,28 +83,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.values.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # Operator sugar; python scalars are lifted to constants.
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __getitem__(self, key):
         return _slice(self, key)
@@ -117,10 +99,6 @@ def constant(values) -> Tensor:
 def parameter(values) -> Tensor:
     """A trainable graph leaf."""
     return Tensor(values, requires_grad=True)
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(x)
 
 
 def _node(values: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.ndarray], None]) -> Tensor:
@@ -467,8 +445,6 @@ def finite_diff_check(
     f: Callable[[], Tensor],
     tensors: Sequence[Tensor],
     eps: float = 1e-4,
-    *,
-    skip_blocked: bool = False,
 ) -> float:
     """Compare analytic gradients of ``f`` against central finite differences.
 
@@ -476,25 +452,19 @@ def finite_diff_check(
     graph from the current ``.values`` of ``tensors`` and returns a scalar.
     Returns the maximum relative error over all checked coordinates, with
     the relative error of (a, b) defined as |a-b| / max(|a|, |b|, 1e-8).
-
-    With ``skip_blocked=True``, coordinates whose analytic gradient is
-    exactly 0.0 are skipped; use this when ``f`` routes a tensor through
-    ``stop_gradient`` so the value path still moves under perturbation.
     """
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     loss = f()
     backward(loss)
     analytic = [np.zeros_like(t.values) if t.grad is None else t.grad.copy() for t in tensors]
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
 
     worst = 0.0
     for t, an in zip(tensors, analytic):
         for idx in np.ndindex(t.shape):
             a = float(an[idx])
-            if skip_blocked and a == 0.0:
-                continue
             orig = float(t.values[idx])
             t.values[idx] = orig + eps
             f_plus = f().item()

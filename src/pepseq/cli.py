@@ -565,12 +565,17 @@ def _read_predictions(path: Path, table: AminoAcidTable) -> list[tuple[str, Pept
     required = PREDICTION_COLUMNS[:3]
     if reader.fieldnames is None or not set(required) <= set(reader.fieldnames):
         raise DataError(f"{path}: predictions CSV must have columns {sorted(required)}")
-    preds = []
+    preds, first_line = [], {}
     for row in reader:
         line = reader.line_num
-        if None in row.values():
-            raise DataError(f"{path} line {line}: fewer fields than the "
-                            f"{len(reader.fieldnames)} columns of the header")
+        if None in row.values() or None in row:  # DictReader files extra fields under None
+            raise DataError(f"{path} line {line}: {'more' if None in row else 'fewer'} fields than "
+                            f"the {len(reader.fieldnames)} columns of the header")
+        sid = row["spectrum_id"]
+        if sid in first_line:
+            raise DataError(f"{path} line {line}: duplicate prediction for spectrum {sid} "
+                            f"(first at line {first_line[sid]})")
+        first_line[sid] = line
         try:
             pep = Peptide.from_string(row["predicted_sequence"])
             table.ids_of(pep)  # each residue must be in the vocabulary
@@ -579,19 +584,20 @@ def _read_predictions(path: Path, table: AminoAcidTable) -> list[tuple[str, Pept
                 raise ValueError("confidence is NaN")
         except (VocabularyError, ValueError) as e:
             raise DataError(f"{path} line {line}: {e}") from e
-        preds.append((row["spectrum_id"], pep, conf))
+        preds.append((sid, pep, conf))
     return preds
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> int:
     table = AminoAcidTable()
-    preds = _read_predictions(_require_path(cfg, "predictions", "decoder output"), table)
+    pred_path = _require_path(cfg, "predictions", "decoder output")
+    preds = _read_predictions(pred_path, table)
     truth_spectra = _read_corpus(_require_path(cfg, "truth", "annotated spectra"), table, require_truth=True)
     truths = {s.spectrum_id: s.truth for s in truth_spectra}
     try:
         report = corpus_eval(preds, truths, table)
     except ValueError as e:
-        raise DataError(str(e)) from e
+        raise DataError(f"{pred_path}: {e}") from e
     curve = precision_coverage(report)
 
     _write_csv(out / "summary.csv", ["aa_precision", "peptide_recall"],

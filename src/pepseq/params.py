@@ -44,10 +44,6 @@ __all__ = [
     "PARTITIONS",
     "ParameterStore",
     "CheckpointError",
-    "BadMagicError",
-    "VersionMismatchError",
-    "TruncatedCheckpointError",
-    "UnknownPartitionError",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -59,23 +55,7 @@ VERSION = 2
 
 
 class CheckpointError(ValueError):
-    """Base class for malformed checkpoint files."""
-
-
-class BadMagicError(CheckpointError):
-    pass
-
-
-class VersionMismatchError(CheckpointError):
-    pass
-
-
-class TruncatedCheckpointError(CheckpointError):
-    pass
-
-
-class UnknownPartitionError(CheckpointError):
-    pass
+    """A malformed checkpoint file, or a partition name outside PARTITIONS."""
 
 
 class ParameterStore:
@@ -88,7 +68,7 @@ class ParameterStore:
     @staticmethod
     def _key(partition: str, name: str) -> str:
         if partition not in PARTITIONS:
-            raise UnknownPartitionError(
+            raise CheckpointError(
                 f"unknown partition {partition!r}; expected one of {PARTITIONS}"
             )
         return f"{partition}/{name}"
@@ -137,10 +117,6 @@ class ParameterStore:
     @property
     def frozen_flags(self) -> dict[str, bool]:
         return dict(self._frozen)
-
-    def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.grad = None
 
     def snapshot(self, partition: str | None = None) -> dict[str, np.ndarray]:
         """Copies of current values, for bit-identity assertions in tests."""
@@ -195,7 +171,7 @@ class _Reader:
 
     def take(self, n: int, what: str) -> bytes:
         if self.pos + n > len(self.data):
-            raise TruncatedCheckpointError(
+            raise CheckpointError(
                 f"checkpoint truncated while reading {what} "
                 f"(need {n} bytes at offset {self.pos}, have {len(self.data) - self.pos})"
             )
@@ -226,7 +202,7 @@ def load_checkpoint(path: str) -> tuple[ParameterStore, dict]:
     try:
         return _parse(data)
     except CheckpointError as e:
-        raise type(e)(f"checkpoint {path}: {e}") from e
+        raise CheckpointError(f"checkpoint {path}: {e}") from e
 
 
 def _parse(data: bytes) -> tuple[ParameterStore, dict]:
@@ -234,10 +210,10 @@ def _parse(data: bytes) -> tuple[ParameterStore, dict]:
 
     magic = r.take(4, "magic")
     if magic != MAGIC:
-        raise BadMagicError(f"not a checkpoint file: magic {magic!r} != {MAGIC!r}")
+        raise CheckpointError(f"not a checkpoint file: magic {magic!r} != {MAGIC!r}")
     (version, count) = r.unpack("<II", "header")
     if version not in (1, VERSION):
-        raise VersionMismatchError(f"checkpoint version {version}, expected 1 or {VERSION}")
+        raise CheckpointError(f"checkpoint version {version}, expected 1 or {VERSION}")
 
     store = ParameterStore()
     moments: dict[str, dict[str, np.ndarray]] = {"m": {}, "v": {}}
@@ -249,7 +225,7 @@ def _parse(data: bytes) -> tuple[ParameterStore, dict]:
             raise CheckpointError(f"array {i} name {key!r} appears twice")
         keys.add(key)
         if "/" not in key:
-            raise UnknownPartitionError(f"array name {key!r} has no partition prefix")
+            raise CheckpointError(f"array name {key!r} has no partition prefix")
         partition, name = key.split("/", 1)
         (rank,) = r.unpack("<B", f"array {key} rank")
         if rank > 32:  # numpy 1.x arrays have at most 32 axes

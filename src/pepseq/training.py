@@ -33,7 +33,6 @@ from .spectra import Spectrum
 
 __all__ = [
     "ce_loss",
-    "ctc_required_frames",
     "ctc_forward",
     "ctc_loss",
     "INFEASIBLE_CTC_LOSS",
@@ -48,9 +47,9 @@ __all__ = [
     "finetune_stage2_step",
 ]
 
-# Constant, gradient-free loss charged for targets no CTC path can realize
-# in the available frames; keeps batch statistics finite without steering
-# the model toward the impossible.
+# Constant loss charged for targets no CTC path can realize in the available
+# frames; keeps batch statistics finite without steering the model toward the
+# impossible.
 INFEASIBLE_CTC_LOSS = 1e4
 
 
@@ -73,13 +72,6 @@ def ce_loss(logits: Tensor, targets: Sequence[int] | np.ndarray, pad_id: int | N
 
 # ---------------------------------------------------------------------------
 # CTC
-
-
-def ctc_required_frames(target_ids: Sequence[int]) -> int:
-    """Minimum number of frames any valid path needs: |target| plus one
-    blank between each adjacent equal pair."""
-    reps = sum(1 for a, b in zip(target_ids, target_ids[1:]) if a == b)
-    return len(target_ids) + reps
 
 
 def _ctc_alpha(emit: np.ndarray, aug: np.ndarray, blank_id: int) -> np.ndarray:
@@ -170,21 +162,16 @@ def ctc_forward(log_probs: Tensor, target_ids, blank_id: int) -> Tensor:
 def ctc_loss(logits: Tensor, target_ids, blank_id: int) -> tuple[Tensor, np.ndarray]:
     """Negative CTC log-likelihood of a padded batch of frame logits
     [B, T, V], one target per row, summed over rows; and one feasible flag
-    per row. Infeasible targets (more frames required than available) get
-    the constant :data:`INFEASIBLE_CTC_LOSS` with no gradient, instead of
-    an infinite loss that would poison the batch."""
+    per row. A row whose target no path realizes in the frames (its
+    :func:`ctc_forward` is -inf) is infeasible: it costs the constant
+    :data:`INFEASIBLE_CTC_LOSS`, instead of an infinite loss that would
+    poison the batch, and passes a zero gradient."""
     if logits.ndim != 3:
         raise ad.DimensionError(f"ctc_loss takes a batch of frame logits [B, T, V], got {logits.shape}")
-    target_ids = list(target_ids)
-    feasible = np.array([ctc_required_frames(t) <= logits.shape[1] for t in target_ids])
-    loss = ad.constant(INFEASIBLE_CTC_LOSS * np.count_nonzero(~feasible))
-    if feasible.any():
-        if not feasible.all():
-            logits = logits[feasible]
-            target_ids = [t for t, ok in zip(target_ids, feasible) if ok]
-        log_p = ctc_forward(ad.log_softmax(logits), target_ids, blank_id)
-        loss = ad.add(ad.neg(ad.sum_all(log_p)), loss)
-    return loss, feasible
+    log_p = ctc_forward(ad.log_softmax(logits), target_ids, blank_id)
+    feasible = np.isfinite(log_p.values)
+    infeasible = ad.constant(INFEASIBLE_CTC_LOSS * np.count_nonzero(~feasible))
+    return ad.add(ad.neg(ad.sum_all(log_p[feasible])), infeasible), feasible
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,18 @@ class TestTrain:
         assert code == 2
         assert "long9" in capsys.readouterr().err
 
+    def test_batch_with_no_feasible_ctc_row_trains(self, tmp_path):
+        # 22 A's need 43 CTC frames of the 24: the NAT loss is the constant,
+        # and its zero gradient still reaches every NAT parameter.
+        spectrum = simulate_spectrum(Peptide.from_string("A" * 22), seed=1, spectrum_id="a22")
+        corpus = tmp_path / "a22.mgf"
+        corpus.write_text(write_mgf([spectrum]))
+        code = run("train", "--seed", "1", "--out", str(tmp_path / "t"), "--corpus", str(corpus), *TINY,
+                   "--set", "model.t_max=24", "--set", "training.batch_size=1",
+                   "--set", "training.stage1_steps=2", "--set", "training.warmup_steps=0")
+        assert code == 0
+        assert [r["nat_loss"] for r in read_csv(tmp_path / "t" / "metrics.csv")] == ["10000.0"] * 2
+
 
 class TestFinetune:
     def test_manifest_asserts_frozen_partitions(self, pipeline):
@@ -868,7 +880,7 @@ class TestEval:
             "--truth", str(pipeline / "sim" / "spectra.mgf"), *TINY,
         )
         assert code == 2
-        assert "ghost-001" in capsys.readouterr().err
+        assert f"data error: {preds}: predictions for unknown spectra: ghost-001" in capsys.readouterr().err
 
     def test_malformed_predictions_csv(self, pipeline, tmp_path):
         preds = tmp_path / "preds.csv"
@@ -964,6 +976,61 @@ class TestBadInput:
                    "--truth", str(pipeline / "sim" / "spectra.mgf"), *TINY)
         assert code == 2
         assert f"{preds} line 3: fewer fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, error", [
+        ("synth-00000,GA,-0.5\nsynth-00001,GA,-0.5,at-greedy\n",
+         "line 3: more fields than the 3 columns of the header"),
+        ("synth-00000,GA,-0.5\nsynth-00001,GA,-0.5\nsynth-00000,AG,-0.7\n",
+         "line 4: duplicate prediction for spectrum synth-00000 (first at line 2)"),
+    ], ids=["long-row", "repeated-id"])
+    def test_bad_predictions_row_names_file_and_line(self, pipeline, tmp_path, capsys, rows, error):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("spectrum_id,predicted_sequence,confidence\n" + rows)
+        code = run("eval", "--seed", "5", "--out", str(tmp_path / "out"), "--predictions", str(preds),
+                   "--truth", str(pipeline / "sim" / "spectra.mgf"), *TINY)
+        assert code == 2
+        assert f"data error: {preds} {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        "unknown-section", "heads-not-dividing-d", "decode-without-mgf", "mgf-without-spectra",
+        "resume-past-shorter-finetune", "warmup-as-long-as-the-run", "resume-under-other-model-d",
+        "missing-predictions", "charge-zero", "empty-seq",
+    ])
+    def test_bad_run_input_names_its_cause(self, pipeline, tmp_path, capsys, case):
+        corpus, ft = pipeline / "sim" / "spectra.mgf", pipeline / "ft" / "checkpoint.bin"
+        ini, mgf, absent = tmp_path / "run.ini", tmp_path / "bad.mgf", tmp_path / "absent.csv"
+        block = "BEGIN IONS\nTITLE=odd\nPEPMASS=400.0\nCHARGE={}\n{}200.0 1.0\nEND IONS\n"
+        decode_mgf = ["decode", "--mgf", mgf, "--checkpoint", ft]
+        argv, code, error = {
+            "unknown-section": (["simulate", "--config", ini], 1,
+                                f"usage error: config file {ini}: unknown section [nonsense]"),
+            "heads-not-dividing-d": (["train", "--corpus", corpus, "--set", "model.heads=3"], 1,
+                                     "usage error: bad model.d or model.heads: heads must be "
+                                     "positive and divide d: d 16, heads 3"),
+            "decode-without-mgf": (["decode", "--checkpoint", ft], 1,
+                                   "usage error: paths.mgf is required for this command"),
+            "mgf-without-spectra": (decode_mgf, 2, f"data error: no spectra in {mgf}"),
+            "resume-past-shorter-finetune": (
+                ["finetune", "--corpus", corpus, "--checkpoint", pipeline / "train" / "checkpoint.bin",
+                 "--resume", ft, "--set", "training.finetune_epochs=1"], 2,
+                f"data error: resume checkpoint {ft} is already past step 2 (4)"),
+            "warmup-as-long-as-the-run": (["train", "--corpus", corpus, "--set", "training.warmup_steps=12"],
+                                          1, "warmup_steps 12 must be less than total_steps 12"),
+            "resume-under-other-model-d": (
+                ["train", "--corpus", corpus, "--resume", pipeline / "train" / "checkpoint.bin",
+                 "--set", "model.d=8"], 2,
+                "data error: resume checkpoint's model shape differs from the config"),
+            "missing-predictions": (["eval", "--predictions", absent, "--truth", corpus], 2,
+                                    f"data error: predictions file not found: {absent}"),
+            "charge-zero": (decode_mgf, 2, f"data error: {mgf} line 4: charge must be positive, got '0+'"),
+            "empty-seq": (decode_mgf, 2, f"data error: {mgf} line 5: SEQ must not be empty"),
+        }[case]
+        ini.write_text("[nonsense]\nx = 1\n")
+        mgf.write_text({"charge-zero": block.format("0+", ""),
+                        "empty-seq": block.format("2+", "SEQ=\n")}.get(case, "\n"))  # else no blocks
+        command, *args = map(str, argv)
+        assert run(command, "--seed", "5", "--out", str(tmp_path / "out"), *TINY, *args) == code
+        assert error in capsys.readouterr().err
 
     def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"

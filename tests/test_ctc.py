@@ -12,13 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pepseq import autodiff as ad
-from pepseq.training import (
-    INFEASIBLE_CTC_LOSS,
-    ce_loss,
-    ctc_forward,
-    ctc_loss,
-    ctc_required_frames,
-)
+from pepseq.training import INFEASIBLE_CTC_LOSS, ce_loss, ctc_forward, ctc_loss
 
 
 def collapse(path, blank):
@@ -29,6 +23,12 @@ def collapse(path, blank):
             out.append(y)
         prev = y
     return out
+
+
+def required_frames(target):
+    """The fewest frames any path needs: one per residue plus a blank
+    between each adjacent equal pair."""
+    return len(target) + sum(a == b for a, b in zip(target, target[1:]))
 
 
 def ctc_bruteforce(log_probs: np.ndarray, target: list[int], blank: int) -> float:
@@ -129,25 +129,28 @@ class TestBatchedCTC:
             ctc_forward(lp, [[0]], blank_id=2)
 
 
-class TestRequiredFrames:
-    def test_no_repeats(self):
-        assert ctc_required_frames([0, 1, 0]) == 3
-
-    def test_adjacent_repeats_need_separating_blanks(self):
-        assert ctc_required_frames([0, 0]) == 3
-        assert ctc_required_frames([0, 0, 0]) == 5
-        assert ctc_required_frames([1, 1, 2, 2]) == 6
-
-
 class TestCTCLoss:
+    @pytest.mark.parametrize("target, need", [
+        ([0, 1, 0], 3), ([0, 0], 3), ([0, 0, 0], 5), ([1, 1, 2, 2], 6),
+    ])
+    def test_feasible_flags_follow_the_frame_formula(self, target, need):
+        assert required_frames(target) == need
+        rng = np.random.default_rng(need)
+        for frames in (need - 1, need, need + 1):
+            logits = ad.constant(rng.normal(size=(2, frames, 4)))
+            _, feasible = ctc_loss(logits, [target, [0]], blank_id=3)
+            assert feasible.tolist() == [frames >= need, True]
+
     def test_infeasible_target_constant_loss_no_gradient(self):
+        # The loss is a constant, so the logits get a gradient of zeros: a
+        # batch with no feasible row still reaches every NAT parameter.
         rng = np.random.default_rng(3)
-        logits = ad.parameter(rng.normal(size=(1, 2, 3)))
-        loss, feasible = ctc_loss(logits, [[0, 0]], blank_id=2)  # needs 3 frames
-        assert feasible.tolist() == [False]
-        assert loss.values == INFEASIBLE_CTC_LOSS
+        logits = ad.parameter(rng.normal(size=(2, 2, 3)))
+        loss, feasible = ctc_loss(logits, [[0, 0], [1, 1]], blank_id=2)  # each needs 3 frames
+        assert feasible.tolist() == [False, False]
+        assert loss.values == 2 * INFEASIBLE_CTC_LOSS
         ad.backward(ad.mul(loss, ad.constant(1.0)))
-        assert logits.grad is None
+        assert logits.grad is not None and not logits.grad.any()
 
     def test_feasible_loss_is_negative_log_likelihood(self):
         rng = np.random.default_rng(4)
@@ -165,7 +168,7 @@ class TestCTCLoss:
             T = int(rng.integers(3, 6))
             logits = ad.parameter(rng.normal(size=(1, T, 4)))
             target = rng.integers(0, 3, size=int(rng.integers(1, 3))).tolist()
-            if ctc_required_frames(target) > T:
+            if required_frames(target) > T:
                 continue
             err = ad.finite_diff_check(
                 lambda: ctc_loss(logits, [target], blank_id=3)[0], [logits], eps=1e-5
@@ -177,7 +180,7 @@ class TestCTCLoss:
     def test_gradient_is_the_enumerated_path_posterior(self, target, extra_frames):
         # d log p / d log P_t(k) = sum over collapsing paths of
         # p(path) [path_t = k] / p, with the log-probabilities as free leaves.
-        T, V, blank = ctc_required_frames(target) + extra_frames, 3, 2
+        T, V, blank = required_frames(target) + extra_frames, 3, 2
         lp = random_log_probs(np.random.default_rng(10 + extra_frames), T, V)
         leaf = ad.parameter(lp.copy())
         out = ctc_forward(leaf, target, blank)

@@ -261,6 +261,29 @@ def test_beam_tie_order_is_pinned(c_bias, width, want):
     assert got == want
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_beam_stops_once_every_kept_hypothesis_has_ended(monkeypatch, width):
+    # A read-out that favours EOS by far: the empty peptide ends at the first
+    # step, and each residue kept beside it ends at the second.
+    model = small_model()
+    model.store.get("at", "out.w").values[:] = 0.0
+    model.store.get("at", "out.b").values[TABLE.eos_id] = 1e3
+    steps, at_forward = [], Model.at_forward
+
+    def counting_at_forward(self, tokens, *args, **kwargs):
+        steps.append(np.shape(tokens))
+        return at_forward(self, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "at_forward", counting_at_forward)
+    (s,) = spectra_for(TABLE, 1, seed=43)
+    results = beam_search_at(model, s, width, max_len=6)
+    assert steps == [(1, 1)] + [(width - 1, 1)] * (width > 1)
+    assert len(results) == width and all(r.finished for r in results)
+    assert str(results[0].peptide) == "" and all(len(r.peptide) == 1 for r in results[1:])
+    if width == 1:
+        assert results[0] == greedy_at_decode(model, s, max_len=6)
+
+
 def test_beam_validation():
     model = small_model()
     (s,) = spectra_for(TABLE, 1, seed=3)

@@ -12,16 +12,7 @@ from numpy.testing import assert_allclose
 
 from pepseq import autodiff as ad
 from pepseq.network import MAX_CHARGE, Model, ModelConfig, check_spectrum, prefix_suffix_masses
-from pepseq.params import (
-    BadMagicError,
-    CheckpointError,
-    ParameterStore,
-    TruncatedCheckpointError,
-    UnknownPartitionError,
-    VersionMismatchError,
-    load_checkpoint,
-    save_checkpoint,
-)
+from pepseq.params import CheckpointError, ParameterStore, load_checkpoint, save_checkpoint
 from pepseq.spectra import (PROTON, WATER, AminoAcidTable, Peak, Peptide, Spectrum, embed_peak,
                             encode_float, simulate_spectrum)
 
@@ -239,7 +230,8 @@ class TestATDecoder:
         seg = model.store.get("at", "seg_nat")
         assert seg.grad is not None and np.any(seg.grad != 0)
 
-        model.store.zero_grads()
+        for _, t in model.store.items():
+            t.grad = None
         nat = model.nat_forward(enc)
         out = model.at_forward(tokens, masses, enc, nat.latents, block_nat_grad=False)
         ad.backward(ad.sum_all(out))
@@ -307,7 +299,7 @@ class TestParameterStore:
         store.add("at", "w", np.ones(2))
         with pytest.raises(ValueError):
             store.add("at", "w", np.ones(2))
-        with pytest.raises(UnknownPartitionError):
+        with pytest.raises(CheckpointError, match="unknown partition 'decoder'"):
             store.add("decoder", "w", np.ones(2))
 
     def test_adding_to_frozen_partition_stays_frozen(self):
@@ -383,7 +375,7 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.ckpt"
         p.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(CheckpointError, match="not a checkpoint file: magic b'XXXX'"):
             load_checkpoint(str(p))
 
     def test_version_mismatch(self, tmp_path):
@@ -392,7 +384,7 @@ class TestCheckpoint:
         data = bytearray(p.read_bytes())
         data[4] = 99
         p.write_bytes(bytes(data))
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(CheckpointError, match="checkpoint version 99, expected 1 or 2"):
             load_checkpoint(str(p))
 
     def test_truncated_payload(self, tmp_path):
@@ -400,7 +392,7 @@ class TestCheckpoint:
         save_checkpoint(str(p), self.build_store(), {})
         data = p.read_bytes()
         p.write_bytes(data[: len(data) - 30])
-        with pytest.raises(TruncatedCheckpointError):
+        with pytest.raises(CheckpointError, match="truncated while reading metadata"):
             load_checkpoint(str(p))
 
     @pytest.mark.parametrize("rank, dims, error", [
@@ -431,7 +423,7 @@ class TestCheckpoint:
             + b"{}"
         )
         p.write_bytes(payload)
-        with pytest.raises(UnknownPartitionError):
+        with pytest.raises(CheckpointError, match="unknown partition 'mystery'"):
             load_checkpoint(str(p))
 
     def test_optimizer_state_roundtrips_bit_for_bit(self, tmp_path):

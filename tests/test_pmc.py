@@ -239,6 +239,13 @@ def test_vocab_width_must_match_table():
         pmc_bruteforce_oracle(lp, cfg, GA)
 
 
+def test_table_past_the_int8_back_pointers_rejected():
+    table = AminoAcidTable(entries=tuple((chr(0x100 + i), 60.0 + i) for i in range(127)))
+    lp = random_logps(np.random.default_rng(2), 3, table.n_residues + 1)
+    with pytest.raises(ValueError, match="int8 back-pointers"):
+        pmc_decode(lp, PMCConfig(target_mass=200.0, tolerance=5.0, bin_width=1.0), table)
+
+
 def random_table(rng, n_residues):
     entries = tuple(
         (chr(ord("A") + i), float(rng.uniform(50.0, 190.0))) for i in range(n_residues)

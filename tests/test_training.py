@@ -352,7 +352,8 @@ class TestPaddedBatch:
 
     @staticmethod
     def grads(model, loss):
-        model.store.zero_grads()
+        for _, t in model.store.items():
+            t.grad = None
         ad.backward(loss)
         return {k: np.zeros_like(t.values) if t.grad is None else t.grad.copy()
                 for k, t in model.store.items()}

@@ -1,0 +1,157 @@
+"""Digests of what the program computes on the benchmark fixture, to check
+that two source trees agree bit for bit.
+
+    python tools/identity.py [--src DIR] [--limit N] [--dump PART]
+
+Imports ``pepseq`` from DIR (default: the ``src/`` beside this tool) and
+prints one ``PART sha256`` line per part. A part's digest is taken over its
+lines, in which every float is written exactly, by ``float.hex``:
+
+* ``greedy/C``, ``beam5/C`` and ``nat-pmc/C``, for each fixture checkpoint C
+  (``trained``, ``untrained``): each spectrum of ``bench/fixture/spectra.mgf``
+  decoded greedily (peptide, confidence, total log-probability, finished),
+  by beam search of width 5 (every hypothesis returned, in order) and by
+  nat-pmc at bin 0.001 Da (peptide, log-probability, feasible flag,
+  confidence);
+* ``train/C``: the losses of two stage-1 steps and then two stage-2 steps,
+  each on the first 10 spectra, from C's weights and fresh AdamW state,
+  mid-schedule as in the benchmark;
+* ``build``: the checkpoint of ``Model.build(ModelConfig(), AminoAcidTable(),
+  seed=0)``, as the digest of its bytes and of each array.
+
+``--limit N`` runs on the first N spectra only. ``--dump PART`` prints the
+lines behind PART's digest instead of the digests. Run it on two trees (a
+``git archive`` of the parent commit in a scratch directory, say) and compare
+the outputs; with ``--dump``, a ``diff`` then shows which lines moved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = ROOT / "bench" / "fixture"
+CHECKPOINTS = ("trained", "untrained")
+BEAM_WIDTH = 5
+PMC_TOLERANCE = 0.1
+PMC_BIN = 0.001
+BATCH = 10
+TOTAL_STEPS, MID_STEP = 2000, 1000
+BASE_LR, FINETUNE_LR = 5e-4, 1e-4
+
+
+def _hex(x) -> str:
+    return float(x).hex()
+
+
+def _load(name: str):
+    from pepseq.network import Model
+    from pepseq.params import load_checkpoint
+
+    return Model.from_checkpoint_blob(*load_checkpoint(str(FIXTURE / f"{name}.ckpt")))
+
+
+def decode_parts(model, spectra) -> dict[str, list[str]]:
+    from pepseq.decoding import beam_search_at, greedy_at_decode, nat_pmc_decode
+
+    max_len = model.cfg.t_max - 2
+    greedy, beam, pmc = [], [], []
+    for s in spectra:
+        r = greedy_at_decode(model, s, max_len)
+        greedy.append(f"{s.spectrum_id} {r.peptide} {_hex(r.confidence)} {_hex(r.total_logp)} "
+                      f"{r.finished}")
+        for rank, r in enumerate(beam_search_at(model, s, BEAM_WIDTH, max_len)):
+            beam.append(f"{s.spectrum_id} {rank} {r.peptide} {_hex(r.confidence)} "
+                        f"{_hex(r.total_logp)} {r.finished}")
+        result, conf = nat_pmc_decode(model, s, tolerance=PMC_TOLERANCE, bin_width=PMC_BIN)
+        pmc.append(f"{s.spectrum_id} {result.peptide} {_hex(result.log_prob)} {result.feasible} "
+                   f"{_hex(conf)}")
+    return {"greedy": greedy, f"beam{BEAM_WIDTH}": beam, "nat-pmc": pmc}
+
+
+def train_lines(model, spectra) -> list[str]:
+    from pepseq.optim import OptimizerState
+    from pepseq.training import (AnnealSchedule, FeatureCache, LRConfig, TrainState,
+                                 finetune_stage2_step, train_stage1_step)
+
+    def state(lr: float) -> TrainState:
+        return TrainState(model, OptimizerState(lr=lr), AnnealSchedule(TOTAL_STEPS),
+                          LRConfig(total_steps=TOTAL_STEPS), step=MID_STEP)
+
+    batch, lines = spectra[:BATCH], []
+    for partition in ("enc", "nat"):  # the trained checkpoint was saved after stage 2
+        model.store.unfreeze(partition)
+    stage1 = state(BASE_LR)
+    for _ in range(2):
+        row = train_stage1_step(model, batch, stage1)
+        lines.append(f"stage1 {row['step']} {_hex(row['at_loss'])} {_hex(row['nat_loss'])}")
+    for partition in ("enc", "nat"):
+        model.store.freeze(partition)
+    stage2, cache = state(FINETUNE_LR), FeatureCache(model)
+    for _ in range(2):
+        row = finetune_stage2_step(model, batch, stage2, cache)
+        lines.append(f"stage2 {row['step']} {_hex(row['at_loss'])}")
+    return lines
+
+
+def build_lines() -> list[str]:
+    from pepseq.network import Model, ModelConfig
+    from pepseq.params import save_checkpoint
+    from pepseq.spectra import AminoAcidTable
+
+    model = Model.build(ModelConfig(), AminoAcidTable(), seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "build.ckpt"
+        save_checkpoint(str(path), model.store, model.metadata())
+        data = path.read_bytes()
+    return [f"file {hashlib.sha256(data).hexdigest()}"] + [
+        f"{key} {t.values.shape} {hashlib.sha256(t.values.tobytes()).hexdigest()}"
+        for key, t in model.store.items()]
+
+
+def parts(limit: int | None) -> dict[str, list[str]]:
+    from pepseq.mgf import parse_mgf
+    from pepseq.spectra import AminoAcidTable
+
+    spectra = parse_mgf((FIXTURE / "spectra.mgf").read_text(), AminoAcidTable())[:limit]
+    out = {}
+    for name in CHECKPOINTS:
+        for decoder, lines in decode_parts(_load(name), spectra).items():
+            out[f"{decoder}/{name}"] = lines
+    for name in CHECKPOINTS:
+        out[f"train/{name}"] = train_lines(_load(name), spectra)
+    out["build"] = build_lines()
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding pepseq")
+    parser.add_argument("--limit", type=int, default=None, help="use the first N spectra only")
+    parser.add_argument("--dump", metavar="PART", help="print the lines behind PART's digest")
+    args = parser.parse_args(argv)
+    if args.limit is not None and args.limit < 1:
+        parser.error(f"--limit must be at least 1, got {args.limit}")
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import pepseq
+
+    if Path(pepseq.__file__).resolve().parents[1] != src:
+        parser.error(f"pepseq was imported from {pepseq.__file__}, not from {src}")
+    found = parts(args.limit)
+    if args.dump is not None:
+        if args.dump not in found:
+            parser.error(f"no part {args.dump!r}; the parts are {', '.join(found)}")
+        print("\n".join(found[args.dump]))
+        return 0
+    for part, lines in found.items():
+        print(part, hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
