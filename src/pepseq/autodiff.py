@@ -16,16 +16,20 @@ leading index of the input) and ``scaled_dot_attention`` (multi-head
 attention), each one graph node, the reduction ``sum_all``, and
 ``stop_gradient``. Graphs are built by calling them by name (``add(a, b)``,
 not ``a + b``); slicing, ``t[...]``, is the one operator a Tensor has.
+Inside ``with no_graph():`` the same ops record no graph, for forwards whose
+results no backward reads.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "no_graph",
     "DimensionError",
     "NumericError",
     "constant",
@@ -101,12 +105,38 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
+class _Recording(threading.local):
+    """Whether ops record a graph, per thread: off inside ``no_graph``."""
+
+    on = True
+
+
+_recording = _Recording()
+
+
+class no_graph:
+    """``with no_graph():`` every op inside returns a bare Tensor, one with
+    no parents, no backward and ``requires_grad`` False, whatever its inputs
+    require. For forwards that no backward follows, such as the decoders'.
+    Leaving the block, normally or by an exception, restores the state it
+    found, so blocks nest. It holds for the thread that enters it."""
+
+    def __enter__(self) -> None:
+        self._outer, _recording.on = _recording.on, False
+
+    def __exit__(self, *exc_info) -> None:
+        _recording.on = self._outer
+
+
 def _node(values: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(values)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = bwd
+    if _recording.on:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._backward = bwd
+                break
     return out
 
 
@@ -201,7 +231,9 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise DimensionError("concat needs at least one tensor")
     out_vals = np.concatenate([p.values for p in parts], axis=axis)
-    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+    offsets = [0]
+    for p in parts:
+        offsets.append(offsets[-1] + p.values.shape[axis])
 
     def bwd(g: np.ndarray) -> None:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
@@ -255,11 +287,11 @@ def stop_gradient(a: Tensor) -> Tensor:
 def log_softmax(a: Tensor) -> Tensor:
     """Log-softmax over the last axis."""
     x = a.values
-    if np.isnan(x).any():
+    m = x.max(axis=-1, keepdims=True)
+    if np.isnan(m).any():  # the max of a row holding a NaN is NaN
         raise NumericError("log_softmax input contains NaN")
-    m = np.max(x, axis=-1, keepdims=True)
     shifted = x - m
-    lse = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_vals = shifted - lse
 
     def bwd(g: np.ndarray) -> None:
@@ -272,26 +304,26 @@ def log_softmax(a: Tensor) -> Tensor:
 def _softmax(x: np.ndarray) -> np.ndarray:
     """Softmax values over the last axis, for attention; NaN input and a row
     with no finite entry are errors."""
-    if np.isnan(x).any():
-        raise NumericError("softmax input contains NaN")
-    m = np.max(x, axis=-1, keepdims=True)
-    # Guard only the shift of an all -inf row; its 0/0 is rejected below.
-    e = np.exp(np.where(np.isneginf(m), x, x - m))
-    denom = e.sum(axis=-1, keepdims=True)
-    if np.any(denom == 0.0):
-        raise NumericError("softmax row has no finite entry")
-    return e / denom
+    m = x.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():  # a row max is NaN only if the row holds one
+        if np.isnan(m).any():
+            raise NumericError("softmax input contains NaN")
+        if np.isneginf(m).any():
+            raise NumericError("softmax row has no finite entry")
+    e = np.exp(x - m)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis (variance + 1e-5), then scale and shift."""
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    xv = x.values
+    d = xv.shape[-1]
+    if gain.values.shape != (d,) or bias.values.shape != (d,):
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
     # np.mean and np.var's own sums and divisions, without their overhead.
-    xc = x.values - x.values.sum(axis=-1, keepdims=True) / d
+    xc = xv - xv.sum(axis=-1, keepdims=True) / d
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
@@ -315,10 +347,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node, for x of shape [..., m, in]; the 2-D weight w
     [in, out] is shared by every leading index of x, and b is [out]."""
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise DimensionError(f"linear shapes do not match: {x.shape} @ {w.shape}")
-    if b.shape != w.shape[1:]:
-        raise DimensionError(f"linear bias shape {b.shape} does not match weight {w.shape}")
+    xv, wv, bv = x.values, w.values, b.values
+    if xv.ndim < 2 or wv.ndim != 2 or xv.shape[-1] != wv.shape[0]:
+        raise DimensionError(f"linear shapes do not match: {xv.shape} @ {wv.shape}")
+    if bv.shape != wv.shape[1:]:
+        raise DimensionError(f"linear bias shape {bv.shape} does not match weight {wv.shape}")
 
     # The backward of a matmul, add graph, in its order: gradients equal
     # that graph's bit for bit.
@@ -329,7 +362,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if w.requires_grad:
             _accum(w, _unbroadcast(np.swapaxes(x.values, -1, -2) @ g, w.shape))
 
-    return _node(x.values @ w.values + b.values, (x, w, b), bwd)
+    return _node(xv @ wv + bv, (x, w, b), bwd)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
@@ -344,9 +377,10 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | Non
     mask, or a key-padding mask [B, 1, S] of a padded batch. Every head sees
     the same mask. A query row with no allowed position is an error.
     """
-    if (not 2 <= k.ndim <= q.ndim or k.shape[:-2] != q.shape[q.ndim - k.ndim : -2]
-            or v.shape != k.shape or q.shape[-1] != k.shape[-1] or q.shape[-1] % heads):
-        raise DimensionError(f"attention shapes do not match: {q.shape}, {k.shape}, {v.shape}")
+    qs, ks, vs = q.values.shape, k.values.shape, v.values.shape
+    if (not 2 <= len(ks) <= len(qs) or ks[:-2] != qs[len(qs) - len(ks) : -2]
+            or vs != ks or qs[-1] != ks[-1] or qs[-1] % heads):
+        raise DimensionError(f"attention shapes do not match: {qs}, {ks}, {vs}")
 
     def split(x: np.ndarray) -> np.ndarray:  # [..., L, d] -> [..., heads, L, d_h]
         return x.reshape(x.shape[:-1] + (heads, -1)).swapaxes(-2, -3)
@@ -374,12 +408,12 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | Non
         go = split(g)
         gp = go @ np.swapaxes(vh, -1, -2)
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-        _accum(q, merge(gs @ np.swapaxes(kt, -1, -2), q.shape))
+        _accum(q, merge(gs @ np.swapaxes(kt, -1, -2), qs))
         gkt = _unbroadcast(np.swapaxes(qh, -1, -2) @ gs, kt.shape)
-        _accum(k, merge(np.swapaxes(gkt, -1, -2), k.shape))
-        _accum(v, merge(_unbroadcast(np.swapaxes(p, -1, -2) @ go, vh.shape), v.shape))
+        _accum(k, merge(np.swapaxes(gkt, -1, -2), ks))
+        _accum(v, merge(_unbroadcast(np.swapaxes(p, -1, -2) @ go, vh.shape), vs))
 
-    return _node(merge(p @ vh, q.shape), (q, k, v), bwd)
+    return _node(merge(p @ vh, qs), (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -259,12 +259,19 @@ def encode_float(v: float | np.ndarray, d: int,
     the rest take cos. Values outside [v_min, v_max] are allowed; the bounds
     only set the wavelength range.
     """
-    v_min, v_max = bounds
-    j = np.arange(d, dtype=np.float64)
-    denom = (v_max / v_min) * (v_min / (2.0 * math.pi)) ** (2.0 * j / d)
-    phase = np.asarray(v, dtype=np.float64)[..., None] / denom
+    phase = np.asarray(v, dtype=np.float64)[..., None] / _wavelengths(d, *bounds)
     half = d // 2
     return np.concatenate([np.sin(phase[..., :half]), np.cos(phase[..., half:])], axis=-1)
+
+
+@cache
+def _wavelengths(d: int, v_min: float, v_max: float) -> np.ndarray:
+    """encode_float's d divisors C * (v_min / 2π) ** (2j/d), built once per
+    (d, bounds) and read-only."""
+    j = np.arange(d, dtype=np.float64)
+    denom = (v_max / v_min) * (v_min / (2.0 * math.pi)) ** (2.0 * j / d)
+    denom.flags.writeable = False
+    return denom
 
 
 def embed_peak(peaks: Sequence[Peak], d: int, max_intensity: float) -> np.ndarray:

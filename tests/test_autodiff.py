@@ -5,6 +5,9 @@ Gradients are checked against central finite differences; graph semantics
 oracle that never memoizes.
 """
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +17,101 @@ from pepseq import autodiff as ad
 
 def make_rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def plain_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def plain_log_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def masked_rows(seed, shape=(3, 5, 9)):
+    """Random rows with some entries -inf, each row keeping one finite entry."""
+    rng = make_rng(seed)
+    x = rng.normal(size=shape) * 10
+    x[rng.random(shape) < 0.6] = -np.inf
+    keep = rng.integers(shape[-1], size=shape[:-1])
+    np.put_along_axis(x, keep[..., None], rng.normal(size=shape[:-1] + (1,)), axis=-1)
+    return x
+
+
+class TestSoftmaxFastPath:
+    """The finite-max path of _softmax and log_softmax equals the plain
+    formula bit for bit; NaN and all -inf rows still raise, with no warning."""
+
+    @pytest.mark.parametrize("make", [lambda: make_rng(11).normal(size=(4, 6, 13)) * 30,
+                                      lambda: masked_rows(12)])
+    def test_equal_plain_formula_bit_for_bit(self, make):
+        x = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(ad._softmax(x), plain_softmax(x))
+            assert np.array_equal(ad.log_softmax(ad.constant(x)).values, plain_log_softmax(x))
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 4), (2, 8)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_nan_anywhere_in_a_row_raises(self, where, masked):
+        x = masked_rows(13, (3, 9)) if masked else make_rng(13).normal(size=(3, 9))
+        x[where] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NumericError, match="softmax input contains NaN"):
+                ad._softmax(x)
+            with pytest.raises(ad.NumericError, match="log_softmax input contains NaN"):
+                ad.log_softmax(ad.constant(x))
+
+    def test_all_neg_inf_row_raises(self):
+        x = masked_rows(14, (3, 9))
+        x[1] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NumericError, match="no finite entry"):
+                ad._softmax(x)
+
+
+class TestNoGraph:
+    def test_ops_inside_record_nothing_and_compute_the_same_values(self):
+        rng = make_rng(21)
+        x, w, b = (ad.parameter(rng.normal(size=shape)) for shape in ((2, 3, 4), (4, 4), (4,)))
+
+        def forward():
+            h = ad.linear(x, w, b)
+            h = ad.concat([h, ad.gelu(h)], axis=-2)
+            return ad.log_softmax(ad.scaled_dot_attention(h, h, h, heads=2))
+
+        graph = forward()
+        with ad.no_graph():
+            bare = forward()
+        assert graph.requires_grad and graph._parents
+        assert not bare.requires_grad and bare._parents == () and bare._backward is None
+        assert np.array_equal(bare.values, graph.values)
+
+    def test_state_comes_back_on_exit_on_an_exception_and_when_nested(self):
+        w = ad.parameter(np.ones(3))
+        with ad.no_graph():
+            with ad.no_graph():
+                pass
+            assert not ad.add(w, w).requires_grad  # the inner block restored "off"
+        assert ad.add(w, w).requires_grad
+        with pytest.raises(ZeroDivisionError):
+            with ad.no_graph():
+                1 / 0
+        out = ad.add(w, w)
+        assert out.requires_grad and out._parents == (w, w)
+
+    def test_it_holds_for_the_thread_that_enters_it(self):
+        w = ad.parameter(np.ones(3))
+        seen = []
+        with ad.no_graph():
+            other = threading.Thread(target=lambda: seen.append(ad.add(w, w).requires_grad))
+            other.start()
+            other.join(timeout=10)
+            assert not ad.add(w, w).requires_grad
+        assert not other.is_alive() and seen == [True]
 
 
 class TestForwardValues:

@@ -6,7 +6,9 @@ hypothesis on a 3-residue toy model, scored exactly the way the decoder
 scores them.
 """
 
+import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +22,13 @@ from pepseq.decoding import (
     greedy_at_decode,
     nat_pmc_decode,
 )
-from pepseq.network import Model, ModelConfig, prefix_suffix_masses
+from pepseq.mgf import parse_mgf
+from pepseq.network import MAX_CHARGE, Model, ModelConfig, prefix_suffix_masses
+from pepseq.params import load_checkpoint
 from pepseq.spectra import AminoAcidTable, Peptide, random_peptide, simulate_spectrum
-from pepseq.training import FeatureCache
+from pepseq.training import FeatureCache, _stage1_losses
 
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 TABLE = AminoAcidTable()
 
 TINY3 = AminoAcidTable(entries=(("A", 71.03711), ("G", 57.02146), ("S", 87.03203)))
@@ -419,3 +424,46 @@ def test_one_at_forward_per_step_and_one_encoder_pass_per_decode(monkeypatch, fi
         assert encodes == [s]
         assert len(steps) == max_len and all(n <= width and l == 1 for n, l in steps)
         assert not any(r.finished for r in results)
+
+
+# ---------------------------------------------------------------------------
+# decodes record no graph
+
+
+def test_decodes_record_no_graph_and_training_forwards_still_do(monkeypatch):
+    model = Model.from_checkpoint_blob(*load_checkpoint(str(FIXTURE / "trained.ckpt")))
+    for partition in ("enc", "nat"):  # so that every forward could record a graph
+        model.store.unfreeze(partition)
+    spectra = parse_mgf((FIXTURE / "spectra.mgf").read_text(), model.table)[:2]
+    s, max_len = spectra[0], model.cfg.max_residues
+    enc, nat = _decode_context(model, s)  # outside any decoder: _next_logps takes it as given
+
+    def stage1_records_a_graph():
+        at_loss, nat_loss = _stage1_losses(model, spectra)
+        return all(loss.requires_grad and loss._parents for loss in (at_loss, nat_loss))
+
+    outputs = {}
+    for name in ("encode_spectrum", "nat_forward", "at_forward"):
+        def spy(self, *args, _name=name, _original=getattr(Model, name), **kwargs):
+            out = _original(self, *args, **kwargs)
+            outputs.setdefault(_name, []).extend(out if isinstance(out, tuple) else [out])
+            return out
+
+        monkeypatch.setattr(Model, name, spy)
+
+    greedy_at_decode(model, s, max_len)
+    beam_search_at(model, s, 5, max_len)
+    _next_logps(model, s, [0, 1, 2], enc, nat)
+    nat_pmc_decode(model, s)
+    assert sorted(outputs) == ["at_forward", "encode_spectrum", "nat_forward"]
+    for name, tensors in outputs.items():
+        for t in tensors:
+            assert not t.requires_grad and t._parents == () and t._backward is None, name
+    assert stage1_records_a_graph()
+
+    # A decode that raises inside its graph-free block leaves recording on.
+    bad = dataclasses.replace(s, charge=MAX_CHARGE + 1)
+    for decode in (lambda: greedy_at_decode(model, bad, max_len), lambda: nat_pmc_decode(model, bad)):
+        with pytest.raises(ValueError, match="charge"):
+            decode()
+        assert stage1_records_a_graph()

@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pepseq import network, spectra
 from pepseq.spectra import (
+    INTENSITY_WAVELENGTHS,
+    MZ_WAVELENGTHS,
     PROTON,
     WATER,
     AminoAcidTable,
@@ -138,6 +141,26 @@ class TestFloatEncoder:
         want = np.stack([np.stack([encode_float(float(v), 64, (0.001, 10000.0)) for v in row])
                          for row in values])
         assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    @pytest.mark.parametrize("bounds", [MZ_WAVELENGTHS, INTENSITY_WAVELENGTHS])
+    def test_cached_wavelengths_equal_the_written_out_formula_bit_for_bit(self, d, bounds):
+        v_min, v_max = bounds
+        j = np.arange(d, dtype=np.float64)
+        denom = (v_max / v_min) * (v_min / (2.0 * math.pi)) ** (2.0 * j / d)
+        values = np.random.default_rng(d).uniform(0.0, 3000.0 * v_max, size=(5, 3))
+        phase = values[..., None] / denom
+        want = np.concatenate([np.sin(phase[..., : d // 2]), np.cos(phase[..., d // 2 :])], axis=-1)
+        for _ in range(2):  # the first call may build the wavelengths, the second reads them
+            assert np.array_equal(encode_float(values, d, bounds), want)
+        cached = spectra._wavelengths(d, *bounds)
+        assert np.array_equal(cached, denom) and cached is spectra._wavelengths(d, *bounds)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+
+    def test_encode_float_keeps_the_names_the_benchmark_tracer_wraps(self):
+        assert network.encode_float is spectra.encode_float
 
     def test_embed_peak_requires_positive_max(self):
         with pytest.raises(ValueError):
