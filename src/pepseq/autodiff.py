@@ -22,7 +22,6 @@ results no backward reads.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,13 +104,7 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-class _Recording(threading.local):
-    """Whether ops record a graph, per thread: off inside ``no_graph``."""
-
-    on = True
-
-
-_recording = _Recording()
+_recording = True  # whether ops record a graph: off inside ``no_graph``
 
 
 class no_graph:
@@ -119,18 +112,20 @@ class no_graph:
     no parents, no backward and ``requires_grad`` False, whatever its inputs
     require. For forwards that no backward follows, such as the decoders'.
     Leaving the block, normally or by an exception, restores the state it
-    found, so blocks nest. It holds for the thread that enters it."""
+    found, so blocks nest."""
 
     def __enter__(self) -> None:
-        self._outer, _recording.on = _recording.on, False
+        global _recording
+        self._outer, _recording = _recording, False
 
     def __exit__(self, *exc_info) -> None:
-        _recording.on = self._outer
+        global _recording
+        _recording = self._outer
 
 
 def _node(values: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(values)
-    if _recording.on:
+    if _recording:
         for p in parents:
             if p.requires_grad:
                 out.requires_grad = True

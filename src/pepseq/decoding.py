@@ -83,16 +83,18 @@ class DecodeResult:
     finished: bool  # False when the length cap cut the hypothesis off
 
 
-def _step_logps(model: Model, cache: ATCache, tokens: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Masked next-token log-probabilities [n, vocab] from one cached AT step.
+def _step_logps(model: Model, spectrum: Spectrum, cache: ATCache, ids: np.ndarray) -> np.ndarray:
+    """Masked next-token log-probabilities [n, vocab] after the residue
+    prefixes ``ids`` [n, t], from one cached AT step.
 
-    The cache holds the first t input positions of n prefixes; the step
-    feeds position t, each row's last residue (BOS when t is 0) in
-    ``tokens`` [n] at its (prefix, suffix) masses ``masses`` [n, 2], and
-    the cache gains it.
+    The cache holds the prefixes' first t input positions; the step feeds
+    the last, each row's last residue (BOS when t is 0) at its prefix and
+    suffix masses, and the cache gains it.
     """
     table = model.table
-    logits = model.at_forward(tokens[:, None], masses[:, None], cache=cache)[:, 0]
+    tokens = ids[:, -1:] if ids.shape[1] else np.full((len(ids), 1), table.bos_id)
+    masses = prefix_suffix_masses(ids, spectrum.neutral_mass, table)[:, -1:]
+    logits = model.at_forward(tokens, masses, cache=cache)[:, 0]
     logps = ad.log_softmax(logits).values
     # Structural tokens are never valid emissions.
     logps[:, [table.bos_id, table.pad_id]] = -np.inf
@@ -109,12 +111,10 @@ def _next_logps(model: Model, spectrum: Spectrum, ids, enc, nat_latents) -> np.n
     """
     ids = np.asarray(ids, dtype=np.intp)
     rows = np.atleast_2d(ids)  # one prefix is a batch of one
-    tokens = np.concatenate([np.full((len(rows), 1), model.table.bos_id), rows], axis=1)
-    masses = prefix_suffix_masses(rows, spectrum.neutral_mass, model.table)
     with ad.no_graph():
         cache = model.at_cache(enc, nat_latents)
-        for t in range(tokens.shape[1]):
-            logps = _step_logps(model, cache, tokens[:, t], masses[:, t])
+        for t in range(rows.shape[1] + 1):
+            logps = _step_logps(model, spectrum, cache, rows[:, :t])
     return logps.reshape(ids.shape[:-1] + logps.shape[-1:])
 
 
@@ -143,57 +143,44 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
     greedy decoding.
 
     The pool is arrays, one row per hypothesis: residue ids padded with -1,
-    totals, finished flags and residue-mass sums, each sum grown by one
-    residue per step as ``np.cumsum`` adds them. Every live hypothesis holds
-    the same number of residues, so one cached AT step scores them all; the
-    decode context is projected into the cache once, and the cache follows
-    the kept hypotheses' parents. No graph is recorded.
+    totals and finished flags. Every live hypothesis holds the same number
+    of residues, so one cached AT step scores them all; the decode context
+    is projected into the cache once, and the cache follows the kept
+    hypotheses' parents. No graph is recorded.
     """
     if width < 1:
         raise ValueError(f"beam width must be at least 1, got {width}")
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     table = model.table
-    target = spectrum.neutral_mass - WATER  # the suffix mass is what the prefix leaves of it
-    # Each row's candidates: ending (no new residue; a finished row's only
-    # one), then each residue, with the column and mass each adds.
+    # Each live row's candidates: ending (no new residue), then each residue.
     emitted = np.concatenate([[-1], np.arange(table.n_residues)])
+    ends = emitted < 0
     columns = np.concatenate([[table.eos_id], np.arange(table.n_residues)])
-    gained = np.concatenate([[0.0], table.masses])
-    k = len(emitted)
-    # A pool's picks are its finished rows' (0, ending) and then each live row's.
-    no_picks, live_picks = np.zeros(width, dtype=np.intp), np.tile(np.arange(k), width)
 
     ids = np.full((1, max_len), -1, dtype=np.intp)
     totals = np.zeros(1)
     finished = np.zeros(1, dtype=bool)
-    prefix = np.zeros(1)
     with ad.no_graph():
         cache = model.at_cache(*_decode_context(model, spectrum))
         for length in range(max_len):  # residues every live hypothesis holds
-            live = np.flatnonzero(~finished)
-            if not live.size:
+            live = ~finished
+            if not live.any():
                 break
-            tokens = ids[live, length - 1] if length else np.full(live.size, table.bos_id)
-            mass = prefix[live]
-            logps = _step_logps(model, cache, tokens, np.array([mass, target - mass]).T)
-            # The pool: each finished row as it is, then each live row's candidates.
-            done = np.flatnonzero(finished)
-            rows = np.concatenate([done, live.repeat(k)])
-            picks = np.concatenate([no_picks[: done.size], live_picks[: live.size * k]])
-            pool_totals = np.concatenate([totals[done], (totals[live, None] + logps[:, columns]).ravel()])
-            # Only totals up to the width-th best can rank among the first width.
-            if pool_totals.size > width:
-                near = pool_totals >= np.partition(pool_totals, -width)[-width]
-                rows, picks, pool_totals = rows[near], picks[near], pool_totals[near]
-            pool_ids = ids[rows]
-            pool_ids[:, length] = emitted[picks]
+            logps = _step_logps(model, spectrum, cache, ids[live, :length])
+            n, k = len(logps), len(emitted)
+            grown = np.repeat(ids[live], k, axis=0)
+            grown.reshape(n, k, max_len)[:, :, length] = emitted
+            pool_ids = np.concatenate([ids[finished], grown])
+            pool_totals = np.concatenate(
+                [totals[finished], (totals[live][:, None] + logps[:, columns]).ravel()])
+            pool_finished = np.concatenate(
+                [finished[finished], np.broadcast_to(ends, (n, k)).ravel()])
+            parents = np.concatenate([np.full(finished.sum(), -1), np.arange(n).repeat(k)])
             # Rank by (-total, ids): lexsort's last key is its first.
             keep = np.lexsort([*pool_ids[:, length::-1].T, -pool_totals])[:width]
-            rows, picks = rows[keep], picks[keep]
-            ids, totals, prefix = pool_ids[keep], pool_totals[keep], prefix[rows] + gained[picks]
-            finished = picks == 0  # a finished row's one pick, or a live row's ending
-            cache.select(np.searchsorted(live, rows[~finished]))
+            ids, totals, finished = pool_ids[keep], pool_totals[keep], pool_finished[keep]
+            cache.select(parents[keep][~finished])
 
     results = []
     for row, total, done in zip(ids, totals.tolist(), finished.tolist()):

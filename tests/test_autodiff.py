@@ -5,7 +5,6 @@ Gradients are checked against central finite differences; graph semantics
 oracle that never memoizes.
 """
 
-import threading
 import warnings
 
 import numpy as np
@@ -102,16 +101,6 @@ class TestNoGraph:
                 1 / 0
         out = ad.add(w, w)
         assert out.requires_grad and out._parents == (w, w)
-
-    def test_it_holds_for_the_thread_that_enters_it(self):
-        w = ad.parameter(np.ones(3))
-        seen = []
-        with ad.no_graph():
-            other = threading.Thread(target=lambda: seen.append(ad.add(w, w).requires_grad))
-            other.start()
-            other.join(timeout=10)
-            assert not ad.add(w, w).requires_grad
-        assert not other.is_alive() and seen == [True]
 
 
 class TestForwardValues:

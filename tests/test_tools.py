@@ -37,13 +37,15 @@ def load_pairs():
 def test_pairs_summary_of_canned_runs():
     pairs = load_pairs()
     metrics = [{"name": "greedy_ms_per_spectrum", "better": "lower", "bound": 0.25},
-               {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
-    parent = {1: (10.0, 60.0), 2: (12.0, 60.0), 3: (14.0, 60.0), 4: (16.0, 60.0), 5: (11.0, 60.0)}
-    change = {1: (8.0, 70.0), 2: (13.0, 70.0), 3: (11.0, 70.0), 4: (12.0, 70.0)}
+               {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+               {"name": "recall", "better": "higher", "bound": 0.1}]
+    parent = {1: (10.0, 60.0, 0.5), 2: (12.0, 60.0, 0.5), 3: (14.0, 60.0, 0.5), 4: (16.0, 60.0, 0.5),
+              5: (11.0, 60.0, 0.5)}
+    change = {1: (8.0, 70.0, 0.5), 2: (13.0, 70.0, 0.75), 3: (11.0, 70.0, 0.25), 4: (12.0, 70.0, 0.5)}
     runs = [{"workload": "w", "seed": seed, "side": side, "failed": int(side == "change" and seed == 4),
-             "attempted": 9, "metrics": {"greedy_ms_per_spectrum": g, "peak_rss_mb": rss}}
+             "attempted": 9, "metrics": {"greedy_ms_per_spectrum": g, "peak_rss_mb": rss, "recall": r}}
             for side, values in (("parent", parent), ("change", change))
-            for seed, (g, rss) in values.items()]
+            for seed, (g, rss, r) in values.items()]
     runs.append({"workload": "w", "seed": 5, "side": "change", "exit": 1, "stderr": "boom"})
     out = pairs.summarize(runs, metrics)["w"]
     # Seed 5 has no change result, so its pair counts nowhere.
@@ -52,11 +54,17 @@ def test_pairs_summary_of_canned_runs():
     assert greedy["parent_q1_median_q3"] == [11.5, 13.0, 14.5]
     assert greedy["change_q1_median_q3"] == [10.25, 11.5, 12.25]
     assert greedy["median_change_pct"] == 100.0 * (11.5 - 13.0) / 13.0
-    assert greedy["pairs_change_lower"] == 3 and greedy["pairs"] == 4 and greedy["within_bound"]
+    assert greedy["pairs_change_lower"] == greedy["pairs_change_better"] == 3
+    assert greedy["pairs"] == 4 and greedy["within_bound"]
     rss = out["summary"]["peak_rss_mb"]
     assert rss["pairs_change_lower"] == 0 and not rss["within_bound"]  # +16.7 % past its 0.1 bound
+    # Higher is better for recall; the two tied pairs count for neither side.
+    recall = out["summary"]["recall"]
+    assert recall["pairs_change_lower"] == 1 and recall["pairs_change_better"] == 1
+    assert recall["within_bound"]
 
     claim = pairs.claim_result(pairs.summarize(runs, metrics), "w", metrics[0], 10.0)
     assert claim["pairs_change_better"] == 3 and claim["parent_iqr"] == 3.0
     assert claim["median_gap"] == 1.5 and claim["failed_operations"] == 1 and not claim["met"]
+    assert pairs.claim_result(pairs.summarize(runs, metrics), "w", metrics[2], 0.0)["pairs_change_better"] == 1
     assert pairs.parse_seeds("7-9") == [7, 8, 9] and pairs.parse_seeds("4") == [4]

@@ -1,27 +1,28 @@
 """Alternating benchmark runs of two source trees, summarized per metric.
 
     python tools/pairs.py PARENT_TREE CHANGE_TREE --workload W --seeds A-B
-        [--workload W --seeds A-B ...] [--seconds S] [--claim W:METRIC:PCT]
+        [--workload W --seeds A-B ...] [--claim W:METRIC:PCT]
         --out BENCH_<n>.json
 
 Each tree is a checkout of the repository, such as a ``git archive`` of a
 commit unpacked in a scratch directory. For each workload and seed in turn
 the tool runs ``bench/run.py --trace 0`` once on each tree, one run at a
-time, each from its own tree's ``bench/``. Even-indexed pairs run the parent
-first, odd-indexed ones the change first. ``--seconds`` defaults to
-``run_seconds`` of the change tree's ``BENCHMARK.json``.
+time, each from its own tree's ``bench/``, for ``run_seconds`` of the change
+tree's ``BENCHMARK.json``. Even-indexed pairs run the parent first,
+odd-indexed ones the change first.
 
 The output holds the machine facts of the first run, the order, every raw
 run with its failed-operation count, and per workload and end-to-end metric
 the parent's and the change's quartiles, ``median_change_pct``,
-``pairs_change_lower`` and ``within_bound``, the bound being the metric's in
-``BENCHMARK.json``. ``--claim W:METRIC:PCT`` adds ``claim_result``: met when
-METRIC on W is at least PCT percent better in the median, better in at least
-nine of ten pairs, by a median gap wider than the parent's interquartile
-range, with no failed operation. The file is rewritten after every pair, so
-an interrupted session keeps the pairs it finished. A run that exits non-zero
-is kept with its exit code and the end of its stderr; its pair counts in no
-summary.
+``pairs_change_lower``, ``pairs_change_better`` (strictly, in the metric's
+better direction; a tie counts for neither side) and ``within_bound``, the
+bound being the metric's in ``BENCHMARK.json``. ``--claim W:METRIC:PCT``
+adds ``claim_result``: met when METRIC on W is at least PCT percent better
+in the median, better in at least nine of ten pairs, by a median gap wider
+than the parent's interquartile range, with no failed operation. The file
+is rewritten after every pair, so an interrupted session keeps the pairs it
+finished. A run that exits non-zero is kept with its exit code and the end
+of its stderr; its pair counts in no summary.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 "change_q1_median_q3": change_q,
                 "median_change_pct": 100.0 * (change_median - parent_median) / parent_median,
                 "pairs_change_lower": sum(c < p for p, c in values),
+                "pairs_change_better": sum(c < p if lower else c > p for p, c in values),
                 "pairs": len(values),
                 "within_bound": change_median <= limit if lower else change_median >= limit,
             }
@@ -94,7 +96,7 @@ def claim_result(workloads: dict, workload: str, metric: dict, pct: float) -> di
     parent_q, change_q, pairs = row["parent_q1_median_q3"], row["change_q1_median_q3"], row["pairs"]
     lower = metric["better"] == "lower"
     change_pct = row["median_change_pct"] if lower else -row["median_change_pct"]
-    better_pairs = row["pairs_change_lower"] if lower else pairs - row["pairs_change_lower"]
+    better_pairs = row["pairs_change_better"]
     gap, iqr = abs(change_q[1] - parent_q[1]), parent_q[2] - parent_q[0]
     failed = sum(map(sum, workloads[workload]["failed"]))
     return {
@@ -128,7 +130,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("change", type=Path, help="the change's tree")
     ap.add_argument("--workload", action="append", required=True, help="one per --seeds")
     ap.add_argument("--seeds", action="append", required=True, help="A-B: the seeds of one pair each")
-    ap.add_argument("--seconds", type=float, help="bench/run.py --seconds")
     ap.add_argument("--claim", help="W:METRIC:PCT, the gain to check")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
@@ -144,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"the {side} tree {tree} has no bench/run.py")
     benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     metrics = benchmark["end_to_end"]
-    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     claim = None
     if args.claim:
         workload, name, pct = (args.claim.split(":") + ["", "", ""])[:3]
