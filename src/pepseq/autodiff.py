@@ -279,13 +279,21 @@ def stop_gradient(a: Tensor) -> Tensor:
 # fused, numerically stable ops
 
 
-def log_softmax(a: Tensor) -> Tensor:
-    """Log-softmax over the last axis."""
-    x = a.values
+def _row_max(x: np.ndarray, op: str) -> np.ndarray:
+    """Row maxima of ``op``'s input ``x``; NaN or a row of no finite entry raises."""
     m = x.max(axis=-1, keepdims=True)
-    if np.isnan(m).any():  # the max of a row holding a NaN is NaN
-        raise NumericError("log_softmax input contains NaN")
-    shifted = x - m
+    if not np.isfinite(m).all():  # a row max is NaN only if the row holds one
+        if np.isnan(m).any():
+            raise NumericError(f"{op} input contains NaN")
+        if np.isneginf(m).any():
+            raise NumericError(f"{op} row has no finite entry")
+    return m
+
+
+def log_softmax(a: Tensor) -> Tensor:
+    """Log-softmax over the last axis; see :func:`_row_max` for its errors."""
+    x = a.values
+    shifted = x - _row_max(x, "log_softmax")
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_vals = shifted - lse
 
@@ -297,15 +305,9 @@ def log_softmax(a: Tensor) -> Tensor:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax values over the last axis, for attention; NaN input and a row
-    with no finite entry are errors."""
-    m = x.max(axis=-1, keepdims=True)
-    if not np.isfinite(m).all():  # a row max is NaN only if the row holds one
-        if np.isnan(m).any():
-            raise NumericError("softmax input contains NaN")
-        if np.isneginf(m).any():
-            raise NumericError("softmax row has no finite entry")
-    e = np.exp(x - m)
+    """Softmax values over the last axis, for attention; see
+    :func:`_row_max` for its errors."""
+    e = np.exp(x - _row_max(x, "softmax"))
     return e / e.sum(axis=-1, keepdims=True)
 
 

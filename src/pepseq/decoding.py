@@ -94,7 +94,7 @@ def _step_logps(model: Model, spectrum: Spectrum, cache: ATCache, ids: np.ndarra
     table = model.table
     tokens = ids[:, -1:] if ids.shape[1] else np.full((len(ids), 1), table.bos_id)
     masses = prefix_suffix_masses(ids, spectrum.neutral_mass, table)[:, -1:]
-    logits = model.at_forward(tokens, masses, cache=cache)[:, 0]
+    logits = model.at_forward(tokens, masses, cache)[:, 0]
     logps = ad.log_softmax(logits).values
     # Structural tokens are never valid emissions.
     logps[:, [table.bos_id, table.pad_id]] = -np.inf

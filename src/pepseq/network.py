@@ -28,9 +28,9 @@ The encoder takes a list of spectra and returns one padded batch of
 :class:`Padded` features, whose padding rows every attention masks out as
 keys; a lone spectrum is a batch of one.
 
-The AT decoder runs through an :class:`ATCache`: one built inside a whole
-forward, or one that decoding builds once per spectrum and then extends by
-one position per step.
+Both decoders read their cross-attention context from an :class:`ATCache`,
+built once per forward or, when decoding, once per spectrum and then extended
+by one position per step.
 """
 
 from __future__ import annotations
@@ -156,11 +156,11 @@ def _keys(context: Tensor | Padded) -> tuple[Tensor, np.ndarray | None]:
 
 
 class ATCache:
-    """What the AT decoder keeps of one decode context between calls: the
-    key mask of the augmented context, each layer's cross-attention keys
-    and values, projected once, and each layer's self-attention keys and
-    values of the positions fed so far. Those are plain arrays [n, t, d],
-    one row per prefix, so no graph chains from one call to the next.
+    """A decoder's cache: the key mask of its cross-attention context, each
+    layer's cross-attention keys and values, projected once, and each
+    layer's self-attention keys and values of the positions fed so far.
+    Those are plain arrays [n, t, d], one row per prefix, so no graph chains
+    from one call to the next.
     """
 
     def __init__(self, key_mask: np.ndarray | None, cross: list[tuple[Tensor, Tensor]]):
@@ -304,24 +304,27 @@ class Model:
         out = ad.scaled_dot_attention(q, *kv, mask, self.cfg.heads)
         return ad.linear(out, block["wo"], block["bo"])
 
+    def _context(self, tree: dict, rows: Tensor, key_mask: np.ndarray | None) -> ATCache:
+        """A cache holding no positions, over the context ``rows`` under
+        ``key_mask``: each ``tree`` layer's cross keys and values, projected once."""
+        return ATCache(key_mask, [self._kv(block["cross"], rows) for block in tree["layers"]])
+
     def _stack(self, tree: dict, x: Tensor, mask: np.ndarray | None,
-               cross: list[tuple[Tensor, Tensor]] | None = None,
-               key_mask: np.ndarray | None = None, past: ATCache | None = None) -> Tensor:
-        """Pre-norm transformer stack: self-attention under ``mask``, over
-        ``past``'s cached positions too when it is given (which then keeps
-        this call's), then cross-attention to each layer's projected
-        ``cross`` keys and values under ``key_mask`` when they are given (the
-        decoders), then feed-forward; then the final norm."""
+               cache: ATCache | None = None) -> Tensor:
+        """Pre-norm transformer stack: self-attention under ``mask``; with a
+        ``cache`` (the decoders), over its cached positions too, which then
+        keeps this call's, and cross-attention to its context; then
+        feed-forward; then the final norm."""
         for i, block in enumerate(tree["layers"]):
             normed = ad.layer_norm(x, *block["ln1"])
             kv = self._kv(block["self"], normed)
-            if past is not None:
-                kv = past.extend(i, *kv)
+            if cache is not None:
+                kv = cache.extend(i, *kv)
             x = ad.add(x, self._mha(block["self"], normed, kv, mask))
             ffn_ln = "ln2"
-            if cross is not None:
+            if cache is not None:
                 normed = ad.layer_norm(x, *block["ln2"])
-                x = ad.add(x, self._mha(block["cross"], normed, cross[i], key_mask))
+                x = ad.add(x, self._mha(block["cross"], normed, cache.cross[i], cache.key_mask))
                 ffn_ln = "ln3"
             normed = ad.layer_norm(x, *block[ffn_ln])
             w1, b1, w2, b2 = block["ffn"]
@@ -354,13 +357,12 @@ class Model:
     def nat_forward(self, enc_features: Tensor | Padded) -> NATFeatures:
         """Latents and logits of the ``t_max`` frames; features of a batch
         give one set of frames per row."""
-        context, key_mask = _keys(enc_features)
+        rows, key_mask = _keys(enc_features)
         tree = self.params["nat"]
         x = tree["pos_emb"]
-        if context.ndim == 3:  # every row starts from the same position embeddings
-            x = ad.add(ad.constant(np.zeros(context.shape[:1] + x.shape)), x)
-        cross = [self._kv(block["cross"], context) for block in tree["layers"]]
-        latents = self._stack(tree, x, None, cross, key_mask)
+        if rows.ndim == 3:  # every row starts from the same position embeddings
+            x = ad.add(ad.constant(np.zeros(rows.shape[:1] + x.shape)), x)
+        latents = self._stack(tree, x, None, self._context(tree, rows, key_mask))
         logits = ad.linear(latents, *tree["out"])
         return NATFeatures(latents, logits)
 
@@ -374,28 +376,20 @@ class Model:
         The cross-attention context is the encoder features; with
         ``nat_latents`` it becomes [NAT latents + seg_nat ; encoder features
         + seg_enc], and gradient into the NAT latents is blocked unless
-        ``block_nat_grad=False`` (the ablation switch). Each layer's keys and
-        values of it are projected here, once.
+        ``block_nat_grad=False`` (the ablation switch).
         """
         tree = self.params["at"]
-        context, key_mask = _keys(enc_features)
+        rows, key_mask = _keys(enc_features)
         if nat_latents is not None:
             nv = ad.stop_gradient(nat_latents) if block_nat_grad else nat_latents
-            context = ad.concat([ad.add(nv, tree["seg_nat"]), ad.add(context, tree["seg_enc"])], axis=-2)
+            rows = ad.concat([ad.add(nv, tree["seg_nat"]), ad.add(rows, tree["seg_enc"])], axis=-2)
             if key_mask is not None:  # every NAT frame is a real key
                 frames = np.ones(key_mask.shape[:-1] + nv.shape[-2:-1], dtype=bool)
                 key_mask = np.concatenate([frames, key_mask], axis=-1)
-        return ATCache(key_mask, [self._kv(block["cross"], context) for block in tree["layers"]])
+        return self._context(tree, rows, key_mask)
 
-    def at_forward(
-        self,
-        tokens: Sequence[int] | np.ndarray,
-        masses: np.ndarray,
-        enc_features: Tensor | Padded | None = None,
-        nat_latents: Tensor | None = None,
-        block_nat_grad: bool = True,
-        cache: ATCache | None = None,
-    ) -> Tensor:
+    def at_forward(self, tokens: Sequence[int] | np.ndarray, masses: np.ndarray,
+                   context: ATCache | Tensor | Padded) -> Tensor:
         """Next-token logits [..., L, at_vocab] for [BOS, a_1, ...] inputs [..., L].
 
         ``masses`` [..., L, 2] holds one (prefix, suffix) pair per input
@@ -404,13 +398,13 @@ class Model:
         index of ``tokens``, so K and V are projected once for all of them;
         a padded batch of contexts [B, S, d] serves tokens [B, L], one row
         each. Rows of unequal length are right-padded, so under the causal
-        mask a real position never sees a padding one. The context is
-        ``at_cache(enc_features, nat_latents, block_nat_grad)``.
+        mask a real position never sees a padding one.
 
-        Given a ``cache`` instead of the features, ``tokens`` [n, 1] and
-        ``masses`` [n, 1, 2] are the next position of the n prefixes the cache
-        holds (of none, at first): it attends over the cached positions and
-        itself, and joins the cache.
+        ``context`` is an :meth:`at_cache` or encoder features, read as
+        ``at_cache(features)``. A cache holding no positions runs the L
+        positions under the causal mask; one holding n prefixes takes their
+        next position, ``tokens`` [n, 1] and ``masses`` [n, 1, 2], attending
+        over the cached positions and itself. The new positions join the cache.
         """
         tokens = np.asarray(tokens, dtype=np.intp)
         masses = np.asarray(masses, dtype=np.float64)
@@ -420,24 +414,18 @@ class Model:
         vocab = self.table.at_vocab_size
         if np.any((tokens < 0) | (tokens >= vocab)):
             raise ValueError(f"token id outside AT vocabulary of size {vocab}")
-        if cache is None:
-            if enc_features is None:
-                raise ValueError("at_forward needs the encoder features or a cache")
-            cache = self.at_cache(enc_features, nat_latents, block_nat_grad)
+        cache = context if isinstance(context, ATCache) else self.at_cache(context)
+        causal = None  # one position, new or next to the cached ones, sees all of them
+        if not cache.past and tokens.shape[-1] > 1:
             causal = np.tril(np.ones((tokens.shape[-1],) * 2, dtype=bool))
-        elif enc_features is not None or nat_latents is not None:
-            raise ValueError("a cache already holds its context: pass no features with it")
-        elif tokens.ndim != 2 or tokens.shape[1] != 1 or (
-                cache.past and cache.past[0][0].shape[0] != tokens.shape[0]):
+        elif cache.past and tokens.shape != (cache.past[0][0].shape[0], 1):
             raise ValueError(f"a cached step takes one new position per cached prefix, "
                              f"got tokens {tokens.shape}")
-        else:
-            causal = None  # the one new position sees every cached one
 
         tree = self.params["at"]
         mass_rows = encode_float(masses, self.cfg.d).sum(axis=-2)
         x = ad.add(ad.gather(tree["tok_emb"], tokens), ad.constant(mass_rows))
-        x = self._stack(tree, x, causal, cache.cross, cache.key_mask, cache)
+        x = self._stack(tree, x, causal, cache)
         return ad.linear(x, *tree["out"])
 
     # ------------------------------------------------------------------

@@ -328,7 +328,6 @@ class NoiseConfig:
     mz_sigma: float = 0.0
     drop_prob: float = 0.0
     n_noise_peaks: int = 0
-    intensity_range: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         if self.mz_sigma < 0 or self.drop_prob < 0 or self.drop_prob >= 1:
@@ -349,7 +348,8 @@ def simulate_spectrum(
     The precursor is consistent with the peptide by construction: charge is
     drawn from {2, 3} and m/z set to (mass + c * proton) / c. With the
     default noiseless config the peaks equal the theoretical ions exactly.
-    At least one signal peak always survives the dropout.
+    At least one signal peak always survives the dropout. Signal peaks keep
+    intensity 1.0; noise peaks draw theirs from ``NOISE_INTENSITY_RANGE``.
     """
     table = table or AminoAcidTable()
     if len(peptide) < 1:
@@ -362,20 +362,17 @@ def simulate_spectrum(
     precursor_mz = (mass + charge * PROTON) / charge
 
     kept: list[Peak] = []
-    lo, hi = noise.intensity_range
     for ion in ions:
         if noise.drop_prob > 0 and rng.random() < noise.drop_prob:
             continue
         mz = ion.mz + (rng.normal(0.0, noise.mz_sigma) if noise.mz_sigma > 0 else 0.0)
-        intensity = float(rng.uniform(lo, hi)) if lo < hi else float(lo)
-        kept.append(Peak(mz, intensity))
+        kept.append(Peak(mz, 1.0))
     if not kept:
-        kept.append(Peak(ions[0].mz, float(lo)))
+        kept.append(ions[0])
 
-    nlo, nhi = NOISE_INTENSITY_RANGE
     for _ in range(noise.n_noise_peaks):
         mz = float(rng.uniform(*NOISE_MZ_RANGE))
-        kept.append(Peak(mz, float(rng.uniform(nlo, nhi))))
+        kept.append(Peak(mz, float(rng.uniform(*NOISE_INTENSITY_RANGE))))
 
     sid = spectrum_id if spectrum_id is not None else f"synth-{seed:08d}"
     return Spectrum(

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, Tensor
-from .network import Model, Padded, check_spectrum, pad_rows, prefix_suffix_masses
+from .network import ATCache, Model, Padded, check_spectrum, pad_rows, prefix_suffix_masses
 from .optim import OptimizerState, adamw_step
 from .spectra import Spectrum
 
@@ -283,11 +283,10 @@ def _at_inputs(model: Model, batch: Sequence[Spectrum],
 
 
 def _at_loss(model: Model, batch: Sequence[Spectrum], ids: list[list[int]],
-             enc: Tensor | Padded, nat_latents: Tensor | None,
-             block_nat_grad: bool = True) -> Tensor:
-    """Summed AT cross-entropy of a batch, from one AT forward."""
+             context: ATCache | Tensor | Padded) -> Tensor:
+    """Summed AT cross-entropy of a batch, from one AT forward on ``context``."""
     tokens, targets, masses = _at_inputs(model, batch, ids)
-    logits = model.at_forward(tokens, masses, enc, nat_latents, block_nat_grad)
+    logits = model.at_forward(tokens, masses, context)
     return ce_loss(logits, targets, pad_id=model.table.pad_id)
 
 
@@ -295,7 +294,7 @@ def _at_sample_loss(model: Model, spectrum: Spectrum, ids: list[int],
                     enc: Tensor, nat_latents: Tensor | None,
                     block_nat_grad: bool = True) -> Tensor:
     """The AT loss of one spectrum: :func:`_at_loss` on a batch of one."""
-    return _at_loss(model, [spectrum], [ids], enc, nat_latents, block_nat_grad)
+    return _at_loss(model, [spectrum], [ids], model.at_cache(enc, nat_latents, block_nat_grad))
 
 
 def _padded_cache(cached: list[tuple[Tensor, Tensor]]) -> tuple[Padded, Tensor]:
@@ -310,7 +309,7 @@ def _stage1_losses(model: Model, batch: Sequence[Spectrum]) -> tuple[Tensor, Ten
     ids = [_truth_ids(model, s) for s in batch]
     enc = model.encode_spectrum(batch)
     inv = ad.constant(1.0 / len(batch))
-    at_loss = ad.mul(_at_loss(model, batch, ids, enc, None), inv)
+    at_loss = ad.mul(_at_loss(model, batch, ids, enc), inv)
     nat_sum, _feasible = ctc_loss(model.nat_forward(enc).logits, ids, model.table.blank_id)
     return at_loss, ad.mul(nat_sum, inv)
 
@@ -369,8 +368,8 @@ def finetune_stage2_step(
                 f"stage 2 requires the {partition!r} partition frozen; call freeze() first"
             )
     ids = [_truth_ids(model, s) for s in batch]
-    enc, nat_latents = _padded_cache([cache.get(s) for s in batch])
-    loss = ad.mul(_at_loss(model, batch, ids, enc, nat_latents), ad.constant(1.0 / len(batch)))
+    context = model.at_cache(*_padded_cache([cache.get(s) for s in batch]))
+    loss = ad.mul(_at_loss(model, batch, ids, context), ad.constant(1.0 / len(batch)))
     row = _update(state, loss, state.opt.lr, {"stage": 2, "at_loss": float(loss.values),
                                               "nat_loss": float("nan"), "lambda": 1.0})
     model.finetuned = True

@@ -71,6 +71,14 @@ class TestSoftmaxFastPath:
             with pytest.raises(ad.NumericError, match="no finite entry"):
                 ad._softmax(x)
 
+    def test_log_softmax_of_an_all_neg_inf_row_raises(self):
+        x = masked_rows(15, (3, 9))
+        x[1] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NumericError, match="log_softmax row has no finite entry"):
+                ad.log_softmax(ad.constant(x))
+
 
 class TestNoGraph:
     def test_ops_inside_record_nothing_and_compute_the_same_values(self):

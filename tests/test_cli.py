@@ -660,10 +660,14 @@ def _json(blob):
                  "metadata field 'finetuned' must be true or false, got 1", id="finetuned-number"),
     pytest.param(lambda meta: _json({**meta, "frozen": {**meta["frozen"], "at": "false"}}),
                  "metadata field 'frozen.at' must be true or false, got 'false'", id="frozen-text"),
+    pytest.param((b"enc/charge_emb", b"encXcharge_emb"),
+                 "array name 'encXcharge_emb' has no partition prefix", id="no-partition-prefix"),
+    pytest.param(b"\0", "1 trailing bytes after metadata", id="trailing-byte"),
 ])
 def test_bad_checkpoint_metadata_is_data_error(pipeline, tmp_path, capsys, edit, named):
-    """``edit`` rewrites the metadata dict as JSON bytes, or is an (old, new)
-    pair of bytes of the same length that renames an array in place."""
+    """``edit`` rewrites the metadata dict as JSON bytes, is an (old, new)
+    pair of bytes of the same length that renames an array in place, or is
+    bytes appended after the metadata."""
     cfg = ModelConfig(d=16, hidden=32, enc_layers=1, at_layers=1, nat_layers=1, t_max=10)
     model = Model.build(cfg, AminoAcidTable(), seed=0)
     good = tmp_path / "good.bin"
@@ -673,6 +677,8 @@ def test_bad_checkpoint_metadata_is_data_error(pipeline, tmp_path, capsys, edit,
     assert data.endswith(struct.pack("<I", len(old)) + old)  # the metadata closes the file
     if isinstance(edit, tuple):
         data = data.replace(*edit, 1)
+    elif isinstance(edit, bytes):
+        data += edit
     else:
         new = edit(meta)
         data = data[:-len(old) - 4] + struct.pack("<I", len(new)) + new

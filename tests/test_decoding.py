@@ -334,7 +334,7 @@ def test_each_decode_and_cache_miss_encodes_once(monkeypatch, finetuned):
 
 def cached_steps(model, cache, tokens, masses):
     """Logits of each position, fed through ``cache`` one at a time."""
-    return np.concatenate([model.at_forward(tokens[:, t:t + 1], masses[:, t:t + 1], cache=cache).values
+    return np.concatenate([model.at_forward(tokens[:, t:t + 1], masses[:, t:t + 1], cache).values
                            for t in range(tokens.shape[1])], axis=1)
 
 
@@ -351,9 +351,24 @@ def test_cached_steps_equal_one_full_forward(finetuned):
         context_len = len(enc.values) + (model.cfg.t_max if finetuned else 0)
         assert all(len(k.values) == len(v.values) == context_len for k, v in cache.cross)
         stepped = cached_steps(model, cache, tokens, masses)
-        full = model.at_forward(tokens, masses, enc, nat).values
+        full = model.at_forward(tokens, masses, model.at_cache(enc, nat)).values
         np.testing.assert_allclose(stepped, full, rtol=0, atol=1e-12)
         assert all(k.shape == v.shape == (1, tokens.shape[1], model.cfg.d) for k, v in cache.past)
+
+
+def test_a_prefix_fed_at_once_then_cached_steps_equal_one_full_forward():
+    model = small_model()
+    model.finetuned = True
+    (s,) = spectra_for(TABLE, 1, seed=23, min_len=5, max_len=8)
+    enc, nat = _decode_context(model, s)
+    ids = np.array([[TABLE.index_of(r) for r in s.truth]] * 2)
+    tokens = np.concatenate([np.full((2, 1), TABLE.bos_id), ids], axis=1)
+    masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
+    cache = model.at_cache(enc, nat)
+    fed = model.at_forward(tokens[:, :3], masses[:, :3], cache).values  # an empty cache takes L positions
+    stepped = np.concatenate([fed, cached_steps(model, cache, tokens[:, 3:], masses[:, 3:])], axis=1)
+    full = model.at_forward(tokens, masses, model.at_cache(enc, nat)).values
+    np.testing.assert_allclose(stepped, full, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("finetuned", [False, True])
@@ -373,8 +388,8 @@ def test_reordered_cache_equals_one_rebuilt_from_the_parents(finetuned):
     rebuilt = model.at_cache(enc, nat)
     cached_steps(model, rebuilt, tokens[parents, :-1], masses[parents, :-1])
     step = (tokens[parents, -1:], masses[parents, -1:])
-    assert np.array_equal(model.at_forward(*step, cache=cache).values,
-                          model.at_forward(*step, cache=rebuilt).values)
+    assert np.array_equal(model.at_forward(*step, cache).values,
+                          model.at_forward(*step, rebuilt).values)
 
 
 def test_cached_step_rejects_a_mismatched_position():
@@ -383,12 +398,10 @@ def test_cached_step_rejects_a_mismatched_position():
     enc, _ = _decode_context(model, s)
     cache = model.at_cache(enc)
     bos = np.full((2, 1), TABLE.bos_id)
-    model.at_forward(bos, np.zeros((2, 1, 2)), cache=cache)
+    model.at_forward(bos, np.zeros((2, 1, 2)), cache)
     for tokens in (np.full((3, 1), 0), np.full((2, 2), 0)):  # other rows; two positions
         with pytest.raises(ValueError):
-            model.at_forward(tokens, np.zeros(tokens.shape + (2,)), cache=cache)
-    with pytest.raises(ValueError):
-        model.at_forward(bos, np.zeros((2, 1, 2)), enc, cache=cache)
+            model.at_forward(tokens, np.zeros(tokens.shape + (2,)), cache)
 
 
 @pytest.mark.parametrize("finetuned", [False, True])

@@ -10,8 +10,7 @@ from pepseq.spectra import NoiseConfig, Peptide, simulate_spectrum
 
 def corpus(n=5):
     out = []
-    noise = NoiseConfig(mz_sigma=0.005, drop_prob=0.1, n_noise_peaks=3,
-                        intensity_range=(0.2, 1.0))
+    noise = NoiseConfig(mz_sigma=0.005, drop_prob=0.1, n_noise_peaks=3)
     seqs = ["GASPV", "KHACK", "WYNDE", "LIMIT", "QRSTV"]
     for i in range(n):
         out.append(simulate_spectrum(Peptide.from_string(seqs[i % len(seqs)]),

@@ -214,7 +214,7 @@ class TestATDecoder:
         nat = model.nat_forward(enc)
         tokens, masses = self.tokens_and_masses(model, spectrum, "GA")
         plain = model.at_forward(tokens, masses, enc).values
-        augmented = model.at_forward(tokens, masses, enc, nat.latents).values
+        augmented = model.at_forward(tokens, masses, model.at_cache(enc, nat.latents)).values
         assert plain.shape == augmented.shape
         assert not np.allclose(plain, augmented)
 
@@ -224,7 +224,8 @@ class TestATDecoder:
         pos_emb = model.store.get("nat", "pos_emb")
 
         nat = model.nat_forward(enc)
-        out = model.at_forward(tokens, masses, enc, nat.latents, block_nat_grad=True)
+        context = model.at_cache(enc, nat.latents, block_nat_grad=True)
+        out = model.at_forward(tokens, masses, context)
         ad.backward(ad.sum_all(out))
         assert pos_emb.grad is None, "blocked NAT latents leaked gradient"
         seg = model.store.get("at", "seg_nat")
@@ -233,7 +234,8 @@ class TestATDecoder:
         for _, t in model.store.items():
             t.grad = None
         nat = model.nat_forward(enc)
-        out = model.at_forward(tokens, masses, enc, nat.latents, block_nat_grad=False)
+        context = model.at_cache(enc, nat.latents, block_nat_grad=False)
+        out = model.at_forward(tokens, masses, context)
         ad.backward(ad.sum_all(out))
         assert pos_emb.grad is not None and np.any(pos_emb.grad != 0), (
             "without blocking, gradients must reach the NAT stack"
@@ -250,9 +252,9 @@ class TestATDecoder:
         masses = prefix_suffix_masses(ids, spectrum.neutral_mass, table)
         context = [enc] if nat is None else [enc, nat]
         tiled = [ad.constant(np.broadcast_to(t.values, (4,) + t.shape)) for t in context]
-        shared = model.at_forward(tokens, masses, *context).values
+        shared = model.at_forward(tokens, masses, model.at_cache(*context)).values
         assert shared.shape == (4, 4, table.at_vocab_size)
-        assert np.array_equal(shared, model.at_forward(tokens, masses, *tiled).values)
+        assert np.array_equal(shared, model.at_forward(tokens, masses, model.at_cache(*tiled)).values)
 
     def test_context_length_is_tmax_plus_k_plus_1(self, model, spectrum):
         # Indirect check: the augmented forward works for any peak count and
@@ -260,7 +262,7 @@ class TestATDecoder:
         enc = model.encode_spectrum(spectrum)
         nat = model.nat_forward(enc)
         tokens, masses = self.tokens_and_masses(model, spectrum, "G")
-        out = model.at_forward(tokens, masses, enc, nat.latents)
+        out = model.at_forward(tokens, masses, model.at_cache(enc, nat.latents))
         assert out.shape[0] == 2
 
 

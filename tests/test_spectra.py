@@ -174,7 +174,7 @@ class TestFloatEncoder:
             embed_peak(Peak(100.0, 1.0), 4, 1.0)
 
     def test_embed_peak_over_a_spectrum_equals_stacked_per_peak_calls(self):
-        noise = NoiseConfig(mz_sigma=0.01, n_noise_peaks=5, intensity_range=(0.1, 1.0))
+        noise = NoiseConfig(mz_sigma=0.01, n_noise_peaks=5)
         s = simulate_spectrum(Peptide.from_string("PEPTIDEK"), seed=3, noise=noise)
         out = embed_peak(s.peaks, 64, s.max_intensity)
         want = np.concatenate([embed_peak([p], 64, s.max_intensity) for p in s.peaks])
@@ -226,8 +226,7 @@ class TestSimulator:
 
     def test_deterministic_for_seed(self):
         p = Peptide.from_string("GASPVK")
-        noise = NoiseConfig(mz_sigma=0.01, drop_prob=0.2, n_noise_peaks=4,
-                            intensity_range=(0.3, 1.0))
+        noise = NoiseConfig(mz_sigma=0.01, drop_prob=0.2, n_noise_peaks=4)
         a = simulate_spectrum(p, seed=42, noise=noise)
         b = simulate_spectrum(p, seed=42, noise=noise)
         assert a == b

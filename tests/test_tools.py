@@ -1,9 +1,12 @@
 """Tests of tools/: two runs of identity.py on two fixture spectra print the
-same digest for every part, and pairs.py summarizes canned runs."""
+same digest for every part, and pairs.py summarizes canned runs and runs
+stub benchmarks in alternating pairs."""
 
 import importlib.util
+import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -68,3 +71,53 @@ def test_pairs_summary_of_canned_runs():
     assert claim["median_gap"] == 1.5 and claim["failed_operations"] == 1 and not claim["met"]
     assert pairs.claim_result(pairs.summarize(runs, metrics), "w", metrics[2], 0.0)["pairs_change_better"] == 1
     assert pairs.parse_seeds("7-9") == [7, 8, 9] and pairs.parse_seeds("4") == [4]
+
+
+# A stand-in for bench/run.py: it logs its tree and seed, and prints a details
+# line and a result line with every end-to-end metric at a fixed value. The
+# change tree's run of seed 1 fails instead.
+STUB_RUN = """
+import json, sys
+from pathlib import Path
+
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+side, seed = Path.cwd().name, int(args["--seed"])
+with open(Path.cwd().parent / "order.log", "a") as log:
+    log.write(f"{side} {seed}\\n")
+if side == "change" and seed == 1:
+    print("stub failure", file=sys.stderr)
+    sys.exit(3)
+names = [m["name"] for m in json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]]
+print(json.dumps({"facts": {"nproc": 1, "python": "stub", "numpy": "stub", "blas": "stub",
+                            "threads": {}}}))
+value = 10.0 if side == "parent" else 9.0
+print(json.dumps({"failed": 0, "attempted": 5, "metrics": {n: {"value": value} for n in names}}))
+"""
+
+
+def test_pairs_alternates_sides_and_keeps_a_failed_run(tmp_path):
+    pairs = load_pairs()
+    for side in pairs.SIDES:
+        (tmp_path / side / "bench").mkdir(parents=True)
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / side)
+        (tmp_path / side / "bench" / "run.py").write_text(STUB_RUN)
+    out = tmp_path / "BENCH.json"
+    assert pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "train",
+                       "--seeds", "0-1", "--claim", "train:greedy_ms_per_spectrum:5",
+                       "--out", str(out)]) == 0
+    # Pair 0 runs the parent first, pair 1 the change first.
+    assert (tmp_path / "order.log").read_text().splitlines() == [
+        "parent 0", "change 0", "change 1", "parent 1"]
+    result = json.loads(out.read_text())
+    assert [r for r in result["runs"] if "metrics" not in r] == [
+        {"workload": "train", "seed": 1, "side": "change", "exit": 3, "stderr": "stub failure\n"}]
+    train = result["workloads"]["train"]
+    assert train["seeds"] == [0] and train["failed"] == [[0, 0]]  # pair 1 counts nowhere
+    assert {row["pairs"] for row in train["summary"].values()} == {1}
+    assert train["summary"]["greedy_ms_per_spectrum"]["median_change_pct"] == -10.0
+    # The file has the shape of the checked-in BENCH_20.json.
+    bench20 = json.loads((ROOT / "BENCH_20.json").read_text())
+    assert set(result) == {"command", "machine", "order", "workloads", "runs", "claim_result"}
+    assert set(result) <= set(bench20)
+    assert set(train) == set(bench20["workloads"]["train"])
+    assert set(bench20["runs"][0]) <= set(result["runs"][0])

@@ -405,16 +405,16 @@ class TestPaddedBatch:
             cache = FeatureCache(model)
             for batch in batches:
                 ids = [table.ids_of(s.truth) for s in batch]
-                enc, nat_latents = _padded_cache([cache.get(s) for s in batch])
+                padded = _padded_cache([cache.get(s) for s in batch])
                 tokens, targets, masses = _at_inputs(model, batch, ids)
-                logits = model.at_forward(tokens, masses, enc, nat_latents)
+                logits = model.at_forward(tokens, masses, model.at_cache(*padded))
                 lone_grads = []
                 for b, (s, row) in enumerate(zip(batch, ids)):
                     lone = _at_sample_loss(model, s, row, *cache.get(s))
                     assert_allclose(ce_loss(logits[b], targets[b], table.pad_id).item(),
                                     lone.item(), rtol=1e-12)
                     lone_grads.append(self.grads(model, lone))
-                loss = ad.mul(_at_loss(model, batch, ids, enc, nat_latents),
+                loss = ad.mul(_at_loss(model, batch, ids, model.at_cache(*padded)),
                               ad.constant(1.0 / len(batch)))
                 self.assert_mean_gradient(self.grads(model, loss), lone_grads,
                                           lambda key: key.startswith("at/"))

@@ -19,10 +19,12 @@ lines, in which every float is written exactly, by ``float.hex``:
 * ``build``: the checkpoint of ``Model.build(ModelConfig(), AminoAcidTable(),
   seed=0)``, as the digest of its bytes and of each array.
 
-``--limit N`` runs on the first N spectra only. ``--dump PART`` prints the
-lines behind PART's digest instead of the digests. Run it on two trees (a
-``git archive`` of the parent commit in a scratch directory, say) and compare
-the outputs; with ``--dump``, a ``diff`` then shows which lines moved.
+The beam width, nat-pmc settings, batch size and training schedule are the
+benchmark's, read from ``bench/worker.py``. ``--limit N`` runs on the first N
+spectra only. ``--dump PART`` prints the lines behind PART's digest instead of
+the digests. Run it on two trees (a ``git archive`` of the parent commit in a
+scratch directory, say) and compare the outputs; with ``--dump``, a ``diff``
+then shows which lines moved.
 """
 
 from __future__ import annotations
@@ -34,14 +36,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-FIXTURE = ROOT / "bench" / "fixture"
+sys.path.insert(0, str(ROOT / "bench"))
+# worker imports no pepseq until a function of it runs, so --src still picks the tree.
+from worker import (BASE_LR, BATCH, BEAM_WIDTH, FINETUNE_LR, FIXTURE, PMC_BIN,  # noqa: E402
+                    PMC_TOLERANCE, new_state)
+
 CHECKPOINTS = ("trained", "untrained")
-BEAM_WIDTH = 5
-PMC_TOLERANCE = 0.1
-PMC_BIN = 0.001
-BATCH = 10
-TOTAL_STEPS, MID_STEP = 2000, 1000
-BASE_LR, FINETUNE_LR = 5e-4, 1e-4
 
 
 def _hex(x) -> str:
@@ -74,24 +74,18 @@ def decode_parts(model, spectra) -> dict[str, list[str]]:
 
 
 def train_lines(model, spectra) -> list[str]:
-    from pepseq.optim import OptimizerState
-    from pepseq.training import (AnnealSchedule, FeatureCache, LRConfig, TrainState,
-                                 finetune_stage2_step, train_stage1_step)
-
-    def state(lr: float) -> TrainState:
-        return TrainState(model, OptimizerState(lr=lr), AnnealSchedule(TOTAL_STEPS),
-                          LRConfig(total_steps=TOTAL_STEPS), step=MID_STEP)
+    from pepseq.training import FeatureCache, finetune_stage2_step, train_stage1_step
 
     batch, lines = spectra[:BATCH], []
     for partition in ("enc", "nat"):  # the trained checkpoint was saved after stage 2
         model.store.unfreeze(partition)
-    stage1 = state(BASE_LR)
+    stage1 = new_state(model, BASE_LR)
     for _ in range(2):
         row = train_stage1_step(model, batch, stage1)
         lines.append(f"stage1 {row['step']} {_hex(row['at_loss'])} {_hex(row['nat_loss'])}")
     for partition in ("enc", "nat"):
         model.store.freeze(partition)
-    stage2, cache = state(FINETUNE_LR), FeatureCache(model)
+    stage2, cache = new_state(model, FINETUNE_LR), FeatureCache(model)
     for _ in range(2):
         row = finetune_stage2_step(model, batch, stage2, cache)
         lines.append(f"stage2 {row['step']} {_hex(row['at_loss'])}")
