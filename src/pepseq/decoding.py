@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .network import ATCache, Model, prefix_suffix_masses
+from .network import ATCache, Model, NATFeatures, prefix_suffix_masses
 from .spectra import WATER, AminoAcidTable, Peptide, Spectrum
 
 __all__ = [
@@ -83,6 +83,14 @@ class DecodeResult:
     finished: bool  # False when the length cap cut the hypothesis off
 
 
+def _log_probs(model: Model, logits: ad.Tensor) -> np.ndarray:
+    """Next-token log-probabilities [..., vocab] from AT logits [..., vocab],
+    with the structural tokens, never valid emissions, masked out."""
+    logps = ad.log_softmax(logits).values
+    logps[..., [model.table.bos_id, model.table.pad_id]] = -np.inf
+    return logps
+
+
 def _step_logps(model: Model, spectrum: Spectrum, cache: ATCache, ids: np.ndarray) -> np.ndarray:
     """Masked next-token log-probabilities [n, vocab] after the residue
     prefixes ``ids`` [n, t], from one cached AT step.
@@ -91,14 +99,9 @@ def _step_logps(model: Model, spectrum: Spectrum, cache: ATCache, ids: np.ndarra
     the last, each row's last residue (BOS when t is 0) at its prefix and
     suffix masses, and the cache gains it.
     """
-    table = model.table
-    tokens = ids[:, -1:] if ids.shape[1] else np.full((len(ids), 1), table.bos_id)
-    masses = prefix_suffix_masses(ids, spectrum.neutral_mass, table)[:, -1:]
-    logits = model.at_forward(tokens, masses, cache)[:, 0]
-    logps = ad.log_softmax(logits).values
-    # Structural tokens are never valid emissions.
-    logps[:, [table.bos_id, table.pad_id]] = -np.inf
-    return logps
+    tokens = ids[:, -1:] if ids.shape[1] else np.full((len(ids), 1), model.table.bos_id)
+    masses = prefix_suffix_masses(ids, spectrum.neutral_mass, model.table)[:, -1:]
+    return _log_probs(model, model.at_forward(tokens, masses, cache)[:, 0])
 
 
 def _next_logps(model: Model, spectrum: Spectrum, ids, enc, nat_latents) -> np.ndarray:
@@ -118,14 +121,27 @@ def _next_logps(model: Model, spectrum: Spectrum, ids, enc, nat_latents) -> np.n
     return logps.reshape(ids.shape[:-1] + logps.shape[-1:])
 
 
-def _decode_context(model: Model, spectrum: Spectrum):
+def _decode_context(model: Model, spectrum: Spectrum, logits: bool = False):
+    """The encoder features and, on a fine-tuned model, the NAT latents
+    (else None), from one front-end pass; with ``logits``, the NAT logits
+    (or None) too."""
     enc = model.encode_spectrum(spectrum)
-    nat_latents = model.nat_forward(enc).latents if model.finetuned else None
-    return enc, nat_latents
+    nat = model.nat_forward(enc) if model.finetuned else NATFeatures(None, None)
+    return (enc, *nat) if logits else (enc, nat.latents)
+
+
+def _draft(model: Model, nat_logits: ad.Tensor | None, max_len: int) -> np.ndarray:
+    """The NAT's own prediction as residue ids: the CTC collapse of its
+    per-frame argmax, cut to the ``max_len - 1`` residues whose next-token
+    rows a decode of ``max_len`` reads. Empty without NAT logits."""
+    if nat_logits is None:
+        return np.zeros(0, dtype=np.intp)
+    path = nat_logits.values.argmax(axis=-1).tolist()
+    return np.array(ctc_collapse(path, model.table.blank_id)[:max_len - 1], dtype=np.intp)
 
 
 def greedy_at_decode(model: Model, spectrum: Spectrum, max_len: int) -> DecodeResult:
-    """Argmax decoding: beam search of width 1, one forward per token.
+    """Argmax decoding: beam search of width 1.
 
     On an exact tie between ending (EOS) and emitting a residue, ending wins,
     as in the beam's ranking.
@@ -147,6 +163,17 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
     of residues, so one cached AT step scores them all; the decode context
     is projected into the cache once, and the cache follows the kept
     hypotheses' parents. No graph is recorded.
+
+    At width 1 on a fine-tuned model the NAT's own prediction is a draft
+    (``_draft``), checked in one forward (blockwise parallel decoding, Stern
+    et al. 2018): the first AT forward feeds BOS and the draft under the
+    causal mask, and its row t is the next-token row after the draft's first
+    t residues. The pool and its selection run unchanged on those rows, one
+    length at a time, while the kept hypothesis follows the draft. At the
+    first length where it leaves the draft or ends, the cache keeps that
+    length's positions and cached steps take over. Without a draft (width
+    above 1, or a model that is not fine-tuned) the first forward feeds BOS
+    alone, and every forward is a one-position step.
     """
     if width < 1:
         raise ValueError(f"beam width must be at least 1, got {width}")
@@ -162,12 +189,20 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
     totals = np.zeros(1)
     finished = np.zeros(1, dtype=bool)
     with ad.no_graph():
-        cache = model.at_cache(*_decode_context(model, spectrum))
+        enc, nat_latents, nat_logits = _decode_context(model, spectrum, logits=True)
+        cache = model.at_cache(enc, nat_latents)
+        draft = _draft(model, nat_logits if width == 1 else None, max_len)
+        tokens = np.concatenate([[table.bos_id], draft])[None]
+        masses = prefix_suffix_masses(draft[None], spectrum.neutral_mass, table)
+        ahead = _log_probs(model, model.at_forward(tokens, masses, cache)[0])
         for length in range(max_len):  # residues every live hypothesis holds
             live = ~finished
             if not live.any():
                 break
-            logps = _step_logps(model, spectrum, cache, ids[live, :length])
+            if length < len(ahead):
+                logps = ahead[length:length + 1]
+            else:
+                logps = _step_logps(model, spectrum, cache, ids[live, :length])
             n, k = len(logps), len(emitted)
             grown = np.repeat(ids[live], k, axis=0)
             grown.reshape(n, k, max_len)[:, :, length] = emitted
@@ -180,7 +215,10 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
             # Rank by (-total, ids): lexsort's last key is its first.
             keep = np.lexsort([*pool_ids[:, length::-1].T, -pool_totals])[:width]
             ids, totals, finished = pool_ids[keep], pool_totals[keep], pool_finished[keep]
-            cache.select(parents[keep][~finished])
+            if length < len(draft) and ids[0, length] == draft[length]:
+                continue  # still on the draft: the first forward holds the next row
+            ahead = ahead[:length + 1]
+            cache.select(parents[keep][~finished], length + 1)
 
     results = []
     for row, total, done in zip(ids, totals.tolist(), finished.tolist()):

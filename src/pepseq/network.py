@@ -30,7 +30,8 @@ keys; a lone spectrum is a batch of one.
 
 Both decoders read their cross-attention context from an :class:`ATCache`,
 built once per forward or, when decoding, once per spectrum and then extended
-by one position per step.
+by the positions each forward feeds: one per step, or greedy's draft at once,
+which the cache drops again past the length where the decode leaves it.
 """
 
 from __future__ import annotations
@@ -179,9 +180,14 @@ class ATCache:
             self.past.append((k.values, v.values))
         return k, v
 
-    def select(self, rows: np.ndarray) -> None:
-        """Keep the cached prefixes ``rows``, in that order (a beam's parents)."""
-        self.past = [(k[rows], v[rows]) for k, v in self.past]
+    def select(self, rows: np.ndarray, length: int | None = None) -> None:
+        """Keep the cached prefixes ``rows``, in that order (a beam's parents),
+        and with ``length`` only their first ``length`` positions. Rows
+        0..m-1 in order, always so for greedy, are a slice: keeping them,
+        cut or not, copies nothing."""
+        if list(rows) == list(range(len(rows))):  # on a few rows, a tenth of np.array_equal's cost
+            rows = slice(len(rows))
+        self.past = [(k[rows, :length], v[rows, :length]) for k, v in self.past]
 
 
 def prefix_suffix_masses(residue_ids: Sequence[int] | np.ndarray, neutral_mass: float,

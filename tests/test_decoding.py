@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pepseq import autodiff as ad
 from pepseq.decoding import (
     DecodeResult,
     _decode_context,
@@ -23,7 +24,7 @@ from pepseq.decoding import (
     nat_pmc_decode,
 )
 from pepseq.mgf import parse_mgf
-from pepseq.network import MAX_CHARGE, Model, ModelConfig, prefix_suffix_masses
+from pepseq.network import MAX_CHARGE, Model, ModelConfig, NATFeatures, prefix_suffix_masses
 from pepseq.params import load_checkpoint
 from pepseq.spectra import AminoAcidTable, Peptide, random_peptide, simulate_spectrum
 from pepseq.training import FeatureCache, _stage1_losses
@@ -392,6 +393,26 @@ def test_reordered_cache_equals_one_rebuilt_from_the_parents(finetuned):
                           model.at_forward(*step, rebuilt).values)
 
 
+def test_a_cut_cache_steps_as_one_fed_only_the_kept_positions():
+    model = small_model()
+    model.finetuned = True
+    (s,) = spectra_for(TABLE, 1, seed=79, min_len=6, max_len=8)
+    enc, nat = _decode_context(model, s)
+    ids = np.array([[TABLE.index_of(r) for r in s.truth]])
+    tokens = np.concatenate([[[TABLE.bos_id]], ids], axis=1)
+    masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
+    cut, kept = model.at_cache(enc, nat), model.at_cache(enc, nat)
+    model.at_forward(tokens, masses, cut)  # every position
+    model.at_forward(tokens[:, :3], masses[:, :3], kept)
+    whole = cut.past[0][0]
+    cut.select([0], 3)
+    assert cut.past[0][0].shape == (1, 3, model.cfg.d)
+    assert np.shares_memory(cut.past[0][0], whole)  # rows in order: a view, no copy
+    step = (tokens[:, 3:4], masses[:, 3:4])
+    np.testing.assert_allclose(model.at_forward(*step, cut).values,
+                               model.at_forward(*step, kept).values, rtol=0, atol=1e-12)
+
+
 def test_cached_step_rejects_a_mismatched_position():
     model = small_model()
     (s,) = spectra_for(TABLE, 1, seed=2)
@@ -419,6 +440,21 @@ def test_one_at_forward_per_step_and_one_encoder_pass_per_decode(monkeypatch, fi
         steps.append(np.shape(tokens))
         return at_forward(self, tokens, *args, **kwargs)
 
+    def greedy_steps(s, r):
+        """The forward shapes of a greedy decode of ``s`` that returned ``r``.
+        Without a draft: one cached step per length. With the NAT's draft of
+        k residues: one (1, k+1) forward, then one step per length after the
+        first where the kept hypothesis leaves the draft or ends."""
+        lengths = len(r.peptide) + r.finished
+        if not finetuned:
+            return [(1, 1)] * lengths
+        logits = model.nat_forward(encode(model, s)).logits.values
+        draft = ctc_collapse(logits.argmax(axis=-1).tolist(), TABLE.blank_id)[:max_len - 1]
+        got = [TABLE.index_of(a) for a in r.peptide]
+        common = next((i for i, (a, b) in enumerate(zip(got, draft)) if a != b),
+                      min(len(got), len(draft)))
+        return [(1, len(draft) + 1)] + [(1, 1)] * (lengths - 1 - common)
+
     monkeypatch.setattr(Model, "encode_spectrum", counting_encode)
     monkeypatch.setattr(Model, "at_forward", counting_at_forward)
     max_len = 6
@@ -427,7 +463,7 @@ def test_one_at_forward_per_step_and_one_encoder_pass_per_decode(monkeypatch, fi
         steps.clear()
         r = greedy_at_decode(model, s, max_len)
         assert encodes == [s]
-        assert steps == [(1, 1)] * (len(r.peptide) + r.finished)
+        assert steps == greedy_steps(s, r)
     # A read-out that never ends keeps every hypothesis live to the cap.
     model.store.get("at", "out.b").values[TABLE.eos_id] = -1e9
     for width in (1, 4):
@@ -435,8 +471,138 @@ def test_one_at_forward_per_step_and_one_encoder_pass_per_decode(monkeypatch, fi
         steps.clear()
         results = beam_search_at(model, s, width, max_len)
         assert encodes == [s]
-        assert len(steps) == max_len and all(n <= width and l == 1 for n, l in steps)
+        if width == 1:
+            assert steps == greedy_steps(s, results[0])
+        else:
+            assert len(steps) == max_len and all(n <= width and l == 1 for n, l in steps)
         assert not any(r.finished for r in results)
+
+
+# ---------------------------------------------------------------------------
+# greedy checks the NAT's draft in one AT forward
+
+
+def steer_draft(monkeypatch, residues, t_max):
+    """Make the NAT logits' per-frame argmax spell ``residues`` (a blank
+    between equal neighbours, blanks after), so that the draft is exactly
+    them. The NAT latents, and so the AT decoder's context, stay the model's."""
+    blank, frames = TABLE.blank_id, []
+    for r in residues:
+        frames += [blank] * bool(frames and frames[-1] == r) + [r]
+    frames += [blank] * (t_max - len(frames))
+    logits = ad.constant(np.eye(TABLE.nat_vocab_size)[frames])
+    nat_forward = Model.nat_forward
+    monkeypatch.setattr(Model, "nat_forward", lambda self, enc: NATFeatures(
+        nat_forward(self, enc).latents, logits))
+
+
+def count_at_forwards(monkeypatch):
+    steps, at_forward = [], Model.at_forward
+
+    def counting(self, tokens, *args, **kwargs):
+        steps.append(np.shape(tokens))
+        return at_forward(self, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "at_forward", counting)
+    return steps
+
+
+def stepped_walk(model, s, max_len):
+    """Greedy by hand, one ``_next_logps`` per length: (ids, finished, total)."""
+    enc, nat = _decode_context(model, s)
+    prefix, total = [], 0.0
+    while len(prefix) < max_len:
+        row = _next_logps(model, s, prefix, enc, nat)
+        tok = int(np.argmax(row))
+        total = total + row[tok]
+        if tok == TABLE.eos_id:
+            return prefix, True, total
+        prefix.append(tok)
+    return prefix, False, total
+
+
+def assert_walks(r, walk, rtol):
+    ids, finished, total = walk
+    assert r.peptide == TABLE.peptide_from_ids(ids) and r.finished == finished
+    np.testing.assert_allclose(r.total_logp, total, rtol=rtol, atol=0)
+
+
+def fine_tuned_small_model():
+    model = small_model()
+    model.finetuned = True
+    return model
+
+
+def test_an_empty_draft_decodes_one_cached_step_per_length(monkeypatch):
+    model = fine_tuned_small_model()
+    steer_draft(monkeypatch, [], model.cfg.t_max)  # an all-blank argmax
+    steps = count_at_forwards(monkeypatch)
+    for s in spectra_for(TABLE, 3, seed=61):
+        steps.clear()
+        r = greedy_at_decode(model, s, max_len=6)
+        assert steps == [(1, 1)] * (len(r.peptide) + r.finished)
+        assert_walks(r, stepped_walk(model, s, 6), rtol=0)
+
+
+def test_a_right_draft_takes_one_at_forward(monkeypatch):
+    model = fine_tuned_small_model()
+    max_len = 6
+    for s in spectra_for(TABLE, 3, seed=67):
+        walk = stepped_walk(model, s, max_len)
+        steer_draft(monkeypatch, walk[0], model.cfg.t_max)
+        steps = count_at_forwards(monkeypatch)
+        r = greedy_at_decode(model, s, max_len)
+        assert steps == [(1, min(len(walk[0]), max_len - 1) + 1)]
+        assert_walks(r, walk, rtol=1e-12)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("j", [0, 2, 4])
+def test_a_draft_wrong_at_one_position_gives_the_stepped_walk(monkeypatch, j):
+    model = fine_tuned_small_model()
+    max_len = 6
+    for s in spectra_for(TABLE, 3, seed=71):
+        walk = stepped_walk(model, s, max_len)
+        assert len(walk[0]) == max_len  # this model's read-out does not end by then
+        draft = list(walk[0])
+        draft[j] = (draft[j] + 1) % TABLE.n_residues
+        steer_draft(monkeypatch, draft, model.cfg.t_max)
+        steps = count_at_forwards(monkeypatch)
+        r = greedy_at_decode(model, s, max_len)
+        assert steps == [(1, max_len)] + [(1, 1)] * (max_len - 1 - j)
+        assert_walks(r, walk, rtol=1e-12)
+        assert beam_search_at(model, s, 1, max_len) == [r]
+        monkeypatch.undo()
+
+
+def test_a_draft_longer_than_max_len_is_cut(monkeypatch):
+    model = fine_tuned_small_model()
+    (s,) = spectra_for(TABLE, 1, seed=73)
+    walk = stepped_walk(model, s, 9)
+    steer_draft(monkeypatch, walk[0], model.cfg.t_max)  # 9 residues
+    steps = count_at_forwards(monkeypatch)
+    for max_len in (1, 3, 9):
+        steps.clear()
+        r = greedy_at_decode(model, s, max_len)
+        assert steps == [(1, max_len)]
+        assert_walks(r, stepped_walk(model, s, max_len), rtol=1e-12)
+
+
+def test_greedy_on_the_fine_tuned_fixture_checks_the_nat_draft(monkeypatch):
+    # The NAT reads the training spectra right, so each of those decodes is
+    # one forward that ends the peptide; outside them the draft breaks early.
+    model = Model.from_checkpoint_blob(*load_checkpoint(str(FIXTURE / "trained.ckpt")))
+    max_len = model.cfg.max_residues
+    steps = count_at_forwards(monkeypatch)
+    for mgf in ("spectra.mgf", "pool.mgf"):
+        for s in parse_mgf((FIXTURE / mgf).read_text(), model.table)[:4]:
+            steps.clear()
+            r = greedy_at_decode(model, s, max_len)
+            if mgf == "spectra.mgf":
+                assert r.finished and steps == [(1, len(r.peptide) + 1)]
+            assert steps[0][0] == 1 and all(shape == (1, 1) for shape in steps[1:])
+            assert r == beam_search_at(model, s, 1, max_len)[0]
+            assert_walks(r, stepped_walk(model, s, max_len), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
