@@ -16,8 +16,12 @@ leading index of the input) and ``scaled_dot_attention`` (multi-head
 attention), each one graph node, the reduction ``sum_all``, and
 ``stop_gradient``. Graphs are built by calling them by name (``add(a, b)``,
 not ``a + b``); slicing, ``t[...]``, is the one operator a Tensor has.
-Inside ``with no_graph():`` the same ops record no graph, for forwards whose
-results no backward reads.
+
+Each op's forward math is an array kernel in :class:`Kernels`, under the
+op's own name: the graph op checks its contract, calls the kernel on its
+inputs' values and records the backward. Forwards whose results no backward
+reads, such as the decoders', run the kernels on plain arrays and build no
+Tensor.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "no_graph",
+    "Kernels",
     "DimensionError",
     "NumericError",
     "constant",
@@ -104,34 +108,14 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-_recording = True  # whether ops record a graph: off inside ``no_graph``
-
-
-class no_graph:
-    """``with no_graph():`` every op inside returns a bare Tensor, one with
-    no parents, no backward and ``requires_grad`` False, whatever its inputs
-    require. For forwards that no backward follows, such as the decoders'.
-    Leaving the block, normally or by an exception, restores the state it
-    found, so blocks nest."""
-
-    def __enter__(self) -> None:
-        global _recording
-        self._outer, _recording = _recording, False
-
-    def __exit__(self, *exc_info) -> None:
-        global _recording
-        _recording = self._outer
-
-
 def _node(values: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(values)
-    if _recording:
-        for p in parents:
-            if p.requires_grad:
-                out.requires_grad = True
-                out._parents = tuple(parents)
-                out._backward = bwd
-                break
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward = bwd
+            break
     return out
 
 
@@ -163,120 +147,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
+# array kernels
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out_vals = a.values + b.values
-
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
-
-    return _node(out_vals, (a, b), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_vals = a.values * b.values
-
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(g * b.values, a.shape))
-        _accum(b, _unbroadcast(g * a.values, b.shape))
-
-    return _node(out_vals, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, -g)
-
-    return _node(-a.values, (a,), bwd)
-
-
-def gelu(a: Tensor) -> Tensor:
-    """GELU in the tanh approximation (smooth everywhere)."""
-    x = a.values
-    k = np.sqrt(2.0 / np.pi)
-    inner = k * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out_vals = 0.5 * x * (1.0 + t)
-
-    def bwd(g: np.ndarray) -> None:
-        d_inner = k * (1.0 + 3 * 0.044715 * x**2)
-        _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner))
-
-    return _node(out_vals, (a,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# shape surgery
-
-
-def _slice(a: Tensor, key) -> Tensor:
-    out_vals = a.values[key]
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _grad_buffer(a)[key] += g
-
-    return _node(out_vals, (a,), bwd)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise DimensionError("concat needs at least one tensor")
-    out_vals = np.concatenate([p.values for p in parts], axis=axis)
-    offsets = [0]
-    for p in parts:
-        offsets.append(offsets[-1] + p.values.shape[axis])
-
-    def bwd(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accum(p, g[tuple(idx)])
-
-    return _node(out_vals, tuple(parts), bwd)
-
-
-def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Select rows (or entries, for 1-D input) along ``axis`` by integer index."""
-    idx = np.asarray(indices, dtype=np.intp)
-    out_vals = np.take(a.values, idx, axis=axis)
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            np.add.at(np.moveaxis(_grad_buffer(a), axis, 0), idx, np.moveaxis(g, axis, 0))
-
-    return _node(out_vals, (a,), bwd)
-
-
-def take_per_row(a: Tensor, indices) -> Tensor:
-    """out[...] = a[..., indices[...]]: one entry of the last axis per row,
-    for ``a`` [..., V] and integer ``indices`` [...]."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if a.ndim < 1 or idx.shape != a.shape[:-1]:
-        raise DimensionError(
-            f"take_per_row needs one index per row: {idx.shape} vs rows {a.shape[:-1]}"
-        )
-    # Each row is read once, so the scatter below meets no index twice.
-    key = np.indices(idx.shape, sparse=True) + (idx,)
-    out_vals = a.values[key]
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _grad_buffer(a)[key] += g
-
-    return _node(out_vals, (a,), bwd)
-
-
-def stop_gradient(a: Tensor) -> Tensor:
-    """Identity in the forward pass; blocks all gradient flow upstream."""
-    return Tensor(a.values, requires_grad=False)
-
-
-# ---------------------------------------------------------------------------
-# fused, numerically stable ops
+_GELU_K = np.sqrt(2.0 / np.pi)
 
 
 def _row_max(x: np.ndarray, op: str) -> np.ndarray:
@@ -290,12 +164,224 @@ def _row_max(x: np.ndarray, op: str) -> np.ndarray:
     return m
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax values over the last axis, for attention; see
+    :func:`_row_max` for its errors."""
+    e = np.exp(x - _row_max(x, "softmax"))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of ``x``, and the tanh its backward reads."""
+    t = np.tanh(_GELU_K * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Layer norm of ``x``, and the normalized rows and inverse deviations
+    its backward reads."""
+    d = x.shape[-1]
+    # np.mean and np.var's own sums and divisions, without their overhead.
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """[..., L, d] as [..., heads, L, d_h]."""
+    return x.reshape(x.shape[:-1] + (heads, -1)).swapaxes(-2, -3)
+
+
+def _merge(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """[..., heads, L, d_h] as ``shape`` [..., L, d]: :func:`_heads` undone."""
+    return x.swapaxes(-2, -3).reshape(shape)
+
+
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None, heads: int):
+    """Multi-head attention of ``q`` over ``k``, ``v``, and what its backward
+    reads: the heads of q, of k transposed and of v, the weights and the scale."""
+    qh, vh = _heads(q, heads), _heads(v, heads)
+    kt = _heads(k, heads).swapaxes(-1, -2)
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    scores = (qh @ kt) * scale
+    if mask is not None:
+        scores = scores + np.where(mask, 0.0, -np.inf)[..., None, :, :]
+    p = _softmax(scores)
+    return _merge(p @ vh, q.shape), (qh, kt, vh, p, scale)
+
+
+def _per_row(idx: np.ndarray) -> tuple:
+    """The index of one entry of the last axis per row, ``idx`` [...], of an
+    array [..., V]."""
+    return np.indices(idx.shape, sparse=True) + (idx,)
+
+
+class Kernels:
+    """The ops on plain float64 arrays, each under its graph op's name.
+
+    A kernel is its op's forward math, which the graph op calls on its
+    inputs' values, so a forward run on kernels computes the graph's values
+    bit for bit. ``constant`` makes an array and ``stop_gradient`` is the
+    identity. Kernels check no contract and record nothing: the caller
+    passes what the graph op accepts. Only the softmaxes keep
+    :func:`_row_max`'s errors.
+    """
+
+    # the ufuncs behind ``a + b``, ``a * b`` and ``-a``, and np.concatenate
+    add, mul, neg, concat = np.add, np.multiply, np.negative, np.concatenate
+
+    @staticmethod
+    def constant(values) -> np.ndarray:
+        return np.asarray(values, dtype=np.float64)
+
+    @staticmethod
+    def stop_gradient(a: np.ndarray) -> np.ndarray:
+        return a
+
+    @staticmethod
+    def gelu(a: np.ndarray) -> np.ndarray:
+        return _gelu(a)[0]
+
+    @staticmethod
+    def gather(a: np.ndarray, indices, axis: int = 0) -> np.ndarray:
+        return np.take(a, np.asarray(indices, dtype=np.intp), axis=axis)
+
+    @staticmethod
+    def take_per_row(a: np.ndarray, indices) -> np.ndarray:
+        return a[_per_row(np.asarray(indices, dtype=np.intp))]
+
+    @staticmethod
+    def log_softmax(x: np.ndarray) -> np.ndarray:
+        shifted = x - _row_max(x, "log_softmax")
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    @staticmethod
+    def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        return _layer_norm(x, gain, bias)[0]
+
+    @staticmethod
+    def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return x @ w + b
+
+    @staticmethod
+    def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                             mask: np.ndarray | None = None, heads: int = 1) -> np.ndarray:
+        return _attention(q, k, v, mask, heads)[0]
+
+    @staticmethod
+    def sum_all(a: np.ndarray) -> np.ndarray:
+        return np.asarray(a.sum())
+
+
+# ---------------------------------------------------------------------------
+# elementwise arithmetic
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    def bwd(g: np.ndarray) -> None:
+        _accum(a, _unbroadcast(g, a.shape))
+        _accum(b, _unbroadcast(g, b.shape))
+
+    return _node(Kernels.add(a.values, b.values), (a, b), bwd)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    def bwd(g: np.ndarray) -> None:
+        _accum(a, _unbroadcast(g * b.values, a.shape))
+        _accum(b, _unbroadcast(g * a.values, b.shape))
+
+    return _node(Kernels.mul(a.values, b.values), (a, b), bwd)
+
+
+def neg(a: Tensor) -> Tensor:
+    def bwd(g: np.ndarray) -> None:
+        _accum(a, -g)
+
+    return _node(Kernels.neg(a.values), (a,), bwd)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """GELU in the tanh approximation (smooth everywhere)."""
+    x = a.values
+    out_vals, t = _gelu(x)
+
+    def bwd(g: np.ndarray) -> None:
+        d_inner = _GELU_K * (1.0 + 3 * 0.044715 * x**2)
+        _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner))
+
+    return _node(out_vals, (a,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# shape surgery
+
+
+def _slice(a: Tensor, key) -> Tensor:
+    def bwd(g: np.ndarray) -> None:
+        if a.requires_grad:
+            _grad_buffer(a)[key] += g
+
+    return _node(a.values[key], (a,), bwd)
+
+
+def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    if not parts:
+        raise DimensionError("concat needs at least one tensor")
+    offsets = [0]
+    for p in parts:
+        offsets.append(offsets[-1] + p.values.shape[axis])
+
+    def bwd(g: np.ndarray) -> None:
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(lo, hi)
+            _accum(p, g[tuple(idx)])
+
+    return _node(Kernels.concat([p.values for p in parts], axis), tuple(parts), bwd)
+
+
+def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
+    """Select rows (or entries, for 1-D input) along ``axis`` by integer index."""
+    idx = np.asarray(indices, dtype=np.intp)
+
+    def bwd(g: np.ndarray) -> None:
+        if a.requires_grad:
+            np.add.at(np.moveaxis(_grad_buffer(a), axis, 0), idx, np.moveaxis(g, axis, 0))
+
+    return _node(Kernels.gather(a.values, idx, axis), (a,), bwd)
+
+
+def take_per_row(a: Tensor, indices) -> Tensor:
+    """out[...] = a[..., indices[...]]: one entry of the last axis per row,
+    for ``a`` [..., V] and integer ``indices`` [...]."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if a.ndim < 1 or idx.shape != a.shape[:-1]:
+        raise DimensionError(
+            f"take_per_row needs one index per row: {idx.shape} vs rows {a.shape[:-1]}"
+        )
+
+    # Each row is read once, so the scatter meets no index twice.
+    def bwd(g: np.ndarray) -> None:
+        if a.requires_grad:
+            _grad_buffer(a)[_per_row(idx)] += g
+
+    return _node(Kernels.take_per_row(a.values, idx), (a,), bwd)
+
+
+def stop_gradient(a: Tensor) -> Tensor:
+    """Identity in the forward pass; blocks all gradient flow upstream."""
+    return Tensor(Kernels.stop_gradient(a.values), requires_grad=False)
+
+
+# ---------------------------------------------------------------------------
+# fused, numerically stable ops
+
+
 def log_softmax(a: Tensor) -> Tensor:
     """Log-softmax over the last axis; see :func:`_row_max` for its errors."""
-    x = a.values
-    shifted = x - _row_max(x, "log_softmax")
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_vals = shifted - lse
+    out_vals = Kernels.log_softmax(a.values)
 
     def bwd(g: np.ndarray) -> None:
         s = np.exp(out_vals)
@@ -304,27 +390,14 @@ def log_softmax(a: Tensor) -> Tensor:
     return _node(out_vals, (a,), bwd)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax values over the last axis, for attention; see
-    :func:`_row_max` for its errors."""
-    e = np.exp(x - _row_max(x, "softmax"))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis (variance + 1e-5), then scale and shift."""
-    xv = x.values
-    d = xv.shape[-1]
+    d = x.shape[-1]
     if gain.values.shape != (d,) or bias.values.shape != (d,):
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    # np.mean and np.var's own sums and divisions, without their overhead.
-    xc = xv - xv.sum(axis=-1, keepdims=True) / d
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
-    out_vals = xhat * gain.values + bias.values
+    out_vals, xhat, inv = _layer_norm(x.values, gain.values, bias.values)
 
     def bwd(g: np.ndarray) -> None:
         lead = tuple(range(g.ndim - 1))
@@ -359,7 +432,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if w.requires_grad:
             _accum(w, _unbroadcast(np.swapaxes(x.values, -1, -2) @ g, w.shape))
 
-    return _node(xv @ wv + bv, (x, w, b), bwd)
+    return _node(Kernels.linear(xv, wv, bv), (x, w, b), bwd)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
@@ -378,39 +451,27 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | Non
     if (not 2 <= len(ks) <= len(qs) or ks[:-2] != qs[len(qs) - len(ks) : -2]
             or vs != ks or qs[-1] != ks[-1] or qs[-1] % heads):
         raise DimensionError(f"attention shapes do not match: {qs}, {ks}, {vs}")
-
-    def split(x: np.ndarray) -> np.ndarray:  # [..., L, d] -> [..., heads, L, d_h]
-        return x.reshape(x.shape[:-1] + (heads, -1)).swapaxes(-2, -3)
-
-    def merge(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        return x.swapaxes(-2, -3).reshape(shape)
-
-    qh, kh, vh = split(q.values), split(k.values), split(v.values)
-    kt = kh.swapaxes(-1, -2)
-    scale = 1.0 / np.sqrt(qh.shape[-1])
-    scores = (qh @ kt) * scale
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        rows = scores.shape[:-3] + scores.shape[-2:]  # the scores without their heads axis
+        rows = qs[:-1] + ks[-2:-1]  # the scores [..., L, S] without their heads axis
         if mask.ndim > len(rows) or any(m not in (1, r) for m, r in zip(mask.shape[::-1], rows[::-1])):
             raise DimensionError(f"mask shape {mask.shape} does not broadcast to scores {rows}")
         if not mask.any(axis=-1).all():
             raise NumericError("attention mask leaves a query row with no allowed position")
-        scores = scores + np.where(mask, 0.0, -np.inf)[..., None, :, :]
-    p = _softmax(scores)
+    out_vals, (qh, kt, vh, p, scale) = _attention(q.values, k.values, v.values, mask, heads)
 
     # Each expression, in order, is the backward of a matmul, scale, mask,
     # softmax, matmul graph, so gradients equal that graph's bit for bit.
     def bwd(g: np.ndarray) -> None:
-        go = split(g)
+        go = _heads(g, heads)
         gp = go @ np.swapaxes(vh, -1, -2)
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-        _accum(q, merge(gs @ np.swapaxes(kt, -1, -2), qs))
+        _accum(q, _merge(gs @ np.swapaxes(kt, -1, -2), qs))
         gkt = _unbroadcast(np.swapaxes(qh, -1, -2) @ gs, kt.shape)
-        _accum(k, merge(np.swapaxes(gkt, -1, -2), ks))
-        _accum(v, merge(_unbroadcast(np.swapaxes(p, -1, -2) @ go, vh.shape), vs))
+        _accum(k, _merge(np.swapaxes(gkt, -1, -2), ks))
+        _accum(v, _merge(_unbroadcast(np.swapaxes(p, -1, -2) @ go, vh.shape), vs))
 
-    return _node(merge(p @ vh, qs), (q, k, v), bwd)
+    return _node(out_vals, (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +482,7 @@ def sum_all(a: Tensor) -> Tensor:
     def bwd(g: np.ndarray) -> None:
         _accum(a, np.broadcast_to(g, a.shape).copy() if a.shape else np.asarray(g))
 
-    return _node(np.asarray(a.values.sum()), (a,), bwd)
+    return _node(Kernels.sum_all(a.values), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

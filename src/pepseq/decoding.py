@@ -83,17 +83,17 @@ class DecodeResult:
     finished: bool  # False when the length cap cut the hypothesis off
 
 
-def _log_probs(model: Model, logits: ad.Tensor) -> np.ndarray:
+def _log_probs(model: Model, logits: np.ndarray) -> np.ndarray:
     """Next-token log-probabilities [..., vocab] from AT logits [..., vocab],
     with the structural tokens, never valid emissions, masked out."""
-    logps = ad.log_softmax(logits).values
+    logps = ad.Kernels.log_softmax(logits)
     logps[..., [model.table.bos_id, model.table.pad_id]] = -np.inf
     return logps
 
 
 def _step_logps(model: Model, spectrum: Spectrum, cache: ATCache, ids: np.ndarray) -> np.ndarray:
     """Masked next-token log-probabilities [n, vocab] after the residue
-    prefixes ``ids`` [n, t], from one cached AT step.
+    prefixes ``ids`` [n, t], from one cached AT step of ``model.arrays``.
 
     The cache holds the prefixes' first t input positions; the step feeds
     the last, each row's last residue (BOS when t is 0) at its prefix and
@@ -101,42 +101,45 @@ def _step_logps(model: Model, spectrum: Spectrum, cache: ATCache, ids: np.ndarra
     """
     tokens = ids[:, -1:] if ids.shape[1] else np.full((len(ids), 1), model.table.bos_id)
     masses = prefix_suffix_masses(ids, spectrum.neutral_mass, model.table)[:, -1:]
-    return _log_probs(model, model.at_forward(tokens, masses, cache)[:, 0])
+    return _log_probs(model, model.arrays.at_forward(tokens, masses, cache)[:, 0])
 
 
 def _next_logps(model: Model, spectrum: Spectrum, ids, enc, nat_latents) -> np.ndarray:
     """Masked next-token log-probabilities after residue prefixes ``ids``.
 
     One prefix [L] gives [vocab]; n prefixes of equal length [n, L] give
-    [n, vocab], all against the one decode context. The prefixes go through
-    the cached steps the decoders take, one position at a time, so the
-    values are the decoders' bit for bit. No graph is recorded.
+    [n, vocab], all against the one decode context of
+    :func:`_decode_context`. The prefixes go through cached steps, one
+    position at a time, so the values are those of a decode that steps, bit
+    for bit: beam search above width 1, and greedy without a draft. Greedy
+    reads the rows of its draft from one forward over the draft, which
+    rounds differently, so there they agree to about 1e-12.
     """
     ids = np.asarray(ids, dtype=np.intp)
     rows = np.atleast_2d(ids)  # one prefix is a batch of one
-    with ad.no_graph():
-        cache = model.at_cache(enc, nat_latents)
-        for t in range(rows.shape[1] + 1):
-            logps = _step_logps(model, spectrum, cache, rows[:, :t])
+    cache = model.arrays.at_cache(enc, nat_latents)
+    for t in range(rows.shape[1] + 1):
+        logps = _step_logps(model, spectrum, cache, rows[:, :t])
     return logps.reshape(ids.shape[:-1] + logps.shape[-1:])
 
 
 def _decode_context(model: Model, spectrum: Spectrum, logits: bool = False):
     """The encoder features and, on a fine-tuned model, the NAT latents
-    (else None), from one front-end pass; with ``logits``, the NAT logits
-    (or None) too."""
-    enc = model.encode_spectrum(spectrum)
-    nat = model.nat_forward(enc) if model.finetuned else NATFeatures(None, None)
+    (else None), as arrays from one front-end pass of ``model.arrays``; with
+    ``logits``, the NAT logits (or None) too."""
+    view = model.arrays
+    enc = view.encode_spectrum(spectrum)
+    nat = view.nat_forward(enc) if view.finetuned else NATFeatures(None, None)
     return (enc, *nat) if logits else (enc, nat.latents)
 
 
-def _draft(model: Model, nat_logits: ad.Tensor | None, max_len: int) -> np.ndarray:
+def _draft(model: Model, nat_logits: np.ndarray | None, max_len: int) -> np.ndarray:
     """The NAT's own prediction as residue ids: the CTC collapse of its
     per-frame argmax, cut to the ``max_len - 1`` residues whose next-token
     rows a decode of ``max_len`` reads. Empty without NAT logits."""
     if nat_logits is None:
         return np.zeros(0, dtype=np.intp)
-    path = nat_logits.values.argmax(axis=-1).tolist()
+    path = nat_logits.argmax(axis=-1).tolist()
     return np.array(ctc_collapse(path, model.table.blank_id)[:max_len - 1], dtype=np.intp)
 
 
@@ -162,7 +165,7 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
     totals and finished flags. Every live hypothesis holds the same number
     of residues, so one cached AT step scores them all; the decode context
     is projected into the cache once, and the cache follows the kept
-    hypotheses' parents. No graph is recorded.
+    hypotheses' parents. The forwards are ``model.arrays``'s.
 
     At width 1 on a fine-tuned model the NAT's own prediction is a draft
     (``_draft``), checked in one forward (blockwise parallel decoding, Stern
@@ -188,37 +191,37 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
     ids = np.full((1, max_len), -1, dtype=np.intp)
     totals = np.zeros(1)
     finished = np.zeros(1, dtype=bool)
-    with ad.no_graph():
-        enc, nat_latents, nat_logits = _decode_context(model, spectrum, logits=True)
-        cache = model.at_cache(enc, nat_latents)
-        draft = _draft(model, nat_logits if width == 1 else None, max_len)
-        tokens = np.concatenate([[table.bos_id], draft])[None]
-        masses = prefix_suffix_masses(draft[None], spectrum.neutral_mass, table)
-        ahead = _log_probs(model, model.at_forward(tokens, masses, cache)[0])
-        for length in range(max_len):  # residues every live hypothesis holds
-            live = ~finished
-            if not live.any():
-                break
-            if length < len(ahead):
-                logps = ahead[length:length + 1]
-            else:
-                logps = _step_logps(model, spectrum, cache, ids[live, :length])
-            n, k = len(logps), len(emitted)
-            grown = np.repeat(ids[live], k, axis=0)
-            grown.reshape(n, k, max_len)[:, :, length] = emitted
-            pool_ids = np.concatenate([ids[finished], grown])
-            pool_totals = np.concatenate(
-                [totals[finished], (totals[live][:, None] + logps[:, columns]).ravel()])
-            pool_finished = np.concatenate(
-                [finished[finished], np.broadcast_to(ends, (n, k)).ravel()])
-            parents = np.concatenate([np.full(finished.sum(), -1), np.arange(n).repeat(k)])
-            # Rank by (-total, ids): lexsort's last key is its first.
-            keep = np.lexsort([*pool_ids[:, length::-1].T, -pool_totals])[:width]
-            ids, totals, finished = pool_ids[keep], pool_totals[keep], pool_finished[keep]
-            if length < len(draft) and ids[0, length] == draft[length]:
-                continue  # still on the draft: the first forward holds the next row
-            ahead = ahead[:length + 1]
-            cache.select(parents[keep][~finished], length + 1)
+    view = model.arrays
+    enc, nat_latents, nat_logits = _decode_context(model, spectrum, logits=True)
+    cache = view.at_cache(enc, nat_latents)
+    draft = _draft(model, nat_logits if width == 1 else None, max_len)
+    tokens = np.concatenate([[table.bos_id], draft])[None]
+    masses = prefix_suffix_masses(draft[None], spectrum.neutral_mass, table)
+    ahead = _log_probs(model, view.at_forward(tokens, masses, cache)[0])
+    for length in range(max_len):  # residues every live hypothesis holds
+        live = ~finished
+        if not live.any():
+            break
+        if length < len(ahead):
+            logps = ahead[length:length + 1]
+        else:
+            logps = _step_logps(model, spectrum, cache, ids[live, :length])
+        n, k = len(logps), len(emitted)
+        grown = np.repeat(ids[live], k, axis=0)
+        grown.reshape(n, k, max_len)[:, :, length] = emitted
+        pool_ids = np.concatenate([ids[finished], grown])
+        pool_totals = np.concatenate(
+            [totals[finished], (totals[live][:, None] + logps[:, columns]).ravel()])
+        pool_finished = np.concatenate(
+            [finished[finished], np.broadcast_to(ends, (n, k)).ravel()])
+        parents = np.concatenate([np.full(finished.sum(), -1), np.arange(n).repeat(k)])
+        # Rank by (-total, ids): lexsort's last key is its first.
+        keep = np.lexsort([*pool_ids[:, length::-1].T, -pool_totals])[:width]
+        ids, totals, finished = pool_ids[keep], pool_totals[keep], pool_finished[keep]
+        if length < len(draft) and ids[0, length] == draft[length]:
+            continue  # still on the draft: the first forward holds the next row
+        ahead = ahead[:length + 1]
+        cache.select(parents[keep][~finished], length + 1)
 
     results = []
     for row, total, done in zip(ids, totals.tolist(), finished.tolist()):
@@ -649,9 +652,8 @@ def nat_pmc_decode(
     of the per-frame argmax path. Confidence is the chosen path's
     log-probability averaged over frames.
     """
-    with ad.no_graph():
-        enc = model.encode_spectrum(spectrum)
-        log_probs = ad.log_softmax(model.nat_forward(enc).logits).values
+    view = model.arrays
+    log_probs = ad.Kernels.log_softmax(view.nat_forward(view.encode_spectrum(spectrum)).logits)
     cfg = PMCConfig(
         target_mass=spectrum.neutral_mass - WATER,
         tolerance=tolerance,

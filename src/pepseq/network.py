@@ -32,6 +32,12 @@ Both decoders read their cross-attention context from an :class:`ATCache`,
 built once per forward or, when decoding, once per spectrum and then extended
 by the positions each forward feeds: one per step, or greedy's draft at once,
 which the cache drops again past the length where the decode leaves it.
+
+The forwards are written once against an op set, ``Model._ops``: the graph
+ops of :mod:`autodiff` over Tensors, for training, and ``model.arrays``, a
+view of the model whose op set is :class:`autodiff.Kernels` and whose
+parameters are the store's arrays, for decoding. The view builds no Tensor
+and computes the graph forwards' values bit for bit.
 """
 
 from __future__ import annotations
@@ -124,7 +130,8 @@ def check_spectrum(spectrum: Spectrum, max_residues: int | None = None) -> None:
 
 
 class NATFeatures(NamedTuple):
-    """NAT decoder output: latents fed to cross-decoder attention, and logits."""
+    """NAT decoder output: latents fed to cross-decoder attention, and logits;
+    Tensors, or arrays from ``model.arrays``."""
 
     latents: Tensor  # [t_max, d], or [B, t_max, d] for a batch
     logits: Tensor  # [t_max, nat_vocab], or [B, t_max, nat_vocab]
@@ -133,7 +140,8 @@ class NATFeatures(NamedTuple):
 class Padded(NamedTuple):
     """Row sets of unequal length padded into one batch: ``rows`` [B, S, d]
     and ``mask`` [B, S], True on the real rows. Used as a cross-attention
-    context, its padding rows are masked out as keys."""
+    context, its padding rows are masked out as keys. The rows are a
+    Tensor, or an array from ``model.arrays``."""
 
     rows: Tensor
     mask: np.ndarray
@@ -159,25 +167,29 @@ def _keys(context: Tensor | Padded) -> tuple[Tensor, np.ndarray | None]:
 class ATCache:
     """A decoder's cache: the key mask of its cross-attention context, each
     layer's cross-attention keys and values, projected once, and each
-    layer's self-attention keys and values of the positions fed so far.
-    Those are plain arrays [n, t, d], one row per prefix, so no graph chains
-    from one call to the next.
+    layer's self-attention keys and values of the positions fed so far,
+    [n, t, d], one row per prefix. It computes with the op set ``ops`` of
+    the forward that built it, and a later call reads the cached positions
+    through ``ops.stop_gradient``, so no graph chains from one call to the
+    next.
     """
 
-    def __init__(self, key_mask: np.ndarray | None, cross: list[tuple[Tensor, Tensor]]):
+    def __init__(self, key_mask: np.ndarray | None, cross: list[tuple], ops):
         self.key_mask = key_mask
         self.cross = cross
-        self.past: list[tuple[np.ndarray, np.ndarray]] = []  # per layer, once fed
+        self.ops = ops
+        self.past: list[tuple] = []  # per layer, once fed
 
-    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+    def extend(self, layer: int, k, v) -> tuple:
         """The keys and values of ``layer`` over the cached positions and the
         new ones ``k``, ``v``; the new ones join the cache."""
+        ops = self.ops
         if layer < len(self.past):
-            k = ad.concat([ad.constant(self.past[layer][0]), k], axis=-2)
-            v = ad.concat([ad.constant(self.past[layer][1]), v], axis=-2)
-            self.past[layer] = (k.values, v.values)
+            k = ops.concat([ops.stop_gradient(self.past[layer][0]), k], axis=-2)
+            v = ops.concat([ops.stop_gradient(self.past[layer][1]), v], axis=-2)
+            self.past[layer] = (k, v)
         else:
-            self.past.append((k.values, v.values))
+            self.past.append((k, v))
         return k, v
 
     def select(self, rows: np.ndarray, length: int | None = None) -> None:
@@ -261,7 +273,12 @@ class Model:
     the tensors the forwards use. A store with a parameter that the layout of
     ``cfg`` lacks, or without one it declares, or of another shape, raises
     ValueError.
+
+    The forwards run the op set ``_ops``: graph ops over Tensors here, array
+    kernels in ``arrays``, this model's :class:`_ArrayView`.
     """
+
+    _ops = ad
 
     def __init__(self, cfg: ModelConfig, table: AminoAcidTable, store: ParameterStore):
         self.cfg = cfg
@@ -283,6 +300,7 @@ class Model:
         if unbound:
             names = ", ".join(map(repr, unbound))
             raise ValueError(f"parameters the model config does not declare: {names}")
+        self.arrays = _ArrayView(self)
 
     # ------------------------------------------------------------------
     # construction
@@ -300,42 +318,43 @@ class Model:
     # ------------------------------------------------------------------
     # shared sublayers
 
-    @staticmethod
-    def _kv(block: dict, rows: Tensor) -> tuple[Tensor, Tensor]:
+    def _kv(self, block: dict, rows):
         """The keys and values an attention block projects from ``rows``."""
-        return ad.linear(rows, block["wk"], block["bk"]), ad.linear(rows, block["wv"], block["bv"])
+        ops = self._ops
+        return ops.linear(rows, block["wk"], block["bk"]), ops.linear(rows, block["wv"], block["bv"])
 
-    def _mha(self, block: dict, x: Tensor, kv: tuple[Tensor, Tensor], mask: np.ndarray | None) -> Tensor:
-        q = ad.linear(x, block["wq"], block["bq"])
-        out = ad.scaled_dot_attention(q, *kv, mask, self.cfg.heads)
-        return ad.linear(out, block["wo"], block["bo"])
+    def _mha(self, block: dict, x, kv: tuple, mask: np.ndarray | None):
+        ops = self._ops
+        q = ops.linear(x, block["wq"], block["bq"])
+        out = ops.scaled_dot_attention(q, *kv, mask, self.cfg.heads)
+        return ops.linear(out, block["wo"], block["bo"])
 
-    def _context(self, tree: dict, rows: Tensor, key_mask: np.ndarray | None) -> ATCache:
+    def _context(self, tree: dict, rows, key_mask: np.ndarray | None) -> ATCache:
         """A cache holding no positions, over the context ``rows`` under
         ``key_mask``: each ``tree`` layer's cross keys and values, projected once."""
-        return ATCache(key_mask, [self._kv(block["cross"], rows) for block in tree["layers"]])
+        return ATCache(key_mask, [self._kv(block["cross"], rows) for block in tree["layers"]], self._ops)
 
-    def _stack(self, tree: dict, x: Tensor, mask: np.ndarray | None,
-               cache: ATCache | None = None) -> Tensor:
+    def _stack(self, tree: dict, x, mask: np.ndarray | None, cache: ATCache | None = None):
         """Pre-norm transformer stack: self-attention under ``mask``; with a
         ``cache`` (the decoders), over its cached positions too, which then
         keeps this call's, and cross-attention to its context; then
         feed-forward; then the final norm."""
+        ops = self._ops
         for i, block in enumerate(tree["layers"]):
-            normed = ad.layer_norm(x, *block["ln1"])
+            normed = ops.layer_norm(x, *block["ln1"])
             kv = self._kv(block["self"], normed)
             if cache is not None:
                 kv = cache.extend(i, *kv)
-            x = ad.add(x, self._mha(block["self"], normed, kv, mask))
+            x = ops.add(x, self._mha(block["self"], normed, kv, mask))
             ffn_ln = "ln2"
             if cache is not None:
-                normed = ad.layer_norm(x, *block["ln2"])
-                x = ad.add(x, self._mha(block["cross"], normed, cache.cross[i], cache.key_mask))
+                normed = ops.layer_norm(x, *block["ln2"])
+                x = ops.add(x, self._mha(block["cross"], normed, cache.cross[i], cache.key_mask))
                 ffn_ln = "ln3"
-            normed = ad.layer_norm(x, *block[ffn_ln])
+            normed = ops.layer_norm(x, *block[ffn_ln])
             w1, b1, w2, b2 = block["ffn"]
-            x = ad.add(x, ad.linear(ad.gelu(ad.linear(normed, w1, b1)), w2, b2))
-        return ad.layer_norm(x, *tree["final_ln"])
+            x = ops.add(x, ops.linear(ops.gelu(ops.linear(normed, w1, b1)), w2, b2))
+        return ops.layer_norm(x, *tree["final_ln"])
 
     # ------------------------------------------------------------------
     # encoder
@@ -345,14 +364,15 @@ class Model:
         the precursor row, then one row per peak, with no positions; padding
         rows are masked out as keys. A lone spectrum is a batch of one,
         returned as its features [k+1, d]."""
+        ops = self._ops
         batch = [spectrum] if isinstance(spectrum, Spectrum) else spectrum
         for s in batch:
             check_spectrum(s)
         peaks, real = pad_rows([embed_peak(s.peaks, self.cfg.d, s.max_intensity) for s in batch])
         mask = np.concatenate([np.ones((len(real), 1), dtype=bool), real], axis=1)  # row 0: precursor
-        charge_rows = ad.gather(self.params["enc"]["charge_emb"], [[s.charge - 1] for s in batch])
+        charge_rows = ops.gather(self.params["enc"]["charge_emb"], [[s.charge - 1] for s in batch])
         masses = encode_float([[s.neutral_mass] for s in batch], self.cfg.d)
-        x = ad.concat([ad.add(charge_rows, ad.constant(masses)), ad.constant(peaks)], axis=1)
+        x = ops.concat([ops.add(charge_rows, ops.constant(masses)), ops.constant(peaks)], axis=1)
         keys = None if real.all() else mask[:, None, :]  # all-True masks nothing: skip it
         features = self._stack(self.params["enc"], x, keys)
         return features[0] if isinstance(spectrum, Spectrum) else Padded(features, mask)
@@ -363,13 +383,14 @@ class Model:
     def nat_forward(self, enc_features: Tensor | Padded) -> NATFeatures:
         """Latents and logits of the ``t_max`` frames; features of a batch
         give one set of frames per row."""
+        ops = self._ops
         rows, key_mask = _keys(enc_features)
         tree = self.params["nat"]
         x = tree["pos_emb"]
         if rows.ndim == 3:  # every row starts from the same position embeddings
-            x = ad.add(ad.constant(np.zeros(rows.shape[:1] + x.shape)), x)
+            x = ops.add(ops.constant(np.zeros(rows.shape[:1] + x.shape)), x)
         latents = self._stack(tree, x, None, self._context(tree, rows, key_mask))
-        logits = ad.linear(latents, *tree["out"])
+        logits = ops.linear(latents, *tree["out"])
         return NATFeatures(latents, logits)
 
     # ------------------------------------------------------------------
@@ -384,11 +405,12 @@ class Model:
         + seg_enc], and gradient into the NAT latents is blocked unless
         ``block_nat_grad=False`` (the ablation switch).
         """
+        ops = self._ops
         tree = self.params["at"]
         rows, key_mask = _keys(enc_features)
         if nat_latents is not None:
-            nv = ad.stop_gradient(nat_latents) if block_nat_grad else nat_latents
-            rows = ad.concat([ad.add(nv, tree["seg_nat"]), ad.add(rows, tree["seg_enc"])], axis=-2)
+            nv = ops.stop_gradient(nat_latents) if block_nat_grad else nat_latents
+            rows = ops.concat([ops.add(nv, tree["seg_nat"]), ops.add(rows, tree["seg_enc"])], axis=-2)
             if key_mask is not None:  # every NAT frame is a real key
                 frames = np.ones(key_mask.shape[:-1] + nv.shape[-2:-1], dtype=bool)
                 key_mask = np.concatenate([frames, key_mask], axis=-1)
@@ -428,11 +450,12 @@ class Model:
             raise ValueError(f"a cached step takes one new position per cached prefix, "
                              f"got tokens {tokens.shape}")
 
+        ops = self._ops
         tree = self.params["at"]
         mass_rows = encode_float(masses, self.cfg.d).sum(axis=-2)
-        x = ad.add(ad.gather(tree["tok_emb"], tokens), ad.constant(mass_rows))
+        x = ops.add(ops.gather(tree["tok_emb"], tokens), ops.constant(mass_rows))
         x = self._stack(tree, x, causal, cache)
-        return ad.linear(x, *tree["out"])
+        return ops.linear(x, *tree["out"])
 
     # ------------------------------------------------------------------
     # persistence
@@ -452,3 +475,26 @@ class Model:
         if type(model.finetuned) is not bool:
             raise ValueError(f"metadata field 'finetuned' must be true or false, got {model.finetuned!r}")
         return model
+
+
+class _ArrayView(Model):
+    """``model.arrays``: the model's forwards on plain arrays, for decoding.
+
+    Its op set is :class:`autodiff.Kernels` and its ``params`` the tree of
+    the store's arrays, each a parameter Tensor's ``.values``. AdamW writes
+    those arrays in place, as does any in-place edit, so the view stays the
+    model's; it reads ``finetuned`` from the model. It takes and returns
+    arrays where the model takes and returns Tensors, and builds no Tensor.
+    """
+
+    _ops = ad.Kernels
+
+    def __init__(self, model: Model):
+        self.cfg, self.table, self.store = model.cfg, model.table, model.store
+        self._model = model
+        self.params = _layout(model.cfg, model.table,
+                              lambda partition, name, *_: model.store.get(partition, name).values)
+
+    @property
+    def finetuned(self) -> bool:
+        return self._model.finetuned

@@ -245,7 +245,8 @@ class FeatureCache:
 
     Sound only because the encoder and NAT partitions are frozen and the
     NAT latents are gradient-blocked: the cached tensors are constants of
-    the fine-tuning problem.
+    the fine-tuning problem. A miss runs the encoder and NAT on
+    ``model.arrays``, which records no graph.
     """
 
     def __init__(self, model: Model):
@@ -255,9 +256,9 @@ class FeatureCache:
     def get(self, spectrum: Spectrum) -> tuple[Tensor, Tensor]:
         hit = self._store.get(spectrum.spectrum_id)
         if hit is None:
-            enc = self.model.encode_spectrum(spectrum)
-            nat = self.model.nat_forward(enc)
-            hit = (ad.constant(enc.values), ad.constant(nat.latents.values))
+            view = self.model.arrays
+            enc = view.encode_spectrum(spectrum)
+            hit = (ad.constant(enc), ad.constant(view.nat_forward(enc).latents))
             self._store[spectrum.spectrum_id] = hit
         return hit
 

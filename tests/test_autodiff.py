@@ -80,35 +80,84 @@ class TestSoftmaxFastPath:
                 ad.log_softmax(ad.constant(x))
 
 
-class TestNoGraph:
-    def test_ops_inside_record_nothing_and_compute_the_same_values(self):
-        rng = make_rng(21)
-        x, w, b = (ad.parameter(rng.normal(size=shape)) for shape in ((2, 3, 4), (4, 4), (4,)))
+def causal(n):
+    return np.tril(np.ones((n, n), dtype=bool))
 
-        def forward():
-            h = ad.linear(x, w, b)
-            h = ad.concat([h, ad.gelu(h)], axis=-2)
-            return ad.log_softmax(ad.scaled_dot_attention(h, h, h, heads=2))
 
-        graph = forward()
-        with ad.no_graph():
-            bare = forward()
-        assert graph.requires_grad and graph._parents
-        assert not bare.requires_grad and bare._parents == () and bare._backward is None
-        assert np.array_equal(bare.values, graph.values)
+KEY_MASK = np.array([[[True] * 6], [[True] * 4 + [False] * 2], [[True] + [False] * 5]])  # [3, 1, 6]
 
-    def test_state_comes_back_on_exit_on_an_exception_and_when_nested(self):
-        w = ad.parameter(np.ones(3))
-        with ad.no_graph():
-            with ad.no_graph():
-                pass
-            assert not ad.add(w, w).requires_grad  # the inner block restored "off"
-        assert ad.add(w, w).requires_grad
-        with pytest.raises(ZeroDivisionError):
-            with ad.no_graph():
-                1 / 0
-        out = ad.add(w, w)
-        assert out.requires_grad and out._parents == (w, w)
+# Each case is written once against an op set ``ops``, drawing its inputs
+# with ``t(*shape)``: plain arrays for the kernels, parameters for the graph
+# ops. "One row" is a decode step's [n, 1, d]; its attention reads n cached
+# prefixes [n, t, d], or one shared context [S, d].
+KERNEL_CASES = {
+    "constant": lambda ops, t: ops.constant(np.arange(6).reshape(2, 3)),
+    "stop_gradient": lambda ops, t: ops.stop_gradient(t(5, 1, 8)),
+    "add: one row": lambda ops, t: ops.add(t(5, 1, 8), t(8)),
+    "mul: one row": lambda ops, t: ops.mul(t(5, 1, 8), t(5, 1, 1)),
+    "neg: one row": lambda ops, t: ops.neg(t(5, 1, 8)),
+    "gelu: one row": lambda ops, t: ops.gelu(t(5, 1, 8)),
+    "concat: a cached step": lambda ops, t: ops.concat([t(5, 3, 8), t(5, 1, 8)], axis=-2),
+    "gather: token rows": lambda ops, t: ops.gather(t(7, 8), [[3], [0], [3]]),
+    "take_per_row: one row": lambda ops, t: ops.take_per_row(t(5, 1, 8), [[0], [7], [2], [2], [5]]),
+    "log_softmax: one row": lambda ops, t: ops.log_softmax(t(5, 1, 8)),
+    "layer_norm: one row": lambda ops, t: ops.layer_norm(t(5, 1, 8), t(8), t(8)),
+    "layer_norm: batched": lambda ops, t: ops.layer_norm(t(3, 6, 8), t(8), t(8)),
+    "linear: one row": lambda ops, t: ops.linear(t(5, 1, 8), t(8, 8), t(8)),
+    "linear: batched": lambda ops, t: ops.linear(t(3, 6, 8), t(8, 4), t(4)),
+    "scaled_dot_attention: one row over cached prefixes": lambda ops, t: ops.scaled_dot_attention(
+        t(5, 1, 8), t(5, 4, 8), t(5, 4, 8)),
+    "scaled_dot_attention: one row over a shared context, heads=2": lambda ops, t: ops.scaled_dot_attention(
+        t(5, 1, 8), t(9, 8), t(9, 8), None, 2),
+    "scaled_dot_attention: batched under a key mask": lambda ops, t: ops.scaled_dot_attention(
+        t(3, 4, 8), t(3, 6, 8), t(3, 6, 8), KEY_MASK),
+    "scaled_dot_attention: batched under a key mask, heads=2": lambda ops, t: ops.scaled_dot_attention(
+        t(3, 4, 8), t(3, 6, 8), t(3, 6, 8), KEY_MASK, 2),
+    "scaled_dot_attention: causal": lambda ops, t: ops.scaled_dot_attention(
+        t(2, 5, 8), t(2, 5, 8), t(2, 5, 8), causal(5)),
+    "scaled_dot_attention: causal, heads=2": lambda ops, t: ops.scaled_dot_attention(
+        t(2, 5, 8), t(2, 5, 8), t(2, 5, 8), causal(5), 2),
+    "sum_all": lambda ops, t: ops.sum_all(t(3, 4)),
+}
+
+
+def drawing(seed, wrap):
+    rng = make_rng(seed)
+    return lambda *shape: wrap(rng.normal(size=shape))
+
+
+class TestKernels:
+    def test_every_graph_op_has_a_kernel_and_a_case(self):
+        ops = {name for name in ad.__all__ if callable(getattr(ad, name))
+               and not isinstance(getattr(ad, name), type)} - {"parameter", "backward", "finite_diff_check"}
+        assert ops == {name for name in vars(ad.Kernels) if not name.startswith("_")}
+        assert ops == {case.split(":")[0] for case in KERNEL_CASES}
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_kernel_equals_its_graph_op_bit_for_bit(self, case, monkeypatch):
+        made, init = [], ad.Tensor.__init__
+
+        def counting(tensor, *args, **kwargs):
+            made.append(1)
+            init(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting)
+        kernel = KERNEL_CASES[case](ad.Kernels, drawing(31, lambda x: x))
+        assert made == [] and type(kernel) is np.ndarray and kernel.dtype == np.float64
+        graph = KERNEL_CASES[case](ad, drawing(31, ad.parameter)).values
+        assert kernel.shape == graph.shape and np.array_equal(kernel, graph)
+
+    def test_softmax_kernels_keep_their_errors(self):
+        x = make_rng(32).normal(size=(2, 1, 5))
+        x[1, 0, 3] = np.nan
+        with pytest.raises(ad.NumericError, match="log_softmax input contains NaN"):
+            ad.Kernels.log_softmax(x)
+        q = make_rng(33).normal(size=(2, 1, 4))
+        with pytest.raises(ad.NumericError, match="softmax input contains NaN"):
+            ad.Kernels.scaled_dot_attention(q, x[..., :4].reshape(2, 1, 4), q)
+        masked = np.array([[[True]], [[False]]])  # the second row may attend nowhere
+        with pytest.raises(ad.NumericError, match="softmax row has no finite entry"):
+            ad.Kernels.scaled_dot_attention(q, q, q, masked)
 
 
 class TestForwardValues:

@@ -6,7 +6,7 @@ hypothesis on a 3-residue toy model, scored exactly the way the decoder
 scores them.
 """
 
-import dataclasses
+import copy
 import itertools
 from pathlib import Path
 
@@ -24,10 +24,12 @@ from pepseq.decoding import (
     nat_pmc_decode,
 )
 from pepseq.mgf import parse_mgf
-from pepseq.network import MAX_CHARGE, Model, ModelConfig, NATFeatures, prefix_suffix_masses
-from pepseq.params import load_checkpoint
+from pepseq.network import Model, ModelConfig, NATFeatures, prefix_suffix_masses
+from pepseq.optim import OptimizerState
+from pepseq.params import load_checkpoint, save_checkpoint
 from pepseq.spectra import AminoAcidTable, Peptide, random_peptide, simulate_spectrum
-from pepseq.training import FeatureCache, _stage1_losses
+from pepseq.training import (AnnealSchedule, FeatureCache, LRConfig, TrainState, _stage1_losses,
+                             finetune_stage2_step)
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 TABLE = AminoAcidTable()
@@ -333,48 +335,52 @@ def test_each_decode_and_cache_miss_encodes_once(monkeypatch, finetuned):
 # the incremental AT cache
 
 
-def cached_steps(model, cache, tokens, masses):
-    """Logits of each position, fed through ``cache`` one at a time."""
-    return np.concatenate([model.at_forward(tokens[:, t:t + 1], masses[:, t:t + 1], cache).values
+def cached_steps(view, cache, tokens, masses):
+    """Logits of each position, fed through ``cache`` one at a time by the
+    arrays view ``view``, as the decoders feed it."""
+    return np.concatenate([view.at_forward(tokens[:, t:t + 1], masses[:, t:t + 1], cache)
                            for t in range(tokens.shape[1])], axis=1)
 
 
 @pytest.mark.parametrize("finetuned", [False, True])
 def test_cached_steps_equal_one_full_forward(finetuned):
     model = small_model()
+    view = model.arrays
     model.finetuned = finetuned  # True: the context gains the NAT latents
     for s in spectra_for(TABLE, 3, seed=17, min_len=4, max_len=8):
         enc, nat = _decode_context(model, s)
         ids = np.array([[TABLE.index_of(r) for r in s.truth]])
         tokens = np.concatenate([[[TABLE.bos_id]], ids], axis=1)
         masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
-        cache = model.at_cache(enc, nat)
-        context_len = len(enc.values) + (model.cfg.t_max if finetuned else 0)
-        assert all(len(k.values) == len(v.values) == context_len for k, v in cache.cross)
-        stepped = cached_steps(model, cache, tokens, masses)
-        full = model.at_forward(tokens, masses, model.at_cache(enc, nat)).values
+        cache = view.at_cache(enc, nat)
+        context_len = len(enc) + (model.cfg.t_max if finetuned else 0)
+        assert all(len(k) == len(v) == context_len for k, v in cache.cross)
+        stepped = cached_steps(view, cache, tokens, masses)
+        full = view.at_forward(tokens, masses, view.at_cache(enc, nat))
         np.testing.assert_allclose(stepped, full, rtol=0, atol=1e-12)
         assert all(k.shape == v.shape == (1, tokens.shape[1], model.cfg.d) for k, v in cache.past)
 
 
 def test_a_prefix_fed_at_once_then_cached_steps_equal_one_full_forward():
     model = small_model()
+    view = model.arrays
     model.finetuned = True
     (s,) = spectra_for(TABLE, 1, seed=23, min_len=5, max_len=8)
     enc, nat = _decode_context(model, s)
     ids = np.array([[TABLE.index_of(r) for r in s.truth]] * 2)
     tokens = np.concatenate([np.full((2, 1), TABLE.bos_id), ids], axis=1)
     masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
-    cache = model.at_cache(enc, nat)
-    fed = model.at_forward(tokens[:, :3], masses[:, :3], cache).values  # an empty cache takes L positions
-    stepped = np.concatenate([fed, cached_steps(model, cache, tokens[:, 3:], masses[:, 3:])], axis=1)
-    full = model.at_forward(tokens, masses, model.at_cache(enc, nat)).values
+    cache = view.at_cache(enc, nat)
+    fed = view.at_forward(tokens[:, :3], masses[:, :3], cache)  # an empty cache takes L positions
+    stepped = np.concatenate([fed, cached_steps(view, cache, tokens[:, 3:], masses[:, 3:])], axis=1)
+    full = view.at_forward(tokens, masses, view.at_cache(enc, nat))
     np.testing.assert_allclose(stepped, full, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("finetuned", [False, True])
 def test_reordered_cache_equals_one_rebuilt_from_the_parents(finetuned):
     model = small_model()
+    view = model.arrays
     model.finetuned = finetuned
     (s,) = spectra_for(TABLE, 1, seed=29)
     enc, nat = _decode_context(model, s)
@@ -383,46 +389,68 @@ def test_reordered_cache_equals_one_rebuilt_from_the_parents(finetuned):
     tokens = np.concatenate([np.full((5, 1), TABLE.bos_id), ids], axis=1)
     masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
     parents = np.array([3, 3, 0, 4])
-    cache = model.at_cache(enc, nat)
-    cached_steps(model, cache, tokens[:, :-1], masses[:, :-1])
+    cache = view.at_cache(enc, nat)
+    cached_steps(view, cache, tokens[:, :-1], masses[:, :-1])
     cache.select(parents)
-    rebuilt = model.at_cache(enc, nat)
-    cached_steps(model, rebuilt, tokens[parents, :-1], masses[parents, :-1])
+    rebuilt = view.at_cache(enc, nat)
+    cached_steps(view, rebuilt, tokens[parents, :-1], masses[parents, :-1])
     step = (tokens[parents, -1:], masses[parents, -1:])
-    assert np.array_equal(model.at_forward(*step, cache).values,
-                          model.at_forward(*step, rebuilt).values)
+    assert np.array_equal(view.at_forward(*step, cache),
+                          view.at_forward(*step, rebuilt))
 
 
 def test_a_cut_cache_steps_as_one_fed_only_the_kept_positions():
     model = small_model()
+    view = model.arrays
     model.finetuned = True
     (s,) = spectra_for(TABLE, 1, seed=79, min_len=6, max_len=8)
     enc, nat = _decode_context(model, s)
     ids = np.array([[TABLE.index_of(r) for r in s.truth]])
     tokens = np.concatenate([[[TABLE.bos_id]], ids], axis=1)
     masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
-    cut, kept = model.at_cache(enc, nat), model.at_cache(enc, nat)
-    model.at_forward(tokens, masses, cut)  # every position
-    model.at_forward(tokens[:, :3], masses[:, :3], kept)
+    cut, kept = view.at_cache(enc, nat), view.at_cache(enc, nat)
+    view.at_forward(tokens, masses, cut)  # every position
+    view.at_forward(tokens[:, :3], masses[:, :3], kept)
     whole = cut.past[0][0]
     cut.select([0], 3)
     assert cut.past[0][0].shape == (1, 3, model.cfg.d)
     assert np.shares_memory(cut.past[0][0], whole)  # rows in order: a view, no copy
     step = (tokens[:, 3:4], masses[:, 3:4])
-    np.testing.assert_allclose(model.at_forward(*step, cut).values,
-                               model.at_forward(*step, kept).values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(view.at_forward(*step, cut),
+                               view.at_forward(*step, kept), rtol=0, atol=1e-12)
+
+
+def test_the_model_steps_a_cache_of_tensors_as_the_arrays_view_steps_one_of_arrays():
+    model = small_model()
+    model.finetuned = True
+    (s,) = spectra_for(TABLE, 1, seed=31, min_len=5, max_len=8)
+    truth = [TABLE.index_of(r) for r in s.truth]
+    ids = np.array([truth, truth[::-1]])
+    tokens = np.concatenate([np.full((2, 1), TABLE.bos_id), ids], axis=1)
+    masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
+    enc = model.encode_spectrum(s)
+    tensors, arrays = model.at_cache(enc, model.nat_forward(enc).latents), model.arrays.at_cache(
+        *_decode_context(model, s))
+    for cache, step in ((tensors, model.at_forward), (arrays, model.arrays.at_forward)):
+        step(tokens[:, :3], masses[:, :3], cache)
+        cache.select(np.array([1, 0]))
+    graph = model.at_forward(tokens[:, 3:4], masses[:, 3:4], tensors)
+    assert np.array_equal(graph.values, model.arrays.at_forward(tokens[:, 3:4], masses[:, 3:4], arrays))
+    ad.backward(ad.sum_all(graph))  # through the cached positions, read as constants
+    assert model.store.get("at", "tok_emb").grad is not None
 
 
 def test_cached_step_rejects_a_mismatched_position():
     model = small_model()
+    view = model.arrays
     (s,) = spectra_for(TABLE, 1, seed=2)
     enc, _ = _decode_context(model, s)
-    cache = model.at_cache(enc)
+    cache = view.at_cache(enc)
     bos = np.full((2, 1), TABLE.bos_id)
-    model.at_forward(bos, np.zeros((2, 1, 2)), cache)
+    view.at_forward(bos, np.zeros((2, 1, 2)), cache)
     for tokens in (np.full((3, 1), 0), np.full((2, 2), 0)):  # other rows; two positions
         with pytest.raises(ValueError):
-            model.at_forward(tokens, np.zeros(tokens.shape + (2,)), cache)
+            view.at_forward(tokens, np.zeros(tokens.shape + (2,)), cache)
 
 
 @pytest.mark.parametrize("finetuned", [False, True])
@@ -485,12 +513,14 @@ def test_one_at_forward_per_step_and_one_encoder_pass_per_decode(monkeypatch, fi
 def steer_draft(monkeypatch, residues, t_max):
     """Make the NAT logits' per-frame argmax spell ``residues`` (a blank
     between equal neighbours, blanks after), so that the draft is exactly
-    them. The NAT latents, and so the AT decoder's context, stay the model's."""
+    them. The NAT latents, and so the AT decoder's context, stay the model's.
+    The logits are an array, as the decoders' forwards (``model.arrays``)
+    return them."""
     blank, frames = TABLE.blank_id, []
     for r in residues:
         frames += [blank] * bool(frames and frames[-1] == r) + [r]
     frames += [blank] * (t_max - len(frames))
-    logits = ad.constant(np.eye(TABLE.nat_vocab_size)[frames])
+    logits = np.eye(TABLE.nat_vocab_size)[frames]
     nat_forward = Model.nat_forward
     monkeypatch.setattr(Model, "nat_forward", lambda self, enc: NATFeatures(
         nat_forward(self, enc).latents, logits))
@@ -606,43 +636,74 @@ def test_greedy_on_the_fine_tuned_fixture_checks_the_nat_draft(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# decodes record no graph
+# decodes run on plain arrays
 
 
-def test_decodes_record_no_graph_and_training_forwards_still_do(monkeypatch):
-    model = Model.from_checkpoint_blob(*load_checkpoint(str(FIXTURE / "trained.ckpt")))
+def count_tensors(monkeypatch):
+    """A list that grows by one at each Tensor construction, counted as the
+    benchmark's tracer counts them."""
+    made, init = [], ad.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting)
+    return made
+
+
+def trained_model():
+    return Model.from_checkpoint_blob(*load_checkpoint(str(FIXTURE / "trained.ckpt")))
+
+
+def decode_all(model, s, max_len):
+    return (greedy_at_decode(model, s, max_len), beam_search_at(model, s, 5, max_len),
+            nat_pmc_decode(model, s))
+
+
+def test_decodes_construct_no_tensor_and_a_training_step_still_records_its_graph(monkeypatch):
+    model = trained_model()
     for partition in ("enc", "nat"):  # so that every forward could record a graph
         model.store.unfreeze(partition)
     spectra = parse_mgf((FIXTURE / "spectra.mgf").read_text(), model.table)[:2]
     s, max_len = spectra[0], model.cfg.max_residues
-    enc, nat = _decode_context(model, s)  # outside any decoder: _next_logps takes it as given
-
-    def stage1_records_a_graph():
-        at_loss, nat_loss = _stage1_losses(model, spectra)
-        return all(loss.requires_grad and loss._parents for loss in (at_loss, nat_loss))
-
-    outputs = {}
-    for name in ("encode_spectrum", "nat_forward", "at_forward"):
-        def spy(self, *args, _name=name, _original=getattr(Model, name), **kwargs):
-            out = _original(self, *args, **kwargs)
-            outputs.setdefault(_name, []).extend(out if isinstance(out, tuple) else [out])
-            return out
-
-        monkeypatch.setattr(Model, name, spy)
-
+    made = count_tensors(monkeypatch)
+    enc, nat = _decode_context(model, s)
     greedy_at_decode(model, s, max_len)
     beam_search_at(model, s, 5, max_len)
     _next_logps(model, s, [0, 1, 2], enc, nat)
     nat_pmc_decode(model, s)
-    assert sorted(outputs) == ["at_forward", "encode_spectrum", "nat_forward"]
-    for name, tensors in outputs.items():
-        for t in tensors:
-            assert not t.requires_grad and t._parents == () and t._backward is None, name
-    assert stage1_records_a_graph()
+    assert made == []
+    at_loss, nat_loss = _stage1_losses(model, spectra)
+    assert made and all(loss.requires_grad and loss._parents for loss in (at_loss, nat_loss))
 
-    # A decode that raises inside its graph-free block leaves recording on.
-    bad = dataclasses.replace(s, charge=MAX_CHARGE + 1)
-    for decode in (lambda: greedy_at_decode(model, bad, max_len), lambda: nat_pmc_decode(model, bad)):
-        with pytest.raises(ValueError, match="charge"):
-            decode()
-        assert stage1_records_a_graph()
+
+def test_a_greedy_decode_after_a_stage2_step_equals_one_from_the_saved_checkpoint(tmp_path):
+    model = Model.from_checkpoint_blob(*load_checkpoint(str(FIXTURE / "untrained.ckpt")))
+    spectra = parse_mgf((FIXTURE / "spectra.mgf").read_text(), model.table)[:3]
+    max_len = model.cfg.max_residues
+    before = [greedy_at_decode(model, s, max_len) for s in spectra]
+    for partition in ("enc", "nat"):
+        model.store.freeze(partition)
+    state = TrainState(model=model, opt=OptimizerState(lr=1e-3), anneal=AnnealSchedule(10),
+                       lr=LRConfig(warmup_steps=1, total_steps=10))
+    finetune_stage2_step(model, spectra, state, FeatureCache(model))  # AdamW, in place
+    assert model.finetuned and model.arrays.finetuned
+    path = tmp_path / "stage2.ckpt"
+    save_checkpoint(str(path), model.store, model.metadata())
+    reloaded = Model.from_checkpoint_blob(*load_checkpoint(str(path)))
+    after = [greedy_at_decode(model, s, max_len) for s in spectra]
+    assert after == [greedy_at_decode(reloaded, s, max_len) for s in spectra]
+    assert after != before
+
+
+def test_a_deep_copy_decodes_identically_and_owns_its_arrays():
+    model = trained_model()
+    twin = copy.deepcopy(model)
+    assert twin.arrays.finetuned and twin.arrays.params["at"]["out"][1] is twin.store.get("at", "out.b").values
+    spectra = parse_mgf((FIXTURE / "pool.mgf").read_text(), model.table)[:3]
+    max_len = model.cfg.max_residues
+    ours = [decode_all(model, s, max_len) for s in spectra]
+    assert [decode_all(twin, s, max_len) for s in spectra] == ours
+    twin.store.get("at", "out.b").values[:] = 0.0  # the original's view does not see the copy's edit
+    assert [decode_all(model, s, max_len) for s in spectra] == ours

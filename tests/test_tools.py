@@ -1,6 +1,7 @@
 """Tests of tools/: two runs of identity.py on two fixture spectra print the
-same digest for every part, and pairs.py summarizes canned runs and runs
-stub benchmarks in alternating pairs."""
+same digest for every part, identity.py --against names the one part a
+changed tree computes differently, and pairs.py summarizes canned runs and
+runs stub benchmarks in alternating pairs."""
 
 import importlib.util
 import json
@@ -28,6 +29,25 @@ def test_identity_digests_repeat_and_cover_every_part():
         for decoder in ("greedy", "beam5", "nat-pmc")
     ] + ["train/trained", "train/untrained", "build"]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
+
+
+def test_identity_against_a_tree_names_the_part_that_differs(tmp_path):
+    # A tree whose new models draw their weights at another scale: only the
+    # freshly built checkpoint differs, the fixture checkpoints' parts do not.
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    network = tmp_path / "src" / "pepseq" / "network.py"
+    text = network.read_text()
+    assert text.count("rng.normal(0.0, 0.02,") == 1
+    network.write_text(text.replace("rng.normal(0.0, 0.02,", "rng.normal(0.0, 0.03,"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    cmd = [sys.executable, str(ROOT / "tools" / "identity.py"), "--limit", "1",
+           "--against", str(tmp_path / "src")]
+    run = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stderr[-2000:]
+    lines = [line.split() for line in run.stdout.splitlines()]
+    assert len(lines) == 9 and all(len(fields) == 4 for fields in lines)
+    assert [(part, verdict) for part, ours, theirs, verdict in lines if ours != theirs] == [("build", "DIFF")]
+    assert all(verdict == "same" for part, _, _, verdict in lines if part != "build")
 
 
 def load_pairs():

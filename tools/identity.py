@@ -1,7 +1,7 @@
 """Digests of what the program computes on the benchmark fixture, to check
 that two source trees agree bit for bit.
 
-    python tools/identity.py [--src DIR] [--limit N] [--dump PART]
+    python tools/identity.py [--src DIR] [--limit N] [--dump PART | --against DIR]
 
 Imports ``pepseq`` from DIR (default: the ``src/`` beside this tool) and
 prints one ``PART sha256`` line per part. A part's digest is taken over its
@@ -22,15 +22,21 @@ lines, in which every float is written exactly, by ``float.hex``:
 The beam width, nat-pmc settings, batch size and training schedule are the
 benchmark's, read from ``bench/worker.py``. ``--limit N`` runs on the first N
 spectra only. ``--dump PART`` prints the lines behind PART's digest instead of
-the digests. Run it on two trees (a ``git archive`` of the parent commit in a
-scratch directory, say) and compare the outputs; with ``--dump``, a ``diff``
-then shows which lines moved.
+the digests.
+
+``--against DIR`` compares two trees: it then computes the digests of the
+``pepseq`` in DIR too, in a child process with the same ``--limit``, and
+prints ``PART DIGEST DIR_DIGEST`` and ``same`` or ``DIFF`` per part, exiting
+1 if any part differs. DIR may be the ``src/`` of a ``git archive`` of the
+parent commit in a scratch directory, say. ``--dump`` on each tree and a
+``diff`` then show which lines of a differing part moved.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -126,7 +132,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding pepseq")
     parser.add_argument("--limit", type=int, default=None, help="use the first N spectra only")
-    parser.add_argument("--dump", metavar="PART", help="print the lines behind PART's digest")
+    shown = parser.add_mutually_exclusive_group()
+    shown.add_argument("--dump", metavar="PART", help="print the lines behind PART's digest")
+    shown.add_argument("--against", type=Path, metavar="DIR",
+                       help="compare each digest with that of the pepseq in DIR")
     args = parser.parse_args(argv)
     if args.limit is not None and args.limit < 1:
         parser.error(f"--limit must be at least 1, got {args.limit}")
@@ -142,9 +151,24 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no part {args.dump!r}; the parts are {', '.join(found)}")
         print("\n".join(found[args.dump]))
         return 0
-    for part, lines in found.items():
-        print(part, hashlib.sha256("\n".join(lines).encode()).hexdigest())
-    return 0
+    digests = {part: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+               for part, lines in found.items()}
+    if args.against is None:
+        for part, digest in digests.items():
+            print(part, digest)
+        return 0
+    cmd = [sys.executable, __file__, "--src", str(args.against)]
+    other = subprocess.run(cmd + ["--limit", str(args.limit)] * (args.limit is not None),
+                           stdout=subprocess.PIPE, text=True)
+    if other.returncode:
+        parser.error(f"the run on {args.against} exited with {other.returncode}")
+    theirs = dict(line.split() for line in other.stdout.splitlines())
+    differ = False
+    for part, digest in digests.items():
+        same = theirs.get(part) == digest
+        differ |= not same
+        print(part, digest, theirs.get(part, "-"), "same" if same else "DIFF")
+    return int(differ)
 
 
 if __name__ == "__main__":
