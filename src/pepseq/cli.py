@@ -7,15 +7,16 @@ SHA-256 of its effective configuration in a JSON manifest next to its
 outputs. A seed is mandatory (--seed or training.seed) and every command
 is deterministic given (config, seed).
 
-Exit codes: 0 success, 1 usage/config problems, 2 data problems (missing
-or malformed files, id mismatches, vocabulary clashes), 3 numeric failure
-during training.
+Exit codes: 0 success, 1 usage/config problems (an output that cannot be
+written included), 2 data problems (missing or malformed files, id
+mismatches, vocabulary clashes), 3 numeric failure during training.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import hashlib
 import io
@@ -128,8 +129,19 @@ def _open_text(path: Path, error: type[Exception], newline: str | None = None) -
         raise error(f"{path} line {line}: not UTF-8 text ({e.reason})") from e
 
 
+@contextlib.contextmanager
+def _output(path: Path):
+    """Around the code that writes the output file ``path``: an OSError
+    there, say a directory in the file's place, is a usage error naming the
+    file, as an ``--out`` that cannot be made is."""
+    try:
+        yield path
+    except OSError as e:
+        raise UsageError(f"{path}: cannot write the output file ({e.strerror})") from e
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    with path.open("w", newline="") as fh:
+    with _output(path), path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -269,7 +281,8 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, extra: dict) -> Non
         "config_sha256": cfg.sha256(),
     }
     manifest.update(extra)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with _output(out / "manifest.json") as path:
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _batches(n: int, size: int, rng: np.random.Generator):
@@ -332,7 +345,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             )
         except ValueError as e:  # m/z noise wide enough to push a peak to m/z <= 0
             raise UsageError(f"bad simulation.mz_sigma {noise.mz_sigma}: {e}") from e
-    (out / "spectra.mgf").write_text(write_mgf(spectra))
+    with _output(out / "spectra.mgf") as path:
+        path.write_text(write_mgf(spectra))
     _write_manifest(out, "simulate", cfg, {
         "n_spectra": n,
         "outputs": {"mgf": "spectra.mgf"},
@@ -407,8 +421,9 @@ def _save(out: Path, model: Model, opt: OptimizerState, stage: str, record: dict
     if record["next_step"] != opt.step:
         record = {**record, "optimizer_from": record["next_step"] - opt.step}
     optimizer = {"step": opt.step, "m": opt.m, "v": opt.v}
-    save_checkpoint(str(out / "checkpoint.bin"), model.store,
-                    model.metadata({**(carried or {}), stage: record, "optimizer": optimizer}))
+    with _output(out / "checkpoint.bin") as path:
+        save_checkpoint(str(path), model.store,
+                        model.metadata({**(carried or {}), stage: record, "optimizer": optimizer}))
 
 
 def _run_stage(out: Path, step, corpus: list[Spectrum], batches, start: int, total: int,
@@ -422,7 +437,7 @@ def _run_stage(out: Path, step, corpus: list[Spectrum], batches, start: int, tot
     periodic checkpoint, if any, stays on disk untouched.
     """
     rows = []
-    with (out / "metrics.csv").open("w", newline="") as fh:
+    with _output(out / "metrics.csv") as path, path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
         for i, batch in enumerate(itertools.islice(batches, start, total), start + 1):
@@ -500,7 +515,8 @@ def cmd_finetune(cfg: RunConfig, out: Path) -> int:
             counters = {"epochs": epochs, "next_step": next_step, "settings": settings}
             _save(out, model, opt, "finetune", counters, {"train": blob.get("train", {})})
         elif ckpt_in.resolve() != ckpt_out.resolve():
-            shutil.copyfile(ckpt_in, ckpt_out)  # nothing trained: pass the bytes through
+            with _output(ckpt_out):  # nothing trained: pass the bytes through
+                shutil.copyfile(ckpt_in, ckpt_out)
 
     rows = _run_stage(
         out, lambda b: finetune_stage2_step(model, b, state, cache), corpus,
@@ -562,29 +578,32 @@ def _read_predictions(path: Path, table: AminoAcidTable) -> list[tuple[str, Pept
     if not path.is_file():
         raise DataError(f"predictions file not found: {path}")
     reader = csv.DictReader(_open_text(path, DataError, newline=""))
-    required = PREDICTION_COLUMNS[:3]
-    if reader.fieldnames is None or not set(required) <= set(reader.fieldnames):
-        raise DataError(f"{path}: predictions CSV must have columns {sorted(required)}")
-    preds, first_line = [], {}
-    for row in reader:
-        line = reader.line_num
-        if None in row.values() or None in row:  # DictReader files extra fields under None
-            raise DataError(f"{path} line {line}: {'more' if None in row else 'fewer'} fields than "
-                            f"the {len(reader.fieldnames)} columns of the header")
-        sid = row["spectrum_id"]
-        if sid in first_line:
-            raise DataError(f"{path} line {line}: duplicate prediction for spectrum {sid} "
-                            f"(first at line {first_line[sid]})")
-        first_line[sid] = line
-        try:
-            pep = Peptide.from_string(row["predicted_sequence"])
-            table.ids_of(pep)  # each residue must be in the vocabulary
-            conf = float(row["confidence"])
-            if np.isnan(conf):  # -inf stays: it marks a missing prediction
-                raise ValueError("confidence is NaN")
-        except (VocabularyError, ValueError) as e:
-            raise DataError(f"{path} line {line}: {e}") from e
-        preds.append((sid, pep, conf))
+    try:  # a line the csv module rejects: a field over its size limit, say
+        required = PREDICTION_COLUMNS[:3]
+        if reader.fieldnames is None or not set(required) <= set(reader.fieldnames):
+            raise DataError(f"{path}: predictions CSV must have columns {sorted(required)}")
+        preds, first_line = [], {}
+        for row in reader:
+            line = reader.line_num
+            if None in row.values() or None in row:  # DictReader files extra fields under None
+                raise DataError(f"{path} line {line}: {'more' if None in row else 'fewer'} fields than "
+                                f"the {len(reader.fieldnames)} columns of the header")
+            sid = row["spectrum_id"]
+            if sid in first_line:
+                raise DataError(f"{path} line {line}: duplicate prediction for spectrum {sid} "
+                                f"(first at line {first_line[sid]})")
+            first_line[sid] = line
+            try:
+                pep = Peptide.from_string(row["predicted_sequence"])
+                table.ids_of(pep)  # each residue must be in the vocabulary
+                conf = float(row["confidence"])
+                if np.isnan(conf):  # -inf stays: it marks a missing prediction
+                    raise ValueError("confidence is NaN")
+            except (VocabularyError, ValueError) as e:
+                raise DataError(f"{path} line {line}: {e}") from e
+            preds.append((sid, pep, conf))
+    except csv.Error as e:  # DictReader counts a line once its row is read: ask its reader
+        raise DataError(f"{path} line {reader.reader.line_num}: {e}") from e
     return preds
 
 

@@ -104,11 +104,11 @@ def _step_logps(model: Model, spectrum: Spectrum, cache: ATCache, ids: np.ndarra
     return _log_probs(model, model.arrays.at_forward(tokens, masses, cache)[:, 0])
 
 
-def _next_logps(model: Model, spectrum: Spectrum, ids, enc, nat_latents) -> np.ndarray:
+def _next_logps(model: Model, spectrum: Spectrum, ids, enc: np.ndarray, nat: NATFeatures) -> np.ndarray:
     """Masked next-token log-probabilities after residue prefixes ``ids``.
 
     One prefix [L] gives [vocab]; n prefixes of equal length [n, L] give
-    [n, vocab], all against the one decode context of
+    [n, vocab], all against the one decode context ``enc``, ``nat`` of
     :func:`_decode_context`. The prefixes go through cached steps, one
     position at a time, so the values are those of a decode that steps, bit
     for bit: beam search above width 1, and greedy without a draft. Greedy
@@ -117,20 +117,19 @@ def _next_logps(model: Model, spectrum: Spectrum, ids, enc, nat_latents) -> np.n
     """
     ids = np.asarray(ids, dtype=np.intp)
     rows = np.atleast_2d(ids)  # one prefix is a batch of one
-    cache = model.arrays.at_cache(enc, nat_latents)
+    cache = model.arrays.at_cache(enc, nat.latents)
     for t in range(rows.shape[1] + 1):
         logps = _step_logps(model, spectrum, cache, rows[:, :t])
     return logps.reshape(ids.shape[:-1] + logps.shape[-1:])
 
 
-def _decode_context(model: Model, spectrum: Spectrum, logits: bool = False):
-    """The encoder features and, on a fine-tuned model, the NAT latents
-    (else None), as arrays from one front-end pass of ``model.arrays``; with
-    ``logits``, the NAT logits (or None) too."""
+def _decode_context(model: Model, spectrum: Spectrum) -> tuple[np.ndarray, NATFeatures]:
+    """The encoder features and the NAT features, as arrays from one front-end
+    pass of ``model.arrays``; ``NATFeatures(None, None)``, with no NAT run,
+    on a model that is not fine-tuned, whose AT decoder does not read them."""
     view = model.arrays
     enc = view.encode_spectrum(spectrum)
-    nat = view.nat_forward(enc) if view.finetuned else NATFeatures(None, None)
-    return (enc, *nat) if logits else (enc, nat.latents)
+    return enc, view.nat_forward(enc) if view.finetuned else NATFeatures(None, None)
 
 
 def _draft(model: Model, nat_logits: np.ndarray | None, max_len: int) -> np.ndarray:
@@ -192,9 +191,9 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
     totals = np.zeros(1)
     finished = np.zeros(1, dtype=bool)
     view = model.arrays
-    enc, nat_latents, nat_logits = _decode_context(model, spectrum, logits=True)
-    cache = view.at_cache(enc, nat_latents)
-    draft = _draft(model, nat_logits if width == 1 else None, max_len)
+    enc, nat = _decode_context(model, spectrum)
+    cache = view.at_cache(enc, nat.latents)
+    draft = _draft(model, nat.logits if width == 1 else None, max_len)
     tokens = np.concatenate([[table.bos_id], draft])[None]
     masses = prefix_suffix_masses(draft[None], spectrum.neutral_mass, table)
     ahead = _log_probs(model, view.at_forward(tokens, masses, cache)[0])

@@ -31,7 +31,9 @@ keys; a lone spectrum is a batch of one.
 Both decoders read their cross-attention context from an :class:`ATCache`,
 built once per forward or, when decoding, once per spectrum and then extended
 by the positions each forward feeds: one per step, or greedy's draft at once,
-which the cache drops again past the length where the decode leaves it.
+which the cache drops again past the length where the decode leaves it. Only
+decodes, on ``model.arrays``, extend a cache, so its cached positions are
+arrays; a training forward feeds a fresh cache once.
 
 The forwards are written once against an op set, ``Model._ops``: the graph
 ops of :mod:`autodiff` over Tensors, for training, and ``model.arrays``, a
@@ -168,25 +170,22 @@ class ATCache:
     """A decoder's cache: the key mask of its cross-attention context, each
     layer's cross-attention keys and values, projected once, and each
     layer's self-attention keys and values of the positions fed so far,
-    [n, t, d], one row per prefix. It computes with the op set ``ops`` of
-    the forward that built it, and a later call reads the cached positions
-    through ``ops.stop_gradient``, so no graph chains from one call to the
-    next.
+    [n, t, d], one row per prefix. Only ``model.arrays`` steps a cache,
+    joining each call's new positions to the cached arrays; a training
+    forward feeds a fresh cache once, so no graph outlives the forward.
     """
 
-    def __init__(self, key_mask: np.ndarray | None, cross: list[tuple], ops):
+    def __init__(self, key_mask: np.ndarray | None, cross: list[tuple]):
         self.key_mask = key_mask
         self.cross = cross
-        self.ops = ops
         self.past: list[tuple] = []  # per layer, once fed
 
     def extend(self, layer: int, k, v) -> tuple:
         """The keys and values of ``layer`` over the cached positions and the
         new ones ``k``, ``v``; the new ones join the cache."""
-        ops = self.ops
         if layer < len(self.past):
-            k = ops.concat([ops.stop_gradient(self.past[layer][0]), k], axis=-2)
-            v = ops.concat([ops.stop_gradient(self.past[layer][1]), v], axis=-2)
+            k = np.concatenate([self.past[layer][0], k], axis=-2)
+            v = np.concatenate([self.past[layer][1], v], axis=-2)
             self.past[layer] = (k, v)
         else:
             self.past.append((k, v))
@@ -332,7 +331,7 @@ class Model:
     def _context(self, tree: dict, rows, key_mask: np.ndarray | None) -> ATCache:
         """A cache holding no positions, over the context ``rows`` under
         ``key_mask``: each ``tree`` layer's cross keys and values, projected once."""
-        return ATCache(key_mask, [self._kv(block["cross"], rows) for block in tree["layers"]], self._ops)
+        return ATCache(key_mask, [self._kv(block["cross"], rows) for block in tree["layers"]])
 
     def _stack(self, tree: dict, x, mask: np.ndarray | None, cache: ATCache | None = None):
         """Pre-norm transformer stack: self-attention under ``mask``; with a

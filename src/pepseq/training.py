@@ -11,7 +11,9 @@ in numpy, and its gradient comes from the forward and backward variables
 Stage 2 freezes the encoder and NAT partitions, switches the AT decoder to
 the augmented cross-attention context (NAT latents, gradient-blocked, next
 to the encoder features), and fine-tunes only the AT partition with
-cross-entropy.
+cross-entropy. The frozen features are computed once per spectrum, as
+arrays, by :class:`FeatureCache`; each step wraps its padded batch of them
+as constants.
 
 Each step pads its batch into one forward: spectra of unequal peak counts
 share one encoder pass, targets of unequal length one AT pass and one CTC
@@ -53,21 +55,19 @@ __all__ = [
 INFEASIBLE_CTC_LOSS = 1e4
 
 
-def ce_loss(logits: Tensor, targets: Sequence[int] | np.ndarray, pad_id: int | None = None) -> Tensor:
+def ce_loss(logits: Tensor, targets: Sequence[int] | np.ndarray, pad_id: int) -> Tensor:
     """Next-token cross-entropy of logits [..., L, V] against targets [..., L],
-    summed over every position; positions whose target is PAD are skipped."""
+    summed over every position whose target is not ``pad_id`` (PAD)."""
     targets = np.asarray(targets, dtype=np.intp)
     if logits.ndim < 2 or targets.shape != logits.shape[:-1]:
         raise ad.DimensionError(
             f"logits {logits.shape} do not match targets {targets.shape}"
         )
+    keep = targets != pad_id
+    if not keep.any():
+        raise ad.DimensionError("all target positions are PAD")
     picked = ad.take_per_row(ad.log_softmax(logits), targets)
-    if pad_id is not None:
-        keep = targets != pad_id
-        if not keep.any():
-            raise ad.DimensionError("all target positions are PAD")
-        picked = ad.mul(picked, ad.constant(keep.astype(np.float64)))
-    return ad.neg(ad.sum_all(picked))
+    return ad.neg(ad.sum_all(ad.mul(picked, ad.constant(keep.astype(np.float64)))))
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +159,18 @@ def ctc_forward(log_probs: Tensor, target_ids, blank_id: int) -> Tensor:
     return ad._node(log_p.reshape(log_probs.shape[:-2]), (log_probs,), bwd)
 
 
-def ctc_loss(logits: Tensor, target_ids, blank_id: int) -> tuple[Tensor, np.ndarray]:
+def ctc_loss(logits: Tensor, target_ids, blank_id: int) -> Tensor:
     """Negative CTC log-likelihood of a padded batch of frame logits
-    [B, T, V], one target per row, summed over rows; and one feasible flag
-    per row. A row whose target no path realizes in the frames (its
-    :func:`ctc_forward` is -inf) is infeasible: it costs the constant
-    :data:`INFEASIBLE_CTC_LOSS`, instead of an infinite loss that would
-    poison the batch, and passes a zero gradient."""
+    [B, T, V], one target per row, summed over rows. A row no path realizes
+    in the frames (its :func:`ctc_forward` is -inf) costs the constant
+    :data:`INFEASIBLE_CTC_LOSS`, not an infinite loss that would poison the
+    batch, and passes a zero gradient."""
     if logits.ndim != 3:
         raise ad.DimensionError(f"ctc_loss takes a batch of frame logits [B, T, V], got {logits.shape}")
     log_p = ctc_forward(ad.log_softmax(logits), target_ids, blank_id)
     feasible = np.isfinite(log_p.values)
     infeasible = ad.constant(INFEASIBLE_CTC_LOSS * np.count_nonzero(~feasible))
-    return ad.add(ad.neg(ad.sum_all(log_p[feasible])), infeasible), feasible
+    return ad.add(ad.neg(ad.sum_all(log_p[feasible])), infeasible)
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +243,22 @@ class FeatureCache:
     """Per-spectrum frozen features for stage 2.
 
     Sound only because the encoder and NAT partitions are frozen and the
-    NAT latents are gradient-blocked: the cached tensors are constants of
+    NAT latents are gradient-blocked: the cached arrays are constants of
     the fine-tuning problem. A miss runs the encoder and NAT on
-    ``model.arrays``, which records no graph.
+    ``model.arrays``, which builds no Tensor.
     """
 
     def __init__(self, model: Model):
         self.model = model
-        self._store: dict[str, tuple[Tensor, Tensor]] = {}
+        self._store: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def get(self, spectrum: Spectrum) -> tuple[Tensor, Tensor]:
+    def get(self, spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+        """Encoder features and NAT latents; a hit returns the stored arrays."""
         hit = self._store.get(spectrum.spectrum_id)
         if hit is None:
             view = self.model.arrays
             enc = view.encode_spectrum(spectrum)
-            hit = (ad.constant(enc), ad.constant(view.nat_forward(enc).latents))
+            hit = (enc, view.nat_forward(enc).latents)
             self._store[spectrum.spectrum_id] = hit
         return hit
 
@@ -298,11 +298,11 @@ def _at_sample_loss(model: Model, spectrum: Spectrum, ids: list[int],
     return _at_loss(model, [spectrum], [ids], model.at_cache(enc, nat_latents, block_nat_grad))
 
 
-def _padded_cache(cached: list[tuple[Tensor, Tensor]]) -> tuple[Padded, Tensor]:
+def _padded_cache(cached: list[tuple[np.ndarray, np.ndarray]]) -> tuple[Padded, Tensor]:
     """Per-spectrum cached (encoder features, NAT latents) as one padded
-    batch of encoder features and the stacked [B, t_max, d] latents."""
-    rows, mask = pad_rows([enc.values for enc, _ in cached])
-    return Padded(ad.constant(rows), mask), ad.constant(np.stack([nat.values for _, nat in cached]))
+    batch of encoder features and the stacked [B, t_max, d] latents, as constants."""
+    rows, mask = pad_rows([enc for enc, _ in cached])
+    return Padded(ad.constant(rows), mask), ad.constant(np.stack([nat for _, nat in cached]))
 
 
 def _stage1_losses(model: Model, batch: Sequence[Spectrum]) -> tuple[Tensor, Tensor]:
@@ -311,7 +311,7 @@ def _stage1_losses(model: Model, batch: Sequence[Spectrum]) -> tuple[Tensor, Ten
     enc = model.encode_spectrum(batch)
     inv = ad.constant(1.0 / len(batch))
     at_loss = ad.mul(_at_loss(model, batch, ids, enc), inv)
-    nat_sum, _feasible = ctc_loss(model.nat_forward(enc).logits, ids, model.table.blank_id)
+    nat_sum = ctc_loss(model.nat_forward(enc).logits, ids, model.table.blank_id)
     return at_loss, ad.mul(nat_sum, inv)
 
 

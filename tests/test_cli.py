@@ -906,6 +906,14 @@ class TestEval:
         assert code == 2
         assert f"{preds} line 2: unknown residue symbol 'Z'" in capsys.readouterr().err
 
+    def test_a_field_over_the_csv_size_limit_is_data_error(self, pipeline, tmp_path, capsys):
+        preds = tmp_path / "preds.csv"
+        preds.write_text(f"spectrum_id,predicted_sequence,confidence\nsynth-00000,{'G' * 200_000},-1.0\n")
+        code = run("eval", "--seed", "5", "--out", str(tmp_path / "out"), "--predictions", str(preds),
+                   "--truth", str(pipeline / "sim" / "spectra.mgf"), *TINY)
+        assert code == 2
+        assert f"data error: {preds} line 2: field larger than field limit" in capsys.readouterr().err
+
     def test_nan_confidence_is_data_error(self, tmp_path, capsys):
         # A NaN sorts anywhere, so it would put the correct NaN row ahead of
         # the wrong -0.1 one at the start of the curve. -inf is a valid
@@ -1044,6 +1052,39 @@ class TestBadInput:
         assert run("simulate", "--seed", "5", "--out", str(taken), *TINY) == 1
         assert f"--out {taken}" in capsys.readouterr().err
         assert taken.read_text() == "keep\n" and list(tmp_path.iterdir()) == [taken]
+
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "spectra.mgf"), ("simulate", "manifest.json"),
+        ("train", "metrics.csv"), ("train", "checkpoint.bin"), ("train", "checkpoint.bin.tmp"),
+        ("train", "manifest.json"),
+        ("finetune", "metrics.csv"), ("finetune", "checkpoint.bin"), ("finetune", "manifest.json"),
+        ("finetune-0", "metrics.csv"), ("finetune-0", "checkpoint.bin"), ("finetune-0", "manifest.json"),
+        ("decode", "predictions.csv"), ("decode", "manifest.json"),
+        ("eval", "summary.csv"), ("eval", "per_spectrum.csv"), ("eval", "curve.csv"),
+        ("eval", "manifest.json"),
+    ])
+    def test_an_output_that_cannot_be_written_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                             command, name):
+        # A directory in the file's place: root ignores chmod, not this. checkpoint.bin is
+        # written beside the target and renamed over it (a directory there fails the rename);
+        # finetune-0 is a zero-epoch finetune, which copies its checkpoint through.
+        mgf, preds = pipeline / "sim" / "spectra.mgf", tmp_path / "preds.csv"
+        first = parse_mgf(mgf.read_text())[0]
+        preds.write_text(f"spectrum_id,predicted_sequence,confidence\n{first.spectrum_id},{first.truth},-1.0\n")
+        stage1 = ["--corpus", str(mgf), "--checkpoint", str(pipeline / "train" / "checkpoint.bin")]
+        inputs = {
+            "simulate": [],
+            "train": ["--corpus", str(mgf)],
+            "finetune": stage1,
+            "finetune-0": [*stage1, "--set", "training.finetune_epochs=0"],
+            "decode": ["--mgf", str(mgf), "--checkpoint", str(pipeline / "ft" / "checkpoint.bin")],
+            "eval": ["--predictions", str(preds), "--truth", str(mgf)],
+        }[command]
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert run(command.removesuffix("-0"), "--seed", "5", "--out", str(out), *TINY, *inputs) == 1
+        named = out / name.removesuffix(".tmp")
+        assert f"usage error: {named}: cannot write the output file (Is a directory)" in capsys.readouterr().err
 
 
 def test_manifests_record_provenance(pipeline):

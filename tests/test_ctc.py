@@ -115,9 +115,10 @@ class TestBatchedCTC:
     def test_loss_sums_rows_and_charges_infeasible_ones_a_constant(self):
         rng = np.random.default_rng(12)
         logits = ad.parameter(rng.normal(size=(len(self.TARGETS), self.T, self.V)))
-        loss, feasible = ctc_loss(logits, self.TARGETS, self.BLANK)
-        assert feasible.tolist() == [True, True, True, False, True]
-        want = sum(ctc_loss(ad.constant(logits.values[b : b + 1]), [t], self.BLANK)[0].item()
+        loss = ctc_loss(logits, self.TARGETS, self.BLANK)
+        log_p = ctc_forward(ad.log_softmax(ad.constant(logits.values)), self.TARGETS, self.BLANK)
+        assert np.isfinite(log_p.values).tolist() == [True, True, True, False, True]
+        want = sum(ctc_loss(ad.constant(logits.values[b : b + 1]), [t], self.BLANK).item()
                    for b, t in enumerate(self.TARGETS))
         assert_allclose(loss.item(), want, rtol=1e-13)
         ad.backward(loss)
@@ -138,16 +139,21 @@ class TestCTCLoss:
         rng = np.random.default_rng(need)
         for frames in (need - 1, need, need + 1):
             logits = ad.constant(rng.normal(size=(2, frames, 4)))
-            _, feasible = ctc_loss(logits, [target, [0]], blank_id=3)
+            log_p = ctc_forward(ad.log_softmax(logits), [target, [0]], blank_id=3).values
+            feasible = np.isfinite(log_p)
             assert feasible.tolist() == [frames >= need, True]
+            want = -log_p[feasible].sum() + INFEASIBLE_CTC_LOSS * (frames < need)
+            assert_allclose(ctc_loss(logits, [target, [0]], blank_id=3).item(), want, rtol=1e-13)
 
     def test_infeasible_target_constant_loss_no_gradient(self):
         # The loss is a constant, so the logits get a gradient of zeros: a
         # batch with no feasible row still reaches every NAT parameter.
         rng = np.random.default_rng(3)
         logits = ad.parameter(rng.normal(size=(2, 2, 3)))
-        loss, feasible = ctc_loss(logits, [[0, 0], [1, 1]], blank_id=2)  # each needs 3 frames
-        assert feasible.tolist() == [False, False]
+        targets = [[0, 0], [1, 1]]  # each needs 3 frames
+        loss = ctc_loss(logits, targets, blank_id=2)
+        log_p = ctc_forward(ad.log_softmax(ad.constant(logits.values)), targets, blank_id=2)
+        assert np.isneginf(log_p.values).tolist() == [True, True]
         assert loss.values == 2 * INFEASIBLE_CTC_LOSS
         ad.backward(ad.mul(loss, ad.constant(1.0)))
         assert logits.grad is not None and not logits.grad.any()
@@ -156,8 +162,8 @@ class TestCTCLoss:
         rng = np.random.default_rng(4)
         logits_np = rng.normal(size=(4, 3))
         logits = ad.constant(logits_np[None])
-        loss, feasible = ctc_loss(logits, [[0, 1]], blank_id=2)
-        assert feasible.tolist() == [True]
+        loss = ctc_loss(logits, [[0, 1]], blank_id=2)
+        assert np.isfinite(ctc_forward(ad.log_softmax(logits), [[0, 1]], blank_id=2).values).tolist() == [True]
         lp = logits_np - np.log(np.exp(logits_np).sum(axis=1, keepdims=True))
         want = ctc_bruteforce(lp, [0, 1], 2)
         assert_allclose(loss.values, -want, atol=1e-9)
@@ -171,7 +177,7 @@ class TestCTCLoss:
             if required_frames(target) > T:
                 continue
             err = ad.finite_diff_check(
-                lambda: ctc_loss(logits, [target], blank_id=3)[0], [logits], eps=1e-5
+                lambda: ctc_loss(logits, [target], blank_id=3), [logits], eps=1e-5
             )
             assert err < 1e-4, f"trial {trial}: fd error {err}"
 
@@ -195,7 +201,7 @@ class TestCTCLoss:
     def test_gradient_covers_every_frame(self):
         rng = np.random.default_rng(6)
         logits = ad.parameter(rng.normal(size=(1, 5, 3)))
-        loss, _ = ctc_loss(logits, [[0, 1]], blank_id=2)
+        loss = ctc_loss(logits, [[0, 1]], blank_id=2)
         ad.backward(loss)
         assert logits.grad is not None
         assert np.all(np.any(logits.grad[0] != 0, axis=1)), "a frame received no gradient"
@@ -210,7 +216,7 @@ class TestCELoss:
         rng = np.random.default_rng(7)
         logits_np = rng.normal(size=(4, 5))
         targets = [1, 0, 4, 2]
-        loss = ce_loss(ad.constant(logits_np), targets)
+        loss = ce_loss(ad.constant(logits_np), targets, pad_id=3)  # no target is PAD
         lp = logits_np - np.log(np.exp(logits_np).sum(axis=1, keepdims=True))
         want = -sum(lp[i, t] for i, t in enumerate(targets))
         assert_allclose(loss.values, want, atol=1e-12)
@@ -225,12 +231,12 @@ class TestCELoss:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ad.DimensionError):
-            ce_loss(ad.constant(np.zeros((3, 5))), [0, 1])
+            ce_loss(ad.constant(np.zeros((3, 5))), [0, 1], pad_id=4)
 
     def test_gradient(self):
         rng = np.random.default_rng(9)
         logits = ad.parameter(rng.normal(size=(3, 4)))
         err = ad.finite_diff_check(
-            lambda: ce_loss(logits, [0, 2, 1]), [logits], eps=1e-5
+            lambda: ce_loss(logits, [0, 2, 1], pad_id=3), [logits], eps=1e-5
         )
         assert err < 1e-6

@@ -24,7 +24,7 @@ from pepseq.decoding import (
     nat_pmc_decode,
 )
 from pepseq.mgf import parse_mgf
-from pepseq.network import Model, ModelConfig, NATFeatures, prefix_suffix_masses
+from pepseq.network import ATCache, Model, ModelConfig, NATFeatures, prefix_suffix_masses
 from pepseq.optim import OptimizerState
 from pepseq.params import load_checkpoint, save_checkpoint
 from pepseq.spectra import AminoAcidTable, Peptide, random_peptide, simulate_spectrum
@@ -158,7 +158,7 @@ def test_next_logps_batch_equals_single_prefixes_bit_for_bit(finetuned):
     model.finetuned = finetuned  # True: the context gains the NAT latents
     (s,) = spectra_for(TABLE, 1, seed=31)
     enc, nat = _decode_context(model, s)
-    assert (nat is not None) == finetuned
+    assert (nat.latents is not None) == finetuned
     rng = np.random.default_rng(8)
     for n in range(1, 6):
         for length in range(7):
@@ -352,11 +352,11 @@ def test_cached_steps_equal_one_full_forward(finetuned):
         ids = np.array([[TABLE.index_of(r) for r in s.truth]])
         tokens = np.concatenate([[[TABLE.bos_id]], ids], axis=1)
         masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
-        cache = view.at_cache(enc, nat)
+        cache = view.at_cache(enc, nat.latents)
         context_len = len(enc) + (model.cfg.t_max if finetuned else 0)
         assert all(len(k) == len(v) == context_len for k, v in cache.cross)
         stepped = cached_steps(view, cache, tokens, masses)
-        full = view.at_forward(tokens, masses, view.at_cache(enc, nat))
+        full = view.at_forward(tokens, masses, view.at_cache(enc, nat.latents))
         np.testing.assert_allclose(stepped, full, rtol=0, atol=1e-12)
         assert all(k.shape == v.shape == (1, tokens.shape[1], model.cfg.d) for k, v in cache.past)
 
@@ -370,10 +370,10 @@ def test_a_prefix_fed_at_once_then_cached_steps_equal_one_full_forward():
     ids = np.array([[TABLE.index_of(r) for r in s.truth]] * 2)
     tokens = np.concatenate([np.full((2, 1), TABLE.bos_id), ids], axis=1)
     masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
-    cache = view.at_cache(enc, nat)
+    cache = view.at_cache(enc, nat.latents)
     fed = view.at_forward(tokens[:, :3], masses[:, :3], cache)  # an empty cache takes L positions
     stepped = np.concatenate([fed, cached_steps(view, cache, tokens[:, 3:], masses[:, 3:])], axis=1)
-    full = view.at_forward(tokens, masses, view.at_cache(enc, nat))
+    full = view.at_forward(tokens, masses, view.at_cache(enc, nat.latents))
     np.testing.assert_allclose(stepped, full, rtol=0, atol=1e-12)
 
 
@@ -389,10 +389,10 @@ def test_reordered_cache_equals_one_rebuilt_from_the_parents(finetuned):
     tokens = np.concatenate([np.full((5, 1), TABLE.bos_id), ids], axis=1)
     masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
     parents = np.array([3, 3, 0, 4])
-    cache = view.at_cache(enc, nat)
+    cache = view.at_cache(enc, nat.latents)
     cached_steps(view, cache, tokens[:, :-1], masses[:, :-1])
     cache.select(parents)
-    rebuilt = view.at_cache(enc, nat)
+    rebuilt = view.at_cache(enc, nat.latents)
     cached_steps(view, rebuilt, tokens[parents, :-1], masses[parents, :-1])
     step = (tokens[parents, -1:], masses[parents, -1:])
     assert np.array_equal(view.at_forward(*step, cache),
@@ -408,7 +408,7 @@ def test_a_cut_cache_steps_as_one_fed_only_the_kept_positions():
     ids = np.array([[TABLE.index_of(r) for r in s.truth]])
     tokens = np.concatenate([[[TABLE.bos_id]], ids], axis=1)
     masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
-    cut, kept = view.at_cache(enc, nat), view.at_cache(enc, nat)
+    cut, kept = view.at_cache(enc, nat.latents), view.at_cache(enc, nat.latents)
     view.at_forward(tokens, masses, cut)  # every position
     view.at_forward(tokens[:, :3], masses[:, :3], kept)
     whole = cut.past[0][0]
@@ -418,26 +418,6 @@ def test_a_cut_cache_steps_as_one_fed_only_the_kept_positions():
     step = (tokens[:, 3:4], masses[:, 3:4])
     np.testing.assert_allclose(view.at_forward(*step, cut),
                                view.at_forward(*step, kept), rtol=0, atol=1e-12)
-
-
-def test_the_model_steps_a_cache_of_tensors_as_the_arrays_view_steps_one_of_arrays():
-    model = small_model()
-    model.finetuned = True
-    (s,) = spectra_for(TABLE, 1, seed=31, min_len=5, max_len=8)
-    truth = [TABLE.index_of(r) for r in s.truth]
-    ids = np.array([truth, truth[::-1]])
-    tokens = np.concatenate([np.full((2, 1), TABLE.bos_id), ids], axis=1)
-    masses = prefix_suffix_masses(ids, s.neutral_mass, TABLE)
-    enc = model.encode_spectrum(s)
-    tensors, arrays = model.at_cache(enc, model.nat_forward(enc).latents), model.arrays.at_cache(
-        *_decode_context(model, s))
-    for cache, step in ((tensors, model.at_forward), (arrays, model.arrays.at_forward)):
-        step(tokens[:, :3], masses[:, :3], cache)
-        cache.select(np.array([1, 0]))
-    graph = model.at_forward(tokens[:, 3:4], masses[:, 3:4], tensors)
-    assert np.array_equal(graph.values, model.arrays.at_forward(tokens[:, 3:4], masses[:, 3:4], arrays))
-    ad.backward(ad.sum_all(graph))  # through the cached positions, read as constants
-    assert model.store.get("at", "tok_emb").grad is not None
 
 
 def test_cached_step_rejects_a_mismatched_position():
@@ -676,6 +656,41 @@ def test_decodes_construct_no_tensor_and_a_training_step_still_records_its_graph
     assert made == []
     at_loss, nat_loss = _stage1_losses(model, spectra)
     assert made and all(loss.requires_grad and loss._parents for loss in (at_loss, nat_loss))
+
+
+def test_the_decode_context_holds_nat_features_of_arrays_only_on_a_fine_tuned_model():
+    model = trained_model()
+    s = parse_mgf((FIXTURE / "spectra.mgf").read_text(), model.table)[0]
+    enc, nat = _decode_context(model, s)
+    assert type(enc) is np.ndarray and type(nat) is NATFeatures
+    assert all(type(a) is np.ndarray for a in nat)
+    assert nat.latents.shape == (model.cfg.t_max, model.cfg.d)
+    assert nat.logits.shape == (model.cfg.t_max, model.table.nat_vocab_size)
+    model.finetuned = False
+    plain_enc, plain_nat = _decode_context(model, s)
+    assert np.array_equal(plain_enc, enc) and plain_nat == NATFeatures(None, None)
+
+
+@pytest.mark.parametrize("checkpoint", ["trained", "untrained"])
+def test_greedy_and_beam_caches_hold_arrays(monkeypatch, checkpoint):
+    # pool.mgf: on the fine-tuned checkpoint greedy's draft breaks early, so both
+    # decoders take cached steps, each joining its positions to the cached ones.
+    caches, init = [], ATCache.__init__
+
+    def recording(self, *args):
+        caches.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(ATCache, "__init__", recording)
+    model = Model.from_checkpoint_blob(*load_checkpoint(str(FIXTURE / f"{checkpoint}.ckpt")))
+    max_len = model.cfg.max_residues
+    for s in parse_mgf((FIXTURE / "pool.mgf").read_text(), model.table)[:2]:
+        for decode in (greedy_at_decode, lambda m, s, n: beam_search_at(m, s, 5, n)):
+            caches.clear()
+            decode(model, s, max_len)
+            assert len(caches) == 1 + model.finetuned  # the AT's, and the NAT's when it runs
+            assert all(cache.past and all(type(a) is np.ndarray for kv in cache.past for a in kv)
+                       for cache in caches)
 
 
 def test_a_greedy_decode_after_a_stage2_step_equals_one_from_the_saved_checkpoint(tmp_path):

@@ -93,6 +93,26 @@ def test_pairs_summary_of_canned_runs():
     assert pairs.parse_seeds("7-9") == [7, 8, 9] and pairs.parse_seeds("4") == [4]
 
 
+def test_pairs_marks_a_metric_unresolved_when_the_parent_spread_passes_its_bound():
+    pairs = load_pairs()
+
+    def row(parent, change, bound, better="lower"):
+        runs = [{"workload": "w", "seed": seed, "side": side, "failed": 0, "attempted": 1,
+                 "metrics": {"m": value}}
+                for side, values in (("parent", parent), ("change", change))
+                for seed, value in enumerate(values)]
+        return pairs.summarize(runs, [{"name": "m", "better": better, "bound": bound}])["w"]["summary"]["m"]
+
+    parent = [10.0, 12.0, 14.0, 16.0]  # IQR 3.0, 23 % of the median 13.0
+    assert not row(parent, [11.0, 13.0, 12.0, 14.0], 0.25)["unresolved"]  # spread within the bound
+    assert row(parent, [11.0, 13.0, 12.0, 14.0], 0.2)["unresolved"]
+    assert not row(parent, [9.0, 8.0, 7.0, 9.5], 0.2)["unresolved"]  # every change run wins
+    assert row(parent, [9.0, 8.0, 7.0, 10.0], 0.2)["unresolved"]  # a tie with a parent run is no win
+    assert not row(parent, [17.0, 18.0, 20.0, 16.5], 0.2, better="higher")["unresolved"]
+    assert row(parent, [17.0, 18.0, 20.0, 15.0], 0.2, better="higher")["unresolved"]
+    assert not row([10.0] * 4, [12.0] * 4, 0.1)["unresolved"]  # no spread: the bound decides
+
+
 # A stand-in for bench/run.py: it logs its tree and seed, and prints a details
 # line and a result line with every end-to-end metric at a fixed value. The
 # change tree's run of seed 1 fails instead.

@@ -257,13 +257,16 @@ class TestStage2:
 
     def test_cache_is_observationally_identical(self):
         model, corpus, state = self.prepared(seed=9)
-        cache = FeatureCache(model)
+        cache, first = FeatureCache(model), {}
         for _ in range(2):  # a miss fills the cache, then a hit serves it
             for s in corpus:
-                enc, nat_latents = cache.get(s)
+                entry = cache.get(s)
+                assert all(type(a) is np.ndarray for a in entry)
+                assert all(a is b for a, b in zip(entry, first.setdefault(s.spectrum_id, entry)))
+                enc, nat_latents = entry
                 fresh = model.encode_spectrum(s)
-                assert np.array_equal(enc.values, fresh.values)
-                assert np.array_equal(nat_latents.values, model.nat_forward(fresh).latents.values)
+                assert np.array_equal(enc, fresh.values)
+                assert np.array_equal(nat_latents, model.nat_forward(fresh).latents.values)
             finetune_stage2_step(model, corpus, state, cache)
 
     def test_loss_decreases_during_finetuning(self):
@@ -386,7 +389,7 @@ class TestPaddedBatch:
             for b, (s, row) in enumerate(zip(batch, ids)):
                 lone_enc = model.encode_spectrum(s)
                 at = _at_sample_loss(model, s, row, lone_enc, None)
-                nat, _ = ctc_loss(model.nat_forward(lone_enc).logits[None], [row], table.blank_id)
+                nat = ctc_loss(model.nat_forward(lone_enc).logits[None], [row], table.blank_id)
                 assert_allclose(ce_loss(at_logits[b], targets[b], table.pad_id).item(),
                                 at.item(), rtol=1e-12)
                 assert_allclose(-nat_log_p.values[b], nat.item(), rtol=1e-12)
@@ -410,7 +413,7 @@ class TestPaddedBatch:
                 logits = model.at_forward(tokens, masses, model.at_cache(*padded))
                 lone_grads = []
                 for b, (s, row) in enumerate(zip(batch, ids)):
-                    lone = _at_sample_loss(model, s, row, *cache.get(s))
+                    lone = _at_sample_loss(model, s, row, *map(ad.constant, cache.get(s)))
                     assert_allclose(ce_loss(logits[b], targets[b], table.pad_id).item(),
                                     lone.item(), rtol=1e-12)
                     lone_grads.append(self.grads(model, lone))

@@ -15,8 +15,11 @@ The output holds the machine facts of the first run, the order, every raw
 run with its failed-operation count, and per workload and end-to-end metric
 the parent's and the change's quartiles, ``median_change_pct``,
 ``pairs_change_lower``, ``pairs_change_better`` (strictly, in the metric's
-better direction; a tie counts for neither side) and ``within_bound``, the
-bound being the metric's in ``BENCHMARK.json``. ``--claim W:METRIC:PCT``
+better direction; a tie counts for neither side), ``within_bound``, the
+bound being the metric's in ``BENCHMARK.json``, and ``unresolved``: the
+parent's interquartile range is wider than the bound times its median, so
+the pairs cannot tell a change within the bound from one past it, and not
+every change run beats every parent run. ``--claim W:METRIC:PCT``
 adds ``claim_result``: met when METRIC on W is at least PCT percent better
 in the median, better in at least nine of ten pairs, by a median gap wider
 than the parent's interquartile range, with no failed operation. The file
@@ -71,9 +74,12 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             values = [[r["metrics"][name] for r in pair] for pair in pairs]
             if not values:
                 continue
-            parent_q, change_q = (quartiles([v[i] for v in values]) for i in range(2))
+            parent_runs, change_runs = ([v[i] for v in values] for i in range(2))
+            parent_q, change_q = quartiles(parent_runs), quartiles(change_runs)
             parent_median, change_median = parent_q[1], change_q[1]
             limit = parent_median * (1 + metric["bound"] if lower else 1 - metric["bound"])
+            beats_all = (max(change_runs) < min(parent_runs) if lower
+                         else min(change_runs) > max(parent_runs))
             summary[name] = {
                 "parent_q1_median_q3": parent_q,
                 "change_q1_median_q3": change_q,
@@ -82,6 +88,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 "pairs_change_better": sum(c < p if lower else c > p for p, c in values),
                 "pairs": len(values),
                 "within_bound": change_median <= limit if lower else change_median >= limit,
+                "unresolved": (parent_q[2] - parent_q[0] > metric["bound"] * abs(parent_median)
+                               and not beats_all),
             }
         out[workload] = {"seeds": seeds, "failed": [[r["failed"] for r in pair] for pair in pairs],
                          "summary": summary}
