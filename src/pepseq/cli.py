@@ -18,11 +18,13 @@ import argparse
 import configparser
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import itertools
 import json
 import logging
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -434,8 +436,14 @@ def _run_stage(out: Path, step, corpus: list[Spectrum], batches, start: int, tot
     ``start`` batches drawn before it and then sees what an unbroken run
     would. ``save(next_step)`` runs every ``every`` steps and at the end. On
     a numeric abort the exception propagates (exit code 3) and the last
-    periodic checkpoint, if any, stays on disk untouched.
+    periodic checkpoint, if any, stays on disk untouched. A directory in
+    place of an output, or of the ``checkpoint.bin.tmp`` the checkpoint is
+    written to first, is the usage error writing it would be, before any step.
     """
+    for name in ("checkpoint.bin", "checkpoint.bin.tmp", "metrics.csv", "manifest.json"):
+        if (out / name).is_dir():
+            with _output(out / name.removesuffix(".tmp")):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     rows = []
     with _output(out / "metrics.csv") as path, path.open("w", newline="") as fh:
         writer = csv.writer(fh)

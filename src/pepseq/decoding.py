@@ -91,17 +91,16 @@ def _log_probs(model: Model, logits: np.ndarray) -> np.ndarray:
     return logps
 
 
-def _step_logps(model: Model, spectrum: Spectrum, cache: ATCache, ids: np.ndarray) -> np.ndarray:
-    """Masked next-token log-probabilities [n, vocab] after the residue
-    prefixes ``ids`` [n, t], from one cached AT step of ``model.arrays``.
-
-    The cache holds the prefixes' first t input positions; the step feeds
-    the last, each row's last residue (BOS when t is 0) at its prefix and
-    suffix masses, and the cache gains it.
+def _step_logps(model: Model, spectrum: Spectrum, cache: ATCache, tokens, prefix) -> np.ndarray:
+    """Masked next-token log-probabilities [n, vocab] from one cached AT step
+    of ``model.arrays``: each row feeds its last token ``tokens`` [n] (BOS
+    at the start) at its prefix mass ``prefix`` [n], which counts that token,
+    and the suffix budget, as :func:`network.prefix_suffix_masses` gives
+    them. The cache holds the earlier positions and gains this one.
     """
-    tokens = ids[:, -1:] if ids.shape[1] else np.full((len(ids), 1), model.table.bos_id)
-    masses = prefix_suffix_masses(ids, spectrum.neutral_mass, model.table)[:, -1:]
-    return _log_probs(model, model.arrays.at_forward(tokens, masses, cache)[:, 0])
+    masses = np.empty((len(tokens), 1, 2))
+    masses[:, 0, 0], masses[:, 0, 1] = prefix, (spectrum.neutral_mass - WATER) - prefix
+    return _log_probs(model, model.arrays.at_forward(tokens[:, None], masses, cache)[:, 0])
 
 
 def _next_logps(model: Model, spectrum: Spectrum, ids, enc: np.ndarray, nat: NATFeatures) -> np.ndarray:
@@ -118,8 +117,11 @@ def _next_logps(model: Model, spectrum: Spectrum, ids, enc: np.ndarray, nat: NAT
     ids = np.asarray(ids, dtype=np.intp)
     rows = np.atleast_2d(ids)  # one prefix is a batch of one
     cache = model.arrays.at_cache(enc, nat.latents)
-    for t in range(rows.shape[1] + 1):
-        logps = _step_logps(model, spectrum, cache, rows[:, :t])
+    prefix = np.zeros(len(rows))
+    logps = _step_logps(model, spectrum, cache, np.full(len(rows), model.table.bos_id), prefix)
+    for tokens in rows.T:
+        prefix = prefix + model.table.masses[tokens]
+        logps = _step_logps(model, spectrum, cache, tokens, prefix)
     return logps.reshape(ids.shape[:-1] + logps.shape[-1:])
 
 
@@ -161,9 +163,13 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
     greedy decoding.
 
     The pool is arrays, one row per hypothesis: residue ids padded with -1,
-    totals and finished flags. Every live hypothesis holds the same number
-    of residues, so one cached AT step scores them all; the decode context
-    is projected into the cache once, and the cache follows the kept
+    totals, prefix masses and finished flags. The rows stay in the order of
+    their residues, so the candidates, made row by row, come in tie-break
+    order, and one stable sort by total ranks them. A prefix mass is the
+    parent's plus the new residue's: :func:`network.prefix_suffix_masses`'s
+    sum, bit for bit. Every live hypothesis holds the same number of
+    residues, so one cached AT step scores them all; the decode context is
+    projected into the cache once, and the cache follows the kept
     hypotheses' parents. The forwards are ``model.arrays``'s.
 
     At width 1 on a fine-tuned model the NAT's own prediction is a draft
@@ -182,13 +188,14 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     table = model.table
-    # Each live row's candidates: ending (no new residue), then each residue.
+    # Each row's candidates: ending (no new residue), then each residue.
     emitted = np.concatenate([[-1], np.arange(table.n_residues)])
-    ends = emitted < 0
     columns = np.concatenate([[table.eos_id], np.arange(table.n_residues)])
+    gained = np.concatenate([[0.0], table.masses])
+    stays = np.where(emitted < 0, 0.0, np.nan)  # a finished row offers only itself
 
     ids = np.full((1, max_len), -1, dtype=np.intp)
-    totals = np.zeros(1)
+    totals, prefix = np.zeros(1), np.zeros(1)
     finished = np.zeros(1, dtype=bool)
     view = model.arrays
     enc, nat = _decode_context(model, spectrum)
@@ -201,26 +208,27 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
         live = ~finished
         if not live.any():
             break
+        step = np.repeat(stays[None], len(ids), axis=0)
         if length < len(ahead):
-            logps = ahead[length:length + 1]
+            step[live] = ahead[length, columns]
         else:
-            logps = _step_logps(model, spectrum, cache, ids[live, :length])
-        n, k = len(logps), len(emitted)
-        grown = np.repeat(ids[live], k, axis=0)
-        grown.reshape(n, k, max_len)[:, :, length] = emitted
-        pool_ids = np.concatenate([ids[finished], grown])
-        pool_totals = np.concatenate(
-            [totals[finished], (totals[live][:, None] + logps[:, columns]).ravel()])
-        pool_finished = np.concatenate(
-            [finished[finished], np.broadcast_to(ends, (n, k)).ravel()])
-        parents = np.concatenate([np.full(finished.sum(), -1), np.arange(n).repeat(k)])
-        # Rank by (-total, ids): lexsort's last key is its first.
-        keep = np.lexsort([*pool_ids[:, length::-1].T, -pool_totals])[:width]
-        ids, totals, finished = pool_ids[keep], pool_totals[keep], pool_finished[keep]
+            step[live] = _step_logps(model, spectrum, cache, ids[live, length - 1],
+                                     prefix[live])[:, columns]
+        # The pool is in tie-break order, so a stable sort ranks it by total;
+        # NaN, no candidate, sorts last. The kept stay in residue order.
+        pool = (totals[:, None] + step).ravel()
+        n = min(width, np.count_nonzero(~np.isnan(pool)))
+        kept = np.argsort(-pool, kind="stable")[:n]
+        kept.sort()
+        parent, token = np.divmod(kept, len(columns))
+        ids, totals = ids[parent], pool[kept]
+        ids[:, length] = emitted[token]
+        prefix, finished = prefix[parent] + gained[token], token == 0
         if length < len(draft) and ids[0, length] == draft[length]:
             continue  # still on the draft: the first forward holds the next row
         ahead = ahead[:length + 1]
-        cache.select(parents[keep][~finished], length + 1)
+        rank = live.cumsum() - 1  # a live row's row in the cache
+        cache.select(rank[parent[~finished]], length + 1)
 
     results = []
     for row, total, done in zip(ids, totals.tolist(), finished.tolist()):

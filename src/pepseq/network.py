@@ -209,7 +209,8 @@ def prefix_suffix_masses(residue_ids: Sequence[int] | np.ndarray, neutral_mass: 
     residues emitted so far (zero at BOS), summed left to right, and the
     suffix budget ``neutral_mass - water - prefix``: what remains to reach
     the precursor. The suffix may go negative for a hypothesis that
-    overshoots; the encoding accepts that.
+    overshoots; the encoding accepts that. Cached decode steps carry each
+    prefix as a running sum instead, adding in the same order.
     """
     ids = np.asarray(residue_ids, dtype=np.intp)
     steps = np.cumsum(table.masses[ids], axis=-1)

@@ -150,17 +150,18 @@ def save_checkpoint(path: str, store: ParameterStore, config_blob: dict) -> None
     chunks.append(encoded_blob)
 
     # Write beside the target and rename over it, so a failed or killed
-    # write leaves the previous checkpoint intact.
+    # write leaves the previous checkpoint intact. Only a file this call
+    # made is removed on failure, and a failed open made none.
     tmp = f"{path}.tmp"
+    f = open(tmp, "wb")
     try:
-        with open(tmp, "wb") as f:
+        with f:
             f.write(b"".join(chunks))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        os.remove(tmp)
         raise
 
 

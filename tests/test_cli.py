@@ -1085,6 +1085,9 @@ class TestBadInput:
         assert run(command.removesuffix("-0"), "--seed", "5", "--out", str(out), *TINY, *inputs) == 1
         named = out / name.removesuffix(".tmp")
         assert f"usage error: {named}: cannot write the output file (Is a directory)" in capsys.readouterr().err
+        for other in ("checkpoint.bin", "metrics.csv"):  # train and finetune refuse before any step
+            if other != name:
+                assert not (out / other).exists()
 
 
 def test_manifests_record_provenance(pipeline):

@@ -8,12 +8,14 @@ scores them.
 
 import copy
 import itertools
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pepseq import autodiff as ad
+from pepseq import decoding
 from pepseq.decoding import (
     DecodeResult,
     _decode_context,
@@ -267,6 +269,81 @@ def test_beam_tie_order_is_pinned(c_bias, width, want):
     got = [(str(r.peptide), r.confidence.hex(), r.total_logp.hex(), r.finished)
            for r in beam_search_at(model, s, width=width, max_len=3)]
     assert got == want
+
+
+def synthetic_logps(token, prefix_mass, vocab, seed):
+    """A next-token row drawn from four values, as a pure function of the
+    token fed and its prefix mass, so that totals tie often and any two
+    decoders asking after the same prefix read the same row."""
+    key = f"{seed} {int(token)} {float(prefix_mass).hex()}".encode()
+    return np.random.default_rng(zlib.crc32(key)).choice([-0.5, -1.0, -1.5, -2.0], size=vocab)
+
+
+def lexsort_beam(table, width, max_len, logps_after):
+    """Beam search as its pool was before it kept its rows in residue order:
+    every candidate's full id row, ranked by one ``np.lexsort`` over
+    (-total, ids), with ``logps_after(prefixes)`` the rows [n, vocab] after
+    the equal-length residue prefixes [n, t]."""
+    emitted = np.concatenate([[-1], np.arange(table.n_residues)])
+    columns = np.concatenate([[table.eos_id], np.arange(table.n_residues)])
+    ids = np.full((1, max_len), -1, dtype=np.intp)
+    totals, finished = np.zeros(1), np.zeros(1, dtype=bool)
+    for length in range(max_len):
+        live = ~finished
+        if not live.any():
+            break
+        logps = logps_after(ids[live, :length])
+        n, k = len(logps), len(emitted)
+        grown = np.repeat(ids[live], k, axis=0)
+        grown.reshape(n, k, max_len)[:, :, length] = emitted
+        pool_ids = np.concatenate([ids[finished], grown])
+        pool_totals = np.concatenate(
+            [totals[finished], (totals[live][:, None] + logps[:, columns]).ravel()])
+        pool_finished = np.concatenate(
+            [finished[finished], np.broadcast_to(emitted < 0, (n, k)).ravel()])
+        keep = np.lexsort([*pool_ids[:, length::-1].T, -pool_totals])[:width]
+        ids, totals, finished = pool_ids[keep], pool_totals[keep], pool_finished[keep]
+    results = []
+    for row, total, done in zip(ids, totals.tolist(), finished.tolist()):
+        residues = row[row >= 0].tolist()
+        n_emitted = len(residues) + done
+        results.append(DecodeResult(table.peptide_from_ids(residues),
+                                    total / n_emitted if n_emitted else -np.inf, total, done))
+    results.sort(key=lambda r: (-r.confidence, tuple(r.peptide.residues)))
+    return results
+
+
+def test_beam_ranks_ties_as_a_lexsort_of_the_whole_pool(monkeypatch):
+    # Synthetic step rows from four values: totals tie all the time, and
+    # hypotheses end at every length. Width 27 on TINY3 keeps a pool smaller
+    # than the width for the first lengths.
+    model = small_model(table=TINY3, seed=9)
+    (s,) = spectra_for(TINY3, 1, seed=13)
+    vocab = TINY3.at_vocab_size
+    seed = 0
+
+    def at_forward(self, tokens, masses, cache):
+        return np.array([[synthetic_logps(t, m, vocab, seed) for t, m in zip(row, mass[:, 0])]
+                         for row, mass in zip(tokens, masses)])
+
+    def logps_after(prefixes):
+        last = prefixes[:, -1] if prefixes.shape[1] else np.full(len(prefixes), TINY3.bos_id)
+        mass = prefix_suffix_masses(prefixes, s.neutral_mass, TINY3)[:, -1, 0]
+        return np.array([synthetic_logps(t, m, vocab, seed) for t, m in zip(last, mass)])
+
+    monkeypatch.setattr(Model, "at_forward", at_forward)
+    monkeypatch.setattr(decoding, "_log_probs", lambda model, logps: logps)
+    exact = lambda results: [(str(r.peptide), r.confidence.hex(), r.total_logp.hex(), r.finished)
+                             for r in results]
+    ended_at, tied = set(), 0
+    cases = [(seed, width, max_len) for seed in range(12) for width in [*range(1, 7), 27]
+             for max_len in range(1, 6)]
+    for seed, width, max_len in cases:
+        got = beam_search_at(model, s, width, max_len)
+        assert exact(got) == exact(lexsort_beam(TINY3, width, max_len, logps_after))
+        ended_at |= {len(r.peptide) for r in got if r.finished}
+        tied += len(got) - len({r.total_logp for r in got})
+    assert ended_at == {0, 1, 2, 3, 4} and tied > 100
 
 
 @pytest.mark.parametrize("width", [1, 3])
@@ -613,6 +690,32 @@ def test_greedy_on_the_fine_tuned_fixture_checks_the_nat_draft(monkeypatch):
             assert steps[0][0] == 1 and all(shape == (1, 1) for shape in steps[1:])
             assert r == beam_search_at(model, s, 1, max_len)[0]
             assert_walks(r, stepped_walk(model, s, max_len), rtol=1e-12)
+
+
+@pytest.mark.parametrize("finetuned", [False, True])
+def test_masses_come_from_the_residues_once_per_decode_for_its_first_forward(monkeypatch, finetuned):
+    # The cached steps carry each hypothesis's prefix mass; only the first
+    # forward (BOS, and on a fine-tuned model greedy's draft) reads the masses
+    # off residue ids.
+    model = small_model()
+    model.finetuned = finetuned
+    model.store.get("at", "out.b").values[TABLE.eos_id] = -1e9  # every decode runs to max_len
+    draft = [TABLE.index_of(a) for a in "PEPT"]
+    steer_draft(monkeypatch, draft, model.cfg.t_max)
+    calls, masses = [], decoding.prefix_suffix_masses
+    monkeypatch.setattr(decoding, "prefix_suffix_masses",
+                        lambda ids, *args: calls.append(np.shape(ids)) or masses(ids, *args))
+    steps = count_at_forwards(monkeypatch)
+    (s,) = spectra_for(TABLE, 1, seed=71)
+    for width, first in ((1, (1, len(draft) * finetuned)), (4, (1, 0))):
+        calls.clear()
+        steps.clear()
+        beam_search_at(model, s, width, max_len=6)
+        assert calls == [first] and len(steps) > 1
+    enc, nat = _decode_context(model, s)
+    calls.clear()
+    _next_logps(model, s, np.zeros((3, 5), dtype=np.intp), enc, nat)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,17 @@ class TestCheckpoint:
         assert p.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["x.ckpt"]
 
+    def test_a_temporary_path_it_did_not_make_is_left_alone(self, tmp_path):
+        # A directory where the temporary file goes: open fails, and that error
+        # comes out alone, with nothing removed.
+        p = tmp_path / "x.ckpt"
+        (tmp_path / "x.ckpt.tmp").mkdir()
+        with pytest.raises(IsADirectoryError) as raised:
+            save_checkpoint(str(p), self.build_store(), {})
+        assert raised.value.filename == f"{p}.tmp"
+        assert raised.value.__context__ is None and raised.value.__cause__ is None
+        assert (tmp_path / "x.ckpt.tmp").is_dir() and not p.exists()
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.ckpt"
         p.write_bytes(b"XXXX" + b"\x00" * 16)

@@ -27,7 +27,7 @@ def test_identity_digests_repeat_and_cover_every_part():
     assert [part for part, _ in lines] == [
         f"{decoder}/{checkpoint}" for checkpoint in ("trained", "untrained")
         for decoder in ("greedy", "beam5", "nat-pmc")
-    ] + ["train/trained", "train/untrained", "build"]
+    ] + ["beam5-pool/trained", "beam5-pool/untrained", "train/trained", "train/untrained", "build"]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
 
 
@@ -45,7 +45,7 @@ def test_identity_against_a_tree_names_the_part_that_differs(tmp_path):
     run = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 1, run.stderr[-2000:]
     lines = [line.split() for line in run.stdout.splitlines()]
-    assert len(lines) == 9 and all(len(fields) == 4 for fields in lines)
+    assert len(lines) == 11 and all(len(fields) == 4 for fields in lines)
     assert [(part, verdict) for part, ours, theirs, verdict in lines if ours != theirs] == [("build", "DIFF")]
     assert all(verdict == "same" for part, _, _, verdict in lines if part != "build")
 

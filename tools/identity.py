@@ -13,6 +13,9 @@ lines, in which every float is written exactly, by ``float.hex``:
   by beam search of width 5 (every hypothesis returned, in order) and by
   nat-pmc at bin 0.001 Da (peptide, log-probability, feasible flag,
   confidence);
+* ``beam5-pool/C``: beam search of width 5 on each spectrum of
+  ``bench/fixture/pool.mgf``, lines as in ``beam5/C``. Out of distribution
+  there, the kept hypotheses end at many different lengths;
 * ``train/C``: the losses of two stage-1 steps and then two stage-2 steps,
   each on the first 10 spectra, from C's weights and fresh AdamW state,
   mid-schedule as in the benchmark;
@@ -61,8 +64,19 @@ def _load(name: str):
     return Model.from_checkpoint_blob(*load_checkpoint(str(FIXTURE / f"{name}.ckpt")))
 
 
+def beam_lines(model, spectra) -> list[str]:
+    from pepseq.decoding import beam_search_at
+
+    max_len, lines = model.cfg.t_max - 2, []
+    for s in spectra:
+        for rank, r in enumerate(beam_search_at(model, s, BEAM_WIDTH, max_len)):
+            lines.append(f"{s.spectrum_id} {rank} {r.peptide} {_hex(r.confidence)} "
+                         f"{_hex(r.total_logp)} {r.finished}")
+    return lines
+
+
 def decode_parts(model, spectra) -> dict[str, list[str]]:
-    from pepseq.decoding import beam_search_at, greedy_at_decode, nat_pmc_decode
+    from pepseq.decoding import greedy_at_decode, nat_pmc_decode
 
     max_len = model.cfg.t_max - 2
     greedy, beam, pmc = [], [], []
@@ -70,9 +84,7 @@ def decode_parts(model, spectra) -> dict[str, list[str]]:
         r = greedy_at_decode(model, s, max_len)
         greedy.append(f"{s.spectrum_id} {r.peptide} {_hex(r.confidence)} {_hex(r.total_logp)} "
                       f"{r.finished}")
-        for rank, r in enumerate(beam_search_at(model, s, BEAM_WIDTH, max_len)):
-            beam.append(f"{s.spectrum_id} {rank} {r.peptide} {_hex(r.confidence)} "
-                        f"{_hex(r.total_logp)} {r.finished}")
+        beam += beam_lines(model, [s])
         result, conf = nat_pmc_decode(model, s, tolerance=PMC_TOLERANCE, bin_width=PMC_BIN)
         pmc.append(f"{s.spectrum_id} {result.peptide} {_hex(result.log_prob)} {result.feasible} "
                    f"{_hex(conf)}")
@@ -117,11 +129,14 @@ def parts(limit: int | None) -> dict[str, list[str]]:
     from pepseq.mgf import parse_mgf
     from pepseq.spectra import AminoAcidTable
 
-    spectra = parse_mgf((FIXTURE / "spectra.mgf").read_text(), AminoAcidTable())[:limit]
+    spectra, pool = (parse_mgf((FIXTURE / f).read_text(), AminoAcidTable())[:limit]
+                     for f in ("spectra.mgf", "pool.mgf"))
     out = {}
     for name in CHECKPOINTS:
         for decoder, lines in decode_parts(_load(name), spectra).items():
             out[f"{decoder}/{name}"] = lines
+    for name in CHECKPOINTS:
+        out[f"beam{BEAM_WIDTH}-pool/{name}"] = beam_lines(_load(name), pool)
     for name in CHECKPOINTS:
         out[f"train/{name}"] = train_lines(_load(name), spectra)
     out["build"] = build_lines()
