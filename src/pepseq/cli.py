@@ -37,7 +37,7 @@ from .metrics import corpus_eval, precision_coverage
 from .mgf import MGFParseError, parse_mgf, write_mgf
 from .network import Model, ModelConfig, check_spectrum
 from .optim import OptimizerState
-from .params import CheckpointError, load_checkpoint, save_checkpoint
+from .params import CheckpointError, load_checkpoint, save_checkpoint, staging_path
 from .spectra import (
     AminoAcidTable,
     NoiseConfig,
@@ -120,10 +120,12 @@ class DataError(Exception):
     pass
 
 
-def _open_text(path: Path, error: type[Exception], newline: str | None = None) -> io.StringIO:
+def _open_text(path: Path, error: type[Exception], newline: str | None = None,
+               data: bytes | None = None) -> io.StringIO:
     """``path`` as UTF-8 text, read as ``open(path, newline=newline)`` reads
-    it; bytes that are not UTF-8 raise ``error`` naming the file and line."""
-    data = path.read_bytes()
+    it, from ``data`` when its bytes are already read; bytes that are not
+    UTF-8 raise ``error`` naming the file and line."""
+    data = path.read_bytes() if data is None else data
     try:
         return io.StringIO(data.decode("utf-8"), newline=newline)
     except UnicodeDecodeError as e:
@@ -243,16 +245,18 @@ def _require_path(cfg: RunConfig, option: str, what: str) -> Path:
 
 
 def _read_corpus(path: Path, table: AminoAcidTable, require_truth: bool,
-                 max_residues: int | None = None) -> list[Spectrum]:
-    """Parse an MGF corpus and reject the spectra ``check_spectrum`` rejects.
+                 max_residues: int | None = None) -> tuple[list[Spectrum], str]:
+    """Parse an MGF corpus and reject the spectra ``check_spectrum`` rejects;
+    returns the spectra and the SHA-256 of the one read they came from.
 
     Spectrum ids must be unique: fine-tuning caches features by id, and
     evaluation joins predictions to truths by id.
     """
     if not path.is_file():
         raise DataError(f"spectra file not found: {path}")
+    data = path.read_bytes()
     try:
-        spectra = parse_mgf(_open_text(path, DataError).read(), table=table)
+        spectra = parse_mgf(_open_text(path, DataError, data=data).read(), table=table)
     except MGFParseError as e:
         raise DataError(f"{path} {e}") from e
     if not spectra:
@@ -273,7 +277,7 @@ def _read_corpus(path: Path, table: AminoAcidTable, require_truth: bool,
                 f"{path}: spectra without SEQ annotations: {', '.join(missing[:5])}"
                 + ("…" if len(missing) > 5 else "")
             )
-    return spectra
+    return spectra, hashlib.sha256(data).hexdigest()
 
 
 def _write_manifest(out: Path, command: str, cfg: RunConfig, extra: dict) -> None:
@@ -362,14 +366,15 @@ METRICS_COLUMNS = ("step", "stage", "at_loss", "nat_loss", "lambda", "lr")
 PREDICTION_COLUMNS = ("spectrum_id", "predicted_sequence", "confidence", "decoder", "feasible_flag")
 
 
-def _stage_settings(cfg: RunConfig, stage: str, corpus: Path) -> dict:
+def _stage_settings(cfg: RunConfig, stage: str, corpus_sha256: str) -> dict:
     """The settings that shape a stage's batch stream, learning rate and
-    annealing; a resumed run must match them. A longer fine-tune is allowed:
-    stage 2 runs at a constant learning rate with no annealing."""
+    annealing, with the hash of the corpus bytes the stage trains on; a
+    resumed run must match them. A longer fine-tune is allowed: stage 2 runs
+    at a constant learning rate with no annealing."""
     keys = {"train": ("batch_size", "base_lr", "warmup_steps", "stage1_steps"),
             "finetune": ("batch_size", "finetune_lr")}[stage]
     return {"seed": cfg.seed, **{key: cfg.value("training", key) for key in keys},
-            "corpus_sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}
+            "corpus_sha256": corpus_sha256}
 
 
 def _resume_point(resume: str, model: Model, blob: dict, stage: str, total: int,
@@ -437,12 +442,14 @@ def _run_stage(out: Path, step, corpus: list[Spectrum], batches, start: int, tot
     would. ``save(next_step)`` runs every ``every`` steps and at the end. On
     a numeric abort the exception propagates (exit code 3) and the last
     periodic checkpoint, if any, stays on disk untouched. A directory in
-    place of an output, or of the ``checkpoint.bin.tmp`` the checkpoint is
-    written to first, is the usage error writing it would be, before any step.
+    place of an output, or of the ``staging_path`` the checkpoint is written
+    to first, is the usage error writing it would be, before any step.
     """
-    for name in ("checkpoint.bin", "checkpoint.bin.tmp", "metrics.csv", "manifest.json"):
-        if (out / name).is_dir():
-            with _output(out / name.removesuffix(".tmp")):
+    ckpt = out / "checkpoint.bin"
+    staged = Path(staging_path(str(ckpt)))
+    for path in (ckpt, staged, out / "metrics.csv", out / "manifest.json"):
+        if path.is_dir():
+            with _output(ckpt if path == staged else path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     rows = []
     with _output(out / "metrics.csv") as path, path.open("w", newline="") as fh:
@@ -460,8 +467,9 @@ def _run_stage(out: Path, step, corpus: list[Spectrum], batches, start: int, tot
 def cmd_train(cfg: RunConfig, out: Path) -> int:
     table = AminoAcidTable()
     corpus_path, model_cfg = _require_path(cfg, "corpus", "training spectra"), cfg.model_config()
-    corpus = _read_corpus(corpus_path, table, require_truth=True, max_residues=model_cfg.max_residues)
-    settings = _stage_settings(cfg, "train", corpus_path)
+    corpus, digest = _read_corpus(corpus_path, table, require_truth=True,
+                                  max_residues=model_cfg.max_residues)
+    settings = _stage_settings(cfg, "train", digest)
     total = settings["stage1_steps"]
     every = cfg.value("training", "checkpoint_every")
     try:
@@ -501,8 +509,8 @@ def cmd_finetune(cfg: RunConfig, out: Path) -> int:
     epochs = cfg.value("training", "finetune_epochs")
     every = cfg.value("training", "checkpoint_every")
     corpus_path = _require_path(cfg, "corpus", "training spectra")
-    corpus = _read_corpus(corpus_path, table, require_truth=True)
-    settings = _stage_settings(cfg, "finetune", corpus_path)
+    corpus, digest = _read_corpus(corpus_path, table, require_truth=True)
+    settings = _stage_settings(cfg, "finetune", digest)
     batch_size = settings["batch_size"]
     total = epochs * -(-len(corpus) // batch_size)  # whole passes over the corpus
     resume = cfg.value("paths", "resume")
@@ -556,7 +564,7 @@ def cmd_decode(cfg: RunConfig, out: Path) -> int:
         PMCConfig(0.0, tol, bin_width).residue_bins(table)
     except ValueError as e:
         raise UsageError(f"bad decoding.pmc_tolerance or decoding.pmc_bin: {e}") from e
-    spectra = _read_corpus(_require_path(cfg, "mgf", "spectra to decode"), table, require_truth=False)
+    spectra, _ = _read_corpus(_require_path(cfg, "mgf", "spectra to decode"), table, require_truth=False)
     model, _ = _load_model(_require_path(cfg, "checkpoint", "model checkpoint"), table)
     max_len = dec["max_len"] or model.cfg.max_residues
 
@@ -619,7 +627,8 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
     table = AminoAcidTable()
     pred_path = _require_path(cfg, "predictions", "decoder output")
     preds = _read_predictions(pred_path, table)
-    truth_spectra = _read_corpus(_require_path(cfg, "truth", "annotated spectra"), table, require_truth=True)
+    truth_spectra, _ = _read_corpus(_require_path(cfg, "truth", "annotated spectra"), table,
+                                    require_truth=True)
     truths = {s.spectrum_id: s.truth for s in truth_spectra}
     try:
         report = corpus_eval(preds, truths, table)

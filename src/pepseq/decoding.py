@@ -83,28 +83,22 @@ class DecodeResult:
     finished: bool  # False when the length cap cut the hypothesis off
 
 
-def _log_probs(model: Model, logits: np.ndarray) -> np.ndarray:
-    """Next-token log-probabilities [..., vocab] from AT logits [..., vocab],
-    with the structural tokens, never valid emissions, masked out."""
-    logps = ad.Kernels.log_softmax(logits)
-    logps[..., [model.table.bos_id, model.table.pad_id]] = -np.inf
-    return logps
-
-
 def _step_logps(model: Model, spectrum: Spectrum, cache: ATCache, tokens, prefix) -> np.ndarray:
-    """Masked next-token log-probabilities [n, vocab] from one cached AT step
-    of ``model.arrays``: each row feeds its last token ``tokens`` [n] (BOS
+    """Next-token log-probabilities [n, vocab], unmasked, from one cached AT
+    step of ``model.arrays``: each row feeds its last token ``tokens`` [n] (BOS
     at the start) at its prefix mass ``prefix`` [n], which counts that token,
     and the suffix budget, as :func:`network.prefix_suffix_masses` gives
-    them. The cache holds the earlier positions and gains this one.
+    them. The cache holds the earlier positions and gains this one; the BOS
+    and PAD columns hold finite values that no decoder reads.
     """
     masses = np.empty((len(tokens), 1, 2))
     masses[:, 0, 0], masses[:, 0, 1] = prefix, (spectrum.neutral_mass - WATER) - prefix
-    return _log_probs(model, model.arrays.at_forward(tokens[:, None], masses, cache)[:, 0])
+    return ad.Kernels.log_softmax(model.arrays.at_forward(tokens[:, None], masses, cache)[:, 0])
 
 
 def _next_logps(model: Model, spectrum: Spectrum, ids, enc: np.ndarray, nat: NATFeatures) -> np.ndarray:
-    """Masked next-token log-probabilities after residue prefixes ``ids``.
+    """Next-token log-probabilities after residue prefixes ``ids``; the BOS
+    and PAD columns hold finite values that no decoder reads.
 
     One prefix [L] gives [vocab]; n prefixes of equal length [n, L] give
     [n, vocab], all against the one decode context ``enc``, ``nat`` of
@@ -188,7 +182,7 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     table = model.table
-    # Each row's candidates: ending (no new residue), then each residue.
+    # Each row's candidates, the only columns a decode reads: ending (EOS), then each residue.
     emitted = np.concatenate([[-1], np.arange(table.n_residues)])
     columns = np.concatenate([[table.eos_id], np.arange(table.n_residues)])
     gained = np.concatenate([[0.0], table.masses])
@@ -203,7 +197,7 @@ def beam_search_at(model: Model, spectrum: Spectrum, width: int, max_len: int) -
     draft = _draft(model, nat.logits if width == 1 else None, max_len)
     tokens = np.concatenate([[table.bos_id], draft])[None]
     masses = prefix_suffix_masses(draft[None], spectrum.neutral_mass, table)
-    ahead = _log_probs(model, view.at_forward(tokens, masses, cache)[0])
+    ahead = ad.Kernels.log_softmax(view.at_forward(tokens, masses, cache)[0])
     for length in range(max_len):  # residues every live hypothesis holds
         live = ~finished
         if not live.any():

@@ -45,6 +45,7 @@ __all__ = [
     "ParameterStore",
     "CheckpointError",
     "save_checkpoint",
+    "staging_path",
     "load_checkpoint",
 ]
 
@@ -124,6 +125,11 @@ class ParameterStore:
         return {k: t.values.copy() for k, t in items}
 
 
+def staging_path(path: str) -> str:
+    """The file beside ``path`` that :func:`save_checkpoint` writes first."""
+    return f"{path}.tmp"
+
+
 def save_checkpoint(path: str, store: ParameterStore, config_blob: dict) -> None:
     """Write the store plus a JSON metadata blob; see module docstring."""
     blob = dict(config_blob)
@@ -152,7 +158,7 @@ def save_checkpoint(path: str, store: ParameterStore, config_blob: dict) -> None
     # Write beside the target and rename over it, so a failed or killed
     # write leaves the previous checkpoint intact. Only a file this call
     # made is removed on failure, and a failed open made none.
-    tmp = f"{path}.tmp"
+    tmp = staging_path(path)
     f = open(tmp, "wb")
     try:
         with f:

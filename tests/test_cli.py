@@ -1,6 +1,7 @@
 """End-to-end command-line tests, driven in-process through main()."""
 
 import csv
+import hashlib
 import json
 import re
 import struct
@@ -384,6 +385,29 @@ def test_resume_under_other_settings_is_data_error(pipeline, tmp_path, capsys, c
     assert code == 2
     err = capsys.readouterr().err
     assert field in err and str(resume) in err
+
+
+@pytest.mark.parametrize("command", ["train", "finetune"])
+def test_the_recorded_corpus_hash_is_of_the_bytes_trained_on(pipeline, tmp_path, monkeypatch, command):
+    # The corpus changes on disk right after it is parsed: the checkpoint
+    # must still record the hash of the bytes the run parsed and trained on.
+    corpus = tmp_path / "corpus.mgf"
+    original = (pipeline / "sim" / "spectra.mgf").read_bytes()
+    corpus.write_bytes(original)
+    parse = cli.parse_mgf
+
+    def parse_then_rewrite(*args, **kwargs):
+        spectra = parse(*args, **kwargs)
+        corpus.write_bytes(original.replace(b"\n", b"\r\n"))
+        return spectra
+
+    monkeypatch.setattr(cli, "parse_mgf", parse_then_rewrite)
+    out = tmp_path / "out"
+    stage1 = ["--checkpoint", str(pipeline / "train" / "checkpoint.bin")] * (command == "finetune")
+    assert run(command, "--seed", "5", "--out", str(out), *TINY, "--corpus", str(corpus), *stage1) == 0
+    assert corpus.read_bytes() != original
+    _, blob = load_checkpoint(str(out / "checkpoint.bin"))
+    assert blob[command]["settings"]["corpus_sha256"] == hashlib.sha256(original).hexdigest()
 
 
 def test_resume_from_checkpoint_without_recorded_settings(pipeline, tmp_path):

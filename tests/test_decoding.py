@@ -102,6 +102,14 @@ def test_collapse_idempotent_on_clean_sequences():
 # greedy
 
 
+def best_emission(row, table=TABLE):
+    """The argmax of a next-token row over the tokens a decode may emit, EOS
+    first and then the residues, as the beam ranks them; the row's BOS and
+    PAD columns are unmasked and go unread."""
+    emittable = np.array([table.eos_id, *range(table.n_residues)])
+    return int(emittable[np.argmax(row[emittable])])
+
+
 def test_greedy_deterministic():
     model = small_model()
     (s,) = spectra_for(TABLE, 1, seed=11)
@@ -139,12 +147,12 @@ def test_greedy_confidence_is_mean_of_step_logps():
     for res in r.peptide:
         row = _next_logps(model, s, prefix, enc, nat)
         tok = model.table.index_of(res)
-        assert int(np.argmax(row)) == tok
+        assert best_emission(row) == tok
         logps.append(row[tok])
         prefix.append(tok)
     if r.finished:
         row = _next_logps(model, s, prefix, enc, nat)
-        assert int(np.argmax(row)) == model.table.eos_id
+        assert best_emission(row) == model.table.eos_id
         logps.append(row[model.table.eos_id])
     assert r.total_logp == sum(logps)
     assert r.confidence == sum(logps) / len(logps)
@@ -332,7 +340,7 @@ def test_beam_ranks_ties_as_a_lexsort_of_the_whole_pool(monkeypatch):
         return np.array([synthetic_logps(t, m, vocab, seed) for t, m in zip(last, mass)])
 
     monkeypatch.setattr(Model, "at_forward", at_forward)
-    monkeypatch.setattr(decoding, "_log_probs", lambda model, logps: logps)
+    monkeypatch.setattr(ad.Kernels, "log_softmax", staticmethod(lambda logps: logps))
     exact = lambda results: [(str(r.peptide), r.confidence.hex(), r.total_logp.hex(), r.finished)
                              for r in results]
     ended_at, tied = set(), 0
@@ -344,6 +352,36 @@ def test_beam_ranks_ties_as_a_lexsort_of_the_whole_pool(monkeypatch):
         ended_at |= {len(r.peptide) for r in got if r.finished}
         tied += len(got) - len({r.total_logp for r in got})
     assert ended_at == {0, 1, 2, 3, 4} and tied > 100
+
+
+@pytest.mark.parametrize("checkpoint", ["trained", "untrained"])
+def test_no_decoder_reads_the_bos_or_pad_column(monkeypatch, checkpoint):
+    # The fine-tuned checkpoint's greedy reads its first rows off the NAT's
+    # draft; the other's reads one cached step per length. NaN in the BOS and
+    # PAD columns of every AT row must change no bit of either decode.
+    model = Model.from_checkpoint_blob(*load_checkpoint(str(FIXTURE / f"{checkpoint}.ckpt")))
+    assert model.finetuned == (checkpoint == "trained")
+    max_len = model.cfg.max_residues
+    exact = lambda results: [(str(r.peptide), r.confidence.hex(), r.total_logp.hex(), r.finished)
+                             for r in results]
+    decode = lambda s: exact([greedy_at_decode(model, s, max_len), *beam_search_at(model, s, 5, max_len)])
+    spectra = [*parse_mgf((FIXTURE / "spectra.mgf").read_text(), model.table)[:3],
+               *parse_mgf((FIXTURE / "pool.mgf").read_text(), model.table)[:3]]
+    plain = [decode(s) for s in spectra]
+    log_softmax, poisoned = ad.Kernels.log_softmax, []
+
+    def poisoning(logits):
+        logps = log_softmax(logits)
+        if logps.shape[-1] == model.table.at_vocab_size:
+            logps[..., [model.table.bos_id, model.table.pad_id]] = np.nan
+            poisoned.append(logps.shape)
+        return logps
+
+    monkeypatch.setattr(ad.Kernels, "log_softmax", staticmethod(poisoning))
+    got = [decode(s) for s in spectra]
+    assert len(poisoned) >= 2 * len(spectra)
+    assert not any(np.isnan(float.fromhex(total)) for results in got for _, _, total, _ in results)
+    assert got == plain
 
 
 @pytest.mark.parametrize("width", [1, 3])
@@ -600,7 +638,7 @@ def stepped_walk(model, s, max_len):
     prefix, total = [], 0.0
     while len(prefix) < max_len:
         row = _next_logps(model, s, prefix, enc, nat)
-        tok = int(np.argmax(row))
+        tok = best_emission(row)
         total = total + row[tok]
         if tok == TABLE.eos_id:
             return prefix, True, total

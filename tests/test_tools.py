@@ -115,7 +115,8 @@ def test_pairs_marks_a_metric_unresolved_when_the_parent_spread_passes_its_bound
 
 # A stand-in for bench/run.py: it logs its tree and seed, and prints a details
 # line and a result line with every end-to-end metric at a fixed value. The
-# change tree's run of seed 1 fails instead.
+# change tree's run of seed 1 fails instead, and the parent tree's run of seed
+# 2 exits 0 with no result line.
 STUB_RUN = """
 import json, sys
 from pathlib import Path
@@ -127,6 +128,9 @@ with open(Path.cwd().parent / "order.log", "a") as log:
 if side == "change" and seed == 1:
     print("stub failure", file=sys.stderr)
     sys.exit(3)
+if side == "parent" and seed == 2:
+    print("stub output cut short")
+    sys.exit(0)
 names = [m["name"] for m in json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]]
 print(json.dumps({"facts": {"nproc": 1, "python": "stub", "numpy": "stub", "blas": "stub",
                             "threads": {}}}))
@@ -143,16 +147,20 @@ def test_pairs_alternates_sides_and_keeps_a_failed_run(tmp_path):
         (tmp_path / side / "bench" / "run.py").write_text(STUB_RUN)
     out = tmp_path / "BENCH.json"
     assert pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "train",
-                       "--seeds", "0-1", "--claim", "train:greedy_ms_per_spectrum:5",
+                       "--seeds", "0-2", "--claim", "train:greedy_ms_per_spectrum:5",
                        "--out", str(out)]) == 0
-    # Pair 0 runs the parent first, pair 1 the change first.
+    # Pairs 0 and 2 run the parent first, pair 1 the change first.
     assert (tmp_path / "order.log").read_text().splitlines() == [
-        "parent 0", "change 0", "change 1", "parent 1"]
+        "parent 0", "change 0", "change 1", "parent 1", "parent 2", "change 2"]
     result = json.loads(out.read_text())
-    assert [r for r in result["runs"] if "metrics" not in r] == [
-        {"workload": "train", "seed": 1, "side": "change", "exit": 3, "stderr": "stub failure\n"}]
+    failed, malformed = [r for r in result["runs"] if "metrics" not in r]
+    assert failed == {"workload": "train", "seed": 1, "side": "change", "exit": 3,
+                      "stderr": "stub failure\n"}
+    assert malformed.pop("malformed").startswith("no details line and JSON result")
+    assert malformed == {"workload": "train", "seed": 2, "side": "parent", "exit": 0,
+                         "stdout": "stub output cut short\n"}
     train = result["workloads"]["train"]
-    assert train["seeds"] == [0] and train["failed"] == [[0, 0]]  # pair 1 counts nowhere
+    assert train["seeds"] == [0] and train["failed"] == [[0, 0]]  # pairs 1 and 2 count nowhere
     assert {row["pairs"] for row in train["summary"].values()} == {1}
     assert train["summary"]["greedy_ms_per_spectrum"]["median_change_pct"] == -10.0
     # The file has the shape of the checked-in BENCH_20.json.

@@ -25,7 +25,9 @@ in the median, better in at least nine of ten pairs, by a median gap wider
 than the parent's interquartile range, with no failed operation. The file
 is rewritten after every pair, so an interrupted session keeps the pairs it
 finished. A run that exits non-zero is kept with its exit code and the end
-of its stderr; its pair counts in no summary.
+of its stderr, and one that exits 0 without a details line and a JSON result
+at the end of its output with a ``malformed`` note and the end of its stdout;
+its pair counts in no summary.
 """
 
 from __future__ import annotations
@@ -119,17 +121,20 @@ def claim_result(workloads: dict, workload: str, metric: dict, pct: float) -> di
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict | None]:
     """One ``bench/run.py`` run from ``tree``: its result record and the
-    details line, or an error record and None."""
+    machine facts of its details line, or an error record and None."""
     cmd = [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         return {"exit": done.returncode, "stderr": done.stderr[-2000:]}, None
-    *_, details, result = done.stdout.strip().splitlines()
-    result = json.loads(result)
-    return ({"failed": result["failed"], "attempted": result["attempted"],
-             "metrics": {k: m["value"] for k, m in result["metrics"].items()}},
-            json.loads(details))
+    try:
+        *_, details, result = done.stdout.strip().splitlines()
+        result, facts = json.loads(result), json.loads(details)["facts"]
+        return ({"failed": result["failed"], "attempted": result["attempted"],
+                 "metrics": {k: m["value"] for k, m in result["metrics"].items()}}, facts)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        note = f"no details line and JSON result at the end of stdout ({exc!r})"
+        return {"exit": 0, "malformed": note, "stdout": done.stdout[-2000:]}, None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -175,12 +180,12 @@ def main(argv: list[str] | None = None) -> int:
     for workload, seeds in plan:
         for i, seed in enumerate(seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                record, details = bench_run(trees[side], workload, seed, seconds)
+                record, facts = bench_run(trees[side], workload, seed, seconds)
                 out["runs"].append({"workload": workload, "seed": seed, "side": side, **record})
-                if details is not None and out["machine"] is None:
-                    out["machine"] = {k: details["facts"].get(k) for k in MACHINE_FACTS}
-                print(f"{workload} seed {seed} {side}: "
-                      f"{record.get('metrics') or 'exit ' + str(record['exit'])}", file=sys.stderr)
+                if facts is not None and out["machine"] is None:
+                    out["machine"] = {k: facts.get(k) for k in MACHINE_FACTS}
+                shown = record.get("metrics") or record.get("malformed") or f"exit {record['exit']}"
+                print(f"{workload} seed {seed} {side}: {shown}", file=sys.stderr)
             out["workloads"] = summarize(out["runs"], metrics)
             if claim and claim[1]["name"] in out["workloads"].get(claim[0], {}).get("summary", {}):
                 out["claim_result"] = claim_result(out["workloads"], *claim)
