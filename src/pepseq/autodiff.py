@@ -1,12 +1,16 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Values are wrapped in :class:`Tensor` nodes. Each operation computes its
-result eagerly with numpy and records its input nodes together with a
-backward closure, so the computation graph is rebuilt on every forward pass
-(define-by-run). :func:`backward` walks that graph once in reverse
-topological order and accumulates gradients into every node that requires
-them; leaves created with ``requires_grad=True`` end up holding ``.grad``
-arrays of the same shape as their values.
+A :class:`Tensor` is its ``values`` and a :class:`Node`: the gradient,
+whether one is required, the parent nodes, the backward closure and the
+shape. Each operation computes its result eagerly with numpy and records its
+input nodes together with a backward closure, so the computation graph is
+rebuilt on every forward pass (define-by-run). A closure holds its inputs'
+nodes and only the arrays that its backward reads, never a Tensor, so the
+graph holds no value that no backward reads: such a value goes with the last
+Tensor that holds it, during the forward. :func:`backward` walks the nodes
+once in reverse topological order and accumulates gradients into every node
+that requires them; leaves created with ``requires_grad=True`` end up
+holding ``.grad`` arrays of the same shape as their values.
 
 Only the primitives the sequencing model differentiates live here:
 ``add``, ``mul`` and ``neg`` with broadcasting, ``gelu``, shape surgery
@@ -32,6 +36,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "Node",
     "Kernels",
     "DimensionError",
     "NumericError",
@@ -63,17 +68,45 @@ class NumericError(ArithmeticError):
     """NaN or other numeric poison where the contract demands finite values."""
 
 
-class Tensor:
-    """A node in the differentiation graph wrapping a float64 ndarray."""
+class Node:
+    """A Tensor's place in the graph: its gradient, whether it requires one,
+    its parent nodes, its backward closure and its shape; never its value."""
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "requires_grad", "parents", "backward", "shape")
+
+    def __init__(self, shape: tuple[int, ...], requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.parents: tuple[Node, ...] = ()
+        self.backward: Callable[[np.ndarray], None] | None = None
+        self.shape = shape
+
+
+class Tensor:
+    """A float64 ndarray, ``values``, and its graph :class:`Node`, ``node``.
+    ``grad`` and ``requires_grad`` are the node's."""
+
+    __slots__ = ("values", "node")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self.node = Node(self.values.shape, bool(requires_grad))
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self.node.grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        self.node.requires_grad = bool(flag)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -108,32 +141,35 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def _node(values: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.ndarray], None]) -> Tensor:
+def _node(values: np.ndarray, parents: Sequence[Node], bwd: Callable[[np.ndarray], None]) -> Tensor:
+    """An op's result: ``values`` over the ``parents`` nodes, with ``bwd``
+    recorded if any parent requires gradient."""
     out = Tensor(values)
     for p in parents:
         if p.requires_grad:
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = bwd
+            node = out.node
+            node.requires_grad = True
+            node.parents = tuple(parents)
+            node.backward = bwd
             break
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accum(node: Node, g: np.ndarray) -> None:
+    if not node.requires_grad:
         return
-    if t.grad is None:
+    if node.grad is None:
         # A copy: ``g`` may be a view of another node's gradient.
-        t.grad = np.array(g, dtype=np.float64)
+        node.grad = np.array(g, dtype=np.float64)
     else:
-        t.grad += g
+        node.grad += g
 
 
-def _grad_buffer(t: Tensor) -> np.ndarray:
-    """``t.grad``, zero-filled on first use, for ops that scatter into it."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    return t.grad
+def _grad_buffer(node: Node) -> np.ndarray:
+    """``node.grad``, zero-filled on first use, for ops that scatter into it."""
+    if node.grad is None:
+        node.grad = np.zeros(node.shape)
+    return node.grad
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -171,10 +207,14 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU of ``x``, and the tanh its backward reads."""
-    t = np.tanh(_GELU_K * (x + 0.044715 * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """The tanh inside GELU of ``x``, which its backward reads too."""
+    return np.tanh(_GELU_K * (x + 0.044715 * (x * x * x)))
+
+
+def _gelu(x: np.ndarray) -> np.ndarray:
+    """GELU of ``x`` in the tanh approximation."""
+    return 0.5 * x * (1.0 + _gelu_tanh(x))
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -240,9 +280,7 @@ class Kernels:
     def stop_gradient(a: np.ndarray) -> np.ndarray:
         return a
 
-    @staticmethod
-    def gelu(a: np.ndarray) -> np.ndarray:
-        return _gelu(a)[0]
+    gelu = staticmethod(_gelu)
 
     @staticmethod
     def gather(a: np.ndarray, indices, axis: int = 0) -> np.ndarray:
@@ -280,38 +318,45 @@ class Kernels:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+    an, bn = a.node, b.node
 
-    return _node(Kernels.add(a.values, b.values), (a, b), bwd)
+    def bwd(g: np.ndarray) -> None:
+        _accum(an, _unbroadcast(g, an.shape))
+        _accum(bn, _unbroadcast(g, bn.shape))
+
+    return _node(Kernels.add(a.values, b.values), (an, bn), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(g * b.values, a.shape))
-        _accum(b, _unbroadcast(g * a.values, b.shape))
+    an, bn, av, bv = a.node, b.node, a.values, b.values
 
-    return _node(Kernels.mul(a.values, b.values), (a, b), bwd)
+    def bwd(g: np.ndarray) -> None:
+        _accum(an, _unbroadcast(g * bv, an.shape))
+        _accum(bn, _unbroadcast(g * av, bn.shape))
+
+    return _node(Kernels.mul(av, bv), (an, bn), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, -g)
+    an = a.node
 
-    return _node(Kernels.neg(a.values), (a,), bwd)
+    def bwd(g: np.ndarray) -> None:
+        _accum(an, -g)
+
+    return _node(Kernels.neg(a.values), (an,), bwd)
 
 
 def gelu(a: Tensor) -> Tensor:
     """GELU in the tanh approximation (smooth everywhere)."""
-    x = a.values
-    out_vals, t = _gelu(x)
+    an, x = a.node, a.values
 
+    # The tanh is recomputed, by the forward's expression, not kept.
     def bwd(g: np.ndarray) -> None:
+        t = _gelu_tanh(x)
         d_inner = _GELU_K * (1.0 + 3 * 0.044715 * x**2)
-        _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner))
+        _accum(an, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner))
 
-    return _node(out_vals, (a,), bwd)
+    return _node(_gelu(x), (an,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -319,44 +364,48 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def _slice(a: Tensor, key) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _grad_buffer(a)[key] += g
+    an = a.node
 
-    return _node(a.values[key], (a,), bwd)
+    # A scatter that adds once per occurrence, so a repeated index sums.
+    def bwd(g: np.ndarray) -> None:
+        if an.requires_grad:
+            np.add.at(_grad_buffer(an), key, g)
+
+    return _node(a.values[key], (an,), bwd)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise DimensionError("concat needs at least one tensor")
+    nodes = tuple(p.node for p in parts)
     offsets = [0]
-    for p in parts:
-        offsets.append(offsets[-1] + p.values.shape[axis])
+    for n in nodes:
+        offsets.append(offsets[-1] + n.shape[axis])
 
     def bwd(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accum(p, g[tuple(idx)])
+            _accum(n, g[tuple(idx)])
 
-    return _node(Kernels.concat([p.values for p in parts], axis), tuple(parts), bwd)
+    return _node(Kernels.concat([p.values for p in parts], axis), nodes, bwd)
 
 
 def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
     """Select rows (or entries, for 1-D input) along ``axis`` by integer index."""
-    idx = np.asarray(indices, dtype=np.intp)
+    an, idx = a.node, np.asarray(indices, dtype=np.intp)
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            np.add.at(np.moveaxis(_grad_buffer(a), axis, 0), idx, np.moveaxis(g, axis, 0))
+        if an.requires_grad:
+            np.add.at(np.moveaxis(_grad_buffer(an), axis, 0), idx, np.moveaxis(g, axis, 0))
 
-    return _node(Kernels.gather(a.values, idx, axis), (a,), bwd)
+    return _node(Kernels.gather(a.values, idx, axis), (an,), bwd)
 
 
 def take_per_row(a: Tensor, indices) -> Tensor:
     """out[...] = a[..., indices[...]]: one entry of the last axis per row,
     for ``a`` [..., V] and integer ``indices`` [...]."""
-    idx = np.asarray(indices, dtype=np.intp)
+    an, idx = a.node, np.asarray(indices, dtype=np.intp)
     if a.ndim < 1 or idx.shape != a.shape[:-1]:
         raise DimensionError(
             f"take_per_row needs one index per row: {idx.shape} vs rows {a.shape[:-1]}"
@@ -364,10 +413,10 @@ def take_per_row(a: Tensor, indices) -> Tensor:
 
     # Each row is read once, so the scatter meets no index twice.
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _grad_buffer(a)[_per_row(idx)] += g
+        if an.requires_grad:
+            _grad_buffer(an)[_per_row(idx)] += g
 
-    return _node(Kernels.take_per_row(a.values, idx), (a,), bwd)
+    return _node(Kernels.take_per_row(a.values, idx), (an,), bwd)
 
 
 def stop_gradient(a: Tensor) -> Tensor:
@@ -381,13 +430,13 @@ def stop_gradient(a: Tensor) -> Tensor:
 
 def log_softmax(a: Tensor) -> Tensor:
     """Log-softmax over the last axis; see :func:`_row_max` for its errors."""
-    out_vals = Kernels.log_softmax(a.values)
+    an, out_vals = a.node, Kernels.log_softmax(a.values)
 
     def bwd(g: np.ndarray) -> None:
         s = np.exp(out_vals)
-        _accum(a, g - s * g.sum(axis=-1, keepdims=True))
+        _accum(an, g - s * g.sum(axis=-1, keepdims=True))
 
-    return _node(out_vals, (a,), bwd)
+    return _node(out_vals, (an,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -397,21 +446,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    out_vals, xhat, inv = _layer_norm(x.values, gain.values, bias.values)
+    xn, gn, bn, gv = x.node, gain.node, bias.node, gain.values
+    out_vals, xhat, inv = _layer_norm(x.values, gv, bias.values)
 
     def bwd(g: np.ndarray) -> None:
         lead = tuple(range(g.ndim - 1))
-        _accum(bias, g.sum(axis=lead))
-        _accum(gain, (g * xhat).sum(axis=lead))
-        dxhat = g * gain.values
+        _accum(bn, g.sum(axis=lead))
+        _accum(gn, (g * xhat).sum(axis=lead))
+        dxhat = g * gv
         dx = inv * (
             dxhat
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
-        _accum(x, dx)
+        _accum(xn, dx)
 
-    return _node(out_vals, (x, gain, bias), bwd)
+    return _node(out_vals, (xn, gn, bn), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -422,17 +472,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"linear shapes do not match: {xv.shape} @ {wv.shape}")
     if bv.shape != wv.shape[1:]:
         raise DimensionError(f"linear bias shape {bv.shape} does not match weight {wv.shape}")
+    xn, wn, bn = x.node, w.node, b.node
 
     # The backward of a matmul, add graph, in its order: gradients equal
     # that graph's bit for bit.
     def bwd(g: np.ndarray) -> None:
-        _accum(b, _unbroadcast(g, b.shape))
-        if x.requires_grad:
-            _accum(x, g @ w.values.T)
-        if w.requires_grad:
-            _accum(w, _unbroadcast(np.swapaxes(x.values, -1, -2) @ g, w.shape))
+        _accum(bn, _unbroadcast(g, bn.shape))
+        if xn.requires_grad:
+            _accum(xn, g @ wv.T)
+        if wn.requires_grad:
+            _accum(wn, _unbroadcast(np.swapaxes(xv, -1, -2) @ g, wn.shape))
 
-    return _node(Kernels.linear(xv, wv, bv), (x, w, b), bwd)
+    return _node(Kernels.linear(xv, wv, bv), (xn, wn, bn), bwd)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
@@ -458,6 +509,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | Non
             raise DimensionError(f"mask shape {mask.shape} does not broadcast to scores {rows}")
         if not mask.any(axis=-1).all():
             raise NumericError("attention mask leaves a query row with no allowed position")
+    qn, kn, vn = q.node, k.node, v.node
     out_vals, (qh, kt, vh, p, scale) = _attention(q.values, k.values, v.values, mask, heads)
 
     # Each expression, in order, is the backward of a matmul, scale, mask,
@@ -466,12 +518,12 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | Non
         go = _heads(g, heads)
         gp = go @ np.swapaxes(vh, -1, -2)
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-        _accum(q, _merge(gs @ np.swapaxes(kt, -1, -2), qs))
+        _accum(qn, _merge(gs @ np.swapaxes(kt, -1, -2), qs))
         gkt = _unbroadcast(np.swapaxes(qh, -1, -2) @ gs, kt.shape)
-        _accum(k, _merge(np.swapaxes(gkt, -1, -2), ks))
-        _accum(v, _merge(_unbroadcast(np.swapaxes(p, -1, -2) @ go, vh.shape), vs))
+        _accum(kn, _merge(np.swapaxes(gkt, -1, -2), ks))
+        _accum(vn, _merge(_unbroadcast(np.swapaxes(p, -1, -2) @ go, vh.shape), vs))
 
-    return _node(out_vals, (q, k, v), bwd)
+    return _node(out_vals, (qn, kn, vn), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +531,23 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | Non
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, np.broadcast_to(g, a.shape).copy() if a.shape else np.asarray(g))
+    an = a.node
 
-    return _node(Kernels.sum_all(a.values), (a,), bwd)
+    def bwd(g: np.ndarray) -> None:
+        _accum(an, np.broadcast_to(g, an.shape).copy() if an.shape else np.asarray(g))
+
+    return _node(Kernels.sum_all(a.values), (an,), bwd)
 
 
 # ---------------------------------------------------------------------------
 # backward pass
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
+def _topo_order(root: Node) -> list[Node]:
     """Parents-before-children ordering of the subgraph that needs gradients."""
-    order: list[Tensor] = []
+    order: list[Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -503,7 +557,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             if id(p) not in visited and p.requires_grad:
                 stack.append((p, False))
     return order
@@ -517,16 +571,16 @@ def backward(loss: Tensor) -> None:
         raise NumericError(f"backward needs a finite loss, got {loss.values!r}")
     if not loss.requires_grad:
         return
-    order = _topo_order(loss)
-    loss.grad = np.ones_like(loss.values)
+    order = _topo_order(loss.node)
+    loss.grad = np.ones(loss.shape)
     while order:
         node = order.pop()
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node.backward is not None and node.grad is not None:
+            node.backward(node.grad)
         # The node has passed its gradient on. Unlinking it frees what its
-        # closure holds, and the node itself once no caller keeps it.
-        node._backward = None
-        node._parents = ()
+        # closure holds, and the node itself once no Tensor keeps it.
+        node.backward = None
+        node.parents = ()
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ two-cursor walk over cumulative masses, run once from the left and once
 from the right; a position pair is aligned when the cumulative sums
 through it differ by less than the prefix tolerance, and an aligned pair
 matches when the residue masses differ by less than the residue
-tolerance. The union of the two passes is the match set, which lets a
-single insertion or deletion spoil only one side of the peptide instead
-of everything downstream of it.
+tolerance. The match set is the left pass's pairs plus each right-pass
+pair whose predicted and true positions the left pass left unmatched, so
+every position counts at most once; this lets a single insertion or
+deletion spoil only one side of the peptide instead of everything
+downstream of it.
 """
 
 from __future__ import annotations
@@ -66,11 +68,10 @@ def aa_match(pred: Peptide, truth: Peptide, table: AminoAcidTable) -> MatchResul
     pm = [table.mass_of(r) for r in pred]
     tm = [table.mass_of(r) for r in truth]
     forward = _cursor_pass(pm, tm)
-    backward = _cursor_pass(pm[::-1], tm[::-1])
-    pairs = forward | {
-        (len(pm) - 1 - i, len(tm) - 1 - j) for i, j in backward
-    }
-    matched = len(pairs)
+    backward = {(len(pm) - 1 - i, len(tm) - 1 - j) for i, j in _cursor_pass(pm[::-1], tm[::-1])}
+    # The two passes may pair one position with different partners; the left one's pair stands.
+    taken_p, taken_t = {i for i, _ in forward}, {j for _, j in forward}
+    matched = len(forward) + sum(i not in taken_p and j not in taken_t for i, j in backward)
     return MatchResult(
         matched_aa=matched,
         predicted_aa=len(pm),

@@ -3,9 +3,10 @@
 Each block is BEGIN IONS / header lines / peak lines / END IONS. Headers we
 understand: TITLE (spectrum id), PEPMASS (precursor m/z; a trailing
 intensity is ignored), CHARGE (``<int>+``) and the optional SEQ (ground-truth
-peptide). Unknown KEY=VALUE headers are ignored with a warning. Peak lines
-are exactly two finite floats separated by one space, and PEPMASS must be
-finite too. All parse errors carry a 1-based line number.
+peptide), each at most once per block. Unknown KEY=VALUE headers are
+ignored with a warning. Peak lines are exactly two finite floats separated
+by one space, and PEPMASS must be finite too. All parse errors carry a
+1-based line number.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ def parse_mgf(text: str, table: AminoAcidTable | None = None) -> list[Spectrum]:
                 key, _, value = line.partition("=")
                 if key in _HEADERS:
                     name, parse, _ = _HEADERS[key]
+                    if name in fields:
+                        raise ValueError(f"second {key} header in the block starting at line {start}")
                     fields[name] = parse(value, table)
                 else:
                     log.warning("line %d: ignoring unknown MGF header %r", lineno, key)

@@ -131,7 +131,7 @@ def ctc_forward(log_probs: Tensor, target_ids, blank_id: int) -> Tensor:
         if any(not 0 <= a < vocab for a in target) or any(a == blank_id for a in target):
             raise ValueError("CTC target ids must be residues inside the vocabulary")
 
-    B = len(rows)
+    B, node = len(rows), log_probs.node
     states = 2 * np.array([len(t) for t in rows]) + 1  # each row's 2U+1
     s = np.arange(states.max())
     aug = np.full((B, s.size), blank_id)
@@ -152,11 +152,11 @@ def ctc_forward(log_probs: Tensor, target_ids, blank_id: int) -> Tensor:
         joint = alpha + beta
         with np.errstate(invalid="ignore"):
             post = np.where(np.isneginf(joint), 0.0, np.exp(joint - emit - log_p[:, None, None]))
-        grad = ad._grad_buffer(log_probs).reshape(B, T, vocab)  # a view: adds land in .grad
+        grad = ad._grad_buffer(node).reshape(B, T, vocab)  # a view: adds land in .grad
         np.add.at(grad, (b_ix[:, None, None], np.arange(T)[:, None], aug[:, None, :]),
                   g.reshape(B)[:, None, None] * post)
 
-    return ad._node(log_p.reshape(log_probs.shape[:-2]), (log_probs,), bwd)
+    return ad._node(log_p.reshape(log_probs.shape[:-2]), (node,), bwd)
 
 
 def ctc_loss(logits: Tensor, target_ids, blank_id: int) -> Tensor:

@@ -5,13 +5,16 @@ Gradients are checked against central finite differences; graph semantics
 oracle that never memoizes.
 """
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from pepseq import autodiff as ad
+from pepseq.params import ParameterStore
 
 
 def make_rng(seed=0):
@@ -396,6 +399,16 @@ class TestGradients:
 
         self.check(build, [x, y])
 
+    def test_slice_with_a_repeated_index_sums_its_gradient(self):
+        rng = make_rng(16)
+        x = ad.parameter(rng.normal(size=(3, 2)))
+        w = ad.constant(rng.normal(size=(4, 2)))
+        idx = np.array([0, 2, 0, 0])
+        self.check(lambda: ad.sum_all(ad.mul(x[idx], w)), [x])
+        x.grad = None
+        ad.backward(ad.sum_all(x[idx]))
+        assert_allclose(x.grad, [[3.0, 3.0], [0.0, 0.0], [1.0, 1.0]])
+
 
 class TestGraphSemantics:
     def test_reused_leaf_accumulates(self):
@@ -477,6 +490,83 @@ class TestGraphSemantics:
         ad.backward(ad.sum_all(ad.mul(y, ad.constant(rng.normal(size=(2, 6))))))
         assert_allclose(x.grad, y.grad)
         assert not np.shares_memory(x.grad, y.grad)
+
+
+class TestGraphHoldsOnlyWhatBackwardReads:
+    """A backward closes over nodes and the arrays it reads, so a value no
+    backward reads goes with the last Tensor that holds it."""
+
+    @staticmethod
+    def graph(params):
+        """A residual add of a linear output, then layer_norm, a linear to
+        logits and log_softmax into a loss; also the add output, the linear
+        output that only the add consumes, and the logits."""
+        x, w1, b1, gain, bias, w2, b2, c = params
+        h = ad.linear(x, w1, b1)
+        r = ad.add(x, h)
+        logits = ad.linear(ad.layer_norm(r, gain, bias), w2, b2)
+        return ad.sum_all(ad.mul(ad.log_softmax(logits), c)), (r, h, logits)
+
+    @staticmethod
+    def params():
+        rng = make_rng(40)
+        return [ad.parameter(rng.normal(size=shape)) for shape in
+                ((2, 3, 4), (4, 4), (4,), (4,), (4,), (4, 5), (5,))] + [
+                    ad.constant(rng.normal(size=(2, 3, 5)))]
+
+    def test_values_no_backward_reads_go_with_their_tensors(self):
+        params = self.params()
+        loss, held = self.graph(params)
+        values = [weakref.ref(t.values) for t in held]
+        del held
+        gc.collect()
+        assert [v() for v in values] == [None] * 3
+        ad.backward(loss)
+        grads = [p.grad for p in params[:-1]]
+
+        for p in params:
+            p.grad = None
+        loss, held = self.graph(params)  # ``held`` keeps the three values through backward
+        ad.backward(loss)
+        for p, g in zip(params[:-1], grads):
+            assert g is not None and np.array_equal(p.grad, g)
+
+    @pytest.mark.parametrize("case", sorted(set(KERNEL_CASES) - {"constant", "stop_gradient"})
+                             + ["slice"])
+    def test_no_backward_closes_over_a_tensor(self, case):
+        t = drawing(42, ad.parameter)
+        out = t(4, 3)[np.array([0, 2, 0])] if case == "slice" else KERNEL_CASES[case](ad, t)
+        held = [c.cell_contents for c in out.node.backward.__closure__]
+        while held:
+            item = held.pop()
+            assert not isinstance(item, ad.Tensor)
+            if isinstance(item, (tuple, list)):
+                held.extend(item)
+
+    def test_freeze_unfreeze_and_a_cleared_grad_act_on_the_node(self):
+        rng = make_rng(41)
+        store = ParameterStore()
+        w = store.add("at", "w", rng.normal(size=(3, 2)))
+        x, b = ad.constant(rng.normal(size=(4, 3))), ad.constant(np.zeros(2))
+
+        def loss():
+            return ad.sum_all(ad.linear(x, w, b))
+
+        ad.backward(loss())
+        first = w.grad
+        assert first is not None and w.node.grad is first
+        w.grad = None
+        assert w.node.grad is None
+        store.freeze("at")
+        assert not w.node.requires_grad
+        frozen = loss()
+        assert not frozen.requires_grad and frozen.node.backward is None
+        ad.backward(frozen)
+        assert w.grad is None
+        store.unfreeze("at")
+        assert w.node.requires_grad
+        ad.backward(loss())
+        assert np.array_equal(w.grad, first)
 
 
 class TestAttentionMasking:

@@ -899,6 +899,22 @@ class TestEval:
         assert float(curve[-1]["value"]) == float(summary["peptide_recall"])
         assert 0.0 < float(summary["peptide_recall"]) < 1.0
 
+    def test_a_residue_both_passes_match_counts_once_in_precision(self, tmp_path):
+        # L against IGL: the left pass pairs L with I, the right pass with L.
+        truth = tmp_path / "truth.mgf"
+        truth.write_text(write_mgf([simulate_spectrum(Peptide.from_string("IGL"), seed=1,
+                                                      spectrum_id="s1")]))
+        preds = tmp_path / "preds.csv"
+        preds.write_text("spectrum_id,predicted_sequence,confidence,decoder,feasible_flag\n"
+                         "s1,L,-0.5,at-greedy,true\n")
+        out = tmp_path / "eval"
+        code = run("eval", "--seed", "5", "--out", str(out), "--predictions", str(preds),
+                   "--truth", str(truth), *TINY)
+        assert code == 0
+        assert float(read_csv(out / "summary.csv")[0]["aa_precision"]) == 1.0
+        row = read_csv(out / "per_spectrum.csv")[0]
+        assert (row["matched_aa"], row["predicted_aa"], row["truth_aa"]) == ("1", "1", "3")
+
     def test_unknown_id_is_data_error(self, pipeline, tmp_path, capsys):
         preds = tmp_path / "preds.csv"
         preds.write_text(
@@ -991,6 +1007,20 @@ class TestBadInput:
                    "--mgf", str(mgf), "--checkpoint", str(pipeline / "ft" / "checkpoint.bin"))
         assert code == 2
         assert f"{mgf} line 6: peak values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "decode"])
+    def test_a_repeated_mgf_header_is_data_error(self, pipeline, tmp_path, capsys, command):
+        text = (pipeline / "sim" / "spectra.mgf").read_text()
+        mgf = tmp_path / "twice.mgf"
+        mgf.write_text(text.replace("CHARGE=2+\n", "CHARGE=2+\nCHARGE=3+\n", 1))
+        line = text[:text.index("CHARGE=2+\n")].count("\n") + 2
+        inputs = {
+            "train": ["--corpus", str(mgf)],
+            "decode": ["--mgf", str(mgf), "--checkpoint", str(pipeline / "ft" / "checkpoint.bin")],
+        }[command]
+        code = run(command, "--seed", "5", "--out", str(tmp_path / "out"), *TINY, *inputs)
+        assert code == 2
+        assert f"{mgf} line {line}: second CHARGE header" in capsys.readouterr().err
 
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"

@@ -796,7 +796,7 @@ def test_decodes_construct_no_tensor_and_a_training_step_still_records_its_graph
     nat_pmc_decode(model, s)
     assert made == []
     at_loss, nat_loss = _stage1_losses(model, spectra)
-    assert made and all(loss.requires_grad and loss._parents for loss in (at_loss, nat_loss))
+    assert made and all(loss.requires_grad and loss.node.parents for loss in (at_loss, nat_loss))
 
 
 def test_the_decode_context_holds_nat_features_of_arrays_only_on_a_fine_tuned_model():

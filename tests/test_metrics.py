@@ -51,6 +51,13 @@ class TestAAMatch:
         assert r.matched_aa == 4
         assert not r.peptide_correct
 
+    @pytest.mark.parametrize("pred, truth", [("L", "IGL"), ("VV", "V"), ("D", "DCD")])
+    def test_a_position_the_two_passes_pair_differently_counts_once(self, pred, truth):
+        # The left pass pairs the one-residue side with one partner and the
+        # right pass with another; only the left pass's pair counts.
+        r = aa_match(pep(pred), pep(truth), TABLE)
+        assert r == MatchResult(1, len(pred), len(truth), False)
+
     def test_empty_prediction(self):
         r = aa_match(pep(""), pep("GAK"), TABLE)
         assert r == MatchResult(0, 0, 3, False)

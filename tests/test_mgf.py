@@ -82,6 +82,11 @@ class TestParseErrors:
             (("58.028736 1.000000", "58.028736 xyz"), 6),
             (("PEPMASS=400.123456", "PEPMASS=abc 1000"), 3),
             (("PEPMASS=400.123456", "PEPMASS="), 3),
+            # A second known header would otherwise overwrite the first.
+            (("TITLE=demo", "TITLE=demo\nTITLE=other"), 3),
+            (("PEPMASS=400.123456", "PEPMASS=400.123456\nPEPMASS=500.0"), 4),
+            (("CHARGE=2+", "CHARGE=2+\nCHARGE=3+"), 5),
+            (("SEQ=GA", "SEQ=GA\nSEQ=GA"), 6),
         ],
     )
     def test_malformed_lines_report_line_number(self, mutation, expect_line):
