@@ -14,7 +14,7 @@ holding ``.grad`` arrays of the same shape as their values.
 
 Only the primitives the sequencing model differentiates live here:
 ``add``, ``mul`` and ``neg`` with broadcasting, ``gelu``, shape surgery
-(slicing, ``concat``, ``gather``, ``take_per_row``), the fused ops
+(slicing, ``concat``, ``gather``, ``take_per_row``, ``unpack``), the fused ops
 ``log_softmax``, ``layer_norm``, ``linear`` (a weight shared by every
 leading index of the input) and ``scaled_dot_attention`` (multi-head
 attention), each one graph node, the reduction ``sum_all``, and
@@ -48,6 +48,7 @@ __all__ = [
     "concat",
     "gather",
     "take_per_row",
+    "unpack",
     "gelu",
     "log_softmax",
     "layer_norm",
@@ -291,6 +292,12 @@ class Kernels:
         return a[_per_row(np.asarray(indices, dtype=np.intp))]
 
     @staticmethod
+    def unpack(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        out = np.zeros(mask.shape + rows.shape[1:])
+        out[mask] = rows
+        return out
+
+    @staticmethod
     def log_softmax(x: np.ndarray) -> np.ndarray:
         shifted = x - _row_max(x, "log_softmax")
         return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -363,12 +370,25 @@ def gelu(a: Tensor) -> Tensor:
 # shape surgery
 
 
-def _slice(a: Tensor, key) -> Tensor:
-    an = a.node
+def _reads_once(key) -> bool:
+    """Whether the index ``key`` reads no element twice: it is built of
+    ints, slices, ``...``, ``None`` and boolean masks, but no integer array."""
+    return all(k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice))
+               or (isinstance(k, np.ndarray) and k.dtype == bool)
+               for k in (key if isinstance(key, tuple) else (key,)))
 
-    # A scatter that adds once per occurrence, so a repeated index sums.
+
+def _slice(a: Tensor, key) -> Tensor:
+    an, once = a.node, _reads_once(key)
+
+    # A plain scatter where no index repeats; otherwise one that adds once
+    # per occurrence, so a repeated index sums. Both give the same bits.
     def bwd(g: np.ndarray) -> None:
-        if an.requires_grad:
+        if not an.requires_grad:
+            return
+        if once:
+            _grad_buffer(an)[key] += g
+        else:
             np.add.at(_grad_buffer(an), key, g)
 
     return _node(a.values[key], (an,), bwd)
@@ -419,6 +439,22 @@ def take_per_row(a: Tensor, indices) -> Tensor:
     return _node(Kernels.take_per_row(a.values, idx), (an,), bwd)
 
 
+def unpack(rows: Tensor, mask) -> Tensor:
+    """A packed block of rows [N, ...] laid out at the True places of the
+    boolean ``mask`` [B, S], in row-major order, with zeros elsewhere:
+    [B, S, ...]. ``t[mask]`` packs such a block again."""
+    mask = np.asarray(mask, dtype=bool)
+    if rows.ndim < 1 or rows.shape[0] != np.count_nonzero(mask):
+        raise DimensionError(f"unpack needs one row per True of its mask: {rows.shape} vs "
+                             f"{np.count_nonzero(mask)}")
+    rn = rows.node
+
+    def bwd(g: np.ndarray) -> None:
+        _accum(rn, g[mask])
+
+    return _node(Kernels.unpack(rows.values, mask), (rn,), bwd)
+
+
 def stop_gradient(a: Tensor) -> Tensor:
     """Identity in the forward pass; blocks all gradient flow upstream."""
     return Tensor(Kernels.stop_gradient(a.values), requires_grad=False)
@@ -466,7 +502,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node, for x of shape [..., m, in]; the 2-D weight w
-    [in, out] is shared by every leading index of x, and b is [out]."""
+    [in, out] is shared by every leading index of x, and b is [out]. The
+    backward folds the leading axes into the rows of one GEMM."""
     xv, wv, bv = x.values, w.values, b.values
     if xv.ndim < 2 or wv.ndim != 2 or xv.shape[-1] != wv.shape[0]:
         raise DimensionError(f"linear shapes do not match: {xv.shape} @ {wv.shape}")
@@ -474,14 +511,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"linear bias shape {bv.shape} does not match weight {wv.shape}")
     xn, wn, bn = x.node, w.node, b.node
 
-    # The backward of a matmul, add graph, in its order: gradients equal
-    # that graph's bit for bit.
     def bwd(g: np.ndarray) -> None:
-        _accum(bn, _unbroadcast(g, bn.shape))
+        g2 = g.reshape(-1, g.shape[-1])
+        _accum(bn, g2.sum(axis=0))
         if xn.requires_grad:
-            _accum(xn, g @ wv.T)
+            _accum(xn, (g2 @ wv.T).reshape(xv.shape))
         if wn.requires_grad:
-            _accum(wn, _unbroadcast(np.swapaxes(xv, -1, -2) @ g, wn.shape))
+            _accum(wn, xv.reshape(-1, xv.shape[-1]).T @ g2)
 
     return _node(Kernels.linear(xv, wv, bv), (xn, wn, bn), bwd)
 

@@ -28,6 +28,16 @@ The encoder takes a list of spectra and returns one padded batch of
 :class:`Padded` features, whose padding rows every attention masks out as
 keys; a lone spectrum is a batch of one.
 
+A batch that holds padding, spectra of unequal peak counts in the encoder or
+PAD among the AT's tokens (the training batches), runs its stack on one
+packed block [N, d] of its N real rows: layer norms, linears, GELUs and
+residual adds see no padding row. Only attention reads the padded [B, S, d]
+layout: :func:`autodiff.unpack` places its queries, keys and values there,
+with zeros at the padding rows, and boolean slicing packs its output again.
+The encoder unpacks its features once into :class:`Padded`, and the AT its
+logits. A batch without padding, as every decode forward is, runs on its
+[B, S, d] as it is.
+
 Both decoders read their cross-attention context from an :class:`ATCache`,
 built once per forward or, when decoding, once per spectrum and then extended
 by the positions each forward feeds: one per step, or greedy's draft at once,
@@ -141,9 +151,11 @@ class NATFeatures(NamedTuple):
 
 class Padded(NamedTuple):
     """Row sets of unequal length padded into one batch: ``rows`` [B, S, d]
-    and ``mask`` [B, S], True on the real rows. Used as a cross-attention
-    context, its padding rows are masked out as keys. The rows are a
-    Tensor, or an array from ``model.arrays``."""
+    and ``mask`` [B, S], True on the real rows. The padding rows are zeros:
+    the encoder unpacks its real rows into them, and :func:`pad_rows` pads
+    with zeros. Used as a cross-attention context, its padding rows are
+    masked out as keys. The rows are a Tensor, or an array from
+    ``model.arrays``."""
 
     rows: Tensor
     mask: np.ndarray
@@ -323,10 +335,18 @@ class Model:
         ops = self._ops
         return ops.linear(rows, block["wk"], block["bk"]), ops.linear(rows, block["wv"], block["bv"])
 
-    def _mha(self, block: dict, x, kv: tuple, mask: np.ndarray | None):
+    def _mha(self, block: dict, x, kv: tuple, mask: np.ndarray | None,
+             packed: np.ndarray | None = None):
+        """Attention of ``x``'s queries over ``kv`` under ``mask``; with
+        ``packed`` (see :meth:`_stack`), the queries attend unpacked and the
+        outputs are packed again."""
         ops = self._ops
         q = ops.linear(x, block["wq"], block["bq"])
+        if packed is not None:
+            q = ops.unpack(q, packed)
         out = ops.scaled_dot_attention(q, *kv, mask, self.cfg.heads)
+        if packed is not None:
+            out = out[packed]
         return ops.linear(out, block["wo"], block["bo"])
 
     def _context(self, tree: dict, rows, key_mask: np.ndarray | None) -> ATCache:
@@ -334,22 +354,30 @@ class Model:
         ``key_mask``: each ``tree`` layer's cross keys and values, projected once."""
         return ATCache(key_mask, [self._kv(block["cross"], rows) for block in tree["layers"]])
 
-    def _stack(self, tree: dict, x, mask: np.ndarray | None, cache: ATCache | None = None):
+    def _stack(self, tree: dict, x, mask: np.ndarray | None, cache: ATCache | None = None,
+               packed: np.ndarray | None = None):
         """Pre-norm transformer stack: self-attention under ``mask``; with a
         ``cache`` (the decoders), over its cached positions too, which then
         keeps this call's, and cross-attention to its context; then
-        feed-forward; then the final norm."""
+        feed-forward; then the final norm.
+
+        With ``packed``, a boolean [B, S], ``x`` is the packed block [N, d]
+        of a padded batch's real rows, ``x[packed]`` of its [B, S, d]: every
+        row-wise layer runs on the N rows alone, and attention reads its
+        queries, keys and values unpacked, with zeros at the padding rows."""
         ops = self._ops
         for i, block in enumerate(tree["layers"]):
             normed = ops.layer_norm(x, *block["ln1"])
             kv = self._kv(block["self"], normed)
+            if packed is not None:
+                kv = tuple(ops.unpack(t, packed) for t in kv)
             if cache is not None:
                 kv = cache.extend(i, *kv)
-            x = ops.add(x, self._mha(block["self"], normed, kv, mask))
+            x = ops.add(x, self._mha(block["self"], normed, kv, mask, packed))
             ffn_ln = "ln2"
             if cache is not None:
                 normed = ops.layer_norm(x, *block["ln2"])
-                x = ops.add(x, self._mha(block["cross"], normed, cache.cross[i], cache.key_mask))
+                x = ops.add(x, self._mha(block["cross"], normed, cache.cross[i], cache.key_mask, packed))
                 ffn_ln = "ln3"
             normed = ops.layer_norm(x, *block[ffn_ln])
             w1, b1, w2, b2 = block["ffn"]
@@ -362,8 +390,12 @@ class Model:
     def encode_spectrum(self, spectrum: Spectrum | Sequence[Spectrum]) -> Tensor | Padded:
         """Encoder features of spectra as one padded batch [B, K_max+1, d]:
         the precursor row, then one row per peak, with no positions; padding
-        rows are masked out as keys. A lone spectrum is a batch of one,
-        returned as its features [k+1, d]."""
+        rows are zeros, masked out as keys. A lone spectrum is a batch of
+        one, returned as its features [k+1, d].
+
+        A batch of unequal peak counts runs its stack on its real rows
+        alone (``_stack``'s ``packed``), unpacked once at the end; a batch
+        with no padding runs on [B, K+1, d] as it is."""
         ops = self._ops
         batch = [spectrum] if isinstance(spectrum, Spectrum) else spectrum
         for s in batch:
@@ -373,8 +405,11 @@ class Model:
         charge_rows = ops.gather(self.params["enc"]["charge_emb"], [[s.charge - 1] for s in batch])
         masses = encode_float([[s.neutral_mass] for s in batch], self.cfg.d)
         x = ops.concat([ops.add(charge_rows, ops.constant(masses)), ops.constant(peaks)], axis=1)
-        keys = None if real.all() else mask[:, None, :]  # all-True masks nothing: skip it
-        features = self._stack(self.params["enc"], x, keys)
+        if real.all():  # no padding: no key mask and nothing to pack
+            features = self._stack(self.params["enc"], x, None)
+        else:
+            features = self._stack(self.params["enc"], x[mask], mask[:, None, :], packed=mask)
+            features = ops.unpack(features, mask)
         return features[0] if isinstance(spectrum, Spectrum) else Padded(features, mask)
 
     # ------------------------------------------------------------------
@@ -425,8 +460,12 @@ class Model:
         into the token embedding. One [S, d] context serves every leading
         index of ``tokens``, so K and V are projected once for all of them;
         a padded batch of contexts [B, S, d] serves tokens [B, L], one row
-        each. Rows of unequal length are right-padded, so under the causal
-        mask a real position never sees a padding one.
+        each. Rows of unequal length are right-padded with PAD, so under the
+        causal mask a real position never sees a padding one. On a cache
+        holding no positions, rows right-padded with PAD run the stack on
+        their real positions alone (:meth:`_stack`'s ``packed``), and the
+        logits at the PAD positions are zeros; a PAD before a real position
+        is read as a token, as every position is without padding.
 
         ``context`` is an :meth:`at_cache` or encoder features, read as
         ``at_cache(features)``. A cache holding no positions runs the L
@@ -453,9 +492,15 @@ class Model:
         ops = self._ops
         tree = self.params["at"]
         mass_rows = encode_float(masses, self.cfg.d).sum(axis=-2)
+        packed = tokens != self.table.pad_id
+        if cache.past or packed.all() or (packed[..., 1:] > packed[..., :-1]).any():
+            packed = None  # no right-padding: every position is a token
+        else:
+            tokens, mass_rows = tokens[packed], mass_rows[packed]
         x = ops.add(ops.gather(tree["tok_emb"], tokens), ops.constant(mass_rows))
-        x = self._stack(tree, x, causal, cache)
-        return ops.linear(x, *tree["out"])
+        x = self._stack(tree, x, causal, cache, packed)
+        logits = ops.linear(x, *tree["out"])
+        return logits if packed is None else ops.unpack(logits, packed)
 
     # ------------------------------------------------------------------
     # persistence

@@ -15,9 +15,11 @@ cross-entropy. The frozen features are computed once per spectrum, as
 arrays, by :class:`FeatureCache`; each step wraps its padded batch of them
 as constants.
 
-Each step pads its batch into one forward: spectra of unequal peak counts
+Each step runs its batch as one forward: spectra of unequal peak counts
 share one encoder pass, targets of unequal length one AT pass and one CTC
-recursion.
+recursion. The encoder and the AT run their row-wise layers on the batch's
+real rows only, and attention on the padded layout (see :mod:`.network`);
+the NAT and CTC read the padded batch.
 """
 
 from __future__ import annotations

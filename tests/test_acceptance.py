@@ -569,12 +569,16 @@ def test_every_differentiable_primitive_passes_finite_differences():
         if op_name == "sum_all":
             a = t(2, 3)
             return lambda: ad.sum_all(a), [a]
+        if op_name == "unpack":
+            mask = rng.random((3, 4)) < 0.6
+            a = t(int(mask.sum()), 2)
+            return _weighted(lambda: ad.unpack(a, mask), rng), [a]
         raise AssertionError(op_name)
 
     ops = [
         "add", "mul", "neg", "gelu", "slice", "concat", "gather",
         "take_per_row", "log_softmax", "layer_norm", "linear",
-        "scaled_dot_attention", "sum_all",
+        "scaled_dot_attention", "sum_all", "unpack",
     ]
     # Coverage guard: every public graph-building callable in the autodiff
     # module must be either audited here or explicitly non-differentiable.

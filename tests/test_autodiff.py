@@ -88,6 +88,7 @@ def causal(n):
 
 
 KEY_MASK = np.array([[[True] * 6], [[True] * 4 + [False] * 2], [[True] + [False] * 5]])  # [3, 1, 6]
+ROWS = KEY_MASK[:, 0, :]  # [3, 6], 11 real rows of a padded batch
 
 # Each case is written once against an op set ``ops``, drawing its inputs
 # with ``t(*shape)``: plain arrays for the kernels, parameters for the graph
@@ -120,6 +121,7 @@ KERNEL_CASES = {
         t(2, 5, 8), t(2, 5, 8), t(2, 5, 8), causal(5)),
     "scaled_dot_attention: causal, heads=2": lambda ops, t: ops.scaled_dot_attention(
         t(2, 5, 8), t(2, 5, 8), t(2, 5, 8), causal(5), 2),
+    "unpack: a batch's real rows": lambda ops, t: ops.unpack(t(11, 8), ROWS),
     "sum_all": lambda ops, t: ops.sum_all(t(3, 4)),
 }
 
@@ -408,6 +410,36 @@ class TestGradients:
         x.grad = None
         ad.backward(ad.sum_all(x[idx]))
         assert_allclose(x.grad, [[3.0, 3.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+    @pytest.mark.parametrize("key", [
+        np.arange(10 * 22).reshape(10, 22) % 7 < 5,  # a boolean mask over the leading axes
+        (slice(None), np.array([3, 0, 3, 21, 3])),  # an integer array that repeats an index
+        (2, slice(4, 9)),
+    ], ids=["boolean mask", "repeated integers", "int and slice"])
+    def test_slice_scatters_what_add_at_scatters_bit_for_bit(self, key):
+        rng = make_rng(20)
+        x = ad.parameter(rng.normal(size=(10, 22, 64)))
+        out = x[key]
+        w = ad.constant(rng.normal(size=out.shape))
+        ad.backward(ad.sum_all(ad.mul(out, w)))
+        want = np.zeros(x.shape)
+        np.add.at(want, key, w.values)
+        assert np.array_equal(x.grad, want)
+
+    def test_unpack_places_rows_and_packs_its_gradient(self):
+        rng = make_rng(21)
+        rows = ad.parameter(rng.normal(size=(11, 4)))
+        w = ad.constant(rng.normal(size=ROWS.shape + (4,)))
+        self.check(lambda: ad.sum_all(ad.mul(ad.unpack(rows, ROWS), w)), [rows])
+        out = ad.unpack(rows, ROWS)
+        assert out.shape == (3, 6, 4) and not out.values[~ROWS].any()
+        assert np.array_equal(out[ROWS].values, rows.values)
+        rows.grad = None
+        ad.backward(ad.sum_all(ad.mul(out, w)))
+        assert np.array_equal(rows.grad, w.values[ROWS])
+        with pytest.raises(ad.DimensionError, match="one row per True"):
+            ad.unpack(rows[:10], ROWS)
 
 
 class TestGraphSemantics:

@@ -182,6 +182,18 @@ class TestATDecoder:
         with pytest.raises(ValueError, match="vocabulary"):
             model.at_forward([999] + tokens[1:], masses, enc)
 
+    def test_right_padding_runs_on_the_real_positions(self, model, spectrum):
+        """A right-padded row runs on its real positions and gives zero
+        logits at PAD; a PAD before a real position is read as a token."""
+        enc = model.encode_spectrum(spectrum)
+        tokens, masses = self.tokens_and_masses(model, spectrum, "GA")
+        pad = model.table.pad_id
+        alone = model.at_forward(tokens[:2], masses[:2], enc).values
+        out = model.at_forward(tokens[:2] + [pad], masses, enc).values
+        assert np.array_equal(out[:2], alone) and not out[2].any()
+        inner = model.at_forward([tokens[0], pad, tokens[2]], masses, enc).values
+        assert np.array_equal(inner[:1], alone[:1]) and inner[1:].all()
+
     def test_prefix_suffix_masses_by_hand(self, model):
         table = model.table
         ids = [table.index_of("G"), table.index_of("A")]

@@ -1,7 +1,8 @@
 """Tests of tools/: two runs of identity.py on two fixture spectra print the
 same digest for every part, identity.py --against names the one part a
-changed tree computes differently, and pairs.py summarizes canned runs and
-runs stub benchmarks in alternating pairs."""
+changed tree computes differently and quotes how far a part's floats moved,
+and pairs.py summarizes canned runs and runs stub benchmarks in alternating
+pairs."""
 
 import importlib.util
 import json
@@ -11,6 +12,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from numpy.testing import assert_allclose
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,11 +53,50 @@ def test_identity_against_a_tree_names_the_part_that_differs(tmp_path):
     assert all(verdict == "same" for part, _, _, verdict in lines if part != "build")
 
 
-def load_pairs():
-    spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+def test_identity_against_a_tree_quotes_how_far_its_floats_moved(tmp_path):
+    # A tree whose stage-1 rows report the AT loss larger by a relative
+    # 2**-40: only the train parts differ, and only in that float field.
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    training = tmp_path / "src" / "pepseq" / "training.py"
+    text = training.read_text()
+    old = '"at_loss": float(at_loss.values),'
+    assert text.count(old) == 1
+    training.write_text(text.replace(old, '"at_loss": float(at_loss.values) * (1 + 2**-40),'))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    cmd = [sys.executable, str(ROOT / "tools" / "identity.py"), "--limit", "2",
+           "--against", str(tmp_path / "src")]
+    run = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stderr[-2000:]
+    differ = {fields[0]: fields[3:] for fields in map(str.split, run.stdout.splitlines())
+              if fields[3] != "same"}
+    assert set(differ) == {"train/trained", "train/untrained"}
+    for verdict, gap in differ.values():
+        assert verdict == "DIFF" and gap.startswith("max_rel=")
+        assert_allclose(float(gap.removeprefix("max_rel=")), 2**-40, rtol=1e-3)  # 3 digits
+
+
+def test_float_gap_reads_only_float_fields():
+    identity = load_tool("identity")
+    ours = ["s1 ACD 0x1.0000000000000p+0 True", "s2 EF -inf False"]
+    assert identity.float_gap(ours, ours) == 0.0
+    assert identity.float_gap(ours, ["s1 ACD 0x1.0000000000001p+0 True", ours[1]]) == 2**-52 / (1 + 2**-52)
+    assert identity.float_gap(ours, [ours[0], "s2 EF -0x1.0p+3 False"]) == float("inf")
+    assert identity.float_gap(["a 0x0.0p+0"], ["a -0x0.0p+0"]) == 0.0
+    assert identity.float_gap(ours, ["s1 ACE 0x1.0000000000000p+0 True", ours[1]]) is None  # a peptide
+    assert identity.float_gap(ours, [ours[0], "s2 EF -inf True"]) is None
+    assert identity.float_gap(["file 401e2c0b"], ["file 401e2c0c"]) is None  # hex digits, no float
+    assert identity.float_gap(ours, ours[:1]) is None
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_pairs():
+    return load_tool("pairs")
 
 
 def test_pairs_summary_of_canned_runs():

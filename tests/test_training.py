@@ -11,10 +11,11 @@ from pepseq import training
 from pepseq.autodiff import NumericError
 from pepseq.cli import METRICS_COLUMNS
 from pepseq.mgf import parse_mgf
-from pepseq.network import Model, ModelConfig
+from pepseq.network import Model, ModelConfig, Padded, pad_rows
 from pepseq.optim import OptimizerState, adamw_step
 from pepseq.params import ParameterStore, load_checkpoint
-from pepseq.spectra import AminoAcidTable, Peptide, random_peptide, simulate_spectrum
+from pepseq.spectra import (AminoAcidTable, Peptide, embed_peak, encode_float, random_peptide,
+                            simulate_spectrum)
 from pepseq.training import (
     AnnealSchedule,
     FeatureCache,
@@ -424,3 +425,53 @@ class TestPaddedBatch:
         finally:
             for partition in ("enc", "nat"):
                 model.store.unfreeze(partition)
+
+
+class TestRealRows:
+    """A training forward runs its row-wise layers on the batch's real rows
+    alone, and computes there what the padded batch computes, bit for bit.
+
+    The reference runs the same stacks on the padded [B, S, d] blocks, with
+    the padding rows carried through every layer as the key masks and the
+    causal mask leave them: the encoder under its key-padding mask, the AT
+    over every position of its right-padded tokens.
+    """
+
+    @staticmethod
+    def padded_encoder(model, batch):
+        peaks, real = pad_rows([embed_peak(s.peaks, model.cfg.d, s.max_intensity) for s in batch])
+        mask = np.concatenate([np.ones((len(batch), 1), dtype=bool), real], axis=1)
+        charge_rows = ad.gather(model.params["enc"]["charge_emb"], [[s.charge - 1] for s in batch])
+        masses = encode_float([[s.neutral_mass] for s in batch], model.cfg.d)
+        x = ad.concat([ad.add(charge_rows, ad.constant(masses)), ad.constant(peaks)], axis=1)
+        return Padded(model._stack(model.params["enc"], x, mask[:, None, :]), mask)
+
+    @staticmethod
+    def padded_at(model, tokens, masses, context):
+        tree = model.params["at"]
+        x = ad.add(ad.gather(tree["tok_emb"], tokens),
+                   ad.constant(encode_float(masses, model.cfg.d).sum(axis=-2)))
+        causal = np.tril(np.ones((tokens.shape[-1],) * 2, dtype=bool))
+        x = model._stack(tree, x, causal, model.at_cache(context))
+        return ad.linear(x, *tree["out"])
+
+    @pytest.mark.parametrize("checkpoint", ["trained", "untrained"])
+    def test_encoder_nat_and_at_equal_the_padded_batch_bit_for_bit(self, checkpoint):
+        model = Model.from_checkpoint_blob(*load_checkpoint(str(FIXTURE / f"{checkpoint}.ckpt")))
+        for partition in ("enc", "nat"):  # graph forwards record their backward
+            model.store.unfreeze(partition)
+        pool = parse_mgf((FIXTURE / "pool.mgf").read_text(), model.table)
+        batch = [pool[i] for i in np.random.default_rng(7).choice(len(pool), 10, replace=False)]
+        ids = [model.table.ids_of(s.truth) for s in batch]
+        tokens, _, masses = _at_inputs(model, batch, ids)
+        real = tokens != model.table.pad_id
+
+        enc, ref = model.encode_spectrum(batch), self.padded_encoder(model, batch)
+        assert not enc.mask.all() and not real.all()  # both stacks pack
+        assert np.array_equal(enc.mask, ref.mask)
+        assert np.array_equal(enc.rows.values[enc.mask], ref.rows.values[ref.mask])
+        assert not enc.rows.values[~enc.mask].any()
+        assert np.array_equal(model.nat_forward(enc).logits.values, model.nat_forward(ref).logits.values)
+        got = model.at_forward(tokens, masses, enc).values
+        assert np.array_equal(got[real], self.padded_at(model, tokens, masses, ref).values[real])
+        assert not got[~real].any()

@@ -27,18 +27,24 @@ benchmark's, read from ``bench/worker.py``. ``--limit N`` runs on the first N
 spectra only. ``--dump PART`` prints the lines behind PART's digest instead of
 the digests.
 
-``--against DIR`` compares two trees: it then computes the digests of the
+``--against DIR`` compares two trees: it then computes the lines of the
 ``pepseq`` in DIR too, in a child process with the same ``--limit``, and
 prints ``PART DIGEST DIR_DIGEST`` and ``same`` or ``DIFF`` per part, exiting
-1 if any part differs. DIR may be the ``src/`` of a ``git archive`` of the
-parent commit in a scratch directory, say. ``--dump`` on each tree and a
-``diff`` then show which lines of a differing part moved.
+1 if any part differs. A differing part whose lines differ only in float
+fields gets one more field, ``max_rel=X``: the largest relative difference
+|a - b| / max(|a|, |b|) of those floats, so a change that moves a digest by
+rounding says how far in the same run. DIR may be the ``src/`` of a ``git
+archive`` of the parent commit in a scratch directory, say. ``--dump`` on
+each tree and a ``diff`` then show which lines of a differing part moved.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -51,10 +57,34 @@ from worker import (BASE_LR, BATCH, BEAM_WIDTH, FINETUNE_LR, FIXTURE, PMC_BIN,  
                     PMC_TOLERANCE, new_state)
 
 CHECKPOINTS = ("trained", "untrained")
+FLOAT = re.compile(r"-?(0x[0-9a-f]+(\.[0-9a-f]*)?p[+-]\d+|inf|nan)")  # what _hex writes
 
 
 def _hex(x) -> str:
     return float(x).hex()
+
+
+def float_gap(ours: list[str], theirs: list[str]) -> float | None:
+    """The largest relative difference between the float fields of two
+    parts' lines, or None if a line or any other field differs. A float that
+    is not finite on one side and differs is infinitely far."""
+    if len(ours) != len(theirs):
+        return None
+    gap = 0.0
+    for line, other in zip(ours, theirs):
+        fields, others = line.split(), other.split()
+        if len(fields) != len(others):
+            return None
+        for a, b in zip(fields, others):
+            if a == b:
+                continue
+            if not (FLOAT.fullmatch(a) and FLOAT.fullmatch(b)):
+                return None
+            x, y = float.fromhex(a), float.fromhex(b)
+            if x != y:
+                finite = math.isfinite(x) and math.isfinite(y)
+                gap = max(gap, abs(x - y) / max(abs(x), abs(y)) if finite else math.inf)
+    return gap
 
 
 def _load(name: str):
@@ -143,6 +173,10 @@ def parts(limit: int | None) -> dict[str, list[str]]:
     return out
 
 
+def _digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding pepseq")
@@ -151,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     shown.add_argument("--dump", metavar="PART", help="print the lines behind PART's digest")
     shown.add_argument("--against", type=Path, metavar="DIR",
                        help="compare each digest with that of the pepseq in DIR")
+    shown.add_argument("--lines", action="store_true", help=argparse.SUPPRESS)  # --against's child
     args = parser.parse_args(argv)
     if args.limit is not None and args.limit < 1:
         parser.error(f"--limit must be at least 1, got {args.limit}")
@@ -166,23 +201,29 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no part {args.dump!r}; the parts are {', '.join(found)}")
         print("\n".join(found[args.dump]))
         return 0
-    digests = {part: hashlib.sha256("\n".join(lines).encode()).hexdigest()
-               for part, lines in found.items()}
-    if args.against is None:
-        for part, digest in digests.items():
-            print(part, digest)
+    if args.lines:
+        print(json.dumps(found))
         return 0
-    cmd = [sys.executable, __file__, "--src", str(args.against)]
+    if args.against is None:
+        for part, lines in found.items():
+            print(part, _digest(lines))
+        return 0
+    cmd = [sys.executable, __file__, "--src", str(args.against), "--lines"]
     other = subprocess.run(cmd + ["--limit", str(args.limit)] * (args.limit is not None),
                            stdout=subprocess.PIPE, text=True)
     if other.returncode:
         parser.error(f"the run on {args.against} exited with {other.returncode}")
-    theirs = dict(line.split() for line in other.stdout.splitlines())
+    theirs = json.loads(other.stdout)
     differ = False
-    for part, digest in digests.items():
-        same = theirs.get(part) == digest
-        differ |= not same
-        print(part, digest, theirs.get(part, "-"), "same" if same else "DIFF")
+    for part, lines in found.items():
+        digest, other_digest = _digest(lines), _digest(theirs[part]) if part in theirs else "-"
+        row = [part, digest, other_digest, "same" if digest == other_digest else "DIFF"]
+        if digest != other_digest:
+            differ = True
+            gap = float_gap(lines, theirs.get(part, []))
+            if gap is not None:
+                row.append(f"max_rel={gap:.3g}")
+        print(*row)
     return int(differ)
 
 
