@@ -4,9 +4,10 @@ Each block is BEGIN IONS / header lines / peak lines / END IONS. Headers we
 understand: TITLE (spectrum id), PEPMASS (precursor m/z; a trailing
 intensity is ignored), CHARGE (``<int>+``) and the optional SEQ (ground-truth
 peptide), each at most once per block. Unknown KEY=VALUE headers are
-ignored with a warning. Peak lines are exactly two finite floats separated
-by one space, and PEPMASS must be finite too. All parse errors carry a
-1-based line number.
+ignored with a warning. Each peak line is exactly two finite floats separated
+by one space, m/z > 0 and intensity >= 0, and PEPMASS must be finite and
+above the proton mass. A block's peaks become one float64 ``[k, 2]`` array
+in its ``Spectrum``. All parse errors carry the 1-based offending line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import logging
 import math
 import re
 
-from .spectra import AminoAcidTable, Peak, Peptide, Spectrum, VocabularyError
+from .spectra import PROTON, AminoAcidTable, Peptide, Spectrum, VocabularyError
 
 __all__ = ["MGFParseError", "parse_mgf", "write_mgf"]
 
@@ -39,6 +40,8 @@ def _pepmass(value: str, table: AminoAcidTable) -> float:
         raise ValueError(f"unparseable PEPMASS {value!r}") from None
     if not math.isfinite(pepmass):
         raise ValueError(f"PEPMASS must be finite, got {value!r}")
+    if pepmass <= PROTON:
+        raise ValueError(f"PEPMASS must be above the proton mass {PROTON}, got {value!r}")
     return pepmass
 
 
@@ -62,7 +65,7 @@ def _seq(value: str, table: AminoAcidTable) -> Peptide:
     return seq
 
 
-def _peak(line: str) -> Peak:
+def _peak(line: str) -> tuple[float, float]:
     parts = line.split(" ")
     if len(parts) != 2:
         raise ValueError(f"peak line must be two floats separated by one space: {line!r}")
@@ -72,7 +75,9 @@ def _peak(line: str) -> Peak:
         raise ValueError(f"unparseable peak line {line!r}") from None
     if not (math.isfinite(mz) and math.isfinite(intensity)):
         raise ValueError(f"peak values must be finite: {line!r}")
-    return Peak(mz, intensity)
+    if mz <= 0 or intensity < 0:
+        raise ValueError(f"peak m/z must be positive and intensity non-negative: {line!r}")
+    return mz, intensity
 
 
 # Each understood header: the Spectrum field it sets, the parser of its
@@ -110,7 +115,7 @@ def parse_mgf(text: str, table: AminoAcidTable | None = None) -> list[Spectrum]:
                     raise ValueError(f"block starting at line {start} is missing {', '.join(missing)}")
                 if not peaks:
                     raise ValueError(f"block starting at line {start} has no peaks")
-                spectra.append(Spectrum(peaks=tuple(peaks), **fields))
+                spectra.append(Spectrum(peaks=peaks, **fields))
                 start = None
             elif "=" in line and not line[0].isdigit() and not line.startswith("-"):
                 key, _, value = line.partition("=")
@@ -140,7 +145,6 @@ def write_mgf(spectra: list[Spectrum]) -> str:
         lines.append(f"CHARGE={s.charge}+")
         if s.truth is not None:
             lines.append(f"SEQ={s.truth}")
-        for p in s.peaks:
-            lines.append(f"{p.mz:.6f} {p.intensity:.6f}")
+        lines += [f"{mz:.6f} {intensity:.6f}" for mz, intensity in s.peaks.tolist()]
         lines.append("END IONS")
     return "\n".join(lines) + "\n"

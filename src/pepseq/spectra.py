@@ -1,8 +1,9 @@
 """Peptides, spectra, and their numeric embeddings.
 
-Holds the monoisotopic residue mass table, the peptide/peak/spectrum value
-types, the fixed sinusoidal encoding of real-valued features (m/z and
-prefix/suffix masses over ``MZ_WAVELENGTHS``, normalized intensity over
+Holds the monoisotopic residue mass table, the peptide and spectrum value
+types (a spectrum's peaks are one read-only float64 ``[k, 2]`` array of
+(m/z, intensity) rows), the fixed sinusoidal encoding of real-valued
+features (m/z and prefix/suffix masses over ``MZ_WAVELENGTHS``, normalized intensity over
 ``INTENSITY_WAVELENGTHS``), theoretical b/y fragment ions, and a
 deterministic spectrum simulator used for the desk-scale corpora.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,7 +22,6 @@ __all__ = [
     "PROTON",
     "AminoAcidTable",
     "Peptide",
-    "Peak",
     "Spectrum",
     "MZ_WAVELENGTHS",
     "INTENSITY_WAVELENGTHS",
@@ -192,43 +192,45 @@ class Peptide:
         return iter(self.residues)
 
 
-class Peak(NamedTuple):
-    mz: float
-    intensity: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """An observed (or simulated) MS/MS spectrum.
 
-    ``peaks`` are stored sorted by m/z. ``truth`` carries the generating
-    peptide for simulated/annotated data and is absent otherwise.
+    ``peaks`` is given as any sequence of (m/z, intensity) pairs, each finite
+    with m/z > 0 and intensity >= 0, and held as a read-only float64 ``[k, 2]``
+    array stably sorted by m/z. ``truth`` carries the generating peptide for
+    simulated/annotated data and is absent otherwise. Equality is by value.
     """
 
     spectrum_id: str
-    peaks: tuple[Peak, ...]
+    peaks: np.ndarray
     precursor_mz: float
     charge: int
     truth: Peptide | None = None
 
     def __post_init__(self):
-        if not self.peaks:
-            raise ValueError(f"spectrum {self.spectrum_id!r} has no peaks")
+        name = f"spectrum {self.spectrum_id!r}"
+        peaks = np.asarray(self.peaks, dtype=np.float64)
+        if peaks.size == 0:
+            raise ValueError(f"{name} has no peaks")
+        if peaks.ndim != 2 or peaks.shape[1] != 2:
+            raise ValueError(f"{name} has peaks of shape {peaks.shape}, not (m/z, intensity) pairs")
         if self.charge < 1:
-            raise ValueError(f"spectrum {self.spectrum_id!r} has charge {self.charge}")
+            raise ValueError(f"{name} has charge {self.charge}")
         if self.precursor_mz <= PROTON:
-            raise ValueError(
-                f"spectrum {self.spectrum_id!r} precursor m/z {self.precursor_mz} too small"
-            )
-        cleaned = []
-        for p in self.peaks:
-            if p.mz <= 0 or p.intensity < 0:
-                raise ValueError(
-                    f"spectrum {self.spectrum_id!r} has invalid peak {p!r}"
-                )
-            cleaned.append(Peak(float(p.mz), float(p.intensity)))
-        cleaned.sort(key=lambda p: p.mz)
-        object.__setattr__(self, "peaks", tuple(cleaned))
+            raise ValueError(f"{name} precursor m/z {self.precursor_mz} too small")
+        bad = ~(np.isfinite(peaks).all(axis=1) & (peaks[:, 0] > 0) & (peaks[:, 1] >= 0))
+        if bad.any():
+            mz, intensity = peaks[bad.argmax()].tolist()
+            raise ValueError(f"{name} has invalid peak (m/z {mz}, intensity {intensity})")
+        peaks = peaks[np.argsort(peaks[:, 0], kind="stable")]  # a copy the caller cannot reach
+        peaks.flags.writeable = False
+        object.__setattr__(self, "peaks", peaks)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Spectrum) and np.array_equal(self.peaks, other.peaks)
+                and (self.spectrum_id, self.precursor_mz, self.charge, self.truth)
+                == (other.spectrum_id, other.precursor_mz, other.charge, other.truth))
 
     @property
     def neutral_mass(self) -> float:
@@ -237,7 +239,7 @@ class Spectrum:
 
     @property
     def max_intensity(self) -> float:
-        return max(p.intensity for p in self.peaks)
+        return float(self.peaks[:, 1].max())
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +276,17 @@ def _wavelengths(d: int, v_min: float, v_max: float) -> np.ndarray:
     return denom
 
 
-def embed_peak(peaks: Sequence[Peak], d: int, max_intensity: float) -> np.ndarray:
+def embed_peak(peaks: np.ndarray, d: int, max_intensity: float) -> np.ndarray:
     """Sum of the m/z encoding and the max-normalized intensity encoding of
-    each of k peaks: [k, d]."""
+    each row of a float64 [k, 2] array of (m/z, intensity) peaks, such as
+    ``Spectrum.peaks``: [k, d]."""
     if max_intensity <= 0:
         raise ValueError("cannot normalize intensities: spectrum maximum is not positive")
-    mz_intensity = np.asarray(peaks, dtype=np.float64)
-    if mz_intensity.ndim != 2:
-        raise ValueError(f"embed_peak takes a sequence of peaks, got shape {mz_intensity.shape}")
-    return encode_float(mz_intensity[:, 0], d) + encode_float(
-        mz_intensity[:, 1] / max_intensity, d, INTENSITY_WAVELENGTHS
+    if peaks.ndim != 2 or peaks.shape[1] != 2:
+        raise ValueError(f"embed_peak takes a sequence of peaks as a [k, 2] array, "
+                         f"got shape {peaks.shape}")
+    return encode_float(peaks[:, 0], d) + encode_float(
+        peaks[:, 1] / max_intensity, d, INTENSITY_WAVELENGTHS
     )
 
 
@@ -291,29 +294,21 @@ def embed_peak(peaks: Sequence[Peak], d: int, max_intensity: float) -> np.ndarra
 # fragments and simulation
 
 
-def theoretical_ions(peptide: Peptide, table: AminoAcidTable) -> list[Peak]:
-    """All singly-charged b- and y-ions of a peptide, sorted by m/z.
+def theoretical_ions(peptide: Peptide, table: AminoAcidTable) -> np.ndarray:
+    """All singly-charged b- and y-ions of a peptide as a [n_ions, 2] array
+    of (m/z, intensity) rows, sorted by m/z.
 
     b_i is the i-residue prefix plus a proton; y_i is the i-residue suffix
     plus water plus a proton. Every ion gets unit intensity.
     """
     if len(peptide) < 1:
         raise ValueError("cannot fragment an empty peptide")
-    masses = [table.mass_of(s) for s in peptide.residues]
-    n = len(masses)
-    peaks = []
-    prefix = 0.0
-    for i in range(n - 1):
-        prefix += masses[i]
-        peaks.append(Peak(prefix + PROTON, 1.0))
-    suffix = 0.0
-    for i in range(n - 1, 0, -1):
-        suffix += masses[i]
-        peaks.append(Peak(suffix + WATER + PROTON, 1.0))
-    if not peaks:  # single-residue peptide has no internal cleavage sites
-        peaks.append(Peak(masses[0] + WATER + PROTON, 1.0))
-    peaks.sort(key=lambda p: p.mz)
-    return peaks
+    masses = np.array([table.mass_of(s) for s in peptide.residues])
+    # Running prefix and suffix sums, added left to right. A lone residue has
+    # no cleavage site and keeps one y ion, of the whole peptide.
+    suffixes = np.cumsum(masses[::-1])[:max(len(masses) - 1, 1)]
+    mzs = np.sort(np.concatenate([np.cumsum(masses[:-1]) + PROTON, suffixes + WATER + PROTON]))
+    return np.column_stack([mzs, np.ones_like(mzs)])
 
 
 # Uniform ranges of the intensity and m/z of each added noise peak.
@@ -361,23 +356,22 @@ def simulate_spectrum(
     mass = table.peptide_mass(peptide)
     precursor_mz = (mass + charge * PROTON) / charge
 
-    kept: list[Peak] = []
-    for ion in ions:
+    # The draws keep the order a simulated corpus was written with: per ion a
+    # drop draw, then an m/z draw; then per noise peak its m/z, then intensity.
+    kept = []
+    for mz in ions[:, 0].tolist():
         if noise.drop_prob > 0 and rng.random() < noise.drop_prob:
             continue
-        mz = ion.mz + (rng.normal(0.0, noise.mz_sigma) if noise.mz_sigma > 0 else 0.0)
-        kept.append(Peak(mz, 1.0))
+        kept.append((mz + (rng.normal(0.0, noise.mz_sigma) if noise.mz_sigma > 0 else 0.0), 1.0))
     if not kept:
         kept.append(ions[0])
-
-    for _ in range(noise.n_noise_peaks):
-        mz = float(rng.uniform(*NOISE_MZ_RANGE))
-        kept.append(Peak(mz, float(rng.uniform(*NOISE_INTENSITY_RANGE))))
+    lows, highs = zip(NOISE_MZ_RANGE, NOISE_INTENSITY_RANGE)
+    noise_peaks = rng.uniform(lows, highs, size=(noise.n_noise_peaks, 2))
 
     sid = spectrum_id if spectrum_id is not None else f"synth-{seed:08d}"
     return Spectrum(
         spectrum_id=sid,
-        peaks=tuple(kept),
+        peaks=np.concatenate([kept, noise_peaks]),
         precursor_mz=precursor_mz,
         charge=charge,
         truth=peptide,

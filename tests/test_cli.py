@@ -17,7 +17,7 @@ from pepseq.cli import main
 from pepseq.mgf import parse_mgf, write_mgf
 from pepseq.network import Model, ModelConfig
 from pepseq.params import load_checkpoint, save_checkpoint
-from pepseq.spectra import WATER, AminoAcidTable, Peak, Peptide, simulate_spectrum
+from pepseq.spectra import WATER, AminoAcidTable, Peptide, simulate_spectrum
 
 from conftest import MISMATCHES, mismatched_store
 
@@ -820,7 +820,7 @@ def test_readme_settings_table_matches_settings():
 @pytest.mark.parametrize("command", ["train", "decode"])
 def test_all_zero_intensities_is_data_error(pipeline, tmp_path, capsys, command):
     spectrum = simulate_spectrum(Peptide.from_string("GASP"), seed=2, spectrum_id="dark")
-    dark = replace(spectrum, peaks=tuple(Peak(p.mz, 0.0) for p in spectrum.peaks))
+    dark = replace(spectrum, peaks=[(mz, 0.0) for mz, _ in spectrum.peaks])
     mgf = tmp_path / "dark.mgf"
     mgf.write_text(write_mgf([dark]))
     inputs = {

@@ -1,11 +1,14 @@
 """MGF subset parser/writer tests, including the byte-level round trip."""
 
+import gc
 import logging
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from pepseq.mgf import MGFParseError, parse_mgf, write_mgf
-from pepseq.spectra import NoiseConfig, Peptide, simulate_spectrum
+from pepseq.spectra import NoiseConfig, Peptide, Spectrum, simulate_spectrum
 
 
 def corpus(n=5):
@@ -36,8 +39,8 @@ class TestRoundTrip:
             assert abs(a.precursor_mz - b.precursor_mz) <= 5e-7
             assert len(a.peaks) == len(b.peaks)
             for pa, pb in zip(a.peaks, b.peaks):
-                assert abs(pa.mz - pb.mz) <= 5e-7
-                assert abs(pa.intensity - pb.intensity) <= 5e-7
+                assert abs(pa[0] - pb[0]) <= 5e-7
+                assert abs(pa[1] - pb[1]) <= 5e-7
 
     def test_spectrum_without_truth_roundtrips(self):
         s = corpus(1)[0]
@@ -56,6 +59,34 @@ SEQ=GA
 90.054951 0.500000
 END IONS
 """
+
+
+class TestPeakArrays:
+    def test_a_block_parses_to_one_sorted_read_only_array(self):
+        swapped = GOOD.replace("58.028736 1.000000\n90.054951 0.500000",
+                               "90.054951 0.500000\n58.028736 1.000000")
+        for text in (GOOD, swapped):
+            (s,) = parse_mgf(text)
+            assert s.peaks.dtype == np.float64 and not s.peaks.flags.writeable
+            assert s.peaks.tolist() == [[58.028736, 1.0], [90.054951, 0.5]]
+
+    def test_a_parsed_150_peak_spectrum_holds_at_most_3_kib(self):
+        rng = np.random.default_rng(0)
+        text = write_mgf([
+            Spectrum(f"s{i:03d}", np.column_stack([rng.uniform(100.0, 1500.0, 150),
+                                                   rng.uniform(0.0, 1.0, 150)]), 600.0, 2)
+            for i in range(100)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            spectra = parse_mgf(text)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(spectra) == 100
+        assert held / len(spectra) <= 3 * 1024  # the average over 100 does not flake
 
 
 class TestParseErrors:
@@ -87,6 +118,12 @@ class TestParseErrors:
             (("PEPMASS=400.123456", "PEPMASS=400.123456\nPEPMASS=500.0"), 4),
             (("CHARGE=2+", "CHARGE=2+\nCHARGE=3+"), 5),
             (("SEQ=GA", "SEQ=GA\nSEQ=GA"), 6),
+            # Values Spectrum would reject, reported at their own line.
+            (("58.028736 1.000000", "-5.0 1.000000"), 6),
+            (("58.028736 1.000000", "0 1.000000"), 6),
+            (("90.054951 0.500000", "90.054951 -0.5"), 7),
+            (("PEPMASS=400.123456", "PEPMASS=0.5"), 3),
+            (("PEPMASS=400.123456", "PEPMASS=1.007276 1000"), 3),
         ],
     )
     def test_malformed_lines_report_line_number(self, mutation, expect_line):

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from pepseq import autodiff as ad
 from pepseq.network import MAX_CHARGE, Model, ModelConfig, check_spectrum, prefix_suffix_masses
 from pepseq.params import CheckpointError, ParameterStore, load_checkpoint, save_checkpoint
-from pepseq.spectra import (PROTON, WATER, AminoAcidTable, Peak, Peptide, Spectrum, embed_peak,
+from pepseq.spectra import (PROTON, WATER, AminoAcidTable, Peptide, Spectrum, embed_peak,
                             encode_float, simulate_spectrum)
 
 from conftest import MISMATCHES, mismatched_store
@@ -82,7 +82,7 @@ class TestEncoder:
     @pytest.mark.parametrize("change, max_residues, rule", [
         (dict(charge=MAX_CHARGE + 1), None, "has charge 11; the model supports 1..10"),
         (dict(precursor_mz=1e308, charge=2), None, "no finite mass"),
-        (dict(peaks=(Peak(100.0, 0.0), Peak(200.0, 0.0))), None, "no peak with positive intensity"),
+        (dict(peaks=((100.0, 0.0), (200.0, 0.0))), None, "no peak with positive intensity"),
         ({}, 4, "5 target residues exceed t_max - 2 = 4"),
     ], ids=["charge", "mass", "intensity", "target"])
     def test_check_spectrum_names_what_the_model_cannot_read(self, model, spectrum, change,

@@ -22,7 +22,6 @@ from pepseq.spectra import (
     WATER,
     AminoAcidTable,
     NoiseConfig,
-    Peak,
     Peptide,
     Spectrum,
     VocabularyError,
@@ -164,20 +163,21 @@ class TestFloatEncoder:
 
     def test_embed_peak_requires_positive_max(self):
         with pytest.raises(ValueError):
-            embed_peak([Peak(100.0, 1.0)], 4, 0.0)
-        out = embed_peak([Peak(100.0, 0.5)], 4, 2.0)
+            embed_peak(np.array([[100.0, 1.0]]), 4, 0.0)
+        out = embed_peak(np.array([[100.0, 0.5]]), 4, 2.0)
         assert_allclose(out, [encode_float(100.0, 4, (0.001, 10000.0))
                               + encode_float(0.25, 4, (1e-4, 1.0))])
 
     def test_embed_peak_takes_a_sequence_of_peaks(self):
         with pytest.raises(ValueError, match="sequence of peaks"):
-            embed_peak(Peak(100.0, 1.0), 4, 1.0)
+            embed_peak(np.array([100.0, 1.0]), 4, 1.0)
 
     def test_embed_peak_over_a_spectrum_equals_stacked_per_peak_calls(self):
         noise = NoiseConfig(mz_sigma=0.01, n_noise_peaks=5)
         s = simulate_spectrum(Peptide.from_string("PEPTIDEK"), seed=3, noise=noise)
         out = embed_peak(s.peaks, 64, s.max_intensity)
-        want = np.concatenate([embed_peak([p], 64, s.max_intensity) for p in s.peaks])
+        want = np.concatenate([embed_peak(s.peaks[i:i + 1], 64, s.max_intensity)
+                               for i in range(len(s.peaks))])
         assert out.shape == (len(s.peaks), 64)
         assert np.array_equal(out, want)
 
@@ -186,18 +186,35 @@ class TestFragments:
     def test_ga_ions_by_hand(self):
         table = AminoAcidTable()
         peaks = theoretical_ions(Peptide.from_string("GA"), table)
-        mzs = sorted(p.mz for p in peaks)
+        mzs = sorted(peaks[:, 0])
         assert_allclose(mzs[0], 58.028736, atol=1e-6)  # b1 = G + proton
         assert_allclose(mzs[1], 90.054951, atol=1e-6)  # y1 = A + water + proton
-        assert all(p.intensity == 1.0 for p in peaks)
+        assert all(peaks[:, 1] == 1.0)
 
     def test_ion_count_and_sorted(self):
         table = AminoAcidTable()
         p = Peptide.from_string("GASPV")
         peaks = theoretical_ions(p, table)
         assert len(peaks) == 2 * (len(p) - 1)
-        mzs = [pk.mz for pk in peaks]
+        mzs = list(peaks[:, 0])
         assert mzs == sorted(mzs)
+
+    def test_ions_equal_running_sums_bit_for_bit(self):
+        # The reference adds prefix and suffix masses one residue at a time.
+        table, rng = AminoAcidTable(), np.random.default_rng(4)
+        for n in [1, 1, 2, 3] + list(range(4, 30)):
+            p = random_peptide(rng, n, n, table)
+            masses = [table.mass_of(s) for s in p]
+            want, prefix, suffix = [], 0.0, 0.0
+            for i in range(n - 1):
+                prefix += masses[i]
+                want.append(prefix + PROTON)
+            for i in range(n - 1, 0, -1):
+                suffix += masses[i]
+                want.append(suffix + WATER + PROTON)
+            want = sorted(want) or [masses[0] + WATER + PROTON]
+            ions = theoretical_ions(p, table)
+            assert ions[:, 0].tolist() == want and ions[:, 1].tolist() == [1.0] * len(want)
 
     def test_by_pairs_sum_to_precursor_mass(self):
         # b_i + y_{n-i} = peptide mass + 2 protons, for every cleavage site.
@@ -221,8 +238,8 @@ class TestSimulator:
         expected = theoretical_ions(p, table)
         assert len(s.peaks) == len(expected)
         for got, want in zip(s.peaks, expected):
-            assert got.mz == want.mz
-            assert got.intensity == want.intensity
+            assert got[0] == want[0]
+            assert got[1] == want[1]
 
     def test_deterministic_for_seed(self):
         p = Peptide.from_string("GASPVK")
@@ -256,19 +273,59 @@ class TestSimulator:
 
 class TestSpectrumType:
     def test_peaks_sorted_on_construction(self):
-        s = Spectrum("x", (Peak(300.0, 1.0), Peak(100.0, 2.0)), 500.0, 2)
-        assert [p.mz for p in s.peaks] == [100.0, 300.0]
+        s = Spectrum("x", ((300.0, 1.0), (100.0, 2.0)), 500.0, 2)
+        assert list(s.peaks[:, 0]) == [100.0, 300.0]
+
+    @pytest.mark.parametrize("given", [
+        ((300.0, 1.0), (100.0, 2.0)),
+        [[300.0, 1.0], [100.0, 2.0]],
+        np.array([[300.0, 1.0], [100.0, 2.0]]),
+        np.array([[300, 1], [100, 2]]),
+    ], ids=["tuples", "lists", "array", "int-array"])
+    def test_peaks_are_one_read_only_float64_array(self, given):
+        s = Spectrum("x", given, 500.0, 2)
+        assert isinstance(s.peaks, np.ndarray) and s.peaks.dtype == np.float64
+        assert s.peaks.shape == (2, 2) and not s.peaks.flags.writeable
+        assert s.peaks.tolist() == [[100.0, 2.0], [300.0, 1.0]]
+        with pytest.raises(ValueError):
+            s.peaks[0, 0] = 1.0
+        if isinstance(given, np.ndarray):  # the spectrum holds its own copy
+            given[:] = 7
+            assert s.peaks.tolist() == [[100.0, 2.0], [300.0, 1.0]]
+        assert s.max_intensity == 2.0
+
+    def test_peaks_of_equal_mz_keep_their_input_order(self):
+        s = Spectrum("x", ((300.0, 0.1), (100.0, 0.2), (300.0, 0.3), (100.0, 0.4), (300.0, 0.5)),
+                     500.0, 2)
+        assert s.peaks.tolist() == [[100.0, 0.2], [100.0, 0.4], [300.0, 0.1], [300.0, 0.3],
+                                    [300.0, 0.5]]
+
+    def test_equality_compares_values(self):
+        s = Spectrum("x", ((300.0, 1.0), (100.0, 2.0)), 500.0, 2, Peptide.from_string("GA"))
+        same = Spectrum("x", [[100.0, 2.0], [300.0, 1.0]], 500.0, 2, Peptide.from_string("GA"))
+        assert s == same and not s != same
+        assert s != Spectrum("x", ((300.0, 1.0), (100.0, 2.5)), 500.0, 2, Peptide.from_string("GA"))
+        assert s != Spectrum("x", ((300.0, 1.0),), 500.0, 2, Peptide.from_string("GA"))
+        assert s != Spectrum("x", ((300.0, 1.0), (100.0, 2.0)), 500.0, 2)
+        assert s != "x"
 
     def test_neutral_mass_formula(self):
-        s = Spectrum("x", (Peak(100.0, 1.0),), precursor_mz=500.0, charge=2)
+        s = Spectrum("x", ((100.0, 1.0),), precursor_mz=500.0, charge=2)
         assert_allclose(s.neutral_mass, (500.0 - PROTON) * 2)
 
     def test_invalid_spectra_rejected(self):
         with pytest.raises(ValueError):
             Spectrum("x", (), 500.0, 2)
         with pytest.raises(ValueError):
-            Spectrum("x", (Peak(100.0, 1.0),), 500.0, 0)
+            Spectrum("x", ((100.0, 1.0),), 500.0, 0)
         with pytest.raises(ValueError):
-            Spectrum("x", (Peak(-1.0, 1.0),), 500.0, 2)
+            Spectrum("x", ((-1.0, 1.0),), 500.0, 2)
         with pytest.raises(ValueError):
-            Spectrum("x", (Peak(100.0, -0.5),), 500.0, 2)
+            Spectrum("x", ((100.0, -0.5),), 500.0, 2)
+        for mz, intensity in [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                              (100.0, math.nan), (100.0, math.inf), (100.0, -math.inf)]:
+            with pytest.raises(ValueError, match="invalid peak"):
+                Spectrum("x", ((200.0, 1.0), (mz, intensity)), 500.0, 2)
+        for peaks in ([100.0, 1.0], [[100.0, 1.0, 2.0]], np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="pairs"):
+                Spectrum("x", peaks, 500.0, 2)

@@ -20,7 +20,12 @@ lines, in which every float is written exactly, by ``float.hex``:
   each on the first 10 spectra, from C's weights and fresh AdamW state,
   mid-schedule as in the benchmark;
 * ``build``: the checkpoint of ``Model.build(ModelConfig(), AminoAcidTable(),
-  seed=0)``, as the digest of its bytes and of each array.
+  seed=0)``, as the digest of its bytes and of each array;
+* ``mgf``: the ``write_mgf`` text of 50 noisy spectra simulated as ``pepseq
+  simulate`` simulates them (seed 0, lengths 5-12, ``mz_sigma`` 0.01,
+  ``drop_prob`` 0.2, 5 noise peaks), then each peak that ``parse_mgf`` reads
+  from ``bench/fixture/pool.mgf`` (spectrum id, m/z, intensity). It covers
+  the simulator, the writer and the parser.
 
 The beam width, nat-pmc settings, batch size and training schedule are the
 benchmark's, read from ``bench/worker.py``. ``--limit N`` runs on the first N
@@ -155,6 +160,23 @@ def build_lines() -> list[str]:
         for key, t in model.store.items()]
 
 
+def mgf_lines(pool, limit: int | None) -> list[str]:
+    import numpy as np
+
+    from pepseq.mgf import write_mgf
+    from pepseq.spectra import AminoAcidTable, NoiseConfig, random_peptide, simulate_spectrum
+
+    table, rng = AminoAcidTable(), np.random.default_rng(0)
+    noise = NoiseConfig(mz_sigma=0.01, drop_prob=0.2, n_noise_peaks=5)
+    corpus = []
+    for i in range(50):  # the loop of cli.cmd_simulate
+        peptide = random_peptide(rng, 5, 12, table)
+        corpus.append(simulate_spectrum(peptide, seed=int(rng.integers(1 << 30)), noise=noise,
+                                        spectrum_id=f"synth-{i:05d}", table=table))
+    return write_mgf(corpus[:limit]).splitlines() + [
+        f"{s.spectrum_id} {_hex(mz)} {_hex(intensity)}" for s in pool for mz, intensity in s.peaks]
+
+
 def parts(limit: int | None) -> dict[str, list[str]]:
     from pepseq.mgf import parse_mgf
     from pepseq.spectra import AminoAcidTable
@@ -170,6 +192,7 @@ def parts(limit: int | None) -> dict[str, list[str]]:
     for name in CHECKPOINTS:
         out[f"train/{name}"] = train_lines(_load(name), spectra)
     out["build"] = build_lines()
+    out["mgf"] = mgf_lines(pool, limit)
     return out
 
 
